@@ -24,7 +24,7 @@ from .quant import QuantizedModel, memory_bytes
 
 REPORT_COLUMNS = [
     "variant", "total_params", "prunable_params", "weights_bytes",
-    "scales_bytes", "total_bytes", "latency_ms", "latency_cv",
+    "scales_bytes", "total_bytes", "latency_ms", "latency_cv", "unstable",
     "throughput_sps", "throughput_batch", "ind_sr", "ood_sr",
 ]
 
@@ -114,6 +114,7 @@ def variant_row(name, model, timing_rows, ind_sr=None, ood_sr=None, exempt_layer
         "total_bytes": mem["total_bytes"],
         "latency_ms": batch1["latency_ms"],
         "latency_cv": batch1["latency_cv"],
+        "unstable": batch1["unstable"],
         "throughput_sps": batchmax["throughput_sps"],
         "throughput_batch": batchmax["batch_size"],
         "ind_sr": ind_sr,
@@ -173,14 +174,14 @@ def bench_kernels(sizes=((1, 16, 128, 512), (64, 16, 128, 512)), block=64, seed=
         }
         for cname, fn in cases.items():
             row = {"case": f"{cname}[b{b}xs{s}x{k}x{n}]"}
-            for b in backends:
-                kernels.set_backend(b)
+            for backend in backends:
+                kernels.set_backend(backend)
                 fn()
                 t0 = time.perf_counter()
                 reps = 20
                 for _ in range(reps):
                     fn()
-                row[f"{b}_ms"] = (time.perf_counter() - t0) / reps * 1e3
+                row[f"{backend}_ms"] = (time.perf_counter() - t0) / reps * 1e3
             if "numba_ms" in row and "numpy_ms" in row:
                 row["speedup"] = row["numpy_ms"] / row["numba_ms"]
             results.append(row)

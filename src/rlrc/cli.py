@@ -19,7 +19,7 @@ _STAGE_INPUTS = {
     "prune": ("dense",),
     "sft": ("pruned",),
     "rl": ("sft", "pruned"),
-    "quantize": ("dense", "sft", "rl"),
+    "quantize": ("rl", "sft"),
 }
 
 

@@ -1,19 +1,23 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-The inference-side inner loops (decoder blocks, dequantize-matmul, GAE
-scan) are implemented twice: once with numba @njit and once in plain
-vectorized numpy.  RLRC_KERNELS selects the backend:
+The decoder blocks, the rms normalization and the GAE scan are implemented
+twice: once with numba @njit and once in plain vectorized numpy.
+RLRC_KERNELS selects their backend:
 
     RLRC_KERNELS=auto    use numba when importable (default)
     RLRC_KERNELS=numba   require numba
     RLRC_KERNELS=numpy   pure numpy fallback
 
 Both backends compute the same math at the same precisions: float32 in and
-out, with float64 accumulators in the rms statistics and in the
-dequantize-matmuls (rounded to float32 once, at the end); the GAE scan runs
-in float64 throughout.  Equivalence is covered by tests and
-`rlrc bench-kernels` reports the speed difference.  Training-side autodiff
-(tensor.py) always runs on numpy/BLAS and is unaffected by this flag.
+out, with float64 accumulators in the rms statistics; the GAE scan runs in
+float64 throughout.  Equivalence is covered by tests and `rlrc bench-kernels`
+reports the speed difference.
+
+The dequantize-matmuls `qdot4` and `qdot8` have one implementation, on
+numpy/BLAS: they dequantize a tile of whole weight rows at a time to
+float32, add it into a float64 output with one BLAS dgemm, and round the
+sum to float32 once.  Training-side autodiff (tensor.py) always runs on
+numpy/BLAS and is unaffected by the flag.
 """
 
 import os
@@ -90,66 +94,89 @@ def _mlp_block_np(x, gain, wup, wgate, wdown):
     return x + (h @ wdown).reshape(b, s, d)
 
 
-# transient-buffer audit hook for the fallback qdot paths; the numpy
-# implementation works one weight row (one row of blocks) at a time
+# transient-buffer audit hook for qdot4/qdot8, which work one tile at a time
 _alloc_hook = None
 
 
 def set_alloc_hook(fn):
-    """Install fn(num_f32_elements) called per transient buffer (numpy path)."""
+    """Install fn(num_elements) called per transient weight tile."""
     global _alloc_hook
     _alloc_hook = fn
 
 
-# float32 value of each two's-complement 4-bit code, and the (low, high)
-# nibbles of each byte value
+# weight values dequantized per tile (whole rows; one row if a row is longer):
+# 64 KiB once widened to float64, so a tile stays in cache for its GEMM
+_TILE_VALUES = 8192
+
+# float32 (low, high) code values of each byte: two two's-complement nibbles
 _NIBBLE_VALUES = np.array([0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1],
                           dtype=np.float32)
-_BYTE_NIBBLES = np.stack([np.arange(256) & 0xF, np.arange(256) >> 4], axis=1).astype(np.uint8)
+_BYTE_VALUES = np.stack([_NIBBLE_VALUES[np.arange(256) & 0xF],
+                         _NIBBLE_VALUES[np.arange(256) >> 4]], axis=1)
 
 
-def _qdot_rows_np(x, scales, n, block, codes_row):
-    """x @ W, where row i of W is its block scales times codes_row(i * n).
+def _qdot_tiles(x, scales, n, block, codes):
+    """x @ W, where flat element j of W is scales[j // block] * code j.
 
-    codes_row(start) gives the codes of flat elements start .. start+n-1.
-    Each row is dequantized to float32 as ``quant.dequantize`` does, then
-    added as a rank-1 update in place through BLAS dger on a Fortran-ordered
-    float64 output (with any other layout f2py would update a copy).  The
-    sum is rounded to float32 once, at the end.
+    codes(start, stop) gives the codes of flat elements start .. stop-1.  W
+    is dequantized a tile of whole rows at a time, to float32 exactly as
+    ``quant.dequantize`` does; only the tile is widened to float64 and added
+    into a float64 output by one BLAS dgemm.  The sum is rounded to float32
+    once, at the end.
     """
     # deferred: importing scipy.linalg adds ~28 MiB RSS to every process,
     # including the ones that never serve a quantized model
-    from scipy.linalg.blas import dger
+    from scipy.linalg.blas import dgemm
 
     m, k = x.shape
-    out = np.zeros((m, n), dtype=np.float64, order="F")
-    if out.size == 0:  # dger rejects empty operands
-        return out.astype(np.float32)
+    if m * n * k == 0:  # dgemm rejects empty operands
+        return np.zeros((m, n), dtype=np.float32)
+    # dgemm updates out.T in place because it is Fortran-ordered (with any
+    # other layout f2py would update a copy), and rounding the C-ordered out
+    # to float32 is then a plain copy, not a transpose
+    out = np.empty((m, n), dtype=np.float64)
     x64 = np.asfortranarray(x, dtype=np.float64)
-    # block of each element of a row, counted from the row's first block
-    block_of = np.arange(n + block) // block
-    for i in range(k):
-        start = i * n
-        off = start % block
-        row = scales[start // block :][block_of[off : off + n]] * codes_row(start)
+    rows = max(1, _TILE_VALUES // n)
+    for r0 in range(0, k, rows):
+        r1 = min(k, r0 + rows)
+        start, stop = r0 * n, r1 * n
+        # the scale of each element: the tile's blocks, each repeated
+        tile = np.repeat(scales[start // block : -(-stop // block)], block)
+        tile = tile[start % block :][: stop - start]
+        tile *= codes(start, stop)
         if _alloc_hook is not None:
-            _alloc_hook(row.size)
-        out = dger(1.0, x64[:, i], row, a=out, overwrite_a=1)
-    return out.astype(np.float32, order="C")
+            _alloc_hook(tile.size)
+        # out.T = tile.T @ x[:, r0:r1].T (+ out.T after the first tile); both
+        # operands are Fortran-ordered views, so f2py copies neither
+        w64 = tile.astype(np.float64).reshape(r1 - r0, n)
+        dgemm(1.0, w64.T, x64[:, r0:r1], beta=float(r0 > 0), c=out.T, trans_b=1,
+              overwrite_c=1)
+    return out.astype(np.float32)
 
 
-def _qdot4_np(x, packed, scales, n, block):
-    def codes_row(start):
-        # both nibbles of every byte the row touches, then the row's own
-        nib = _BYTE_NIBBLES.take(packed[start >> 1 : (start + n + 1) >> 1], axis=0)
+def qdot4(x, packed, scales, n, block):
+    """x @ W for a 4-bit packed weight of logical shape (x.shape[1], n).
+
+    Dequantizes W a tile of whole rows at a time to float32 (the values
+    ``quant.dequantize`` gives) and never materializes the dense matrix.
+    Each tile is added into a float64 output by one GEMM; the float32 result
+    is the exact product rounded once, so within 1e-5 relative of it.
+    """
+    def codes(start, stop):
+        # both nibbles of every byte the span touches, then the span's own
+        pairs = _BYTE_VALUES.take(packed[start >> 1 : (stop + 1) >> 1], axis=0)
         lo = start & 1
-        return _NIBBLE_VALUES.take(nib.reshape(-1)[lo : lo + n])
+        return pairs.reshape(-1)[lo : lo + stop - start]
 
-    return _qdot_rows_np(x, scales, n, block, codes_row)
+    return _qdot_tiles(x, scales, n, block, codes)
 
 
-def _qdot8_np(x, codes, scales, n, block):
-    return _qdot_rows_np(x, scales, n, block, lambda start: codes[start : start + n])
+def qdot8(x, codes, scales, n, block):
+    """x @ W for an 8-bit weight of logical shape (x.shape[1], n).
+
+    Tile-at-a-time dequantization and a float64 GEMM, as in `qdot4`.
+    """
+    return _qdot_tiles(x, scales, n, block, lambda start, stop: codes[start:stop])
 
 
 def _gae_scan_np(rewards, values, dones, next_values, gamma, lam):
@@ -239,47 +266,6 @@ if _HAS_NUMBA:
         out = np.dot(u, wdown)
         return (x2 + out).reshape(b, s, d)
 
-    @njit(cache=True, fastmath=True)
-    def _qdot4_nb(x, packed, scales, n, block):
-        m, k = x.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        row = np.empty(n, dtype=np.float32)
-        for i in range(k):
-            base = i * n
-            for j in range(n):
-                flat = base + j
-                byte = packed[flat >> 1]
-                if flat & 1:
-                    c = (byte >> 4) & 0xF
-                else:
-                    c = byte & 0xF
-                if c >= 8:
-                    c -= 16
-                row[j] = scales[flat // block] * c
-            for r in range(m):
-                xv = np.float64(x[r, i])
-                if xv != 0.0:
-                    for j in range(n):
-                        out[r, j] += xv * row[j]
-        return out.astype(np.float32)
-
-    @njit(cache=True, fastmath=True)
-    def _qdot8_nb(x, codes, scales, n, block):
-        m, k = x.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        row = np.empty(n, dtype=np.float32)
-        for i in range(k):
-            base = i * n
-            for j in range(n):
-                flat = base + j
-                row[j] = scales[flat // block] * codes[flat]
-            for r in range(m):
-                xv = np.float64(x[r, i])
-                if xv != 0.0:
-                    for j in range(n):
-                        out[r, j] += xv * row[j]
-        return out.astype(np.float32)
-
     @njit(cache=True)
     def _gae_scan_nb(rewards, values, dones, next_values, gamma, lam):
         n, h = rewards.shape
@@ -325,29 +311,6 @@ def rms_rows(x2, gain):
     return _rms_rows_np(x2, gain)
 
 
-def qdot4(x, packed, scales, n, block):
-    """x @ W for a 4-bit packed weight of logical shape (x.shape[1], n).
-
-    Dequantizes one weight row at a time to float32 (the values
-    ``quant.dequantize`` gives) and never materializes the dense matrix.
-    The rank-1 updates accumulate in float64; the float32 result is the
-    exact product rounded once, so within 1e-5 relative of it.
-    """
-    if _BACKEND == "numba":
-        return _qdot4_nb(x, packed, scales, n, block)
-    return _qdot4_np(x, packed, scales, n, block)
-
-
-def qdot8(x, codes, scales, n, block):
-    """x @ W for an 8-bit weight of logical shape (x.shape[1], n).
-
-    Row-at-a-time dequantization and float64 accumulation, as in `qdot4`.
-    """
-    if _BACKEND == "numba":
-        return _qdot8_nb(x, codes, scales, n, block)
-    return _qdot8_np(x, codes, scales, n, block)
-
-
 def gae_scan(rewards, values, dones, next_values, gamma, lam):
     """Reverse-time GAE recursion over an (envs, horizon) grid (float64)."""
     rewards = np.ascontiguousarray(rewards, dtype=np.float64)
@@ -360,7 +323,7 @@ def gae_scan(rewards, values, dones, next_values, gamma, lam):
 
 
 def warmup():
-    """Trigger jit compilation of every kernel (no-op on the numpy backend)."""
+    """Trigger jit compilation of every numba kernel (no-op on the numpy backend)."""
     if _BACKEND != "numba":
         return
     x = np.zeros((1, 2, 8), dtype=np.float32)
@@ -368,9 +331,5 @@ def warmup():
     w = np.zeros((8, 8), dtype=np.float32)
     attn_block(x, gain, w, w, w, w, 2, 4)
     mlp_block(x, gain, w, w, w.copy())
-    qdot4(np.zeros((1, 4), dtype=np.float32), np.zeros(16, dtype=np.uint8),
-          np.ones(1, dtype=np.float32), 8, 64)
-    qdot8(np.zeros((1, 4), dtype=np.float32), np.zeros(32, dtype=np.int8),
-          np.ones(1, dtype=np.float32), 8, 64)
     gae_scan(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)),
              np.zeros(1), 0.99, 0.95)

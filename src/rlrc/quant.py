@@ -3,9 +3,10 @@
 Per block of 64 weights (default): scale s = max|w| / q_max, codes
 round-half-away-from-zero(w / s) clamped to [-q_max, q_max]; an all-zero
 block gets s = 1.  4-bit codes pack two per byte.  The matmul path
-dequantizes one weight row at a time (see rlrc.kernels) so the dense
-matrix never materializes.  Decoder-layer matrices quantize; embeddings,
-norm gains and output heads stay full precision.
+dequantizes a tile of whole weight rows at a time and applies it with a
+float64 GEMM (see rlrc.kernels), so the dense matrix never materializes.
+Decoder-layer matrices quantize; embeddings, norm gains and output heads
+stay full precision.
 """
 
 from dataclasses import dataclass
@@ -117,9 +118,10 @@ def dequantize(qt):
 def qmatmul(qt, activations):
     """activations @ W for a quantized W of logical shape (k, n).
 
-    Dequantizes one weight row at a time and accumulates in float64, so the
-    float32 result is within 1e-5 relative (floor 1e-3) of the exact product
-    of the activations with ``dequantize(qt)``.
+    Dequantizes a tile of whole weight rows at a time and adds each tile's
+    product into a float64 output with one GEMM, so the float32 result is
+    within 1e-5 relative (floor 1e-3) of the exact product of the
+    activations with ``dequantize(qt)``.
     """
     if len(qt.shape) != 2:
         raise QuantError(f"qmatmul expects a 2-d weight, got shape {qt.shape}")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rlrc import kernels
-from rlrc.quant import quantize_tensor
 
 
 pytestmark = pytest.mark.skipif(
@@ -43,17 +42,6 @@ def test_mlp_block_backends_agree(both_backends):
     wdown = (rng.standard_normal((24, 16)) / 4).astype(np.float32)
     a, b = _run_both(lambda: kernels.mlp_block(x, gain, wup, wup.copy(), wdown))
     assert np.abs(a - b).max() < 1e-5
-
-
-def test_qdot_backends_agree(both_backends):
-    rng = np.random.default_rng(2)
-    w = rng.standard_normal((32, 48)).astype(np.float32)
-    x = rng.standard_normal((6, 32)).astype(np.float32)
-    for bits in (4, 8):
-        qt = quantize_tensor(w, bits, 16)
-        fn = kernels.qdot4 if bits == 4 else kernels.qdot8
-        a, b = _run_both(lambda: fn(x, qt.packed, qt.scales, 48, 16))
-        assert np.abs(a - b).max() < 1e-4
 
 
 def test_gae_backends_bitwise_equal(both_backends):

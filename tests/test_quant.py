@@ -114,12 +114,16 @@ def test_qmatmul_matches_dense_dequant():
     # the reference is the exact (float64) product of the same float32
     # operands: a float32 BLAS product rounds by about as much as the bound
     rng = np.random.default_rng(5)
-    # (k, n, block): a general case; rows starting mid-byte with a block that
-    # does not divide n; the 128x1 and 1x128 matrices of a 90%-pruned MLP
-    for k, n, block in ((40, 24, 16), (33, 9, 16), (128, 1, 64), (1, 128, 64)):
+    # (m, k, n, block): a general case; rows starting mid-byte with a block
+    # that does not divide n; the 128x1 and 1x128 matrices of a 90%-pruned
+    # MLP; weights of several tiles at the rows of a batch-64 decode; tiles
+    # starting mid-byte and mid-block
+    for m, k, n, block in ((7, 40, 24, 16), (7, 33, 9, 16), (7, 128, 1, 64), (7, 1, 128, 64),
+                           (64 * 16, 512, 128, 64), (64 * 16, 128, 512, 64),
+                           (7, 700, 49, 16)):
         for bits in (4, 8):
             w = rng.standard_normal((k, n)).astype(np.float32)
-            x = rng.standard_normal((7, k)).astype(np.float32)
+            x = rng.standard_normal((m, k)).astype(np.float32)
             qt = quantize_tensor(w, bits, block)
             ref = x.astype(np.float64) @ dequantize(qt).astype(np.float64)
             out = qmatmul(qt, x)
@@ -140,21 +144,20 @@ def test_qmatmul_shape_mismatch():
         qmatmul(qt, np.zeros((3, 9), dtype=np.float32))
 
 
-def test_qmatmul_transient_buffer_one_row():
-    # the numpy fallback works one weight row at a time; audit it
-    prev = kernels.backend()
-    kernels.set_backend("numpy")
+def test_qmatmul_transient_buffer_one_tile():
+    # qmatmul dequantizes one tile of whole rows at a time; audit it on a
+    # weight of several tiles whose tiles start mid-byte and mid-block
+    k, n = 700, 49
     sizes = []
     kernels.set_alloc_hook(sizes.append)
     try:
         rng = np.random.default_rng(6)
-        w = rng.standard_normal((32, 48)).astype(np.float32)
-        qt = quantize_tensor(w, 4, 16)
-        qmatmul(qt, rng.standard_normal((5, 32)).astype(np.float32))
+        qt = quantize_tensor(rng.standard_normal((k, n)).astype(np.float32), 4, 16)
+        qmatmul(qt, rng.standard_normal((5, k)).astype(np.float32))
     finally:
         kernels.set_alloc_hook(None)
-        kernels.set_backend(prev)
-    assert sizes and max(sizes) <= 48
+    assert len(sizes) > 1 and sum(sizes) == k * n
+    assert max(sizes) <= max(kernels._TILE_VALUES, n) and max(sizes) < k * n
 
 
 def test_quantize_model_shapes_and_idempotence():
