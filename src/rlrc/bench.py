@@ -16,11 +16,10 @@ import time
 
 import numpy as np
 
-from . import kernels
 from .env import reset
-from .model import PolicyModel, build_contexts, fast_logits_last
+from .model import PolicyModel, build_contexts, greedy_actions
 from .pruning import param_counts
-from .quant import QuantizedModel, memory_bytes
+from .quant import memory_bytes
 
 REPORT_COLUMNS = [
     "variant", "total_params", "prunable_params", "weights_bytes",
@@ -44,7 +43,6 @@ def report_header(extra=None):
     h = {
         "cpu": _cpu_model(),
         "platform": platform.platform(),
-        "kernel_backend": kernels.backend(),
         "threads": os.environ.get("RLRC_THREADS", "unset"),
         "throughput_definition": "greedy action decodes per second at the stated batch size",
         "latency_definition": "median wall ms of one greedy decode at batch 1",
@@ -52,12 +50,6 @@ def report_header(extra=None):
     if extra:
         h.update(extra)
     return h
-
-
-def _decode_step(model, contexts):
-    if isinstance(model, QuantizedModel):
-        return np.argmax(model.logits_last(contexts), axis=1)
-    return np.argmax(fast_logits_last(model, contexts), axis=1)
 
 
 def probe_contexts(model, env_config, batch, task, seed=0):
@@ -72,12 +64,12 @@ def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
     for batch in sorted(batch_sizes):
         contexts = probe_contexts(model, env_config, batch, task, seed)
         for _ in range(max(warmup, 10)):
-            _decode_step(model, contexts)
+            greedy_actions(model, contexts)
         times = []
         n_iters = max(iters, 50)
         for _ in range(n_iters):
             t0 = time.perf_counter()
-            _decode_step(model, contexts)
+            greedy_actions(model, contexts)
             times.append(time.perf_counter() - t0)
         med = statistics.median(times)
         mu = statistics.fmean(times)
@@ -138,52 +130,3 @@ def write_report(prefix, header, rows, extra_columns=()):
         json.dump({"header": header, "columns": columns, "rows": rows}, f, indent=2)
     return csv_path, json_path
 
-
-def bench_kernels(sizes=((1, 16, 128, 512), (64, 16, 128, 512)), block=64, seed=0):
-    """Compare the numba and numpy kernel backends on the hot paths.
-
-    Sizes are (batch, seq, d_model, d_ff) matching real decode workloads.
-    """
-    rng = np.random.default_rng(seed)
-    results = []
-    backends = ["numpy"]
-    try:
-        kernels.set_backend("numba")
-        backends.insert(0, "numba")
-    except RuntimeError:
-        pass
-    prev = kernels.backend()
-    for (b, s, k, n) in sizes:
-        x = rng.standard_normal((b, s, k)).astype(np.float32)
-        gain = np.ones(k, dtype=np.float32)
-        wq = (rng.standard_normal((k, k)) / np.sqrt(k)).astype(np.float32)
-        wup = (rng.standard_normal((k, n)) / np.sqrt(k)).astype(np.float32)
-        wdown = (rng.standard_normal((n, k)) / np.sqrt(n)).astype(np.float32)
-        from .quant import quantize_tensor
-        qt = quantize_tensor(wup, 4, block)
-        x2 = np.ascontiguousarray(x.reshape(b * s, k))
-        rewards = rng.random((16, 64))
-        values = rng.random((16, 64))
-        dones = (rng.random((16, 64)) < 0.05).astype(np.float64)
-        nv = rng.random(16)
-        cases = {
-            "attn_block": lambda: kernels.attn_block(x, gain, wq, wq, wq, wq, 4, k // 4),
-            "mlp_block": lambda: kernels.mlp_block(x, gain, wup, wup, wdown),
-            "qdot4": lambda: kernels.qdot4(x2, qt.packed, qt.scales, n, block),
-            "gae_scan": lambda: kernels.gae_scan(rewards, values, dones, nv, 0.99, 0.95),
-        }
-        for cname, fn in cases.items():
-            row = {"case": f"{cname}[b{b}xs{s}x{k}x{n}]"}
-            for backend in backends:
-                kernels.set_backend(backend)
-                fn()
-                t0 = time.perf_counter()
-                reps = 20
-                for _ in range(reps):
-                    fn()
-                row[f"{backend}_ms"] = (time.perf_counter() - t0) / reps * 1e3
-            if "numba_ms" in row and "numpy_ms" in row:
-                row["speedup"] = row["numpy_ms"] / row["numba_ms"]
-            results.append(row)
-    kernels.set_backend(prev)
-    return results

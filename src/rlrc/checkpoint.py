@@ -5,17 +5,23 @@ Layout: magic "RLRC", version u32, header length u32, JSON header
 Dense entries store raw little-endian float32; quantized entries store
 {bits, block_size, shape, scales, packed codes}.  Round-trips are
 bit-exact.
+
+Saving writes a temp file next to the target and renames it into place,
+so a crash never leaves a truncated checkpoint at the target path.
+Loading is strict: a missing, unknown or leftover tensor, or one whose
+kind, shape or quantized layout does not match the config, is an error
+that names the tensor.
 """
 
 import io
 import json
+import os
 import struct
 
 import numpy as np
 
-from .model import ModelConfig, PolicyModel, ValueHead, init_model, init_value_head
-from .quant import QuantLayer, QuantizedModel, QuantizedTensor, QUANT_MATRICES
-from .tensor import Tensor
+from .model import DecoderLayer, ModelConfig, init_model, init_value_head
+from .quant import Q_MAX, QuantizedModel, QuantizedTensor, QUANT_MATRICES
 
 MAGIC = b"RLRC"
 VERSION = 1
@@ -121,17 +127,24 @@ def save_checkpoint(model, path, value_head=None, meta=None):
         entries.extend((n, ("dense", p.data)) for n, p in model.named_params())
     if value_head is not None:
         entries.extend((n, ("dense", p.data)) for n, p in value_head.named_params())
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        _w_u32(f, VERSION)
-        _w_u32(f, len(hb))
-        f.write(hb)
-        _w_u32(f, len(entries))
-        for name, (kind, payload) in entries:
-            if kind == "dense":
-                _write_dense(f, name, payload)
-            else:
-                _write_quant(f, name, payload)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            _w_u32(f, VERSION)
+            _w_u32(f, len(hb))
+            f.write(hb)
+            _w_u32(f, len(entries))
+            for name, (kind, payload) in entries:
+                if kind == "dense":
+                    _write_dense(f, name, payload)
+                else:
+                    _write_quant(f, name, payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class LoadedCheckpoint:
@@ -168,6 +181,34 @@ def weight_payload_bytes(path, include_value_head=False):
             "total_bytes": weights + scales}
 
 
+def _take(tensors, name, kind):
+    if name not in tensors:
+        raise CheckpointError(f"checkpoint missing tensor {name}")
+    got, payload = tensors.pop(name)
+    if got != kind:
+        raise CheckpointError(f"tensor {name} is {got}, expected {kind}")
+    return payload
+
+
+def _take_dense(tensors, name, shape):
+    arr = _take(tensors, name, "dense")
+    if arr.shape != shape:
+        raise CheckpointError(f"tensor {name} shape {arr.shape} != expected {shape}")
+    return arr.copy()
+
+
+def _take_quant(tensors, name, shape, bits, block):
+    qt = _take(tensors, name, "quant")
+    n = int(np.prod(shape))
+    for key, got, want in (("shape", qt.shape, shape), ("bits", qt.bits, bits),
+                           ("block size", qt.block_size, block),
+                           ("packed size", qt.packed.size, (n + 1) // 2 if bits == 4 else n),
+                           ("scales size", qt.scales.size, -(-n // block))):
+        if got != want:
+            raise CheckpointError(f"quantized tensor {name} {key} {got} != expected {want}")
+    return qt
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         f = io.BytesIO(fh.read())
@@ -188,38 +229,29 @@ def load_checkpoint(path):
     if header.get("has_value_head"):
         value_head = init_value_head(config.d_model)
         for name, p in value_head.named_params():
-            kind, arr = tensors.pop(name)
-            if kind != "dense" or arr.shape != p.data.shape:
-                raise CheckpointError(f"value head tensor {name} malformed")
-            p.data = arr.copy()
+            p.data = _take_dense(tensors, name, p.data.shape)
 
-    if header.get("quant"):
-        bits = header["quant"]["bits"]
-        block = header["quant"]["block_size"]
-        dense = {}
-        quant = {}
-        for name, (kind, payload) in tensors.items():
-            (dense if kind == "dense" else quant)[name] = payload
-        layers = []
-        for li in range(config.n_layers):
-            kw = {m: quant[f"layers.{li}.{m}"] for m in QUANT_MATRICES}
-            kw["attn_gain"] = dense[f"layers.{li}.attn_gain"].copy()
-            kw["mlp_gain"] = dense[f"layers.{li}.mlp_gain"].copy()
-            layers.append(QuantLayer(**kw))
-        model = QuantizedModel(config, bits, block, dense["tok_emb"].copy(),
-                               dense["pos_emb"].copy(), layers,
-                               dense["final_gain"].copy(), dense["w_act"].copy())
+    # the dense model of this config gives every tensor's expected shape
+    model = init_model(config)
+    quant = header.get("quant")
+    if quant:
+        bits, block = quant.get("bits"), quant.get("block_size")
+        if bits not in Q_MAX or not isinstance(block, int) or block < 1:
+            raise CheckpointError(f"corrupt checkpoint header: quant {quant}")
+    loaded = {}
+    for name, p in model.named_params():
+        if quant and name.rsplit(".", 1)[-1] in QUANT_MATRICES:
+            loaded[name] = _take_quant(tensors, name, p.data.shape, bits, block)
+        else:
+            loaded[name] = _take_dense(tensors, name, p.data.shape)
+    if tensors:
+        raise CheckpointError(f"checkpoint has unexpected tensor(s) {sorted(tensors)}")
+    if quant:
+        layers = [DecoderLayer(*(loaded[f"layers.{i}.{s}"] for s in DecoderLayer.__slots__))
+                  for i in range(config.n_layers)]
+        model = QuantizedModel(config, bits, block, loaded["tok_emb"], loaded["pos_emb"],
+                               layers, loaded["final_gain"], loaded["w_act"])
     else:
-        model = init_model(config)
         for name, p in model.named_params():
-            if name not in tensors:
-                raise CheckpointError(f"checkpoint missing tensor {name}")
-            kind, arr = tensors.pop(name)
-            if kind != "dense":
-                raise CheckpointError(f"tensor {name} has unexpected kind")
-            if arr.shape != p.data.shape:
-                raise CheckpointError(
-                    f"tensor {name} shape {arr.shape} != expected {p.data.shape}"
-                )
-            p.data = arr.copy()
+            p.data = loaded[name]
     return LoadedCheckpoint(model, value_head, header.get("meta", {}), config)

@@ -1,22 +1,21 @@
 """Decoder-only transformer policy over symbolic tokens.
 
 Sequence layout: [observation tokens (instruction first)] [begin-of-action
-marker] [K action tokens].  The action head produces logits over the action
-vocabulary at every position; action predictions are read at the marker and
-at subsequent action-token positions.  The marker position doubles as the
-anchor whose final-block hidden state feeds the value head.
+marker].  The action head produces logits over the action vocabulary at
+every position; the action is read at the marker, whose final-block hidden
+state also feeds the value head.
 
-Two forward paths exist on purpose:
-
-* the autodiff path (tensor ops) used for training, sampling log-probs and
-  the value head, and
-* a no-grad fast path through rlrc.kernels used by greedy evaluation and
-  the latency benchmark.
-
-Both compute the same function; tests pin their agreement.
+`forward` is the differentiable forward of training, PPO log-probs and the
+value head.  `fast_hidden` / `fast_logits_last` are the one inference
+forward, a no-grad pass through rlrc.kernels that greedy evaluation,
+serving and the benchmark use.  It serves a `PolicyModel` and a
+`quant.QuantizedModel` alike, because the kernels apply every weight as
+``x @ W`` and a quantized weight implements that product.  It is not
+`forward` under `no_grad`: the kernel path is the faster one at batch 1,
+and tests pin the two paths within 1e-4 of each other.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class ModelConfig:
     instruction_vocab: int = 10
     observation_vocab: int = 21
     action_vocab: int = 6
-    tokens_per_action: int = 1
     max_seq_len: int = 32
     seed: int = 0
     # per-layer interior widths; pruning shrinks these
@@ -68,8 +66,6 @@ class ModelConfig:
             )
         if self.action_vocab <= 0 or self.observation_vocab <= 0:
             raise ValueError("vocab sizes must be positive")
-        if self.tokens_per_action <= 0:
-            raise ValueError("tokens_per_action must be >= 1")
         if not self.n_heads:
             self.n_heads = [self.n_heads_base] * self.n_layers
         if not self.d_ff:
@@ -102,11 +98,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown ModelConfig key(s) {sorted(unknown)}")
         return cls(**d)
 
 
 class DecoderLayer:
-    """Parameter bundle for one pre-norm decoder block."""
+    """Weights of one pre-norm decoder block: Tensors in a PolicyModel;
+    QuantizedTensor matrices and float32 gains in a quant.QuantizedModel."""
 
     __slots__ = ("wq", "wk", "wv", "wo", "attn_gain", "wup", "wgate", "wdown", "mlp_gain")
 
@@ -289,25 +289,36 @@ def forward(model, tokens):
 # fast (no-grad) forward via kernels
 # ---------------------------------------------------------------------------
 
+def _array(p):
+    """The array behind a parameter: a Tensor's data, else p itself."""
+    return p.data if isinstance(p, Tensor) else p
+
+
 def fast_hidden(model, tokens):
-    """Final hidden states (after output norm) on the kernel path; (B,S,D)."""
+    """Final hidden states (after output norm) on the kernel path; (B,S,D).
+
+    ``model`` is a PolicyModel or a quant.QuantizedModel.
+    """
     cfg = model.config
     tokens, _ = _check_tokens(cfg, tokens)
     b, s = tokens.shape
-    x = model.tok_emb.data[tokens] + model.pos_emb.data[:s]
+    x = _array(model.tok_emb)[tokens] + _array(model.pos_emb)[:s]
     x = np.ascontiguousarray(x, dtype=np.float32)
+    mask = np.triu(np.full((s, s), -1e9, dtype=np.float32), k=1)
     for li, layer in enumerate(model.layers):
-        x = kernels.attn_block(x, layer.attn_gain.data, layer.wq.data, layer.wk.data,
-                               layer.wv.data, layer.wo.data, cfg.n_heads[li], cfg.head_dim)
-        x = kernels.mlp_block(x, layer.mlp_gain.data, layer.wup.data, layer.wgate.data,
-                              layer.wdown.data)
-    return kernels.rms_rows(x.reshape(b * s, cfg.d_model), model.final_gain.data).reshape(b, s, cfg.d_model)
+        wq, wk, wv, wo, attn_gain, wup, wgate, wdown, mlp_gain = (
+            _array(getattr(layer, name)) for name in DecoderLayer.__slots__)
+        x = kernels.attn_block(x, attn_gain, wq, wk, wv, wo, cfg.n_heads[li], cfg.head_dim,
+                               mask)
+        x = kernels.mlp_block(x, mlp_gain, wup, wgate, wdown)
+    x = kernels.rms_rows(x.reshape(b * s, cfg.d_model), _array(model.final_gain))
+    return x.reshape(b, s, cfg.d_model)
 
 
 def fast_logits_last(model, tokens):
     """Action logits at the last position only; (B, A)."""
     hidden = fast_hidden(model, tokens)
-    return hidden[:, -1, :] @ model.w_act.data
+    return hidden[:, -1, :] @ _array(model.w_act)
 
 
 def greedy_actions(model, contexts):
@@ -316,73 +327,8 @@ def greedy_actions(model, contexts):
 
 
 # ---------------------------------------------------------------------------
-# action sampling and log-probs (exact, autodiff path)
+# action log-probs and values (autodiff path)
 # ---------------------------------------------------------------------------
-
-def _check_action_position(cfg, context):
-    last = int(context[-1])
-    if last != cfg.bos_action_id and not (cfg.action_base <= last < cfg.total_vocab):
-        raise ValueError(
-            "context must end at an action-prediction position "
-            f"(marker id {cfg.bos_action_id} or an action token), got {last}"
-        )
-
-
-def sample_action(model, context_tokens, mode="greedy", rng=None, temperature=1.0):
-    """Autoregressively draw K action tokens after the marker.
-
-    Returns (action token ids in [0, action_vocab), total log-probability).
-    In stochastic mode the distribution is softmax(logits / temperature) and
-    the reported log-prob is taken under that same distribution, so at the
-    default temperature it matches ``action_logprob`` exactly.
-    """
-    cfg = model.config
-    if cfg.tokens_per_action < 1:
-        raise ValueError("tokens_per_action must be >= 1")
-    context = np.asarray(context_tokens, dtype=np.int64).reshape(-1)
-    _check_action_position(cfg, context)
-    if mode not in ("greedy", "stochastic"):
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic sampling needs an rng")
-    ids = []
-    total = 0.0
-    for _ in range(cfg.tokens_per_action):
-        logits, _ = forward(model, context)
-        row = logits.data[-1]
-        if temperature != 1.0:
-            row = row / np.float32(temperature)
-        shifted = row - row.max()
-        logp = shifted - np.log(np.exp(shifted).sum(dtype=np.float64)).astype(row.dtype)
-        if mode == "greedy":
-            a = int(np.argmax(row))
-        else:
-            a = int(rng.choice(cfg.action_vocab, p=np.exp(logp.astype(np.float64)) /
-                               np.exp(logp.astype(np.float64)).sum()))
-        total += float(logp[a])
-        ids.append(a)
-        context = np.append(context, cfg.action_base + a)
-    return np.array(ids, dtype=np.int64), total
-
-
-def action_logprob(model, context_tokens, action_tokens):
-    """Differentiable total log-probability of ``action_tokens`` (ids in the
-    action vocab) generated after ``context_tokens``."""
-    cfg = model.config
-    context = np.asarray(context_tokens, dtype=np.int64).reshape(-1)
-    actions = np.asarray(action_tokens, dtype=np.int64).reshape(-1)
-    _check_action_position(cfg, context)
-    if actions.size == 0:
-        raise ValueError("empty action token list")
-    if actions.min() < 0 or actions.max() >= cfg.action_vocab:
-        raise IndexError(f"action token out of range [0, {cfg.action_vocab})")
-    seq = np.concatenate([context, cfg.action_base + actions[:-1]])
-    logits, _ = forward(model, seq)
-    k = actions.size
-    rows = take_last(logits, slice(len(context) - 1, len(context) - 1 + k), axis=0)
-    lps = log_softmax_gather(rows, actions)
-    return sum_(lps)
-
 
 def batch_logprob_value(model, value_head, contexts, actions, detach_value_input=False):
     """Log-probs and values for a batch of single-token actions.
@@ -408,20 +354,6 @@ def batch_logprob_value(model, value_head, contexts, actions, detach_value_input
             h_last = h_last.detach()
         values = value_head.apply(h_last)
     return lps, values, entropy
-
-
-def value(model, value_head, context_tokens):
-    """Critic value: value head applied to the final-block hidden state at
-    the first action-token position (the marker)."""
-    cfg = model.config
-    context = np.asarray(context_tokens, dtype=np.int64).reshape(-1)
-    pos = np.flatnonzero(context == cfg.bos_action_id)
-    if pos.size == 0:
-        raise ValueError("context contains no action position (marker id "
-                         f"{cfg.bos_action_id})")
-    _, hidden = forward(model, context)
-    h0 = take_last(hidden, int(pos[0]), axis=0)
-    return value_head.apply(h0)
 
 
 def build_contexts(config, obs_tokens):

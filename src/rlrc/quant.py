@@ -2,11 +2,14 @@
 
 Per block of 64 weights (default): scale s = max|w| / q_max, codes
 round-half-away-from-zero(w / s) clamped to [-q_max, q_max]; an all-zero
-block gets s = 1.  4-bit codes pack two per byte.  The matmul path
-dequantizes a tile of whole weight rows at a time and applies it with a
-float64 GEMM (see rlrc.kernels), so the dense matrix never materializes.
-Decoder-layer matrices quantize; embeddings, norm gains and output heads
-stay full precision.
+block gets s = 1.  4-bit codes pack two per byte.  Decoder-layer matrices
+quantize; embeddings, norm gains and output heads stay full precision.
+
+A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
+calls `qmatmul`, which dequantizes a tile of whole weight rows at a time
+and applies it with a float64 GEMM (see rlrc.kernels), so the dense matrix
+never materializes.  A `QuantizedModel` therefore runs on the same
+inference forward as a dense model, ``model.fast_logits_last``.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import ModelConfig
+from .model import DecoderLayer, ModelConfig, PolicyModel, fast_logits_last
+from .tensor import Tensor
 
 Q_MAX = {4: 7, 8: 127}
 DEFAULT_BLOCK = 64
@@ -33,6 +37,15 @@ class QuantizedTensor:
     shape: tuple
     scales: np.ndarray  # float32, one per block of the row-major flattening
     packed: np.ndarray  # uint8 nibble pairs (4-bit) or int8 codes (8-bit)
+
+    # numpy defers ``ndarray @ qt`` to __rmatmul__ instead of treating qt
+    # as an object scalar
+    __array_ufunc__ = None
+
+    def __rmatmul__(self, x):
+        # looked up as a module global on each call, so a wrapper installed
+        # on quant.qmatmul sees every product
+        return qmatmul(self, x)
 
     @property
     def n_elements(self):
@@ -138,19 +151,12 @@ def qmatmul(qt, activations):
     return out.reshape(*lead, n)
 
 
-class QuantLayer:
-    __slots__ = ("wq", "wk", "wv", "wo", "attn_gain", "wup", "wgate", "wdown", "mlp_gain")
-
-    def __init__(self, **kw):
-        for s in self.__slots__:
-            setattr(self, s, kw[s])
-
-
 class QuantizedModel:
     """Policy with quantized decoder matrices; same external contract.
 
-    Inference only: greedy logits via ``logits_last``.  Embeddings, norm
-    gains, action head and any value head stay float32.
+    Inference only: greedy logits via ``logits_last``, the same kernel
+    forward as a dense model.  Embeddings, norm gains, action head and any
+    value head stay float32.
     """
 
     def __init__(self, config, bits, block_size, tok_emb, pos_emb, layers, final_gain, w_act):
@@ -163,38 +169,8 @@ class QuantizedModel:
         self.final_gain = final_gain
         self.w_act = w_act
 
-    def hidden(self, tokens):
-        cfg = self.config
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        b, s = tokens.shape
-        hd = cfg.head_dim
-        x = (self.tok_emb[tokens] + self.pos_emb[:s]).astype(np.float32)
-        mask = np.triu(np.full((s, s), -1e9, dtype=np.float32), k=1)
-        for li, layer in enumerate(self.layers):
-            h = cfg.n_heads[li]
-            x2 = x.reshape(b * s, cfg.d_model)
-            xn = kernels.rms_rows(x2, layer.attn_gain)
-            q = qmatmul(layer.wq, xn).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            k = qmatmul(layer.wk, xn).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            v = qmatmul(layer.wv, xn).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(hd))
-            scores = scores + mask
-            scores -= scores.max(axis=-1, keepdims=True)
-            p = np.exp(scores)
-            p /= p.sum(axis=-1, keepdims=True)
-            ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * s, h * hd)
-            x = x + qmatmul(layer.wo, ctx).reshape(b, s, cfg.d_model)
-            xn = kernels.rms_rows(x.reshape(b * s, cfg.d_model), layer.mlp_gain)
-            u = qmatmul(layer.wup, xn)
-            g = qmatmul(layer.wgate, xn)
-            hm = u * (g / (1.0 + np.exp(-g)))
-            x = x + qmatmul(layer.wdown, hm).reshape(b, s, cfg.d_model)
-        return kernels.rms_rows(x.reshape(b * s, cfg.d_model), self.final_gain).reshape(b, s, cfg.d_model)
-
     def logits_last(self, tokens):
-        return self.hidden(tokens)[:, -1, :] @ self.w_act
+        return fast_logits_last(self, tokens)
 
     def named_quant_tensors(self):
         for i, layer in enumerate(self.layers):
@@ -221,7 +197,7 @@ def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
             kw[name] = quantize_tensor(getattr(layer, name).data, bits, block_size)
         kw["attn_gain"] = layer.attn_gain.data.copy()
         kw["mlp_gain"] = layer.mlp_gain.data.copy()
-        layers.append(QuantLayer(**kw))
+        layers.append(DecoderLayer(**kw))
     return QuantizedModel(
         cfg, bits, int(block_size),
         model.tok_emb.data.copy(), model.pos_emb.data.copy(), layers,
@@ -231,9 +207,6 @@ def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
 
 def dequantize_model(qm):
     """Dense PolicyModel with every quantized matrix reconstructed."""
-    from .model import DecoderLayer, PolicyModel
-    from .tensor import Tensor
-
     def t(a):
         return Tensor(np.ascontiguousarray(a), requires_grad=True)
 
@@ -255,8 +228,6 @@ def memory_bytes(m):
     packed code bytes plus 4 bytes per block scale plus full-precision
     leftovers.  Matches the serialized checkpoint payload byte-for-byte.
     """
-    from .model import PolicyModel
-
     if isinstance(m, PolicyModel):
         w = sum(p.data.size for p in m.params()) * 4
         return {"weights_bytes": w, "scales_bytes": 0, "total_bytes": w}

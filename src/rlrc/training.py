@@ -9,18 +9,17 @@ single scorer used by every pipeline stage.
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .env import VecEnv, reset, step as env_step, expert_policy
 from .model import (
     PolicyModel,
     batch_logprob_value,
     build_contexts,
-    fast_logits_last,
     forward,
+    greedy_actions,
     init_value_head,
 )
 from .quant import QuantizedModel
@@ -94,17 +93,6 @@ class PpoConfig:
 
 
 @dataclass
-class Transition:
-    obs: np.ndarray
-    action: int
-    logprob: float
-    value: float
-    reward: float
-    done: bool
-    task_id: int
-
-
-@dataclass
 class TrajectoryBuffer:
     """(envs x horizon) rollout grid plus bootstrap values."""
     obs: np.ndarray        # (N, H, L) int64
@@ -118,15 +106,6 @@ class TrajectoryBuffer:
     task_ids: np.ndarray   # (N, H) int64
     advantages: np.ndarray = None
     returns: np.ndarray = None
-
-    def transitions(self):
-        n, h = self.actions.shape
-        for i in range(n):
-            for t in range(h):
-                yield Transition(self.obs[i, t], int(self.actions[i, t]),
-                                 float(self.logprobs[i, t]), float(self.values[i, t]),
-                                 float(self.rewards[i, t]), bool(self.dones[i, t]),
-                                 int(self.task_ids[i, t]))
 
 
 def demo_arrays(demos):
@@ -173,10 +152,7 @@ class ModelPolicy:
         self.model = model
 
     def act(self, obs_batch, states):
-        contexts = build_contexts(self.model.config, obs_batch)
-        if isinstance(self.model, QuantizedModel):
-            return np.argmax(self.model.logits_last(contexts), axis=1)
-        return np.argmax(fast_logits_last(self.model, contexts), axis=1)
+        return greedy_actions(self.model, build_contexts(self.model.config, obs_batch))
 
 
 class ExpertPolicyWrapper:
@@ -239,10 +215,15 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7, mode="greedy"
 # ---------------------------------------------------------------------------
 
 class MetricsLogger:
+    """Metric rows in memory and, given a path, as JSON lines in a file the
+    logger starts afresh, so a rerun never mixes its rows with an old run's."""
+
     def __init__(self, path=None):
         self.path = path
         self.rows = []
         self._t0 = time.perf_counter()
+        if path:
+            open(path, "w", encoding="utf-8").close()
 
     def log(self, **row):
         row.setdefault("wallclock", time.perf_counter() - self._t0)
@@ -371,9 +352,17 @@ def compute_gae(buffer, gamma, lam):
     """GAE advantages and returns; truncations bootstrap from the critic,
     success terminals bootstrap zero."""
     rewards = buffer.rewards + gamma * buffer.trunc_values
-    adv = kernels.gae_scan(rewards, buffer.values.astype(np.float64), buffer.dones,
-                           buffer.next_values, gamma, lam)
-    ret = adv + buffer.values.astype(np.float64)
+    values = buffer.values.astype(np.float64)
+    n, h = rewards.shape
+    adv = np.zeros((n, h), dtype=np.float64)
+    acc = np.zeros(n, dtype=np.float64)
+    for t in range(h - 1, -1, -1):
+        nv = buffer.next_values if t == h - 1 else values[:, t + 1]
+        nonterm = 1.0 - buffer.dones[:, t]
+        delta = rewards[:, t] + gamma * nv * nonterm - values[:, t]
+        acc = delta + gamma * lam * nonterm * acc
+        adv[:, t] = acc
+    ret = adv + values
     buffer.advantages = adv
     buffer.returns = ret
     return adv, ret

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from rlrc import checkpoint
 from rlrc.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from rlrc.model import ModelConfig, forward, init_model, init_value_head
 from rlrc.quant import quantize_model
@@ -102,3 +106,82 @@ def test_corrupt_header_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+    # a header naming a config key this version does not have
+    save_checkpoint(m, path)
+    raw = path.read_bytes()
+    n = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + n])
+    header["config"]["n_experts"] = 2
+    hb = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + n:])
+    with pytest.raises(CheckpointError, match="unknown ModelConfig key.*'n_experts'"):
+        load_checkpoint(path)
+
+
+def test_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(seed=1), path)
+    before = path.read_bytes()
+    write_dense = checkpoint._write_dense
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise OSError("disk full")
+        write_dense(*args)
+
+    monkeypatch.setattr(checkpoint, "_write_dense", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tiny_model(seed=2), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+def _saved_entries(tmp_path, model, extra=()):
+    """Save ``model`` with ``extra`` (name, array) entries appended."""
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    n = struct.unpack("<I", raw[8:12])[0]
+    count_at = 12 + n
+    count = struct.unpack("<I", raw[count_at:count_at + 4])[0]
+    raw[count_at:count_at + 4] = struct.pack("<I", count + len(extra))
+    with open(path, "wb") as f:
+        f.write(raw)
+        for name, arr in extra:
+            checkpoint._write_dense(f, name, arr)
+    return path
+
+
+def test_load_rejects_unknown_tensor(tmp_path):
+    for m in (tiny_model(), quantize_model(tiny_model(), 4, 16)):
+        path = _saved_entries(tmp_path, m, [("layers.9.wq", np.zeros(3, np.float32))])
+        with pytest.raises(CheckpointError, match="layers.9.wq"):
+            load_checkpoint(path)
+
+
+def test_load_rejects_missing_tensor(tmp_path, monkeypatch):
+    for m in (tiny_model(), quantize_model(tiny_model(), 4, 16)):
+        named = "named_params" if hasattr(m, "named_params") else "named_quant_tensors"
+        full = getattr(type(m), named)
+        monkeypatch.setattr(type(m), named,
+                            lambda self: (e for e in full(self) if e[0] != "layers.1.wk"))
+        save_checkpoint(m, tmp_path / "x.ckpt")
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="missing tensor layers.1.wk"):
+            load_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_load_rejects_mismatched_quantized_tensor(tmp_path):
+    qm = quantize_model(tiny_model(), 4, 16)
+    wup = qm.layers[0].wup
+    for field, value, what in (("shape", (24, 16), "shape"),
+                               ("packed", wup.packed[:-1], "packed size"),
+                               ("scales", wup.scales[:-1], "scales size")):
+        good = getattr(wup, field)
+        setattr(wup, field, value)
+        save_checkpoint(qm, tmp_path / "q.ckpt")
+        setattr(wup, field, good)
+        with pytest.raises(CheckpointError, match=f"layers.0.wup {what}"):
+            load_checkpoint(tmp_path / "q.ckpt")

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from rlrc import kernels
 from rlrc.model import (
     ModelConfig,
-    action_logprob,
+    batch_logprob_value,
     build_contexts,
     fast_hidden,
     fast_logits_last,
     forward,
+    greedy_actions,
     init_model,
     init_value_head,
-    sample_action,
-    value,
 )
 from rlrc.tensor import ShapeError, backward, sum_
 
@@ -61,6 +59,8 @@ def test_invalid_dims_rejected():
         ModelConfig(d_model=0)
     with pytest.raises(ValueError):
         ModelConfig(d_model=10, n_heads_base=4)
+    with pytest.raises(ValueError, match="unknown ModelConfig key.*'n_experts'"):
+        ModelConfig.from_dict({**ModelConfig().to_dict(), "n_experts": 2})
 
 
 def test_forward_shapes():
@@ -110,109 +110,40 @@ def test_fast_path_matches_autodiff_path():
     assert np.abs(fl - logits.data[:, -1, :]).max() < 1e-4
 
 
-def test_fast_path_backends_agree():
-    cfg = tiny_config()
-    m = init_model(cfg, seed=5)
-    ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(3)])
-    prev = kernels.backend()
-    try:
-        kernels.set_backend("numpy")
-        a = fast_hidden(m, ctx)
-        if prev == "numba":
-            kernels.set_backend("numba")
-            b = fast_hidden(m, ctx)
-            assert np.abs(a - b).max() < 1e-4
-    finally:
-        kernels.set_backend(prev)
-
-
 def test_greedy_sampling_deterministic():
     cfg = tiny_config()
     m = init_model(cfg)
-    ctx = ctx_for(cfg)
-    a1, lp1 = sample_action(m, ctx, mode="greedy")
-    a2, lp2 = sample_action(m, ctx, mode="greedy")
-    np.testing.assert_array_equal(a1, a2)
-    assert lp1 == lp2
-
-
-def test_sample_logprob_matches_action_logprob_exactly():
-    cfg = tiny_config()
-    m = init_model(cfg)
-    ctx = ctx_for(cfg)
-    rng = np.random.default_rng(9)
-    ids, lp = sample_action(m, ctx, mode="stochastic", rng=rng)
-    lp2 = float(action_logprob(m, ctx, ids).data)
-    assert lp == lp2
-
-
-def test_sample_requires_action_position():
-    cfg = tiny_config()
-    m = init_model(cfg)
-    with pytest.raises(ValueError):
-        sample_action(m, np.array([1, 2, 3]), mode="greedy")
-
-
-def test_stochastic_sampling_frequencies():
-    cfg = tiny_config(d_model=8, n_layers=1, n_heads_base=2, d_ff_base=8)
-    m = init_model(cfg, seed=2)
-    ctx = ctx_for(cfg, 3)
-    logits, _ = forward(m, ctx)
-    row = logits.data[-1].astype(np.float64)
-    p = np.exp(row - row.max())
-    p /= p.sum()
-    n = 100_000
-    rng = np.random.default_rng(0)
-    counts = np.zeros(cfg.action_vocab)
-    for _ in range(n):
-        ids, _ = sample_action(m, ctx, mode="stochastic", rng=rng)
-        counts[ids[0]] += 1
-    sigma = np.sqrt(n * p * (1 - p))
-    assert np.all(np.abs(counts - n * p) <= 3 * sigma + 1)
+    ctx = np.stack([ctx_for(cfg, seed=i) for i in range(4)])
+    a1 = greedy_actions(m, ctx)
+    np.testing.assert_array_equal(a1, greedy_actions(m, ctx))
+    # the greedy action is the most probable one under the autodiff path
+    lps = np.stack([batch_logprob_value(m, None, ctx, np.full(4, a))[0].data
+                    for a in range(cfg.action_vocab)])
+    np.testing.assert_array_equal(a1, lps.argmax(axis=0))
 
 
 def test_action_logprob_uniform_closed_form():
     cfg = tiny_config()
     m = init_model(cfg)
     m.w_act.data[:] = 0.0  # uniform over the 6 actions
-    lp = float(action_logprob(m, ctx_for(cfg), [2]).data)
-    assert abs(lp - np.log(1.0 / 6.0)) < 1e-6
+    lps, _, _ = batch_logprob_value(m, None, ctx_for(cfg)[None], [2])
+    assert abs(float(lps.data[0]) - np.log(1.0 / 6.0)) < 1e-6
 
 
 def test_action_logprob_is_valid_probability():
     cfg = tiny_config()
     m = init_model(cfg)
-    for a in range(cfg.action_vocab):
-        lp = float(action_logprob(m, ctx_for(cfg), [a]).data)
-        assert lp <= 0.0
+    ctx = np.stack([ctx_for(cfg)] * cfg.action_vocab)
+    lps, _, _ = batch_logprob_value(m, None, ctx, np.arange(cfg.action_vocab))
+    assert np.all(lps.data <= 0.0)
+    assert abs(np.exp(lps.data.astype(np.float64)).sum() - 1.0) < 1e-5
 
 
 def test_action_logprob_rejects_bad_token():
     cfg = tiny_config()
     m = init_model(cfg)
     with pytest.raises(IndexError):
-        action_logprob(m, ctx_for(cfg), [cfg.action_vocab])
-
-
-def test_multi_token_logprob_additivity():
-    cfg = tiny_config(tokens_per_action=3)
-    m = init_model(cfg, seed=4)
-    ctx = ctx_for(cfg)
-    ids, lp = sample_action(m, ctx, mode="greedy")
-    assert ids.shape == (3,)
-    total = float(action_logprob(m, ctx, ids).data)
-    partial = 0.0
-    c = ctx.copy()
-    for a in ids:
-        partial += float(action_logprob(m, c, [a]).data)
-        c = np.append(c, cfg.action_base + a)
-    assert abs(total - partial) < 1e-6
-    assert abs(lp - total) < 1e-6
-
-
-def test_zero_tokens_per_action_rejected():
-    with pytest.raises(ValueError):
-        ModelConfig(tokens_per_action=0)
+        batch_logprob_value(m, None, ctx_for(cfg)[None], [cfg.action_vocab])
 
 
 def test_value_zero_head_outputs_zero():
@@ -221,37 +152,23 @@ def test_value_zero_head_outputs_zero():
     vh = init_value_head(cfg.d_model, seed=0)
     for p in vh.params():
         p.data[:] = 0.0
-    assert float(value(m, vh, ctx_for(cfg)).data) == 0.0
-
-
-def test_value_ignores_suffix_after_marker():
-    cfg = tiny_config(tokens_per_action=2)
-    m = init_model(cfg)
-    vh = init_value_head(cfg.d_model, seed=1)
-    base = ctx_for(cfg)
-    ctx1 = np.append(base, [cfg.action_base + 1, cfg.action_base + 3])
-    ctx2 = np.append(base, [cfg.action_base + 4, cfg.action_base + 0])
-    v1 = float(value(m, vh, ctx1).data)
-    v2 = float(value(m, vh, ctx2).data)
-    assert v1 == v2
-
-
-def test_value_requires_marker():
-    cfg = tiny_config()
-    m = init_model(cfg)
-    vh = init_value_head(cfg.d_model)
-    with pytest.raises(ValueError):
-        value(m, vh, np.array([1, 2, 3]))
+    _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg)[None], [0])
+    assert float(v.data[0]) == 0.0
 
 
 def test_value_is_differentiable_into_backbone():
     cfg = tiny_config()
-    m = init_model(cfg)
-    vh = init_value_head(cfg.d_model, seed=1)
-    v = value(m, vh, ctx_for(cfg))
-    backward(sum_(v))
-    assert m.layers[0].wq.grad is not None
-    assert np.abs(m.layers[0].wq.grad).sum() > 0
+    for detach in (False, True):
+        m = init_model(cfg)
+        vh = init_value_head(cfg.d_model, seed=1)
+        _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg)[None], [0],
+                                      detach_value_input=detach)
+        backward(sum_(v))
+        grad = m.layers[0].wq.grad
+        if detach:
+            assert grad is None or not np.any(grad)
+        else:
+            assert grad is not None and np.abs(grad).sum() > 0
 
 
 def test_build_contexts():

@@ -16,6 +16,7 @@ from rlrc.quant import (
     quantize_tensor,
     unpack4,
 )
+from rlrc.tensor import ShapeError
 
 
 def tiny_model(seed=0):
@@ -180,6 +181,17 @@ def test_quantized_forward_close_to_dense():
     dense = fast_logits_last(m, ctx)
     quant = qm.logits_last(ctx)
     assert np.abs(dense - quant).max() < 0.15  # 8-bit stays close
+    # the quantized forward is the dense forward of the dequantized weights
+    assert np.abs(quant - fast_logits_last(dequantize_model(qm), ctx)).max() < 1e-4
+
+
+def test_quantized_decode_validates_tokens():
+    m = tiny_model(seed=8)
+    qm = quantize_model(m, 4, 16)
+    with pytest.raises(IndexError):
+        qm.logits_last(np.array([[1, 2, -1, m.config.bos_action_id]]))
+    with pytest.raises(ShapeError):
+        qm.logits_last(np.ones((1, m.config.max_seq_len + 1), dtype=np.int64))
 
 
 def test_memory_bytes_formulas():

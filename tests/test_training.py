@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from rlrc.env import EnvConfig, VecEnv, generate_demos, make_task_suite
 from rlrc.model import (
-    ModelConfig, action_logprob, batch_logprob_value, build_contexts,
-    init_model, init_value_head,
+    ModelConfig, batch_logprob_value, build_contexts, init_model, init_value_head,
 )
 from rlrc.tensor import exp, sub
 from rlrc.training import (
@@ -85,6 +86,18 @@ def test_train_sft_deterministic():
         _, rows = train_sft(m, demos, cfg, ENV, suite["IND"][:4])
         curves.append([(r["step"], r.get("loss"), r.get("ind_sr")) for r in rows])
     assert curves[0] == curves[1]
+
+
+def test_train_sft_log_starts_fresh(tmp_path):
+    suite = make_task_suite(0)
+    demos = make_demos(tmpdir=tmp_path)
+    log = tmp_path / "metrics.jsonl"
+    for steps in (2, 4):
+        cfg = SftConfig(max_steps=steps, eval_interval=steps, eval_episodes=1, seed=0,
+                        batch_size=8)
+        _, rows = train_sft(tiny_model(), demos, cfg, ENV, suite["IND"][:1], log_path=log)
+    logged = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in logged] == [r["step"] for r in rows] == [4, 4]
 
 
 def test_train_sft_empty_dataset_rejected():
@@ -225,7 +238,8 @@ def test_collect_logprobs_match_recomputation_exactly():
     for i in (0, 3):
         for t in (0, 5):
             ctx = np.append(buf.obs[i, t], model.config.bos_action_id)
-            lp = float(action_logprob(model, ctx, [int(buf.actions[i, t])]).data)
+            lps, _, _ = batch_logprob_value(model, None, ctx[None], [int(buf.actions[i, t])])
+            lp = float(lps.data[0])
             assert lp == float(buf.logprobs[i, t])
 
 
@@ -258,15 +272,6 @@ def test_advantage_normalization_stats():
     norm = (flat - flat.mean()) / (flat.std() + 1e-8)
     assert abs(norm.mean()) < 1e-6
     assert abs(norm.std() - 1.0) < 1e-3
-
-
-def test_transitions_iterator():
-    model, vhead, vec, rng = _rollout_setup(seed=5)
-    buf, _ = collect_rollouts(model, vhead, vec, 4, rng)
-    ts = list(buf.transitions())
-    assert len(ts) == 16
-    assert all(t.logprob <= 0 for t in ts)
-    assert all(t.reward in (0.0, 0.1, 1.0) for t in ts)
 
 
 # -- evaluate ------------------------------------------------------------------
