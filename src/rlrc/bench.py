@@ -1,9 +1,9 @@
 """Measurement harness: latency, throughput, memory and success-rate rows.
 
 Latency is the median wall time of one greedy action decode at batch 1
-(>= 10 warmups, >= 50 timed iterations); throughput is decodes per second
-at the largest configured batch.  Throughput here always means greedy
-env-action decodes per second.  Memory numbers come from
+over the configured timed iterations, after the configured warmups;
+throughput is decodes per second at the largest configured batch.
+Throughput here always means greedy env-action decodes per second.  Memory numbers come from
 quant.memory_bytes and reconcile exactly with serialized checkpoints.
 """
 
@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .env import reset
-from .model import PolicyModel, build_contexts, greedy_actions
+from .model import build_contexts, greedy_actions
 from .pruning import param_counts
 from .quant import memory_bytes
 
@@ -63,11 +63,10 @@ def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
     rows = []
     for batch in sorted(batch_sizes):
         contexts = probe_contexts(model, env_config, batch, task, seed)
-        for _ in range(max(warmup, 10)):
+        for _ in range(warmup):
             greedy_actions(model, contexts)
         times = []
-        n_iters = max(iters, 50)
-        for _ in range(n_iters):
+        for _ in range(iters):
             t0 = time.perf_counter()
             greedy_actions(model, contexts)
             times.append(time.perf_counter() - t0)
@@ -79,8 +78,8 @@ def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
             "latency_ms": med * 1e3,
             "latency_cv": cv,
             "unstable": cv >= 0.15,
-            "throughput_sps": batch * n_iters / sum(times),
-            "iters": n_iters,
+            "throughput_sps": batch * iters / sum(times),
+            "iters": iters,
         })
     return rows
 
@@ -88,19 +87,13 @@ def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
 def variant_row(name, model, timing_rows, ind_sr=None, ood_sr=None, exempt_layers=None):
     """One BenchReport row; memory fields come straight from memory_bytes."""
     mem = memory_bytes(model)
-    if isinstance(model, PolicyModel):
-        counts = param_counts(model, exempt_layers)
-        total, prunable = counts["total"], counts["prunable"]
-    else:
-        total = sum(a.size for _, a in model.named_dense_arrays()) + \
-            sum(q.n_elements for _, q in model.named_quant_tensors())
-        prunable = None
+    counts = param_counts(model, exempt_layers)
     batch1 = min(timing_rows, key=lambda r: r["batch_size"])
     batchmax = max(timing_rows, key=lambda r: r["batch_size"])
     return {
         "variant": name,
-        "total_params": total,
-        "prunable_params": prunable,
+        "total_params": counts["total"],
+        "prunable_params": counts["prunable"],
         "weights_bytes": mem["weights_bytes"],
         "scales_bytes": mem["scales_bytes"],
         "total_bytes": mem["total_bytes"],

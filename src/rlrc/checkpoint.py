@@ -1,9 +1,10 @@
 """Binary checkpoint container.
 
 Layout: magic "RLRC", version u32, header length u32, JSON header
-(model config + metadata), entry count u32, then named tensor entries.
-Dense entries store raw little-endian float32; quantized entries store
-{bits, block_size, shape, scales, packed codes}.  Round-trips are
+(model config, metadata, and the bits and block size of a quantized
+model), entry count u32, then one named entry per parameter, written by
+its weight type: a Tensor as raw little-endian float32, a QuantizedTensor
+as {bits, block_size, shape, scales, packed codes}.  Round-trips are
 bit-exact.
 
 Saving writes a temp file next to the target and renames it into place,
@@ -20,8 +21,9 @@ import struct
 
 import numpy as np
 
-from .model import DecoderLayer, ModelConfig, init_model, init_value_head
+from .model import ModelConfig, PolicyModel, init_model, init_value_head
 from .quant import Q_MAX, QuantizedModel, QuantizedTensor, QUANT_MATRICES
+from .tensor import Tensor
 
 MAGIC = b"RLRC"
 VERSION = 1
@@ -111,22 +113,19 @@ def _read_entry(f):
 
 def save_checkpoint(model, path, value_head=None, meta=None):
     """Serialize a PolicyModel or QuantizedModel (plus optional value head)."""
-    is_quant = isinstance(model, QuantizedModel)
+    quant = None
+    if isinstance(model, QuantizedModel):
+        quant = {"bits": model.bits, "block_size": model.block_size}
     header = {
         "config": model.config.to_dict(),
         "meta": dict(meta or {}),
-        "quant": {"bits": model.bits, "block_size": model.block_size} if is_quant else None,
+        "quant": quant,
         "has_value_head": value_head is not None,
     }
     hb = json.dumps(header).encode("utf-8")
-    entries = []
-    if is_quant:
-        entries.extend((n, ("dense", a)) for n, a in model.named_dense_arrays())
-        entries.extend((n, ("quant", q)) for n, q in model.named_quant_tensors())
-    else:
-        entries.extend((n, ("dense", p.data)) for n, p in model.named_params())
+    entries = list(model.named_params())
     if value_head is not None:
-        entries.extend((n, ("dense", p.data)) for n, p in value_head.named_params())
+        entries.extend(value_head.named_params())
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
@@ -135,11 +134,11 @@ def save_checkpoint(model, path, value_head=None, meta=None):
             _w_u32(f, len(hb))
             f.write(hb)
             _w_u32(f, len(entries))
-            for name, (kind, payload) in entries:
-                if kind == "dense":
-                    _write_dense(f, name, payload)
+            for name, p in entries:
+                if isinstance(p, QuantizedTensor):
+                    _write_quant(f, name, p)
                 else:
-                    _write_quant(f, name, payload)
+                    _write_dense(f, name, p.data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -232,26 +231,19 @@ def load_checkpoint(path):
             p.data = _take_dense(tensors, name, p.data.shape)
 
     # the dense model of this config gives every tensor's expected shape
-    model = init_model(config)
+    dense = init_model(config)
     quant = header.get("quant")
     if quant:
         bits, block = quant.get("bits"), quant.get("block_size")
         if bits not in Q_MAX or not isinstance(block, int) or block < 1:
             raise CheckpointError(f"corrupt checkpoint header: quant {quant}")
-    loaded = {}
-    for name, p in model.named_params():
+    params = {}
+    for name, p in dense.named_params():
         if quant and name.rsplit(".", 1)[-1] in QUANT_MATRICES:
-            loaded[name] = _take_quant(tensors, name, p.data.shape, bits, block)
+            params[name] = _take_quant(tensors, name, p.shape, bits, block)
         else:
-            loaded[name] = _take_dense(tensors, name, p.data.shape)
+            params[name] = Tensor(_take_dense(tensors, name, p.shape), requires_grad=True)
     if tensors:
         raise CheckpointError(f"checkpoint has unexpected tensor(s) {sorted(tensors)}")
-    if quant:
-        layers = [DecoderLayer(*(loaded[f"layers.{i}.{s}"] for s in DecoderLayer.__slots__))
-                  for i in range(config.n_layers)]
-        model = QuantizedModel(config, bits, block, loaded["tok_emb"], loaded["pos_emb"],
-                               layers, loaded["final_gain"], loaded["w_act"])
-    else:
-        for name, p in model.named_params():
-            p.data = loaded[name]
+    model = (QuantizedModel if quant else PolicyModel).from_params(config, params)
     return LoadedCheckpoint(model, value_head, header.get("meta", {}), config)

@@ -125,23 +125,33 @@ def cmd_train_dense(cfg, args):
           f"(best IND SR {rows[-1].get('ind_sr'):.3f})")
 
 
-def cmd_prune(cfg, args):
+def _prune(cfg, model, demos, ratio, table=None):
+    """Remove the lowest-importance groups of ``model`` up to ``ratio``.
+
+    Unless ``table`` is given, scores ``model`` on ``cfg.prune.calib_batch``
+    demo steps drawn with ``cfg.prune.seed``.  Returns (table, plan, pruned).
+    """
     import numpy as np
 
-    from .checkpoint import save_checkpoint
     from .pruning import apply_prune, select_prune_groups, taylor_importance
     from .training import demo_arrays
 
+    if table is None:
+        obs, acts = demo_arrays(demos)
+        rng = np.random.default_rng(cfg.prune.seed)
+        idx = rng.choice(obs.shape[0], size=min(cfg.prune.calib_batch, obs.shape[0]),
+                         replace=False)
+        table = taylor_importance(model, obs[idx], acts[idx], seed=cfg.prune.seed)
+    plan = select_prune_groups(model, table, ratio, cfg.prune.exempt_layers)
+    return table, plan, apply_prune(model, plan)
+
+
+def cmd_prune(cfg, args):
+    from .checkpoint import save_checkpoint
+
     loaded, src = _load_ckpt_for(cfg, "prune", args.input)
-    demos = _demos(cfg)
-    obs, acts = demo_arrays(demos)
-    rng = np.random.default_rng(cfg.prune.seed)
-    idx = rng.choice(obs.shape[0], size=min(cfg.prune.calib_batch, obs.shape[0]),
-                     replace=False)
-    table = taylor_importance(loaded.model, obs[idx], acts[idx], seed=cfg.prune.seed)
     ratio = cfg.prune.ratio if args.ratio is None else args.ratio
-    plan = select_prune_groups(loaded.model, table, ratio, cfg.prune.exempt_layers)
-    pruned = apply_prune(loaded.model, plan)
+    _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg), ratio)
     with open(_p(cfg, "prune_plan.json"), "w", encoding="utf-8") as f:
         f.write(plan.to_json())
     save_checkpoint(pruned, _p(cfg, "pruned.ckpt"),
@@ -297,11 +307,8 @@ def cmd_pipeline(cfg, args):
 def cmd_sweep(cfg, args):
     from .bench import report_header, write_report
     from .checkpoint import load_checkpoint, save_checkpoint
-    from .pruning import apply_prune, select_prune_groups, taylor_importance
     from .quant import quantize_model
-    from .training import demo_arrays, train_sft
-
-    import numpy as np
+    from .training import train_sft
 
     ratios = [float(r) for r in args.ratios.split(",")]
     if any(not 0.0 <= r < 1.0 for r in ratios):
@@ -316,18 +323,13 @@ def cmd_sweep(cfg, args):
     if not os.path.exists(dense_path):
         cmd_train_dense(cfg, args)
     dense = load_checkpoint(dense_path).model
-    obs, acts = demo_arrays(demos)
+    table = None  # every ratio prunes the same dense model: score it once
     rows = []
     for ratio in ratios:
         if ratio == 0.0:
             model = dense.copy()
         else:
-            rng = np.random.default_rng(cfg.prune.seed)
-            idx = rng.choice(obs.shape[0], size=min(cfg.prune.calib_batch, obs.shape[0]),
-                             replace=False)
-            table = taylor_importance(dense, obs[idx], acts[idx], seed=cfg.prune.seed)
-            plan = select_prune_groups(dense, table, ratio, cfg.prune.exempt_layers)
-            model = apply_prune(dense, plan)
+            table, _, model = _prune(cfg, dense, demos, ratio, table)
             model, _ = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"])
         save_checkpoint(model, _p(cfg, f"sweep_r{ratio:g}.ckpt"),
                         meta={"stage": "sft" if ratio else "dense", "seed": cfg.seed,

@@ -52,8 +52,11 @@ class BenchSection:
     warmup_iters: int = 10
     timed_iters: int = 50
 
-
-_SEEDED = ("seed",)
+    def __post_init__(self):
+        if self.warmup_iters < 10:
+            raise ValueError(f"warmup_iters must be >= 10, got {self.warmup_iters}")
+        if self.timed_iters < 50:
+            raise ValueError(f"timed_iters must be >= 50, got {self.timed_iters}")
 
 
 def _build(cls, data, path):

@@ -358,13 +358,11 @@ def render(state):
 class VecEnv:
     """N independent envs stepped in index order.
 
-    With ``autoreset`` a finished slot immediately starts a new episode
-    (its terminal observation is passed out via info["final_obs"]); without
-    it, finished slots freeze and ignore further actions, which is what the
-    lockstep greedy evaluator wants.
+    A finished slot immediately starts a new episode; its terminal
+    observation is passed out via info["final_obs"].
     """
 
-    def __init__(self, config, tasks, n, seed, autoreset=True):
+    def __init__(self, config, tasks, n, seed):
         if n <= 0:
             raise ValueError("batch size must be positive")
         if not tasks:
@@ -372,10 +370,8 @@ class VecEnv:
         self.config = config
         self.tasks = list(tasks)
         self.n = n
-        self.autoreset = autoreset
         self._rngs = [np.random.default_rng([seed, i]) for i in range(n)]
         self.states = [None] * n
-        self._frozen_obs = [None] * n
 
     def _fresh(self, i):
         rng = self._rngs[i]
@@ -398,12 +394,7 @@ class VecEnv:
         infos = [None] * self.n
         for i in range(self.n):
             if self.states[i].done:
-                if self.autoreset:
-                    raise EnvError("internal: autoreset slot left in done state")
-                obs_out[i] = self._frozen_obs[i]
-                dones[i] = True
-                infos[i] = {"frozen": True}
-                continue
+                raise EnvError(f"internal: slot {i} left in done state")
             res = step(self.states[i], actions[i])
             rewards[i] = res.reward
             dones[i] = res.done
@@ -411,11 +402,7 @@ class VecEnv:
             if res.done:
                 infos[i]["final_obs"] = res.obs
                 infos[i]["success"] = self.states[i].success
-                if self.autoreset:
-                    obs_out[i] = self._fresh(i)
-                else:
-                    self._frozen_obs[i] = res.obs
-                    obs_out[i] = res.obs
+                obs_out[i] = self._fresh(i)
             else:
                 obs_out[i] = res.obs
         return obs_out, rewards, dones, infos

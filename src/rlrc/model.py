@@ -5,14 +5,20 @@ marker].  The action head produces logits over the action vocabulary at
 every position; the action is read at the marker, whose final-block hidden
 state also feeds the value head.
 
+A model is its config plus named parameters (`named_params`), and
+`PolicyModel.from_params` builds one from such a dict.  A parameter is a
+`Tensor`, or, for a decoder matrix of a `quant.QuantizedModel`, a
+`quant.QuantizedTensor`: the storage format belongs to the weight, not
+to the model.
+
 `forward` is the differentiable forward of training, PPO log-probs and the
 value head.  `fast_hidden` / `fast_logits_last` are the one inference
 forward, a no-grad pass through rlrc.kernels that greedy evaluation,
-serving and the benchmark use.  It serves a `PolicyModel` and a
-`quant.QuantizedModel` alike, because the kernels apply every weight as
-``x @ W`` and a quantized weight implements that product.  It is not
-`forward` under `no_grad`: the kernel path is the faster one at batch 1,
-and tests pin the two paths within 1e-4 of each other.
+serving and the benchmark use.  It serves both kinds of weight, because
+the kernels apply every matrix as ``x @ W`` and a quantized weight
+implements that product.  It is not `forward` under `no_grad`: the kernel
+path is the faster one at batch 1, and tests pin the two paths within 1e-4
+of each other.
 """
 
 from dataclasses import dataclass, field, fields, asdict
@@ -105,8 +111,7 @@ class ModelConfig:
 
 
 class DecoderLayer:
-    """Weights of one pre-norm decoder block: Tensors in a PolicyModel;
-    QuantizedTensor matrices and float32 gains in a quant.QuantizedModel."""
+    """Weights of one pre-norm decoder block."""
 
     __slots__ = ("wq", "wk", "wv", "wo", "attn_gain", "wup", "wgate", "wdown", "mlp_gain")
 
@@ -144,18 +149,23 @@ class PolicyModel:
         return [p for _, p in self.named_params()]
 
     def num_params(self):
-        return sum(p.data.size for p in self.params())
+        return sum(p.size for p in self.params())
+
+    @classmethod
+    def from_params(cls, config, params):
+        """Build a model from a {name: parameter} dict keyed as `named_params`."""
+        layers = [
+            DecoderLayer(*(params[f"layers.{i}.{name}"] for name in DecoderLayer.__slots__))
+            for i in range(config.n_layers)
+        ]
+        return cls(config, params["tok_emb"], params["pos_emb"], layers,
+                   params["final_gain"], params["w_act"])
 
     def copy(self):
         cfg = ModelConfig.from_dict(self.config.to_dict())
-        def c(t):
-            return Tensor(t.data.copy(), requires_grad=True)
-        layers = [
-            DecoderLayer(*(c(getattr(l, s)) for s in DecoderLayer.__slots__))
-            for l in self.layers
-        ]
-        return PolicyModel(cfg, c(self.tok_emb), c(self.pos_emb), layers,
-                           c(self.final_gain), c(self.w_act))
+        return type(self).from_params(
+            cfg, {name: Tensor(p.data.copy(), requires_grad=True)
+                  for name, p in self.named_params()})
 
 
 class ValueHead:
@@ -295,10 +305,7 @@ def _array(p):
 
 
 def fast_hidden(model, tokens):
-    """Final hidden states (after output norm) on the kernel path; (B,S,D).
-
-    ``model`` is a PolicyModel or a quant.QuantizedModel.
-    """
+    """Final hidden states (after output norm) on the kernel path; (B,S,D)."""
     cfg = model.config
     tokens, _ = _check_tokens(cfg, tokens)
     b, s = tokens.shape

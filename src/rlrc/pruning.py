@@ -2,8 +2,8 @@
 importance, lowest-score group selection with layer exemptions, and
 physical shrinking of the interior widths.  Every layer's external
 d_model interface survives untouched; only head counts and MLP channel
-counts change.  A magnitude-mask baseline (unstructured, in place) is
-included for comparison runs.
+counts change.  `apply_prune` slices the named parameters and rebuilds
+the model with `PolicyModel.from_params`.
 """
 
 import json
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DecoderLayer, ModelConfig, PolicyModel
+from .model import ModelConfig, PolicyModel
 from .tensor import Tensor, check_finite
 
 KIND_ATTN = "attn_head"
@@ -235,51 +235,20 @@ def apply_prune(model, plan):
             raise PruningError(f"plan would empty layer {li} of MLP channels")
 
     new_cfg = ModelConfig.from_dict(cfg.to_dict())
-    layers = []
-
-    def t(a):
-        return Tensor(np.ascontiguousarray(a), requires_grad=True)
-
-    for li, layer in enumerate(model.layers):
+    arrays = {name: p.data for name, p in params.items()}
+    for li in range(cfg.n_layers):
         keep_h = [h for h in range(cfg.n_heads[li]) if h not in drop_heads[li]]
         keep_c = np.array([c for c in range(cfg.d_ff[li]) if c not in drop_channels[li]])
         col_idx = np.concatenate([np.arange(h * hd, (h + 1) * hd) for h in keep_h])
-        layers.append(DecoderLayer(
-            t(layer.wq.data[:, col_idx]), t(layer.wk.data[:, col_idx]),
-            t(layer.wv.data[:, col_idx]), t(layer.wo.data[col_idx, :]),
-            t(layer.attn_gain.data.copy()),
-            t(layer.wup.data[:, keep_c]), t(layer.wgate.data[:, keep_c]),
-            t(layer.wdown.data[keep_c, :]), t(layer.mlp_gain.data.copy()),
-        ))
+        for name, keep, axis in (("wq", col_idx, 1), ("wk", col_idx, 1), ("wv", col_idx, 1),
+                                 ("wo", col_idx, 0), ("wup", keep_c, 1),
+                                 ("wgate", keep_c, 1), ("wdown", keep_c, 0)):
+            key = f"layers.{li}.{name}"
+            arrays[key] = np.take(arrays[key], keep, axis=axis)
         new_cfg.n_heads[li] = len(keep_h)
         new_cfg.d_ff[li] = len(keep_c)
-    return PolicyModel(new_cfg, t(model.tok_emb.data.copy()), t(model.pos_emb.data.copy()),
-                       layers, t(model.final_gain.data.copy()), t(model.w_act.data.copy()))
-
-
-def magnitude_mask(model, sparsity):
-    """Zero the smallest-|w| fraction of each decoder-layer matrix in place.
-
-    Unstructured baseline: parameter count and storage stay unchanged.
-    Returns (model, masks) where masks map name -> bool array of zeroed
-    positions.
-    """
-    if not 0.0 <= sparsity < 1.0:
-        raise PruningError(f"sparsity must be in [0, 1), got {sparsity}")
-    masks = {}
-    for li, layer in enumerate(model.layers):
-        for name in ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown"):
-            p = getattr(layer, name)
-            n = p.data.size
-            k = int(np.floor(sparsity * n))
-            mask = np.zeros(n, dtype=bool)
-            if k > 0:
-                flat = np.abs(p.data).ravel()
-                idx = np.argpartition(flat, k - 1)[:k]
-                mask[idx] = True
-                p.data.ravel()[idx] = 0.0
-            masks[f"layers.{li}.{name}"] = mask.reshape(p.data.shape)
-    return model, masks
+    return PolicyModel.from_params(
+        new_cfg, {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()})
 
 
 def param_counts(model, exempt_layers=None):
@@ -294,9 +263,9 @@ def param_counts(model, exempt_layers=None):
     prunable = 0
     total = model.num_params()
     for li, layer in enumerate(model.layers):
-        attn = sum(getattr(layer, n).data.size for n in ("wq", "wk", "wv", "wo"))
-        mlp = sum(getattr(layer, n).data.size for n in ("wup", "wgate", "wdown"))
-        gains = layer.attn_gain.data.size + layer.mlp_gain.data.size
+        attn = sum(getattr(layer, n).size for n in ("wq", "wk", "wv", "wo"))
+        mlp = sum(getattr(layer, n).size for n in ("wup", "wgate", "wdown"))
+        gains = layer.attn_gain.size + layer.mlp_gain.size
         row = {"layer": li, "attn": attn, "mlp": mlp, "gains": gains,
                "total": attn + mlp + gains, "exempt": li in exempt}
         row["prunable"] = 0 if li in exempt else attn + mlp

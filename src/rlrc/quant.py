@@ -2,13 +2,14 @@
 
 Per block of 64 weights (default): scale s = max|w| / q_max, codes
 round-half-away-from-zero(w / s) clamped to [-q_max, q_max]; an all-zero
-block gets s = 1.  4-bit codes pack two per byte.  Decoder-layer matrices
-quantize; embeddings, norm gains and output heads stay full precision.
+block gets s = 1.  4-bit codes pack two per byte.
 
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
 calls `qmatmul`, which dequantizes a tile of whole weight rows at a time
 and applies it with a float64 GEMM (see rlrc.kernels), so the dense matrix
-never materializes.  A `QuantizedModel` therefore runs on the same
+never materializes.  A `QuantizedModel` is a `PolicyModel` whose decoder
+matrices are QuantizedTensors; its embeddings, norm gains and action head
+stay float32 Tensors.  It has no state of its own and runs on the same
 inference forward as a dense model, ``model.fast_logits_last``.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import DecoderLayer, ModelConfig, PolicyModel, fast_logits_last
+from .model import ModelConfig, PolicyModel, fast_logits_last
 from .tensor import Tensor
 
 Q_MAX = {4: 7, 8: 127}
@@ -48,7 +49,7 @@ class QuantizedTensor:
         return qmatmul(self, x)
 
     @property
-    def n_elements(self):
+    def size(self):
         return int(np.prod(self.shape))
 
     def packed_bytes(self):
@@ -111,7 +112,7 @@ def quantize_tensor(weights, bits=4, block_size=DEFAULT_BLOCK):
 
 def dequantize(qt):
     """Reconstruct s_block * code at the original shape."""
-    n = qt.n_elements
+    n = qt.size
     if qt.bits == 4:
         expected = (n + 1) // 2
         if qt.packed.size != expected:
@@ -151,91 +152,65 @@ def qmatmul(qt, activations):
     return out.reshape(*lead, n)
 
 
-class QuantizedModel:
-    """Policy with quantized decoder matrices; same external contract.
+class QuantizedModel(PolicyModel):
+    """A PolicyModel whose decoder matrices are QuantizedTensors.
 
     Inference only: greedy logits via ``logits_last``, the same kernel
-    forward as a dense model.  Embeddings, norm gains, action head and any
-    value head stay float32.
+    forward as a dense model.
     """
 
-    def __init__(self, config, bits, block_size, tok_emb, pos_emb, layers, final_gain, w_act):
-        self.config = config
-        self.bits = bits
-        self.block_size = block_size
-        self.tok_emb = tok_emb
-        self.pos_emb = pos_emb
-        self.layers = layers
-        self.final_gain = final_gain
-        self.w_act = w_act
+    @property
+    def bits(self):
+        return next(self.named_quant_tensors())[1].bits
+
+    @property
+    def block_size(self):
+        return next(self.named_quant_tensors())[1].block_size
 
     def logits_last(self, tokens):
         return fast_logits_last(self, tokens)
 
     def named_quant_tensors(self):
-        for i, layer in enumerate(self.layers):
-            for name in QUANT_MATRICES:
-                yield f"layers.{i}.{name}", getattr(layer, name)
-
-    def named_dense_arrays(self):
-        yield "tok_emb", self.tok_emb
-        yield "pos_emb", self.pos_emb
-        for i, layer in enumerate(self.layers):
-            yield f"layers.{i}.attn_gain", layer.attn_gain
-            yield f"layers.{i}.mlp_gain", layer.mlp_gain
-        yield "final_gain", self.final_gain
-        yield "w_act", self.w_act
+        for name, p in self.named_params():
+            if isinstance(p, QuantizedTensor):
+                yield name, p
 
 
 def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
     """Quantize every decoder-layer matrix; keep the rest float32."""
     cfg = ModelConfig.from_dict(model.config.to_dict())
-    layers = []
-    for layer in model.layers:
-        kw = {}
-        for name in QUANT_MATRICES:
-            kw[name] = quantize_tensor(getattr(layer, name).data, bits, block_size)
-        kw["attn_gain"] = layer.attn_gain.data.copy()
-        kw["mlp_gain"] = layer.mlp_gain.data.copy()
-        layers.append(DecoderLayer(**kw))
-    return QuantizedModel(
-        cfg, bits, int(block_size),
-        model.tok_emb.data.copy(), model.pos_emb.data.copy(), layers,
-        model.final_gain.data.copy(), model.w_act.data.copy(),
-    )
+    params = {
+        name: (quantize_tensor(p.data, bits, block_size)
+               if name.rsplit(".", 1)[-1] in QUANT_MATRICES
+               else Tensor(p.data.copy(), requires_grad=True))
+        for name, p in model.named_params()
+    }
+    return QuantizedModel.from_params(cfg, params)
 
 
 def dequantize_model(qm):
     """Dense PolicyModel with every quantized matrix reconstructed."""
-    def t(a):
-        return Tensor(np.ascontiguousarray(a), requires_grad=True)
-
-    layers = []
-    for layer in qm.layers:
-        kw = {name: t(dequantize(getattr(layer, name))) for name in QUANT_MATRICES}
-        kw["attn_gain"] = t(layer.attn_gain.copy())
-        kw["mlp_gain"] = t(layer.mlp_gain.copy())
-        layers.append(DecoderLayer(**kw))
     cfg = ModelConfig.from_dict(qm.config.to_dict())
-    return PolicyModel(cfg, t(qm.tok_emb.copy()), t(qm.pos_emb.copy()), layers,
-                       t(qm.final_gain.copy()), t(qm.w_act.copy()))
+    params = {
+        name: Tensor(dequantize(p) if isinstance(p, QuantizedTensor) else p.data.copy(),
+                     requires_grad=True)
+        for name, p in qm.named_params()
+    }
+    return PolicyModel.from_params(cfg, params)
 
 
 def memory_bytes(m):
     """Exact storage accounting for the weight payload.
 
-    Dense model: 4 bytes per parameter, no scales.  Quantized model:
-    packed code bytes plus 4 bytes per block scale plus full-precision
-    leftovers.  Matches the serialized checkpoint payload byte-for-byte.
+    4 bytes per float32 parameter; a quantized matrix counts its packed
+    code bytes, plus 4 bytes per block scale under ``scales_bytes``.
+    Matches the serialized checkpoint payload byte-for-byte.
     """
-    if isinstance(m, PolicyModel):
-        w = sum(p.data.size for p in m.params()) * 4
-        return {"weights_bytes": w, "scales_bytes": 0, "total_bytes": w}
-    if isinstance(m, QuantizedModel):
-        w = sum(a.size * 4 for _, a in m.named_dense_arrays())
-        s = 0
-        for _, qt in m.named_quant_tensors():
-            w += qt.packed_bytes()
-            s += qt.scales_bytes()
-        return {"weights_bytes": w, "scales_bytes": s, "total_bytes": w + s}
-    raise TypeError(f"memory_bytes: unsupported model type {type(m)!r}")
+    w = s = 0
+    for _, p in m.named_params():
+        if isinstance(p, QuantizedTensor):
+            w += p.packed_bytes()
+            s += p.scales_bytes()
+        else:
+            w += 4 * p.size
+    return {"weights_bytes": w, "scales_bytes": s, "total_bytes": w + s}

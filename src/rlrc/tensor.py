@@ -78,15 +78,9 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     def detach(self):
         """Constant view of this tensor's data (cuts the graph)."""
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accum(self, g):
         if self.grad is None:

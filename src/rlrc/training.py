@@ -22,7 +22,6 @@ from .model import (
     greedy_actions,
     init_value_head,
 )
-from .quant import QuantizedModel
 from .tensor import (
     OptimizerState,
     Tensor,
@@ -33,6 +32,7 @@ from .tensor import (
     clip,
     cross_entropy,
     exp,
+    log_softmax,
     mean,
     minimum,
     mul,
@@ -162,11 +162,9 @@ class ExpertPolicyWrapper:
         return np.array([expert_policy(s) for s in states], dtype=np.int64)
 
 
-def evaluate(policy, tasks, episodes_per_task, env_config, seed=7, mode="greedy"):
+def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
     """Deterministic greedy rollouts over a (task, episode-seed) grid."""
-    if mode != "greedy":
-        raise ValueError("evaluation supports greedy decoding only")
-    if isinstance(policy, (PolicyModel, QuantizedModel)):
+    if isinstance(policy, PolicyModel):
         policy = ModelPolicy(policy)
     states = []
     obs_rows = []
@@ -280,13 +278,6 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
 # PPO
 # ---------------------------------------------------------------------------
 
-def _log_softmax_rows(logits):
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=1, dtype=np.float64)).astype(logits.dtype)
-    return shifted - lse[:, None]
-
-
 def _values_at_marker(model, value_head, obs):
     contexts = build_contexts(model.config, obs)
     with no_grad():
@@ -323,7 +314,7 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         with no_grad():
             logits, hidden = forward(model, contexts)
             vals = value_head.apply(Tensor(hidden.data[:, -1, :])).data
-        lp_rows = _log_softmax_rows(logits.data[:, -1, :])
+            lp_rows = log_softmax(logits.data[:, -1, :], -1).data
         p = np.exp(lp_rows.astype(np.float64))
         p /= p.sum(axis=1, keepdims=True)
         u = rng.random(n)

@@ -6,8 +6,8 @@ import pytest
 
 from rlrc import checkpoint
 from rlrc.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from rlrc.model import ModelConfig, forward, init_model, init_value_head
-from rlrc.quant import quantize_model
+from rlrc.model import ModelConfig, PolicyModel, forward, init_model, init_value_head
+from rlrc.quant import QuantizedModel, quantize_model
 
 
 def tiny_model(seed=0, **kw):
@@ -61,9 +61,12 @@ def test_quantized_roundtrip(tmp_path):
     path = tmp_path / "q.ckpt"
     save_checkpoint(qm, path, meta={"stage": "quant"})
     loaded = load_checkpoint(path)
+    assert isinstance(loaded.model, QuantizedModel)
+    assert isinstance(loaded.model, PolicyModel)
     ctx = np.array([[1, 2, 3, m.config.bos_action_id]])
     np.testing.assert_array_equal(qm.logits_last(ctx), loaded.model.logits_last(ctx))
     assert loaded.model.bits == 4
+    assert loaded.model.block_size == 16
     for (n, a), (_, b) in zip(qm.named_quant_tensors(), loaded.model.named_quant_tensors()):
         np.testing.assert_array_equal(a.packed, b.packed, err_msg=n)
         np.testing.assert_array_equal(a.scales, b.scales, err_msg=n)

@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from rlrc import cli, pruning
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
+from rlrc.env import load_demos
 
 
 def micro_config(tmp_path, **over):
@@ -54,6 +56,7 @@ def test_full_stage_chain(tmp_path):
     assert load_checkpoint(os.path.join(out, "quant.ckpt")).meta["parent"] == \
         os.path.join(out, "rl.ckpt")
     assert rows["quant"]["total_params"] == rows["rl"]["total_params"]
+    assert rows["quant"]["prunable_params"] == rows["rl"]["prunable_params"]
 
 
 def test_eval_expert_and_checkpoint(tmp_path):
@@ -94,6 +97,14 @@ def test_unknown_config_key_rejected(tmp_path):
         PipelineConfig.from_file(path)
 
 
+def test_bench_iteration_floors_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    for field, value in (("warmup_iters", 9), ("timed_iters", 49)):
+        path.write_text(json.dumps({"bench": {field: value}}))
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig.from_file(path)
+
+
 def test_seed_override_propagates(tmp_path):
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "--seed", "9", "gen-demos"]) == 0
@@ -112,22 +123,43 @@ def test_config_echo_written_next_to_outputs(tmp_path):
     assert again.to_dict() == resolved
 
 
-def test_sweep_report(tmp_path):
+def test_sweep_report(tmp_path, monkeypatch):
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "gen-demos"]) == 0
     assert run(["--config", cfg_path, "train-dense"]) == 0
-    assert run(["--config", cfg_path, "sweep", "--ratios", "0,0.3",
+    calls = []
+    real_importance = pruning.taylor_importance
+
+    def counted_importance(*args, **kwargs):
+        calls.append(1)
+        return real_importance(*args, **kwargs)
+
+    monkeypatch.setattr(pruning, "taylor_importance", counted_importance)
+    assert run(["--config", cfg_path, "sweep", "--ratios", "0,0.3,0.5",
                 "--quant", "none,4"]) == 0
+    # every non-zero ratio prunes the same dense model: one importance table
+    assert len(calls) == 1
     with open(os.path.join(out, "sweep_report.json")) as f:
         report = json.load(f)
-    assert len(report["rows"]) == 4
+    assert len(report["rows"]) == 6
     by = {(r["ratio"], r["quant"]): r for r in report["rows"]}
     # memory strictly decreasing in ratio at fixed quant mode
-    assert by[(0.3, "none")]["total_bytes"] < by[(0.0, "none")]["total_bytes"]
-    assert by[(0.3, "4")]["total_bytes"] < by[(0.0, "4")]["total_bytes"]
+    for q in ("none", "4"):
+        assert by[(0.5, q)]["total_bytes"] < by[(0.3, q)]["total_bytes"] \
+            < by[(0.0, q)]["total_bytes"]
     # 4-bit memory below full precision at every ratio
-    for r in (0.0, 0.3):
+    for r in (0.0, 0.3, 0.5):
         assert by[(r, "4")]["total_bytes"] < by[(r, "none")]["total_bytes"]
+    # the shared table prunes each ratio as a table scored afresh would
+    cfg = PipelineConfig.from_file(cfg_path)
+    dense = load_checkpoint(os.path.join(out, "dense.ckpt")).model
+    demos = load_demos(os.path.join(out, "demos.jsonl"))
+    for r in (0.3, 0.5):
+        _, _, fresh = cli._prune(cfg, dense, demos, r)
+        swept = load_checkpoint(os.path.join(out, f"sweep_r{r:g}.ckpt")).model
+        assert (swept.config.n_heads, swept.config.d_ff) == \
+            (fresh.config.n_heads, fresh.config.d_ff)
+        assert by[(r, "none")]["total_params"] == fresh.num_params()
     # throughput columns present for the crossover inspection
     assert all("throughput_sps" in r for r in report["rows"])
 

@@ -236,7 +236,7 @@ def test_vec_env_zero_batch_rejected():
         VecEnv(CFG, make_task_suite(0)["IND"], 0, seed=0)
 
 
-def test_vec_env_autoreset_emits_final_obs():
+def test_vec_env_restart_emits_final_obs():
     suite = make_task_suite(0)
     vec = VecEnv(CFG, suite["IND"][:1], 2, seed=1)
     vec.vec_reset()

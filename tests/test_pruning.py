@@ -8,9 +8,8 @@ from rlrc.pruning import (
     KIND_ATTN, KIND_MLP,
     ImportanceTable, PruningError,
     apply_prune, build_dependency_groups, default_exempt_layers,
-    magnitude_mask, param_counts, select_prune_groups, taylor_importance,
+    param_counts, select_prune_groups, taylor_importance,
 )
-from rlrc.quant import memory_bytes
 from rlrc.training import demo_arrays, sft_loss, train_sft
 from rlrc.training import SftConfig
 
@@ -258,29 +257,6 @@ def test_apply_rejects_stale_plan():
                                            if g.kind == KIND_MLP and g.layer == 1
                                            and g.index == m.config.d_ff[1] - 1],
                                        exempt=(0, 2)))
-
-
-def test_magnitude_mask_zero_sparsity_noop():
-    m = tiny_model(seed=6)
-    before = {n: p.data.copy() for n, p in m.named_params()}
-    magnitude_mask(m, 0.0)
-    for n, p in m.named_params():
-        np.testing.assert_array_equal(p.data, before[n], err_msg=n)
-
-
-def test_magnitude_mask_exact_counts_and_memory():
-    m = tiny_model(seed=6)
-    mem_before = memory_bytes(m)
-    count_before = m.num_params()
-    _, masks = magnitude_mask(m, 0.2)
-    for li, layer in enumerate(m.layers):
-        for name in ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown"):
-            p = getattr(layer, name)
-            k = int(np.floor(0.2 * p.data.size))
-            assert int((p.data == 0).sum()) == k
-            assert int(masks[f"layers.{li}.{name}"].sum()) == k
-    assert m.num_params() == count_before
-    assert memory_bytes(m) == mem_before
 
 
 def test_param_counts_formula_and_embedding_exclusion():

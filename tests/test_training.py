@@ -299,11 +299,6 @@ def test_evaluate_deterministic():
     assert a.mean_return == b.mean_return
 
 
-def test_evaluate_rejects_stochastic_mode():
-    with pytest.raises(ValueError):
-        evaluate(tiny_model(), make_task_suite(0)["IND"][:1], 1, ENV, mode="stochastic")
-
-
 # -- ppo trainer ----------------------------------------------------------------
 
 def micro_ppo_config(**kw):
