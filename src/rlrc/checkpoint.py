@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .model import ModelConfig, PolicyModel, init_model, init_value_head
+from .model import ModelConfig, PolicyModel, ValueHead, param_shapes, value_head_shapes
 from .quant import Q_MAX, QuantizedModel, QuantizedTensor, QUANT_MATRICES
 from .tensor import Tensor
 
@@ -226,23 +226,20 @@ def load_checkpoint(path):
 
     value_head = None
     if header.get("has_value_head"):
-        value_head = init_value_head(config.d_model)
-        for name, p in value_head.named_params():
-            p.data = _take_dense(tensors, name, p.data.shape)
+        value_head = ValueHead(*(Tensor(_take_dense(tensors, name, shape), requires_grad=True)
+                                 for name, shape in value_head_shapes(config.d_model).items()))
 
-    # the dense model of this config gives every tensor's expected shape
-    dense = init_model(config)
     quant = header.get("quant")
     if quant:
         bits, block = quant.get("bits"), quant.get("block_size")
         if bits not in Q_MAX or not isinstance(block, int) or block < 1:
             raise CheckpointError(f"corrupt checkpoint header: quant {quant}")
     params = {}
-    for name, p in dense.named_params():
+    for name, shape in param_shapes(config).items():
         if quant and name.rsplit(".", 1)[-1] in QUANT_MATRICES:
-            params[name] = _take_quant(tensors, name, p.shape, bits, block)
+            params[name] = _take_quant(tensors, name, shape, bits, block)
         else:
-            params[name] = Tensor(_take_dense(tensors, name, p.shape), requires_grad=True)
+            params[name] = Tensor(_take_dense(tensors, name, shape), requires_grad=True)
     if tensors:
         raise CheckpointError(f"checkpoint has unexpected tensor(s) {sorted(tensors)}")
     model = (QuantizedModel if quant else PolicyModel).from_params(config, params)

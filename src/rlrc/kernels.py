@@ -1,13 +1,21 @@
-"""No-grad numeric kernels of the inference forward, on numpy/BLAS.
+"""Numeric kernels of the decoder, on numpy/BLAS.
 
-`attn_block`, `mlp_block` and `rms_rows` compute the decoder in float32,
-with float64 accumulators in the rms statistics.  They apply each weight
-as ``x @ W``, so a weight is either a float32 array or a
-``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot4` or `qdot8`.
+`attn_block`, `mlp_block` and `rms_rows` are the decoder's arithmetic;
+``model.forward`` applies them as autodiff nodes (`tensor.fused`), so
+serving, rollouts and training run the same code.  They keep the input
+dtype (float32 in use, float64 for gradient checks), with float64
+accumulators in the rms statistics, and apply each weight as ``x @ W``,
+so a weight is either an array or a ``quant.QuantizedTensor``, whose
+``__rmatmul__`` calls `qdot4` or `qdot8`.
+
+Given a ``saved`` dict, a block also keeps the intermediates it computed
+anyway; its hand-written backward (`attn_block_backward`,
+`mlp_block_backward`) reads them and recomputes the cheap rest (the rms
+factors, the sigmoid), so the forward does no extra arithmetic.
 
 `qdot4` and `qdot8` dequantize a tile of whole weight rows at a time to
 float32, add it into a float64 output with one BLAS dgemm, and round the
-sum to float32 once.  Training-side autodiff lives in tensor.py.
+sum to float32 once.
 """
 
 import numpy as np
@@ -15,14 +23,27 @@ import numpy as np
 _EPS_NORM = 1e-6
 
 
+def _inv_rms(x2):
+    """Per-row 1 / rms of a 2-d array, the mean square taken in float64."""
+    ms = np.mean(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
+    return (1.0 / np.sqrt(ms + _EPS_NORM)).astype(x2.dtype)
+
+
 def rms_rows(x2, gain):
     """Row-wise rms normalization with gain (2-d input)."""
-    ms = np.mean(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(ms + _EPS_NORM)).astype(np.float32)
-    return x2 * inv * gain
+    return x2 * _inv_rms(x2) * gain
 
 
-def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask):
+def rms_rows_backward(g2, x2, gain):
+    """Gradients (d x2, d gain) of `rms_rows` for output gradient ``g2``."""
+    inv = _inv_rms(x2)
+    dgain = (g2 * (x2 * inv)).sum(axis=0)
+    gn = g2 * gain
+    gx = (gn * x2).sum(axis=-1, keepdims=True)
+    return gn * inv - x2 * (inv ** 3) * (gx / x2.shape[-1]), dgain
+
+
+def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     """Pre-norm causal self-attention block with residual; returns new x.
 
     ``mask`` is the (S, S) additive causal mask, built once per forward.
@@ -38,17 +59,55 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask):
     p = np.exp(scores)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * s, n_heads * head_dim)
+    if saved is not None:
+        saved.update(xn=xn, q=q, k=k, v=v, p=p, ctx=ctx)
     return x + (ctx @ wo).reshape(b, s, d)
 
 
-def mlp_block(x, gain, wup, wgate, wdown):
+def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved):
+    """Gradients (dx, dgain, dwq, dwk, dwv, dwo) of `attn_block`."""
+    b, s, d = x.shape
+    xn, q, k, v, p, ctx = (saved[n] for n in ("xn", "q", "k", "v", "p", "ctx"))
+    g2 = dout.reshape(b * s, d)
+    dctx = (g2 @ wo.T).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
+    dp = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dscores *= np.float32(1.0 / np.sqrt(head_dim))
+
+    def rows(t):  # (B, H, S, hd) -> (B*S, H*hd)
+        return t.transpose(0, 2, 1, 3).reshape(b * s, n_heads * head_dim)
+
+    dq = rows(np.matmul(dscores, k))
+    dk = rows(np.matmul(dscores.transpose(0, 1, 3, 2), q))
+    dv = rows(np.matmul(p.transpose(0, 1, 3, 2), dctx))
+    dxn = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    dx, dgain = rms_rows_backward(dxn, x.reshape(b * s, d), gain)
+    return (dout + dx.reshape(b, s, d), dgain, xn.T @ dq, xn.T @ dk, xn.T @ dv, ctx.T @ g2)
+
+
+def mlp_block(x, gain, wup, wgate, wdown, saved=None):
     """Pre-norm gated MLP block (silu gate) with residual; returns new x."""
     b, s, d = x.shape
     xn = rms_rows(x.reshape(b * s, d), gain)
     u = xn @ wup
     g = xn @ wgate
     h = u * (g / (1.0 + np.exp(-g)))
+    if saved is not None:
+        saved.update(xn=xn, u=u, g=g, h=h)
     return x + (h @ wdown).reshape(b, s, d)
+
+
+def mlp_block_backward(dout, x, gain, wup, wgate, wdown, saved):
+    """Gradients (dx, dgain, dwup, dwgate, dwdown) of `mlp_block`."""
+    b, s, d = x.shape
+    xn, u, g, h = (saved[n] for n in ("xn", "u", "g", "h"))
+    g2 = dout.reshape(b * s, d)
+    dh = g2 @ wdown.T
+    sig = 1.0 / (1.0 + np.exp(-g))
+    du = dh * (g * sig)
+    dg = dh * u * (sig * (1.0 + g * (1.0 - sig)))
+    dx, dgain = rms_rows_backward(du @ wup.T + dg @ wgate.T, x.reshape(b * s, d), gain)
+    return dout + dx.reshape(b, s, d), dgain, xn.T @ du, xn.T @ dg, h.T @ g2
 
 
 # transient-buffer audit hook for qdot4/qdot8, which work one tile at a time

@@ -9,16 +9,17 @@ A model is its config plus named parameters (`named_params`), and
 `PolicyModel.from_params` builds one from such a dict.  A parameter is a
 `Tensor`, or, for a decoder matrix of a `quant.QuantizedModel`, a
 `quant.QuantizedTensor`: the storage format belongs to the weight, not
-to the model.
+to the model.  `param_shapes` gives every parameter's shape from the
+config alone.
 
-`forward` is the differentiable forward of training, PPO log-probs and the
-value head.  `fast_hidden` / `fast_logits_last` are the one inference
-forward, a no-grad pass through rlrc.kernels that greedy evaluation,
-serving and the benchmark use.  It serves both kinds of weight, because
-the kernels apply every matrix as ``x @ W`` and a quantized weight
-implements that product.  It is not `forward` under `no_grad`: the kernel
-path is the faster one at batch 1, and tests pin the two paths within 1e-4
-of each other.
+`forward` is the one decoder.  Each layer is two autodiff nodes whose
+forward bodies are `kernels.attn_block` and `kernels.mlp_block` and whose
+backward is hand-written next to them.  Training, PPO log-probs, the value
+head and Taylor scoring record the nodes; under `no_grad` the same call
+runs the kernels and records nothing, which is how `fast_logits_last`
+serves.  A quantized weight implements ``x @ W`` for the kernels, so a
+quantized model serves through `forward` under `no_grad` and is rejected,
+by parameter name, with grad enabled.
 """
 
 from dataclasses import dataclass, field, fields, asdict
@@ -27,22 +28,25 @@ import numpy as np
 
 from . import kernels
 from .tensor import (
+    GradError,
     Tensor,
     ShapeError,
     add,
     embedding_lookup,
+    fused,
+    grad_enabled,
     log_softmax,
     log_softmax_gather,
     matmul,
     mean,
     mul,
+    no_grad,
     reshape,
     rms_norm,
     silu,
     softmax,
     sum_,
     take_last,
-    transpose,
 )
 
 EPS_NORM = 1e-6
@@ -89,11 +93,6 @@ class ModelConfig:
     def bos_action_id(self):
         """Token id of the begin-of-action marker."""
         return self.observation_vocab
-
-    @property
-    def action_base(self):
-        """First token id of the action range."""
-        return self.observation_vocab + 1
 
     @property
     def total_vocab(self):
@@ -162,9 +161,11 @@ class PolicyModel:
                    params["final_gain"], params["w_act"])
 
     def copy(self):
+        """A model with its own copy of every Tensor; quantized matrices,
+        which nothing updates in place, are shared."""
         cfg = ModelConfig.from_dict(self.config.to_dict())
         return type(self).from_params(
-            cfg, {name: Tensor(p.data.copy(), requires_grad=True)
+            cfg, {name: Tensor(p.data.copy(), requires_grad=True) if isinstance(p, Tensor) else p
                   for name, p in self.named_params()})
 
 
@@ -196,50 +197,56 @@ class ValueHead:
         return reshape(out, () if squeeze else out.data.shape[:-1])
 
 
-def init_value_head(d_model, seed=0, hidden=64):
-    rng = np.random.default_rng(seed)
-    def w(fan_in, shape):
-        return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32),
-                      requires_grad=True)
-    return ValueHead(
-        w(d_model, (d_model, hidden)),
-        Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True),
-        w(hidden, (hidden, 1)),
-        Tensor(np.zeros(1, dtype=np.float32), requires_grad=True),
-    )
+def param_shapes(config):
+    """{name: shape} of every parameter of a model of ``config``, in
+    `named_params` order."""
+    d, hd = config.d_model, config.head_dim
+    shapes = {"tok_emb": (config.total_vocab, d), "pos_emb": (config.max_seq_len, d)}
+    for li, (h, f) in enumerate(zip(config.n_heads, config.d_ff)):
+        a = h * hd
+        layer = ((d, a), (d, a), (d, a), (a, d), (d,), (d, f), (d, f), (f, d), (d,))
+        for name, shape in zip(DecoderLayer.__slots__, layer):
+            shapes[f"layers.{li}.{name}"] = shape
+    shapes["final_gain"] = (d,)
+    shapes["w_act"] = (d, config.action_vocab)
+    return shapes
+
+
+def value_head_shapes(d_model):
+    """{name: shape} of the value head's parameters, in `named_params` order."""
+    return {"value_head.w1": (d_model, 64), "value_head.b1": (64,),
+            "value_head.w2": (64, 1), "value_head.b2": (1,)}
+
+
+def _init_params(shapes, rng):
+    """Scaled-normal matrices (1/sqrt(fan_in)), embeddings N(0, 0.02^2),
+    gains one and biases zero; drawn in table order."""
+    params = {}
+    for name, shape in shapes.items():
+        if len(shape) == 1:
+            data = np.full(shape, 1.0 if name.endswith("gain") else 0.0, dtype=np.float32)
+        elif name.endswith("_emb"):
+            data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
+        else:
+            data = (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(np.float32)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
+def init_value_head(d_model, seed=0):
+    """Deterministic scaled-normal init; biases start at zero."""
+    params = _init_params(value_head_shapes(d_model), np.random.default_rng(seed))
+    return ValueHead(*params.values())
 
 
 def init_model(config, seed=None):
-    """Deterministic scaled-normal init; gains start at one, biases at zero."""
+    """Deterministic scaled-normal init; gains start at one."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    d = config.d_model
-    hd = config.head_dim
-
-    def w(fan_in, shape):
-        return Tensor((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32),
-                      requires_grad=True)
-
-    def gain():
-        return Tensor(np.ones(d, dtype=np.float32), requires_grad=True)
-
-    tok_emb = Tensor((rng.standard_normal((config.total_vocab, d)) * 0.02).astype(np.float32),
-                     requires_grad=True)
-    pos_emb = Tensor((rng.standard_normal((config.max_seq_len, d)) * 0.02).astype(np.float32),
-                     requires_grad=True)
-    layers = []
-    for li in range(config.n_layers):
-        h = config.n_heads[li]
-        f = config.d_ff[li]
-        layers.append(DecoderLayer(
-            w(d, (d, h * hd)), w(d, (d, h * hd)), w(d, (d, h * hd)),
-            w(h * hd, (h * hd, d)), gain(),
-            w(d, (d, f)), w(d, (d, f)), w(f, (f, d)), gain(),
-        ))
-    return PolicyModel(config, tok_emb, pos_emb, layers, gain(), w(d, (d, config.action_vocab)))
+    return PolicyModel.from_params(config, _init_params(param_shapes(config), rng))
 
 
 # ---------------------------------------------------------------------------
-# autodiff forward
+# the decoder
 # ---------------------------------------------------------------------------
 
 def _check_tokens(config, tokens):
@@ -251,9 +258,9 @@ def _check_tokens(config, tokens):
         squeezed = False
     else:
         raise ShapeError(f"token array must be 1-d or 2-d, got shape {tokens.shape}")
-    if tokens.shape[1] > config.max_seq_len:
+    if not 0 < tokens.shape[1] <= config.max_seq_len:
         raise ShapeError(
-            f"sequence length {tokens.shape[1]} exceeds max_seq_len {config.max_seq_len}"
+            f"sequence length {tokens.shape[1]} outside [1, max_seq_len={config.max_seq_len}]"
         )
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.total_vocab):
         raise IndexError(f"token id out of range [0, {config.total_vocab})")
@@ -261,32 +268,31 @@ def _check_tokens(config, tokens):
 
 
 def forward(model, tokens):
-    """Differentiable forward pass.
+    """The decoder: action logits and final hidden states.
 
     Returns (logits over the action vocab at each position, final-block
     hidden states after the output norm).  Accepts (S,) or (B, S) int
     tokens; outputs match ((S, A), (S, D)) or ((B, S, A), (B, S, D)).
+    Differentiable with grad enabled; a quantized model runs only under
+    `no_grad`.
     """
     cfg = model.config
     tokens, squeezed = _check_tokens(cfg, tokens)
+    if grad_enabled():
+        for name, p in model.named_params():
+            if not isinstance(p, Tensor):
+                raise GradError(f"{name} is a {type(p).__name__}: quantized models are "
+                                "inference-only, run forward under no_grad")
     b, s = tokens.shape
-    hd = cfg.head_dim
     x = add(embedding_lookup(model.tok_emb, tokens),
             embedding_lookup(model.pos_emb, np.arange(s)))
-    mask = np.triu(np.full((s, s), -1e9, dtype=np.float32), k=1)
+    mask = np.triu(np.full((s, s), -1e9, dtype=x.data.dtype), k=1)
     for li, layer in enumerate(model.layers):
-        h = cfg.n_heads[li]
-        xn = mul(rms_norm(x, -1, EPS_NORM), layer.attn_gain)
-        q = transpose(reshape(matmul(xn, layer.wq), (b, s, h, hd)), (0, 2, 1, 3))
-        k = transpose(reshape(matmul(xn, layer.wk), (b, s, h, hd)), (0, 2, 1, 3))
-        v = transpose(reshape(matmul(xn, layer.wv), (b, s, h, hd)), (0, 2, 1, 3))
-        scores = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), np.float32(1.0 / np.sqrt(hd))), mask)
-        ctx = matmul(softmax(scores, -1), v)
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, h * hd))
-        x = add(x, matmul(ctx, layer.wo))
-        xn = mul(rms_norm(x, -1, EPS_NORM), layer.mlp_gain)
-        hmid = mul(silu(matmul(xn, layer.wgate)), matmul(xn, layer.wup))
-        x = add(x, matmul(hmid, layer.wdown))
+        x = fused(kernels.attn_block, kernels.attn_block_backward,
+                  (x, layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo),
+                  cfg.n_heads[li], cfg.head_dim, mask)
+        x = fused(kernels.mlp_block, kernels.mlp_block_backward,
+                  (x, layer.mlp_gain, layer.wup, layer.wgate, layer.wdown))
     hidden = mul(rms_norm(x, -1, EPS_NORM), model.final_gain)
     logits = matmul(hidden, model.w_act)
     if squeezed:
@@ -295,37 +301,11 @@ def forward(model, tokens):
     return logits, hidden
 
 
-# ---------------------------------------------------------------------------
-# fast (no-grad) forward via kernels
-# ---------------------------------------------------------------------------
-
-def _array(p):
-    """The array behind a parameter: a Tensor's data, else p itself."""
-    return p.data if isinstance(p, Tensor) else p
-
-
-def fast_hidden(model, tokens):
-    """Final hidden states (after output norm) on the kernel path; (B,S,D)."""
-    cfg = model.config
-    tokens, _ = _check_tokens(cfg, tokens)
-    b, s = tokens.shape
-    x = _array(model.tok_emb)[tokens] + _array(model.pos_emb)[:s]
-    x = np.ascontiguousarray(x, dtype=np.float32)
-    mask = np.triu(np.full((s, s), -1e9, dtype=np.float32), k=1)
-    for li, layer in enumerate(model.layers):
-        wq, wk, wv, wo, attn_gain, wup, wgate, wdown, mlp_gain = (
-            _array(getattr(layer, name)) for name in DecoderLayer.__slots__)
-        x = kernels.attn_block(x, attn_gain, wq, wk, wv, wo, cfg.n_heads[li], cfg.head_dim,
-                               mask)
-        x = kernels.mlp_block(x, mlp_gain, wup, wgate, wdown)
-    x = kernels.rms_rows(x.reshape(b * s, cfg.d_model), _array(model.final_gain))
-    return x.reshape(b, s, cfg.d_model)
-
-
 def fast_logits_last(model, tokens):
-    """Action logits at the last position only; (B, A)."""
-    hidden = fast_hidden(model, tokens)
-    return hidden[:, -1, :] @ _array(model.w_act)
+    """Action logits at the last position: `forward` under `no_grad`; (B, A)."""
+    with no_grad():
+        logits, _ = forward(model, tokens)
+    return np.atleast_2d(logits.data[..., -1, :])
 
 
 def greedy_actions(model, contexts):

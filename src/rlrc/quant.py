@@ -9,8 +9,10 @@ calls `qmatmul`, which dequantizes a tile of whole weight rows at a time
 and applies it with a float64 GEMM (see rlrc.kernels), so the dense matrix
 never materializes.  A `QuantizedModel` is a `PolicyModel` whose decoder
 matrices are QuantizedTensors; its embeddings, norm gains and action head
-stay float32 Tensors.  It has no state of its own and runs on the same
-inference forward as a dense model, ``model.fast_logits_last``.
+stay float32 Tensors.  It has no state of its own and runs on the one
+decoder, ``model.forward``, under ``no_grad``, as a dense model serves
+through ``model.fast_logits_last``; with grad enabled ``forward`` rejects
+it, since nothing trains quantized weights.
 """
 
 from dataclasses import dataclass
@@ -155,8 +157,8 @@ def qmatmul(qt, activations):
 class QuantizedModel(PolicyModel):
     """A PolicyModel whose decoder matrices are QuantizedTensors.
 
-    Inference only: greedy logits via ``logits_last``, the same kernel
-    forward as a dense model.
+    Inference only: greedy logits via ``logits_last``, the same decoder
+    under ``no_grad`` as a dense model.
     """
 
     @property

@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Dense float32 tensors (float64 allowed for oracle-grade checks), a tape
-recorded implicitly as a graph of parent links, and just enough ops for a
-decoder-only transformer: matmul, elementwise arithmetic, silu, softmax,
-rms_norm, embedding lookup and cross entropy.  Reductions accumulate in
-float64 so finite-difference gradient checks stay meaningful in float32.
+recorded implicitly as a graph of parent links, and the ops of the policy's
+losses, embeddings, output norm, action head and value head: matmul,
+elementwise arithmetic, silu, softmax, rms_norm, embedding lookup and cross
+entropy.  `fused` makes one node of a numpy function with a hand-written
+backward; the decoder blocks of rlrc.kernels run through it.  Reductions
+accumulate in float64 so finite-difference gradient checks stay meaningful
+in float32.
 
 Set RLRC_CHECK_FINITE=1 to assert finiteness after every op (slow; losses
 and optimizer steps are always checked).
@@ -111,6 +114,11 @@ class no_grad:
         return False
 
 
+def grad_enabled():
+    """False inside a `no_grad` block."""
+    return _GRAD_ENABLED
+
+
 def _needs_grad(*ts):
     return _GRAD_ENABLED and any(isinstance(t, Tensor) and t.requires_grad for t in ts)
 
@@ -209,42 +217,24 @@ def square(a):
 
 
 def matmul(a, b):
-    """Matrix product.
-
-    Supports 2-d x 2-d, batched (..., m, k) x (..., k, n) with identical
-    leading dims, and (..., m, k) x (k, n) where the left side is flattened
-    through the contraction.
-    """
+    """Matrix product of (..., m, k) and a 2-d (k, n); leading dims of the
+    left side are flattened through the contraction."""
     ad, bd = _data(a), _data(b)
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {ad.shape} x {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.ndim < 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul needs (..., m, k) x (k, n) operands, got {ad.shape} x {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} x {bd.shape}")
-    if ad.ndim > 2 and bd.ndim == 2:
-        lead = ad.shape[:-1]
-        a2 = ad.reshape(-1, ad.shape[-1])
-        out = (a2 @ bd).reshape(*lead, bd.shape[-1])
-        flat = True
-    else:
-        if ad.ndim != bd.ndim or (ad.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]):
-            raise ShapeError(f"matmul batch dims differ: {ad.shape} x {bd.shape}")
-        out = np.matmul(ad, bd)
-        flat = False
+    a2 = ad.reshape(-1, ad.shape[-1])
+    out = (a2 @ bd).reshape(*ad.shape[:-1], bd.shape[1])
     if not _needs_grad(a, b):
         return Tensor(out, dtype=out.dtype)
 
     def bw(g):
-        if flat:
-            g2 = g.reshape(-1, g.shape[-1])
-            if isinstance(a, Tensor) and a.requires_grad:
-                a._accum((g2 @ bd.T).reshape(ad.shape))
-            if isinstance(b, Tensor) and b.requires_grad:
-                b._accum(ad.reshape(-1, ad.shape[-1]).T @ g2)
-        else:
-            if isinstance(a, Tensor) and a.requires_grad:
-                a._accum(np.matmul(g, np.swapaxes(bd, -1, -2)))
-            if isinstance(b, Tensor) and b.requires_grad:
-                b._accum(np.matmul(np.swapaxes(ad, -1, -2), g))
+        g2 = g.reshape(-1, g.shape[-1])
+        if isinstance(a, Tensor) and a.requires_grad:
+            a._accum((g2 @ bd.T).reshape(ad.shape))
+        if isinstance(b, Tensor) and b.requires_grad:
+            b._accum(a2.T @ g2)
 
     return Tensor._op(out, [t for t in (a, b) if isinstance(t, Tensor)], bw)
 
@@ -257,19 +247,6 @@ def reshape(a, shape):
 
     def bw(g):
         a._accum(g.reshape(ad.shape))
-
-    return Tensor._op(out, [a], bw)
-
-
-def transpose(a, axes):
-    ad = _data(a)
-    out = np.ascontiguousarray(np.transpose(ad, axes))
-    if not _needs_grad(a):
-        return Tensor(out, dtype=out.dtype)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        a._accum(np.ascontiguousarray(np.transpose(g, inv)))
 
     return Tensor._op(out, [a], bw)
 
@@ -346,6 +323,31 @@ def embedding_lookup(table, ids):
         table._accum(dt)
 
     return Tensor._op(out, [table], bw)
+
+
+def fused(fn, fn_backward, inputs, *args):
+    """One graph node for ``fn(*arrays, *args)``, a numpy function whose
+    gradients ``fn_backward`` computes by hand.
+
+    ``inputs`` are the operands that can carry gradients; a Tensor is
+    passed as its data, anything else (a quantized weight) as itself.
+    Without grad, fn runs as-is and nothing is recorded.  With grad, fn
+    also gets ``saved={}`` to keep the intermediates it computes anyway, and
+    ``fn_backward(g, *arrays, *args, saved)`` returns one gradient per input.
+    """
+    arrays = [t.data if isinstance(t, Tensor) else t for t in inputs]
+    if not _needs_grad(*inputs):
+        out = fn(*arrays, *args)
+        return Tensor(out, dtype=out.dtype)
+    saved = {}
+    out = fn(*arrays, *args, saved=saved)
+
+    def bw(g):
+        for t, gt in zip(inputs, fn_backward(g, *arrays, *args, saved)):
+            if isinstance(t, Tensor) and t.requires_grad:
+                t._accum(gt)
+
+    return Tensor._op(out, [t for t in inputs if isinstance(t, Tensor)], bw)
 
 
 def log_softmax_gather(logits, ids):

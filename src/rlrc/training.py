@@ -146,7 +146,7 @@ class EvalResult:
 
 
 class ModelPolicy:
-    """Greedy action decoder over the fast kernel path."""
+    """Greedy action decoder: `model.greedy_actions`, the decoder under no_grad."""
 
     def __init__(self, model):
         self.model = model
@@ -357,19 +357,6 @@ def compute_gae(buffer, gamma, lam):
     buffer.advantages = adv
     buffer.returns = ret
     return adv, ret
-
-
-def ppo_loss(ratio, advantage, eps):
-    """Clipped surrogate term min(r*A, clip(r, 1-eps, 1+eps)*A).
-
-    Pure-numpy reference used by tests; the trainer computes the same
-    expression through differentiable ops.
-    """
-    r = np.asarray(ratio, dtype=np.float64)
-    if np.any(r <= 0):
-        raise ValueError("probability ratio must be positive")
-    a = np.asarray(advantage, dtype=np.float64)
-    return np.minimum(r * a, np.clip(r, 1.0 - eps, 1.0 + eps) * a)
 
 
 def train_ppo(model, value_head, tasks, config, env_config,

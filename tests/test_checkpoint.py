@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from rlrc import checkpoint
+from rlrc import checkpoint, model as model_module
 from rlrc.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from rlrc.model import ModelConfig, PolicyModel, forward, init_model, init_value_head
 from rlrc.quant import QuantizedModel, quantize_model
@@ -70,6 +70,27 @@ def test_quantized_roundtrip(tmp_path):
     for (n, a), (_, b) in zip(qm.named_quant_tensors(), loaded.model.named_quant_tensors()):
         np.testing.assert_array_equal(a.packed, b.packed, err_msg=n)
         np.testing.assert_array_equal(a.scales, b.scales, err_msg=n)
+
+
+def test_load_builds_no_random_model(tmp_path, monkeypatch):
+    m = tiny_model(seed=4, n_heads=[2, 1], d_ff=[24, 5])
+    vh = init_value_head(m.config.d_model, seed=5)
+    dense, quant = tmp_path / "d.ckpt", tmp_path / "q.ckpt"
+    save_checkpoint(m, dense, value_head=vh)
+    save_checkpoint(quantize_model(m, 4, 16), quant)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint initialised a model")
+
+    for name in ("init_model", "init_value_head"):
+        monkeypatch.setattr(model_module, name, refuse)
+        monkeypatch.setattr(checkpoint, name, refuse, raising=False)
+    loaded = load_checkpoint(dense)
+    for (name, a), (_, b) in zip(m.named_params(), loaded.model.named_params()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+    for (name, a), (_, b) in zip(vh.named_params(), loaded.value_head.named_params()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+    assert isinstance(load_checkpoint(quant).model, QuantizedModel)
 
 
 def test_bad_magic_rejected(tmp_path):

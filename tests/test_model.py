@@ -1,18 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rlrc.model import (
     ModelConfig,
+    PolicyModel,
     batch_logprob_value,
     build_contexts,
-    fast_hidden,
-    fast_logits_last,
     forward,
     greedy_actions,
     init_model,
     init_value_head,
 )
-from rlrc.tensor import ShapeError, backward, sum_
+from rlrc.tensor import ShapeError, Tensor, add, backward, mul, no_grad, sum_
 
 
 def tiny_config(**kw):
@@ -33,6 +34,17 @@ def test_init_deterministic():
     a, b = init_model(cfg, seed=3), init_model(cfg, seed=3)
     for (na, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data, err_msg=na)
+
+
+def test_init_values_pinned():
+    # perfbench's models are init_model outputs: a fixed seed keeps its values
+    h = hashlib.sha256()
+    cfg = ModelConfig(n_heads=[4, 3, 1, 1, 2, 4], d_ff=[512, 5, 1, 1, 9, 512])
+    for _, p in init_model(cfg, seed=11).named_params():
+        h.update(p.data.tobytes())
+    for _, p in init_value_head(128, seed=3).named_params():
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "7d252043056c0979d062e7482cc57a9882c8bd3a530109b6d4999d82e4d5c90f"
 
 
 def test_init_different_seeds_differ():
@@ -81,6 +93,8 @@ def test_forward_rejects_overlong_and_bad_ids():
     m = init_model(cfg)
     with pytest.raises(ShapeError):
         forward(m, np.zeros(5, dtype=np.int64))
+    with pytest.raises(ShapeError):
+        forward(m, np.zeros((2, 0), dtype=np.int64))
     with pytest.raises(IndexError):
         forward(m, np.array([cfg.total_vocab]))
 
@@ -94,20 +108,103 @@ def test_causality_exact():
     la, _ = forward(m, a)
     lb, _ = forward(m, b)
     np.testing.assert_array_equal(la.data[:-3], lb.data[:-3])
-    fa = fast_hidden(m, a[None, :])
-    fb = fast_hidden(m, b[None, :])
-    np.testing.assert_array_equal(fa[0, :-3], fb[0, :-3])
+    with no_grad():
+        _, ha = forward(m, a[None, :])
+        _, hb = forward(m, b[None, :])
+    np.testing.assert_array_equal(ha.data[0, :-3], hb.data[0, :-3])
 
 
-def test_fast_path_matches_autodiff_path():
-    cfg = tiny_config()
+def test_forward_same_with_and_without_grad():
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
     m = init_model(cfg, seed=5)
     ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(4)])
     logits, hidden = forward(m, ctx)
-    fh = fast_hidden(m, ctx)
-    assert np.abs(fh - hidden.data).max() < 1e-4
-    fl = fast_logits_last(m, ctx)
-    assert np.abs(fl - logits.data[:, -1, :]).max() < 1e-4
+    assert logits.requires_grad and hidden.requires_grad
+    with no_grad():
+        logits_ng, hidden_ng = forward(m, ctx)
+    np.testing.assert_array_equal(logits.data, logits_ng.data)
+    np.testing.assert_array_equal(hidden.data, hidden_ng.data)
+
+
+def reference_logits(m, tokens):
+    """Plain float64 numpy decoder, one attention head at a time."""
+    cfg = m.config
+    w = {name: p.data.astype(np.float64) for name, p in m.named_params()}
+    s = tokens.shape[-1]
+    hd = cfg.head_dim
+    causal = np.tril(np.ones((s, s), dtype=bool))
+
+    def norm(x, gain):
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6) * gain
+
+    x = w["tok_emb"][tokens] + w["pos_emb"][:s]
+    for li in range(cfg.n_layers):
+        lw = {name.split(".")[-1]: a for name, a in w.items()
+              if name.startswith(f"layers.{li}.")}
+        xn = norm(x, lw["attn_gain"])
+        q, k, v = xn @ lw["wq"], xn @ lw["wk"], xn @ lw["wv"]
+        heads = []
+        for h in range(cfg.n_heads[li]):
+            cols = slice(h * hd, (h + 1) * hd)
+            scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(hd)
+            scores = np.where(causal, scores, -np.inf)
+            p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            heads.append(p / p.sum(axis=-1, keepdims=True) @ v[..., cols])
+        x = x + np.concatenate(heads, axis=-1) @ lw["wo"]
+        xn = norm(x, lw["mlp_gain"])
+        gate = xn @ lw["wgate"]
+        x = x + (xn @ lw["wup"] * gate / (1.0 + np.exp(-gate))) @ lw["wdown"]
+    return norm(x, w["final_gain"]) @ w["w_act"]
+
+
+def test_forward_matches_float64_reference():
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
+    m = init_model(cfg, seed=3)
+    ctx = np.stack([ctx_for(cfg, 9, seed=i) for i in range(3)])
+    logits, _ = forward(m, ctx)
+    assert np.abs(logits.data - reference_logits(m, ctx)).max() < 1e-5
+
+
+def test_forward_gradients_match_finite_differences():
+    # 2 layers, 2 heads, the second layer pruned to 1 head; float64 end to end
+    cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8)
+    m32 = init_model(cfg, seed=2)
+    m = PolicyModel.from_params(cfg, {
+        name: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+        for name, p in m32.named_params()})
+    rng = np.random.default_rng(0)
+    ctx = np.stack([ctx_for(cfg, 4, seed=i) for i in range(2)])
+    r_logits = rng.standard_normal((2, 5, cfg.action_vocab))
+    r_hidden = rng.standard_normal((2, 5, cfg.d_model))
+
+    def loss():
+        logits, hidden = forward(m, ctx)
+        return add(sum_(mul(logits, r_logits)), sum_(mul(hidden, r_hidden)))
+
+    backward(loss())
+    used_rows = np.unique(ctx)
+    kinds = {"tok_emb", "pos_emb", "final_gain", "w_act"}
+    kinds |= {f"layers.{li}.{n}" for li in range(2) for n in
+              ("attn_gain", "mlp_gain", "wq", "wk", "wv", "wo", "wup", "wgate", "wdown")}
+    eps = 1e-6
+    for name, p in m.named_params():
+        assert name in kinds
+        assert p.grad is not None and p.grad.dtype == np.float64, name
+        for _ in range(3):
+            idx = tuple(rng.integers(0, n) for n in p.data.shape)
+            if name == "tok_emb":
+                idx = (rng.choice(used_rows),) + idx[1:]
+            elif name == "pos_emb":
+                idx = (rng.integers(0, ctx.shape[1]),) + idx[1:]
+            orig = p.data[idx]
+            with no_grad():
+                p.data[idx] = orig + eps
+                up = float(loss().data)
+                p.data[idx] = orig - eps
+                down = float(loss().data)
+            p.data[idx] = orig
+            fd = (up - down) / (2 * eps)
+            assert abs(fd - p.grad[idx]) <= 1e-7 + 1e-6 * abs(fd), (name, idx, fd, p.grad[idx])
 
 
 def test_greedy_sampling_deterministic():

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from rlrc import kernels
 from rlrc.checkpoint import save_checkpoint, weight_payload_bytes
-from rlrc.model import ModelConfig, init_model
+from rlrc.model import ModelConfig, fast_logits_last, forward, init_model
 from rlrc.quant import (
     QuantError,
+    QuantizedModel,
     dequantize,
     dequantize_model,
     memory_bytes,
@@ -16,7 +17,7 @@ from rlrc.quant import (
     quantize_tensor,
     unpack4,
 )
-from rlrc.tensor import ShapeError
+from rlrc.tensor import GradError, ShapeError, Tensor, no_grad
 
 
 def tiny_model(seed=0):
@@ -175,14 +176,46 @@ def test_quantize_model_shapes_and_idempotence():
 def test_quantized_forward_close_to_dense():
     m = tiny_model(seed=8)
     qm = quantize_model(m, 8, 32)
-    from rlrc.model import fast_logits_last
-
     ctx = np.array([[1, 2, 3, 4, m.config.bos_action_id]] * 3)
     dense = fast_logits_last(m, ctx)
     quant = qm.logits_last(ctx)
     assert np.abs(dense - quant).max() < 0.15  # 8-bit stays close
     # the quantized forward is the dense forward of the dequantized weights
     assert np.abs(quant - fast_logits_last(dequantize_model(qm), ctx)).max() < 1e-4
+
+
+def test_quantized_forward_serves_under_no_grad():
+    m = tiny_model(seed=6)
+    qm = quantize_model(m, 4, 16)
+    ref = dequantize_model(qm)
+    ctx = np.array([[1, 2, 3, 4, m.config.bos_action_id]] * 2)
+    with no_grad():
+        logits, hidden = forward(qm, ctx)
+        ref_logits, ref_hidden = forward(ref, ctx)
+    assert not logits.requires_grad
+    assert np.abs(logits.data - ref_logits.data).max() < 1e-5
+    assert np.abs(hidden.data - ref_hidden.data).max() < 1e-5
+
+
+def test_quantized_forward_with_grad_names_the_weight():
+    m = tiny_model(seed=6)
+    qm = quantize_model(m, 4, 16)
+    with pytest.raises(GradError, match=r"layers\.0\.wq .*inference-only"):
+        forward(qm, np.array([[1, 2, m.config.bos_action_id]]))
+
+
+def test_quantized_copy_is_identical_and_independent():
+    m = tiny_model(seed=4)
+    qm = quantize_model(m, 4, 16)
+    cp = qm.copy()
+    assert isinstance(cp, QuantizedModel)
+    ctx = np.array([[1, 2, 3, 4, m.config.bos_action_id]] * 3)
+    np.testing.assert_array_equal(fast_logits_last(cp, ctx), fast_logits_last(qm, ctx))
+    for (name, a), (_, b) in zip(qm.named_params(), cp.named_params()):
+        if isinstance(a, Tensor):
+            assert not np.shares_memory(a.data, b.data), name
+    cp.tok_emb.data[:] = 0.0
+    assert np.any(qm.tok_emb.data)
 
 
 def test_quantized_decode_validates_tokens():

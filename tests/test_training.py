@@ -18,7 +18,6 @@ from rlrc.training import (
     compute_gae,
     demo_arrays,
     evaluate,
-    ppo_loss,
     sft_loss,
     train_ppo,
     train_sft,
@@ -195,6 +194,16 @@ def test_gae_truncation_bootstraps_from_critic():
 
 
 # -- ppo loss ------------------------------------------------------------------
+
+def ppo_loss(ratio, advantage, eps):
+    """Clipped surrogate term min(r*A, clip(r, 1-eps, 1+eps)*A): the numpy
+    reference of the expression `train_ppo` builds from differentiable ops."""
+    r = np.asarray(ratio, dtype=np.float64)
+    if np.any(r <= 0):
+        raise ValueError("probability ratio must be positive")
+    a = np.asarray(advantage, dtype=np.float64)
+    return np.minimum(r * a, np.clip(r, 1.0 - eps, 1.0 + eps) * a)
+
 
 def test_ppo_loss_ratio_one_identity():
     assert ppo_loss(1.0, 2.0, 0.2) == pytest.approx(2.0, abs=1e-7)
