@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from .cli import BLAS_THREAD_VARS
 from .env import reset
 from .model import build_contexts, greedy_actions
 from .pruning import param_counts
@@ -43,9 +44,10 @@ def report_header(extra=None):
     h = {
         "cpu": _cpu_model(),
         "platform": platform.platform(),
-        "threads": os.environ.get("RLRC_THREADS", "unset"),
         "throughput_definition": "greedy action decodes per second at the stated batch size",
         "latency_definition": "median wall ms of one greedy decode at batch 1",
+        # the thread counts BLAS was started with, after RLRC_THREADS applied
+        **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
     }
     if extra:
         h.update(extra)

@@ -154,32 +154,6 @@ class LoadedCheckpoint:
         self.config = config
 
 
-def weight_payload_bytes(path, include_value_head=False):
-    """Raw tensor payload bytes in a checkpoint (names/headers excluded).
-
-    Matches quant.memory_bytes exactly; the bench harness reconciles its
-    memory column against this.
-    """
-    with open(path, "rb") as fh:
-        f = io.BytesIO(fh.read())
-    if _read(f, 4) != MAGIC:
-        raise CheckpointError(f"bad magic in {path!r}")
-    _r_u32(f)
-    json.loads(_read(f, _r_u32(f)).decode("utf-8"))
-    weights = scales = 0
-    for _ in range(_r_u32(f)):
-        name, (kind, payload) = _read_entry(f)
-        if not include_value_head and name.startswith("value_head."):
-            continue
-        if kind == "dense":
-            weights += payload.nbytes
-        else:
-            weights += payload.packed.nbytes
-            scales += payload.scales.nbytes
-    return {"weights_bytes": weights, "scales_bytes": scales,
-            "total_bytes": weights + scales}
-
-
 def _take(tensors, name, kind):
     if name not in tensors:
         raise CheckpointError(f"checkpoint missing tensor {name}")

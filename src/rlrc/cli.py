@@ -6,7 +6,8 @@ stage's checkpoint (validated via checkpoint metadata), writes its own
 checkpoint plus a JSONL metrics log, and echoes the fully resolved config
 into the output directory.
 
-RLRC_THREADS caps math-kernel threads and must be honored before numpy
+RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
+inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
 loads, so the heavy imports happen inside main().
 """
 
@@ -27,11 +28,15 @@ class CliError(RuntimeError):
     pass
 
 
+# the variables the BLAS builds numpy may load read their thread count from
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _setup_threads():
     n = os.environ.get("RLRC_THREADS")
     if n:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+        for var in BLAS_THREAD_VARS:
+            os.environ[var] = n
 
 
 def _load_config(args):

@@ -344,17 +344,6 @@ def load_demos(path):
     return demos
 
 
-def render(state):
-    """ASCII dump for debugging."""
-    c = state.config
-    grid = [["." for _ in range(c.width)] for _ in range(c.height)]
-    grid[state.plate_y][state.plate_x] = "P"
-    for i, o in enumerate(state.objects):
-        grid[o.y][o.x] = str(o.obj_type) if i else "T"
-    grid[state.gripper_y][state.gripper_x] = "G" if state.holding is None else "H"
-    return "\n".join("".join(row) for row in grid)
-
-
 class VecEnv:
     """N independent envs stepped in index order.
 

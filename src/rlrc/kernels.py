@@ -2,11 +2,14 @@
 
 `attn_block`, `mlp_block` and `rms_rows` are the decoder's arithmetic;
 ``model.forward`` applies them as autodiff nodes (`tensor.fused`), so
-serving, rollouts and training run the same code.  They keep the input
-dtype (float32 in use, float64 for gradient checks), with float64
-accumulators in the rms statistics, and apply each weight as ``x @ W``,
-so a weight is either an array or a ``quant.QuantizedTensor``, whose
-``__rmatmul__`` calls `qdot4` or `qdot8`.
+serving, rollouts and training run the same code.  `attn_block` takes its
+query rows from the mask: with a (T, S) mask it attends from the last T
+positions over all S and returns those T rows, so the last layer computes
+keys and values for every position and the rest for the marker row only.
+The blocks keep the input dtype (float32 in use, float64 for gradient
+checks), with float64 accumulators in the rms statistics, and apply each
+weight as ``x @ W``, so a weight is either an array or a
+``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot4` or `qdot8`.
 
 Given a ``saved`` dict, a block also keeps the intermediates it computed
 anyway; its hand-written backward (`attn_block_backward`,
@@ -44,13 +47,19 @@ def rms_rows_backward(g2, x2, gain):
 
 
 def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
-    """Pre-norm causal self-attention block with residual; returns new x.
+    """Pre-norm causal self-attention block with residual.
 
-    ``mask`` is the (S, S) additive causal mask, built once per forward.
+    ``mask`` is the (T, S) additive causal mask of the last T of the S
+    positions: keys and values come from every position, queries only from
+    those T.  Returns the new residual stream at those T positions,
+    (B, T, D); ``model.forward`` passes T = S except in the last layer,
+    where T = 1, the marker row.
     """
     b, s, d = x.shape
+    t = mask.shape[0]
     xn = rms_rows(x.reshape(b * s, d), gain)
-    q = (xn @ wq).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
+    xq = xn.reshape(b, s, d)[:, s - t:].reshape(b * t, d)
+    q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(head_dim))
@@ -58,31 +67,39 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     scores -= scores.max(axis=-1, keepdims=True)
     p = np.exp(scores)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * s, n_heads * head_dim)
+    ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
     if saved is not None:
-        saved.update(xn=xn, q=q, k=k, v=v, p=p, ctx=ctx)
-    return x + (ctx @ wo).reshape(b, s, d)
+        saved.update(xn=xn, xq=xq, q=q, k=k, v=v, p=p, ctx=ctx)
+    return x[:, s - t:] + (ctx @ wo).reshape(b, t, d)
 
 
 def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved):
-    """Gradients (dx, dgain, dwq, dwk, dwv, dwo) of `attn_block`."""
+    """Gradients (dx, dgain, dwq, dwk, dwv, dwo) of `attn_block`.
+
+    ``dout`` is (B, T, D), for the query rows; ``dx`` covers all S rows.
+    """
     b, s, d = x.shape
-    xn, q, k, v, p, ctx = (saved[n] for n in ("xn", "q", "k", "v", "p", "ctx"))
-    g2 = dout.reshape(b * s, d)
-    dctx = (g2 @ wo.T).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
+    t = mask.shape[0]
+    xn, xq, q, k, v, p, ctx = (saved[n] for n in ("xn", "xq", "q", "k", "v", "p", "ctx"))
+    g2 = dout.reshape(b * t, d)
+    dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     dp = np.matmul(dctx, v.transpose(0, 1, 3, 2))
     dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
     dscores *= np.float32(1.0 / np.sqrt(head_dim))
 
-    def rows(t):  # (B, H, S, hd) -> (B*S, H*hd)
-        return t.transpose(0, 2, 1, 3).reshape(b * s, n_heads * head_dim)
+    def rows(a):  # (B, H, R, hd) -> (B*R, H*hd)
+        return a.transpose(0, 2, 1, 3).reshape(-1, n_heads * head_dim)
 
     dq = rows(np.matmul(dscores, k))
     dk = rows(np.matmul(dscores.transpose(0, 1, 3, 2), q))
     dv = rows(np.matmul(p.transpose(0, 1, 3, 2), dctx))
-    dxn = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    dxn = dk @ wk.T
+    dxn.reshape(b, s, d)[:, s - t:] += (dq @ wq.T).reshape(b, t, d)
+    dxn += dv @ wv.T
     dx, dgain = rms_rows_backward(dxn, x.reshape(b * s, d), gain)
-    return (dout + dx.reshape(b, s, d), dgain, xn.T @ dq, xn.T @ dk, xn.T @ dv, ctx.T @ g2)
+    dx = dx.reshape(b, s, d)
+    dx[:, s - t:] += dout
+    return dx, dgain, xq.T @ dq, xn.T @ dk, xn.T @ dv, ctx.T @ g2
 
 
 def mlp_block(x, gain, wup, wgate, wdown, saved=None):

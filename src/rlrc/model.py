@@ -1,9 +1,9 @@
 """Decoder-only transformer policy over symbolic tokens.
 
 Sequence layout: [observation tokens (instruction first)] [begin-of-action
-marker].  The action head produces logits over the action vocabulary at
-every position; the action is read at the marker, whose final-block hidden
-state also feeds the value head.
+marker].  The action is read at the marker, the last position, whose
+final-block hidden state also feeds the value head; the decoder computes
+its output there only.
 
 A model is its config plus named parameters (`named_params`), and
 `PolicyModel.from_params` builds one from such a dict.  A parameter is a
@@ -14,7 +14,10 @@ config alone.
 
 `forward` is the one decoder.  Each layer is two autodiff nodes whose
 forward bodies are `kernels.attn_block` and `kernels.mlp_block` and whose
-backward is hand-written next to them.  Training, PPO log-probs, the value
+backward is hand-written next to them.  Every layer but the last runs over
+all positions; the last computes keys and values for all of them and the
+rest (queries, attention output, MLP) for the marker row only, and so do
+the output norm and the action head.  Training, PPO log-probs, the value
 head and Taylor scoring record the nodes; under `no_grad` the same call
 runs the kernels and records nothing, which is how `fast_logits_last`
 serves.  A quantized weight implements ``x @ W`` for the kernels, so a
@@ -46,7 +49,6 @@ from .tensor import (
     silu,
     softmax,
     sum_,
-    take_last,
 )
 
 EPS_NORM = 1e-6
@@ -268,13 +270,13 @@ def _check_tokens(config, tokens):
 
 
 def forward(model, tokens):
-    """The decoder: action logits and final hidden states.
+    """The decoder: action logits and final hidden state at the last position.
 
-    Returns (logits over the action vocab at each position, final-block
-    hidden states after the output norm).  Accepts (S,) or (B, S) int
-    tokens; outputs match ((S, A), (S, D)) or ((B, S, A), (B, S, D)).
-    Differentiable with grad enabled; a quantized model runs only under
-    `no_grad`.
+    Returns (logits over the action vocab, final-block hidden state after
+    the output norm), both at the last position only.  Accepts (S,) or
+    (B, S) int tokens; outputs are ((1, A), (1, D)) or ((B, 1, A),
+    (B, 1, D)), keeping a length-1 position axis.  Differentiable with grad
+    enabled; a quantized model runs only under `no_grad`.
     """
     cfg = model.config
     tokens, squeezed = _check_tokens(cfg, tokens)
@@ -287,17 +289,19 @@ def forward(model, tokens):
     x = add(embedding_lookup(model.tok_emb, tokens),
             embedding_lookup(model.pos_emb, np.arange(s)))
     mask = np.triu(np.full((s, s), -1e9, dtype=x.data.dtype), k=1)
+    last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
+        # the last layer's queries are the marker row's: x becomes (B, 1, D)
         x = fused(kernels.attn_block, kernels.attn_block_backward,
                   (x, layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo),
-                  cfg.n_heads[li], cfg.head_dim, mask)
+                  cfg.n_heads[li], cfg.head_dim, mask[-1:] if li == last else mask)
         x = fused(kernels.mlp_block, kernels.mlp_block_backward,
                   (x, layer.mlp_gain, layer.wup, layer.wgate, layer.wdown))
     hidden = mul(rms_norm(x, -1, EPS_NORM), model.final_gain)
     logits = matmul(hidden, model.w_act)
     if squeezed:
-        logits = reshape(logits, (s, cfg.action_vocab))
-        hidden = reshape(hidden, (s, cfg.d_model))
+        logits = reshape(logits, (1, cfg.action_vocab))
+        hidden = reshape(hidden, (1, cfg.d_model))
     return logits, hidden
 
 
@@ -322,21 +326,22 @@ def batch_logprob_value(model, value_head, contexts, actions, detach_value_input
 
     ``contexts`` is (B, S) all ending at the marker position; ``actions``
     is (B,).  Returns differentiable ((B,) log-probs, (B,) values, entropy
-    scalar).  This is the PPO update path; collection uses the same ops so
+    scalar), all read at the marker, the one position `forward` computes.
+    This is the PPO update path; collection uses the same ops so
     stored and recomputed log-probs agree exactly.  With
     ``detach_value_input`` the critic reads the hidden state through a
     stop-gradient (ablation switch); by default critic gradients flow into
     the shared backbone.
     """
     logits, hidden = forward(model, contexts)
-    last_logits = take_last(logits, -1, axis=1)
+    last_logits = reshape(logits, (-1, model.config.action_vocab))
     lps = log_softmax_gather(last_logits, np.asarray(actions, dtype=np.int64))
     log_p = log_softmax(last_logits, -1)
     p = softmax(last_logits, -1)
     entropy = mul(mean(sum_(mul(p, log_p), axis=1)), -1.0)
     values = None
     if value_head is not None:
-        h_last = take_last(hidden, -1, axis=1)
+        h_last = reshape(hidden, (-1, model.config.d_model))
         if detach_value_input:
             h_last = h_last.detach()
         values = value_head.apply(h_last)

@@ -475,23 +475,6 @@ def sum_(a, axis=None):
     return Tensor._op(out, [a], bw)
 
 
-def take_last(a, index, axis=1):
-    """Select one index along ``axis`` (used to pick a sequence position)."""
-    ad = _data(a)
-    sl = [slice(None)] * ad.ndim
-    sl[axis] = index
-    out = ad[tuple(sl)]
-    if not _needs_grad(a):
-        return Tensor(out, dtype=out.dtype)
-
-    def bw(g):
-        d = np.zeros_like(ad)
-        d[tuple(sl)] = g
-        a._accum(d)
-
-    return Tensor._op(out, [a], bw)
-
-
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ clipped-surrogate updates with GAE over sparse-reward rollouts from the
 vectorized env, critic sharing the transformer backbone.  Evaluation is
 batched greedy rollout over a deterministic (task, seed) grid and is the
 single scorer used by every pipeline stage.
+
+Every loss, rollout and value here reads the policy at the marker, the
+last context position, which is the one position `model.forward` computes:
+its (B, 1, A) logits and (B, 1, D) hidden states are reshaped or indexed
+at ``[:, -1, :]``.
 """
 
 import json
@@ -38,9 +43,9 @@ from .tensor import (
     mul,
     neg,
     no_grad,
+    reshape,
     square,
     sub,
-    take_last,
 )
 
 
@@ -129,7 +134,7 @@ def sft_loss(model, obs_batch, action_batch):
     actions = np.asarray(action_batch, dtype=np.int64).reshape(-1)
     contexts = build_contexts(model.config, obs)
     logits, _ = forward(model, contexts)
-    return cross_entropy(take_last(logits, -1, axis=1), actions)
+    return cross_entropy(reshape(logits, (-1, model.config.action_vocab)), actions)
 
 
 # ---------------------------------------------------------------------------

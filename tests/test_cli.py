@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from rlrc import cli, pruning
+from rlrc import bench, cli, pruning
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
@@ -180,3 +180,22 @@ def test_bench_report_csv_columns(tmp_path):
     with open(os.path.join(out, "bench_report.json")) as f:
         row = json.load(f)["rows"][0]
     assert row["unstable"] == (row["latency_cv"] >= 0.15)
+
+
+def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):
+    monkeypatch.setenv("RLRC_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # inherited from the shell
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    cli._setup_threads()
+    header = bench.report_header()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1" and header[var] == "1", var
+    # without the cap, the inherited counts stand and the header names them
+    monkeypatch.delenv("RLRC_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    cli._setup_threads()
+    header = bench.report_header()
+    assert header["OPENBLAS_NUM_THREADS"] == "4"
+    assert header["OMP_NUM_THREADS"] == "unset"

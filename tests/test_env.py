@@ -7,7 +7,7 @@ from rlrc.env import (
     DOWN, GRASP, LEFT, RELEASE, RIGHT, UP,
     Demonstration, EnvConfig, EnvError, SplitError, TaskSpec, VecEnv,
     expert_policy, generate_demos, load_demos, load_task_suite,
-    make_task_suite, obs_tokens, render, reset, run_expert_episode,
+    make_task_suite, obs_tokens, reset, run_expert_episode,
     save_task_suite, step,
 )
 
@@ -263,9 +263,3 @@ def test_episode_return_bounded():
         for _, a in demo.steps:
             total += step(state, a).reward
         assert total <= 1.1 + 1e-9
-
-
-def test_render_smoke():
-    state, _ = reset(CFG, TaskSpec(0, 1, "IND"), 0)
-    art = render(state)
-    assert "T" in art and "P" in art and "G" in art

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rlrc import kernels
 from rlrc.model import (
     ModelConfig,
     PolicyModel,
@@ -79,13 +80,14 @@ def test_forward_shapes():
     cfg = tiny_config()
     m = init_model(cfg)
     ctx = ctx_for(cfg, 7)
+    # the last position only; a batch keeps a length-1 position axis
     logits, hidden = forward(m, ctx)
-    assert logits.data.shape == (8, cfg.action_vocab)
-    assert hidden.data.shape == (8, cfg.d_model)
+    assert logits.data.shape == (1, cfg.action_vocab)
+    assert hidden.data.shape == (1, cfg.d_model)
     batch = np.stack([ctx, ctx])
     logits, hidden = forward(m, batch)
-    assert logits.data.shape == (2, 8, cfg.action_vocab)
-    assert hidden.data.shape == (2, 8, cfg.d_model)
+    assert logits.data.shape == (2, 1, cfg.action_vocab)
+    assert hidden.data.shape == (2, 1, cfg.d_model)
 
 
 def test_forward_rejects_overlong_and_bad_ids():
@@ -97,21 +99,6 @@ def test_forward_rejects_overlong_and_bad_ids():
         forward(m, np.zeros((2, 0), dtype=np.int64))
     with pytest.raises(IndexError):
         forward(m, np.array([cfg.total_vocab]))
-
-
-def test_causality_exact():
-    cfg = tiny_config()
-    m = init_model(cfg)
-    a = ctx_for(cfg, 8)
-    b = a.copy()
-    b[-2:] = (b[-2:] + 1) % cfg.observation_vocab
-    la, _ = forward(m, a)
-    lb, _ = forward(m, b)
-    np.testing.assert_array_equal(la.data[:-3], lb.data[:-3])
-    with no_grad():
-        _, ha = forward(m, a[None, :])
-        _, hb = forward(m, b[None, :])
-    np.testing.assert_array_equal(ha.data[0, :-3], hb.data[0, :-3])
 
 
 def test_forward_same_with_and_without_grad():
@@ -162,7 +149,52 @@ def test_forward_matches_float64_reference():
     m = init_model(cfg, seed=3)
     ctx = np.stack([ctx_for(cfg, 9, seed=i) for i in range(3)])
     logits, _ = forward(m, ctx)
-    assert np.abs(logits.data - reference_logits(m, ctx)).max() < 1e-5
+    assert logits.data.shape == (3, 1, cfg.action_vocab)
+    assert np.abs(logits.data[:, 0] - reference_logits(m, ctx)[:, -1]).max() < 1e-5
+
+
+def test_causality_prefixes_match_reference():
+    # the output for a prefix is the full sequence's reference row at its end:
+    # no position reads a later one
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
+    m = init_model(cfg, seed=1)
+    ctx = ctx_for(cfg, 8)
+    ref = reference_logits(m, ctx)
+    for j in range(1, len(ctx) + 1):
+        logits, _ = forward(m, ctx[:j])
+        assert logits.data.shape == (1, cfg.action_vocab)
+        assert np.abs(logits.data[0] - ref[j - 1]).max() < 1e-5, j
+
+
+def test_attn_block_query_rows_match_full_block():
+    # float32: a 1-row mask gives the full block's last row, and its backward
+    # the full backward of a gradient that is zero off the last row
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
+    m = init_model(cfg, seed=4)
+    rng = np.random.default_rng(1)
+    b, s, d = 3, 7, cfg.d_model
+    x = rng.standard_normal((b, s, d)).astype(np.float32)
+    dout = rng.standard_normal((b, 1, d)).astype(np.float32)
+    dout_full = np.zeros((b, s, d), dtype=np.float32)
+    dout_full[:, -1:] = dout
+    mask = np.triu(np.full((s, s), -1e9, dtype=np.float32), k=1)
+
+    def close(got, want):
+        assert got.shape == want.shape and got.dtype == np.float32
+        return np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    for li, layer in enumerate(m.layers):
+        weights = [p.data for p in (layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo)]
+        args = (cfg.n_heads[li], cfg.head_dim)
+        saved_full, saved_row = {}, {}
+        full = kernels.attn_block(x, *weights, *args, mask, saved=saved_full)
+        row = kernels.attn_block(x, *weights, *args, mask[-1:], saved=saved_row)
+        assert close(row, full[:, -1:]), li
+        grads_full = kernels.attn_block_backward(dout_full, x, *weights, *args, mask, saved_full)
+        grads_row = kernels.attn_block_backward(dout, x, *weights, *args, mask[-1:], saved_row)
+        for name, g_row, g_full in zip(("x", "gain", "wq", "wk", "wv", "wo"),
+                                       grads_row, grads_full):
+            assert close(g_row, g_full), (li, name)
 
 
 def test_forward_gradients_match_finite_differences():
@@ -174,11 +206,13 @@ def test_forward_gradients_match_finite_differences():
         for name, p in m32.named_params()})
     rng = np.random.default_rng(0)
     ctx = np.stack([ctx_for(cfg, 4, seed=i) for i in range(2)])
-    r_logits = rng.standard_normal((2, 5, cfg.action_vocab))
-    r_hidden = rng.standard_normal((2, 5, cfg.d_model))
+    # shaped as forward's outputs, the last position only
+    r_logits = rng.standard_normal((2, 1, cfg.action_vocab))
+    r_hidden = rng.standard_normal((2, 1, cfg.d_model))
 
     def loss():
         logits, hidden = forward(m, ctx)
+        assert logits.data.shape == r_logits.shape and hidden.data.shape == r_hidden.shape
         return add(sum_(mul(logits, r_logits)), sum_(mul(hidden, r_hidden)))
 
     backward(loss())

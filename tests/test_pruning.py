@@ -66,7 +66,7 @@ def test_single_group_removal_never_breaks_forward():
         plan = _plan_for(m, [g])
         pruned = apply_prune(m, plan)
         logits, _ = forward(pruned, ctx)
-        assert logits.data.shape == (4, m.config.action_vocab)
+        assert logits.data.shape == (1, m.config.action_vocab)
 
 
 def _plan_for(model, groups, exempt=()):
@@ -201,8 +201,8 @@ def test_default_config_ninety_percent_plan():
     # external interface intact
     ctx = np.array([[1, 2, 3, m.config.bos_action_id]])
     logits, hidden = forward(pruned, ctx)
-    assert logits.data.shape == (1, 4, 6)
-    assert hidden.data.shape == (1, 4, 128)
+    assert logits.data.shape == (1, 1, 6)
+    assert hidden.data.shape == (1, 1, 128)
 
 
 def test_exempt_layers_never_pruned():

@@ -1,9 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlrc import kernels
-from rlrc.checkpoint import save_checkpoint, weight_payload_bytes
+from rlrc import checkpoint, kernels
+from rlrc.checkpoint import save_checkpoint
 from rlrc.model import ModelConfig, fast_logits_last, forward, init_model
 from rlrc.quant import (
     QuantError,
@@ -245,6 +247,25 @@ def test_memory_dense_formula():
     assert mem["weights_bytes"] == m.num_params() * 4
     assert mem["scales_bytes"] == 0
     assert mem["total_bytes"] == mem["weights_bytes"]
+
+
+def weight_payload_bytes(path):
+    """Raw tensor payload bytes of a checkpoint (names and headers excluded),
+    read from the file as `memory_bytes` would count them."""
+    with open(path, "rb") as fh:
+        f = io.BytesIO(fh.read())
+    assert checkpoint._read(f, 4) == checkpoint.MAGIC
+    checkpoint._r_u32(f)
+    checkpoint._read(f, checkpoint._r_u32(f))
+    weights = scales = 0
+    for _ in range(checkpoint._r_u32(f)):
+        _, (kind, payload) = checkpoint._read_entry(f)
+        if kind == "dense":
+            weights += payload.nbytes
+        else:
+            weights += payload.packed.nbytes
+            scales += payload.scales.nbytes
+    return {"weights_bytes": weights, "scales_bytes": scales, "total_bytes": weights + scales}
 
 
 def test_memory_reconciles_with_serialized_payload(tmp_path):
