@@ -29,7 +29,7 @@ class DemoSection:
 class PruneSection:
     ratio: float = 0.9
     exempt_layers: list = None  # None -> first and last
-    calib_batch: int = 256
+    calib_batch: int = 256  # rows scored by taylor_importance, in fixed-size chunks
     seed: int = None
 
 

@@ -168,7 +168,6 @@ def _qdot_tiles(x, scales, n, block, codes):
     # other layout f2py would update a copy), and rounding the C-ordered out
     # to float32 is then a plain copy, not a transpose
     out = np.empty((m, n), dtype=np.float64)
-    x64 = np.asfortranarray(x, dtype=np.float64)
     rows = max(1, _TILE_VALUES // n)
     for r0 in range(0, k, rows):
         r1 = min(k, r0 + rows)
@@ -179,11 +178,13 @@ def _qdot_tiles(x, scales, n, block, codes):
         tile *= codes(start, stop)
         if _alloc_hook is not None:
             _alloc_hook(tile.size)
-        # out.T = tile.T @ x[:, r0:r1].T (+ out.T after the first tile); both
-        # operands are Fortran-ordered views, so f2py copies neither
+        # out.T = tile.T @ x[:, r0:r1].T (+ out.T after the first tile).  The
+        # transpose of a C-ordered float64 cast of the tile's columns of x is
+        # the Fortran-ordered (rows, m) operand dgemm reads untransposed, so
+        # f2py copies neither operand (a transposing cast of x costs ~4x)
         w64 = tile.astype(np.float64).reshape(r1 - r0, n)
-        dgemm(1.0, w64.T, x64[:, r0:r1], beta=float(r0 > 0), c=out.T, trans_b=1,
-              overwrite_c=1)
+        x64 = np.ascontiguousarray(x[:, r0:r1], dtype=np.float64)
+        dgemm(1.0, w64.T, x64.T, beta=float(r0 > 0), c=out.T, overwrite_c=1)
     return out.astype(np.float32)
 
 

@@ -122,24 +122,39 @@ def _member_view(params, member):
     return data[tuple(sl)]
 
 
+# calibration rows per forward/backward in `taylor_importance`: peak memory
+# is one chunk's autodiff graph, whatever the calibration batch size
+_CHUNK_ROWS = 32
+
+
 def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
     """First-order Taylor scores: I(g) = sum over g of |w * dL/dw|.
 
-    One SFT-loss backward pass on the calibration batch; scores cover
-    every group (exemptions apply at selection time).  Parameter
-    gradients are cleared afterwards.
+    L is the SFT loss, the mean over all calibration rows.  Its gradient is
+    summed over fixed-size chunks of rows, each chunk's loss weighted by its
+    share of the rows; peak memory is one chunk's graph, independent of the
+    batch size.  Scores cover every group (exemptions apply at selection
+    time), and ``loss`` is the mean over all rows.  Parameter gradients are
+    cleared afterwards.
     """
     from .training import sft_loss  # local import; training pulls in env
-    from .tensor import backward
+    from .tensor import backward, mul
 
     obs = np.asarray(calibration_obs)
     if obs.size == 0:
         raise PruningError("empty calibration batch")
+    actions = np.asarray(calibration_actions)
+    n = obs.shape[0]
     for p in model.params():
         p.grad = None
-    loss = sft_loss(model, obs, calibration_actions)
-    check_finite(loss, "calibration loss")
-    backward(loss)
+    loss = 0.0
+    for r0 in range(0, n, _CHUNK_ROWS):
+        r1 = min(n, r0 + _CHUNK_ROWS)
+        share = (r1 - r0) / n
+        chunk = sft_loss(model, obs[r0:r1], actions[r0:r1])
+        check_finite(chunk, "calibration loss")
+        backward(mul(chunk, share))
+        loss += share * float(chunk.data)
     params = _param_map(model)
     grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for name, p in params.items()}
@@ -153,8 +168,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
         scores[g.key] = acc
     for p in model.params():
         p.grad = None
-    return ImportanceTable(scores=scores, batch_size=int(obs.shape[0]), seed=seed,
-                           loss=float(loss.data))
+    return ImportanceTable(scores=scores, batch_size=n, seed=seed, loss=loss)
 
 
 def select_prune_groups(model, table, target_ratio, exempt_layers=None):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from rlrc.env import EnvConfig, generate_demos, make_task_suite
+from rlrc import pruning
 from rlrc.model import ModelConfig, forward, init_model
 from rlrc.pruning import (
     KIND_ATTN, KIND_MLP,
@@ -10,6 +13,7 @@ from rlrc.pruning import (
     apply_prune, build_dependency_groups, default_exempt_layers,
     param_counts, select_prune_groups, taylor_importance,
 )
+from rlrc.tensor import backward
 from rlrc.training import demo_arrays, sft_loss, train_sft
 from rlrc.training import SftConfig
 
@@ -114,6 +118,67 @@ def test_taylor_duplicated_batch_keeps_ranking():
     r1 = np.argsort([t1.scores[k] for k in keys])
     r2 = np.argsort([t2.scores[k] for k in keys])
     np.testing.assert_array_equal(r1, r2)
+
+
+def one_pass_importance(model, obs, acts):
+    """Reference scores: one full-batch SFT backward, then float64 |w * g|."""
+    for p in model.params():
+        p.grad = None
+    loss = sft_loss(model, obs, acts)
+    backward(loss)
+    params = dict(model.named_params())
+    scores = {}
+    for g in build_dependency_groups(model):
+        acc = 0.0
+        for name, axis, start, stop in g.members:
+            sl = [slice(None)] * params[name].data.ndim
+            sl[axis] = slice(start, stop)
+            w = params[name].data[tuple(sl)].astype(np.float64)
+            acc += float(np.sum(np.abs(w * params[name].grad[tuple(sl)].astype(np.float64))))
+        scores[g.key] = acc
+    for p in model.params():
+        p.grad = None
+    return ImportanceTable(scores, obs.shape[0], None, float(loss.data))
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: tiny_model(seed=6, n_layers=4, d_ff=64, heads=4),
+    lambda: init_model(ModelConfig(seed=6)),
+], ids=["tiny", "default"])
+def test_chunked_importance_matches_one_pass(make_model):
+    # 70 rows: two full chunks and a partial one
+    m = make_model()
+    obs, acts = calib_batch(70)
+    assert obs.shape[0] == 70 and 70 % pruning._CHUNK_ROWS != 0
+    ref = one_pass_importance(m, obs, acts)
+    table = taylor_importance(m, obs, acts)
+    assert table.batch_size == 70
+    assert table.loss == pytest.approx(ref.loss, rel=1e-6)
+    keys = sorted(ref.scores)
+    np.testing.assert_allclose([table.scores[k] for k in keys],
+                               [ref.scores[k] for k in keys], rtol=1e-5, atol=0)
+    plan = select_prune_groups(m, table, 0.9)
+    ref_plan = select_prune_groups(m, ref, 0.9)
+    assert {g.key for g in plan.groups} == {g.key for g in ref_plan.groups}
+    cfg, ref_cfg = apply_prune(m, plan).config, apply_prune(m, ref_plan).config
+    assert (cfg.n_heads, cfg.d_ff) == (ref_cfg.n_heads, ref_cfg.d_ff)
+
+
+def test_importance_peak_memory_independent_of_batch():
+    # numpy reports its buffers to tracemalloc; scoring 8 chunks' rows must
+    # peak at about one chunk's graph, not 8 of them
+    m = tiny_model()
+    obs, acts = calib_batch(pruning._CHUNK_ROWS)
+    taylor_importance(m, obs, acts)  # warm up one-time allocations
+    peaks = []
+    for reps in (1, 8):
+        tracemalloc.start()
+        try:
+            taylor_importance(m, np.tile(obs, (reps, 1)), np.tile(acts, reps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], f"peak grows with the batch: {peaks}"
 
 
 def test_select_minimum_scores_first():
@@ -285,14 +350,14 @@ def test_prunable_drop_after_ninety_percent():
     assert after <= 0.1 * before
 
 
-def test_taylor_brute_force_spearman():
+def test_taylor_brute_force_spearman(tmp_path):
     # tiny 2-layer model, trained briefly so the loss surface is meaningful
     cfg = ModelConfig(d_model=16, n_layers=2, n_heads_base=2, d_ff_base=16,
                       observation_vocab=21, action_vocab=6, max_seq_len=20, seed=0)
     m = init_model(cfg)
     suite = make_task_suite(0)
     env_cfg = EnvConfig()
-    demos = generate_demos(env_cfg, suite["IND"], 2, 0, "/tmp/_fid_demos.jsonl")
+    demos = generate_demos(env_cfg, suite["IND"], 2, 0, str(tmp_path / "_fid_demos.jsonl"))
     m, _ = train_sft(m, demos, SftConfig(max_steps=300, eval_interval=300,
                                          eval_episodes=1, seed=0),
                      env_cfg, suite["IND"][:2])

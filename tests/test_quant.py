@@ -136,6 +136,22 @@ def test_qmatmul_matches_dense_dequant():
             assert err < 1e-5, f"{k}x{n} block {block} {bits}-bit: {err:.3g}"
 
 
+def test_qmatmul_any_activation_layout():
+    # Fortran-ordered and strided (sliced-view) activations give exactly the
+    # product of a C-ordered copy, on weights of one tile and of several
+    rng = np.random.default_rng(8)
+    for k, n in ((40, 24), (700, 49)):
+        for bits in (4, 8):
+            qt = quantize_tensor(rng.standard_normal((k, n)).astype(np.float32), bits, 16)
+            wide = rng.standard_normal((14, 2 * k)).astype(np.float32)
+            for x in (np.asfortranarray(wide[:7, :k]), wide[::2, ::2], wide[1::2, k:]):
+                ref = qmatmul(qt, np.ascontiguousarray(x))
+                np.testing.assert_array_equal(qmatmul(qt, x), ref)
+                kernel = kernels.qdot4 if bits == 4 else kernels.qdot8
+                np.testing.assert_array_equal(
+                    kernel(x, qt.packed, qt.scales, n, qt.block_size), ref)
+
+
 def test_qmatmul_zero_activations():
     qt = quantize_tensor(np.ones((8, 8), dtype=np.float32), 4, 8)
     out = qmatmul(qt, np.zeros((3, 8), dtype=np.float32))

@@ -33,7 +33,7 @@ def tiny_model(seed=0):
     return init_model(cfg)
 
 
-def make_demos(n_per_task=2, tasks=4, seed=0, tmpdir="/tmp"):
+def make_demos(tmpdir, n_per_task=2, tasks=4, seed=0):
     suite = make_task_suite(0)
     return generate_demos(ENV, suite["IND"][:tasks], n_per_task, seed,
                           f"{tmpdir}/_train_demos.jsonl")
@@ -41,18 +41,18 @@ def make_demos(n_per_task=2, tasks=4, seed=0, tmpdir="/tmp"):
 
 # -- sft loss ---------------------------------------------------------------
 
-def test_sft_loss_uniform_closed_form():
+def test_sft_loss_uniform_closed_form(tmp_path):
     m = tiny_model()
     m.w_act.data[:] = 0.0
-    demos = make_demos()
+    demos = make_demos(tmp_path)
     obs, acts = demo_arrays(demos)
     loss = float(sft_loss(m, obs[:32], acts[:32]).data)
     assert abs(loss - np.log(6.0)) < 1e-6
 
 
-def test_sft_loss_nonnegative():
+def test_sft_loss_nonnegative(tmp_path):
     m = tiny_model(seed=1)
-    demos = make_demos()
+    demos = make_demos(tmp_path)
     obs, acts = demo_arrays(demos)
     assert float(sft_loss(m, obs[:16], acts[:16]).data) >= 0.0
 
@@ -63,9 +63,9 @@ def test_sft_loss_empty_batch_rejected():
         sft_loss(m, np.zeros((0, ENV.obs_len), dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
-def test_sft_memorizes_single_demo():
+def test_sft_memorizes_single_demo(tmp_path):
     m = tiny_model(seed=2)
-    demos = make_demos(n_per_task=1, tasks=1)
+    demos = make_demos(tmp_path, n_per_task=1, tasks=1)
     suite = make_task_suite(0)
     cfg = SftConfig(max_steps=800, eval_interval=800, eval_episodes=1, seed=0,
                     batch_size=16, lr=1e-3)
@@ -74,9 +74,9 @@ def test_sft_memorizes_single_demo():
     assert float(sft_loss(m, obs, acts).data) < 0.05
 
 
-def test_train_sft_deterministic():
+def test_train_sft_deterministic(tmp_path):
     suite = make_task_suite(0)
-    demos = make_demos()
+    demos = make_demos(tmp_path)
     curves = []
     for _ in range(2):
         m = tiny_model(seed=3)
@@ -89,7 +89,7 @@ def test_train_sft_deterministic():
 
 def test_train_sft_log_starts_fresh(tmp_path):
     suite = make_task_suite(0)
-    demos = make_demos(tmpdir=tmp_path)
+    demos = make_demos(tmp_path)
     log = tmp_path / "metrics.jsonl"
     for steps in (2, 4):
         cfg = SftConfig(max_steps=steps, eval_interval=steps, eval_episodes=1, seed=0,
