@@ -29,7 +29,9 @@ class DemoSection:
 class PruneSection:
     ratio: float = 0.9
     exempt_layers: list = None  # None -> first and last
-    calib_batch: int = 256  # rows scored by taylor_importance, in fixed-size chunks
+    # rows scored by taylor_importance; scored a fixed-size chunk at a time,
+    # so the batch size does not set peak memory
+    calib_batch: int = 256
     seed: int = None
 
 

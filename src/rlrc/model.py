@@ -23,6 +23,12 @@ runs the kernels and records nothing, which is how `fast_logits_last`
 serves.  A quantized weight implements ``x @ W`` for the kernels, so a
 quantized model serves through `forward` under `no_grad` and is rejected,
 by parameter name, with grad enabled.
+
+With nothing recorded, rows are independent: a no-grad call on more than
+64 contexts decodes them in 64-row slices and joins the outputs, so
+evaluation and held-out losses over hundreds of contexts hold one slice's
+temporaries at a time.  Training bounds its graphs the same way, by
+backpropagating a chunk of rows at a time (`tensor.backward_in_chunks`).
 """
 
 from dataclasses import dataclass, field, fields, asdict
@@ -269,6 +275,12 @@ def _check_tokens(config, tokens):
     return tokens, squeezed
 
 
+# contexts per slice of a no-grad `forward`: its temporaries stay one
+# slice's size whatever the batch, and serving batches of up to this many
+# contexts run in one piece
+_SLICE_ROWS = 64
+
+
 def forward(model, tokens):
     """The decoder: action logits and final hidden state at the last position.
 
@@ -276,7 +288,8 @@ def forward(model, tokens):
     the output norm), both at the last position only.  Accepts (S,) or
     (B, S) int tokens; outputs are ((1, A), (1, D)) or ((B, 1, A),
     (B, 1, D)), keeping a length-1 position axis.  Differentiable with grad
-    enabled; a quantized model runs only under `no_grad`.
+    enabled; a quantized model runs only under `no_grad`.  Under `no_grad`,
+    more than 64 contexts are decoded 64 at a time and the outputs joined.
     """
     cfg = model.config
     tokens, squeezed = _check_tokens(cfg, tokens)
@@ -285,7 +298,23 @@ def forward(model, tokens):
             if not isinstance(p, Tensor):
                 raise GradError(f"{name} is a {type(p).__name__}: quantized models are "
                                 "inference-only, run forward under no_grad")
-    b, s = tokens.shape
+    elif tokens.shape[0] > _SLICE_ROWS:
+        slices = [_decode(model, tokens[r:r + _SLICE_ROWS])
+                  for r in range(0, tokens.shape[0], _SLICE_ROWS)]
+        logits = np.concatenate([lg.data for lg, _ in slices])
+        hidden = np.concatenate([h.data for _, h in slices])
+        return Tensor(logits, dtype=logits.dtype), Tensor(hidden, dtype=hidden.dtype)
+    logits, hidden = _decode(model, tokens)
+    if squeezed:
+        logits = reshape(logits, (1, cfg.action_vocab))
+        hidden = reshape(hidden, (1, cfg.d_model))
+    return logits, hidden
+
+
+def _decode(model, tokens):
+    """`forward` of checked (B, S) tokens: ((B, 1, A), (B, 1, D))."""
+    cfg = model.config
+    s = tokens.shape[1]
     x = add(embedding_lookup(model.tok_emb, tokens),
             embedding_lookup(model.pos_emb, np.arange(s)))
     mask = np.triu(np.full((s, s), -1e9, dtype=x.data.dtype), k=1)
@@ -298,11 +327,7 @@ def forward(model, tokens):
         x = fused(kernels.mlp_block, kernels.mlp_block_backward,
                   (x, layer.mlp_gain, layer.wup, layer.wgate, layer.wdown))
     hidden = mul(rms_norm(x, -1, EPS_NORM), model.final_gain)
-    logits = matmul(hidden, model.w_act)
-    if squeezed:
-        logits = reshape(logits, (1, cfg.action_vocab))
-        hidden = reshape(hidden, (1, cfg.d_model))
-    return logits, hidden
+    return matmul(hidden, model.w_act), hidden
 
 
 def fast_logits_last(model, tokens):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelConfig, PolicyModel
-from .tensor import Tensor, check_finite
+from .tensor import Tensor, backward_in_chunks, check_finite
 
 KIND_ATTN = "attn_head"
 KIND_MLP = "mlp_channel"
@@ -122,23 +122,17 @@ def _member_view(params, member):
     return data[tuple(sl)]
 
 
-# calibration rows per forward/backward in `taylor_importance`: peak memory
-# is one chunk's autodiff graph, whatever the calibration batch size
-_CHUNK_ROWS = 32
-
-
 def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
     """First-order Taylor scores: I(g) = sum over g of |w * dL/dw|.
 
     L is the SFT loss, the mean over all calibration rows.  Its gradient is
-    summed over fixed-size chunks of rows, each chunk's loss weighted by its
-    share of the rows; peak memory is one chunk's graph, independent of the
-    batch size.  Scores cover every group (exemptions apply at selection
-    time), and ``loss`` is the mean over all rows.  Parameter gradients are
-    cleared afterwards.
+    accumulated a fixed-size chunk of rows at a time
+    (`tensor.backward_in_chunks`), so peak memory is one chunk's graph,
+    independent of the batch size.  Scores cover every group (exemptions
+    apply at selection time), and ``loss`` is the mean over all rows.
+    Parameter gradients are cleared afterwards.
     """
     from .training import sft_loss  # local import; training pulls in env
-    from .tensor import backward, mul
 
     obs = np.asarray(calibration_obs)
     if obs.size == 0:
@@ -147,14 +141,9 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
     n = obs.shape[0]
     for p in model.params():
         p.grad = None
-    loss = 0.0
-    for r0 in range(0, n, _CHUNK_ROWS):
-        r1 = min(n, r0 + _CHUNK_ROWS)
-        share = (r1 - r0) / n
-        chunk = sft_loss(model, obs[r0:r1], actions[r0:r1])
-        check_finite(chunk, "calibration loss")
-        backward(mul(chunk, share))
-        loss += share * float(chunk.data)
+    loss, = backward_in_chunks(
+        lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]),
+                                     "calibration loss"),), n)
     params = _param_map(model)
     grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for name, p in params.items()}

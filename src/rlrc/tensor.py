@@ -7,7 +7,9 @@ elementwise arithmetic, silu, softmax, rms_norm, embedding lookup and cross
 entropy.  `fused` makes one node of a numpy function with a hand-written
 backward; the decoder blocks of rlrc.kernels run through it.  Reductions
 accumulate in float64 so finite-difference gradient checks stay meaningful
-in float32.
+in float32.  `backward_in_chunks` backpropagates a mean-over-rows loss a
+fixed-size chunk of rows at a time, so a training step's peak memory does
+not grow with its batch.
 
 Set RLRC_CHECK_FINITE=1 to assert finiteness after every op (slow; losses
 and optimizer steps are always checked).
@@ -522,6 +524,34 @@ def backward(loss):
             node._parents = ()
             node._bw = None
     loss._spent = True
+
+
+# rows per forward/backward in `backward_in_chunks`: peak memory is one
+# chunk's autodiff graph, whatever the batch size
+_CHUNK_ROWS = 32
+
+
+def backward_in_chunks(loss_fn, n):
+    """Accumulate the gradients of a mean-over-rows loss, one chunk of rows
+    at a time.
+
+    ``loss_fn(r0, r1)`` builds the graph of rows r0 .. r1-1 of an n-row
+    batch and returns a tuple: their mean loss, a scalar Tensor, then any
+    further per-chunk means to report.  Each chunk's loss is backpropagated
+    weighted by its share of the rows, (r1 - r0) / n, so the gradients
+    `backward` sums into the leaves are those of the mean loss over all n
+    rows, and only one chunk's graph is alive at a time.  Returns the
+    row-weighted means of everything ``loss_fn`` returned, as floats.
+    """
+    means = None
+    for r0 in range(0, n, _CHUNK_ROWS):
+        r1 = min(n, r0 + _CHUNK_ROWS)
+        share = (r1 - r0) / n
+        out = loss_fn(r0, r1)
+        backward(mul(out[0], share))
+        part = [share * float(_data(v)) for v in out]
+        means = part if means is None else [a + b for a, b in zip(means, part)]
+    return means
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes:
 its (B, 1, A) logits and (B, 1, D) hidden states are reshaped or indexed
 at ``[:, -1, :]``.
+
+No batch size sets peak memory.  Each loss is a mean over rows, so an SFT
+step and a PPO minibatch update backpropagate it a fixed-size chunk of
+rows at a time (`tensor.backward_in_chunks`), their gradients summing to
+those of the whole batch.  Evaluation, value bootstraps and held-out
+losses run `model.forward` under `no_grad`, which decodes large batches in
+fixed-size slices.
 """
 
 import json
@@ -32,7 +39,7 @@ from .tensor import (
     Tensor,
     adam_step,
     add,
-    backward,
+    backward_in_chunks,
     check_finite,
     clip,
     cross_entropy,
@@ -55,6 +62,9 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class SftConfig:
+    """SFT recovery: Adam steps on the mean NLL of ``batch_size`` sampled
+    demonstration steps.  A step's gradient is accumulated a fixed-size
+    chunk of rows at a time, so the batch size does not set peak memory."""
     lr: float = 3e-4
     batch_size: int = 64
     max_steps: int = 10_000
@@ -73,6 +83,11 @@ class SftConfig:
 
 @dataclass
 class PpoConfig:
+    """PPO recovery: each iteration collects ``n_envs x horizon`` env steps,
+    then makes ``epochs x minibatches`` Adam steps on minibatches of
+    ``n_envs * horizon // minibatches`` rows.  A minibatch's gradient is
+    accumulated a fixed-size chunk of rows at a time, so the minibatch size
+    does not set peak memory."""
     gamma: float = 0.99
     lam: float = 0.95
     clip_eps: float = 0.2
@@ -168,7 +183,9 @@ class ExpertPolicyWrapper:
 
 
 def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
-    """Deterministic greedy rollouts over a (task, episode-seed) grid."""
+    """Deterministic greedy rollouts over a (task, episode-seed) grid.
+
+    Each step decodes only the episodes still running."""
     if isinstance(policy, PolicyModel):
         policy = ModelPolicy(policy)
     states = []
@@ -185,21 +202,21 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
     returns = np.zeros(n)
     lengths = np.zeros(n, dtype=np.int64)
     successes = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
+    live = np.arange(n)  # the episodes still running
     for _ in range(env_config.max_steps):
-        if not active.any():
+        if not live.size:
             break
-        actions = policy.act(obs, states)
-        for i in range(n):
-            if not active[i]:
-                continue
-            res = env_step(states[i], int(actions[i]))
+        actions = policy.act(obs[live], [states[i] for i in live])
+        done = np.zeros(live.size, dtype=bool)
+        for j, i in enumerate(live):
+            res = env_step(states[i], int(actions[j]))
             obs[i] = res.obs
             returns[i] += res.reward
             lengths[i] += 1
             if res.done:
-                active[i] = False
+                done[j] = True
                 successes[i] = states[i].success
+        live = live[~done]
     per_task = {}
     for ti, task in enumerate(tasks):
         m = np.asarray(owners) == ti
@@ -256,13 +273,14 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
     m = obs_all.shape[0]
     for it in range(1, config.max_steps + 1):
         idx = rng.integers(0, m, size=config.batch_size)
-        loss = sft_loss(model, obs_all[idx], act_all[idx])
-        check_finite(loss, "sft loss")
-        backward(loss)
+        obs, act = obs_all[idx], act_all[idx]
+        loss, = backward_in_chunks(
+            lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], act[r0:r1]), "sft loss"),),
+            config.batch_size)
         adam_step(opt)
         if it % config.eval_interval == 0 or it == config.max_steps:
             sr = evaluate(model, eval_tasks, config.eval_episodes, env_config).success_rate
-            logger.log(step=it, phase="sft", loss=float(loss.data), ind_sr=sr)
+            logger.log(step=it, phase="sft", loss=loss, ind_sr=sr)
             if sr > best_sr:
                 best_sr = sr
                 best_params = [p.data.copy() for p in params]
@@ -364,6 +382,40 @@ def compute_gae(buffer, gamma, lam):
     return adv, ret
 
 
+def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages, returns,
+                 config, env_steps):
+    """Accumulate the gradients of one PPO minibatch's loss into the parameters.
+
+    The loss is -surrogate + value_coef * value_error^2 - entropy_coef *
+    entropy, each term a mean over the rows, so it is backpropagated a chunk
+    of rows at a time (`tensor.backward_in_chunks`) and peak memory is one
+    chunk's graph whatever the minibatch size.  Returns the row-weighted
+    means of the three terms; a chunk whose loss is not finite raises
+    TrainingError naming ``env_steps`` and the chunk's terms.
+    """
+    def chunk_loss(r0, r1):
+        lps, values, entropy = batch_logprob_value(
+            model, value_head, contexts[r0:r1], actions[r0:r1],
+            detach_value_input=config.stop_value_backbone_grad)
+        ratio = exp(sub(lps, old_logprobs[r0:r1]))
+        a = advantages[r0:r1]
+        surr = mean(minimum(mul(ratio, a),
+                            mul(clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps), a)))
+        vloss = mean(square(sub(values, returns[r0:r1])))
+        total = add(add(neg(surr), mul(vloss, config.value_coef)),
+                    mul(entropy, -config.entropy_coef))
+        if not np.isfinite(total.data):
+            raise TrainingError(
+                f"ppo diverged at env_steps={env_steps}: "
+                f"surrogate={float(surr.data)}, value_loss={float(vloss.data)}, "
+                f"entropy={float(entropy.data)}"
+            )
+        return total, surr, vloss, entropy
+
+    _, surr, vloss, entropy = backward_in_chunks(chunk_loss, len(actions))
+    return {"surrogate": surr, "value_loss": vloss, "entropy": entropy}
+
+
 def train_ppo(model, value_head, tasks, config, env_config,
               eval_tasks_ind=None, eval_tasks_ood=None, log_path=None):
     """Clipped-surrogate PPO on IND tasks with a shared-backbone critic.
@@ -415,25 +467,9 @@ def train_ppo(model, value_head, tasks, config, env_config,
             perm = rng_update.permutation(nh)
             for mb in range(config.minibatches):
                 sel = perm[mb * mb_size:(mb + 1) * mb_size]
-                lps, values, entropy = batch_logprob_value(
-                    model, value_head, flat_ctx[sel], flat_act[sel],
-                    detach_value_input=config.stop_value_backbone_grad)
-                ratio = exp(sub(lps, flat_old[sel]))
-                a = flat_adv[sel]
-                surr = mean(minimum(mul(ratio, a),
-                                    mul(clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps), a)))
-                vloss = mean(square(sub(values, flat_ret[sel])))
-                total = add(add(neg(surr), mul(vloss, config.value_coef)),
-                            mul(entropy, -config.entropy_coef))
-                if not np.isfinite(total.data):
-                    raise TrainingError(
-                        f"ppo diverged at env_steps={env_steps}: "
-                        f"surrogate={float(surr.data)}, value_loss={float(vloss.data)}, "
-                        f"entropy={float(entropy.data)}"
-                    )
-                loss_row = {"surrogate": float(surr.data), "value_loss": float(vloss.data),
-                            "entropy": float(entropy.data)}
-                backward(total)
+                loss_row = ppo_backward(model, value_head, flat_ctx[sel], flat_act[sel],
+                                        flat_old[sel], flat_adv[sel], flat_ret[sel],
+                                        config, env_steps)
                 adam_step(opt)
         if env_steps >= next_eval or env_steps >= config.total_env_steps:
             next_eval = env_steps + config.eval_interval_steps

@@ -113,6 +113,54 @@ def test_forward_same_with_and_without_grad():
     np.testing.assert_array_equal(hidden.data, hidden_ng.data)
 
 
+def attn_block_rows(monkeypatch):
+    """Batch size of every `kernels.attn_block` call from here on."""
+    rows = []
+    real = kernels.attn_block
+
+    def counted(x, *args, **kw):
+        rows.append(x.shape[0])
+        return real(x, *args, **kw)
+
+    monkeypatch.setattr(kernels, "attn_block", counted)
+    return rows
+
+
+def test_no_grad_forward_decodes_large_batches_in_slices(monkeypatch):
+    # 150 contexts: two full 64-row slices and a partial one; layer 1 has one
+    # MLP channel, so it runs the inner-dimension-1 products too
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
+    m = init_model(cfg, seed=5)
+    ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(150)])
+    rows = attn_block_rows(monkeypatch)
+    with no_grad():
+        logits, hidden = forward(m, ctx)
+        assert rows == [64, 64, 64, 64, 22, 22]
+        rows.clear()
+        pieces = [forward(m, ctx[r:r + 64]) for r in (0, 64, 128)]
+        assert rows == [64, 64, 64, 64, 22, 22]  # a serving batch of 64 is one piece
+    assert logits.shape == (150, 1, cfg.action_vocab) and hidden.shape == (150, 1, cfg.d_model)
+    assert logits.dtype == hidden.dtype == np.float32
+    np.testing.assert_array_equal(logits.data, np.concatenate([lg.data for lg, _ in pieces]))
+    np.testing.assert_array_equal(hidden.data, np.concatenate([h.data for _, h in pieces]))
+
+
+def test_grad_forward_is_one_graph_over_all_rows(monkeypatch):
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
+    m = init_model(cfg, seed=5)
+    ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(150)])
+    rows = attn_block_rows(monkeypatch)
+    logits, hidden = forward(m, ctx)
+    assert rows == [150, 150]
+    assert logits.requires_grad and hidden.requires_grad
+    backward(sum_(logits))
+    assert all(p.grad is not None for p in m.params())
+    with no_grad():
+        logits_ng, hidden_ng = forward(m, ctx)
+    np.testing.assert_allclose(logits.data, logits_ng.data, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(hidden.data, hidden_ng.data, rtol=1e-6, atol=1e-6)
+
+
 def reference_logits(m, tokens):
     """Plain float64 numpy decoder, one attention head at a time."""
     cfg = m.config

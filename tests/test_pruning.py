@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from rlrc.env import EnvConfig, generate_demos, make_task_suite
-from rlrc import pruning
+from rlrc import tensor
 from rlrc.model import ModelConfig, forward, init_model
 from rlrc.pruning import (
     KIND_ATTN, KIND_MLP,
@@ -149,7 +149,7 @@ def test_chunked_importance_matches_one_pass(make_model):
     # 70 rows: two full chunks and a partial one
     m = make_model()
     obs, acts = calib_batch(70)
-    assert obs.shape[0] == 70 and 70 % pruning._CHUNK_ROWS != 0
+    assert obs.shape[0] == 70 and 70 % tensor._CHUNK_ROWS != 0
     ref = one_pass_importance(m, obs, acts)
     table = taylor_importance(m, obs, acts)
     assert table.batch_size == 70
@@ -168,7 +168,7 @@ def test_importance_peak_memory_independent_of_batch():
     # numpy reports its buffers to tracemalloc; scoring 8 chunks' rows must
     # peak at about one chunk's graph, not 8 of them
     m = tiny_model()
-    obs, acts = calib_batch(pruning._CHUNK_ROWS)
+    obs, acts = calib_batch(tensor._CHUNK_ROWS)
     taylor_importance(m, obs, acts)  # warm up one-time allocations
     peaks = []
     for reps in (1, 8):

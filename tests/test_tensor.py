@@ -225,3 +225,32 @@ def test_no_grad_blocks_graph():
     with T.no_grad():
         out = T.mul(w, w)
     assert not out.requires_grad
+
+
+def test_backward_in_chunks_matches_one_pass():
+    # 70 rows: two full chunks and a partial one; the loss is a row mean
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((70, 5)).astype(np.float32)
+    y = rng.standard_normal((70, 3)).astype(np.float32)
+    w = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+
+    def row_mean(r0, r1):
+        err = T.sub(T.matmul(T.Tensor(x[r0:r1]), w), y[r0:r1])
+        return T.mean(T.sum_(T.square(err), axis=1))
+
+    ref = row_mean(0, 70)
+    T.backward(ref)
+    ref_grad, w.grad = w.grad, None
+    spans = []
+
+    def loss_fn(r0, r1):
+        spans.append((r0, r1))
+        loss = row_mean(r0, r1)
+        return loss, T.mul(loss, 2.0), float(r1 - r0)
+
+    loss, doubled, rows = T.backward_in_chunks(loss_fn, 70)
+    assert spans == [(0, 32), (32, 64), (64, 70)]
+    assert loss == pytest.approx(float(ref.data), rel=1e-6)
+    assert doubled == pytest.approx(2 * loss, rel=1e-12)
+    assert rows == pytest.approx((32 * 32 + 32 * 32 + 6 * 6) / 70)
+    np.testing.assert_allclose(w.grad, ref_grad, rtol=1e-5, atol=1e-6)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from rlrc.env import EnvConfig, VecEnv, generate_demos, make_task_suite
 from rlrc.model import (
     ModelConfig, batch_logprob_value, build_contexts, init_model, init_value_head,
 )
-from rlrc.tensor import exp, sub
+from rlrc.tensor import (
+    add, backward, clip, exp, mean, minimum, mul, neg, no_grad, square, sub,
+)
 from rlrc.training import (
     ExpertPolicyWrapper,
+    ModelPolicy,
     PpoConfig,
     SftConfig,
     TrainingError,
@@ -18,6 +22,7 @@ from rlrc.training import (
     compute_gae,
     demo_arrays,
     evaluate,
+    ppo_backward,
     sft_loss,
     train_ppo,
     train_sft,
@@ -283,7 +288,159 @@ def test_advantage_normalization_stats():
     assert abs(norm.std() - 1.0) < 1e-3
 
 
+def ppo_minibatch(model, rows, seed=0):
+    """(contexts, actions, old log-probs, advantages, returns) of ``rows``
+    random steps; old log-probs are the current ones jittered, so some
+    ratios fall outside the clip range."""
+    rng = np.random.default_rng(seed)
+    obs = rng.integers(0, ENV.obs_vocab, size=(rows, ENV.obs_len))
+    ctx = build_contexts(model.config, obs)
+    acts = rng.integers(0, model.config.action_vocab, size=rows)
+    with no_grad():
+        lps, _, _ = batch_logprob_value(model, None, ctx, acts)
+    old = (lps.data + rng.normal(0.0, 0.3, size=rows)).astype(np.float32)
+    adv = rng.standard_normal(rows).astype(np.float32)
+    ret = rng.standard_normal(rows).astype(np.float32)
+    return ctx, acts, old, adv, ret
+
+
+def one_pass_ppo(model, vhead, batch, cfg):
+    """Reference: the PPO loss of the whole minibatch in one graph."""
+    ctx, acts, old, adv, ret = batch
+    lps, values, entropy = batch_logprob_value(model, vhead, ctx, acts)
+    ratio = exp(sub(lps, old))
+    surr = mean(minimum(mul(ratio, adv),
+                        mul(clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps), adv)))
+    vloss = mean(square(sub(values, ret)))
+    backward(add(add(neg(surr), mul(vloss, cfg.value_coef)), mul(entropy, -cfg.entropy_coef)))
+    return {"surrogate": float(surr.data), "value_loss": float(vloss.data),
+            "entropy": float(entropy.data)}
+
+
+def take_grads(params):
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return grads
+
+
+def test_ppo_backward_matches_one_pass():
+    # 70 rows: two full chunks and a partial one
+    model = tiny_model(seed=11)
+    vhead = init_value_head(model.config.d_model, seed=11)
+    params = model.params() + vhead.params()
+    cfg = PpoConfig()
+    batch = ppo_minibatch(model, 70)
+    ref = one_pass_ppo(model, vhead, batch, cfg)
+    ref_grads = take_grads(params)
+    parts = ppo_backward(model, vhead, *batch, cfg, env_steps=0)
+    grads = take_grads(params)
+    assert parts.keys() == ref.keys()
+    for k in ref:
+        assert parts[k] == pytest.approx(ref[k], rel=1e-5, abs=1e-7), k
+    for (name, _), g, r in zip(list(model.named_params()) + list(vhead.named_params()),
+                               grads, ref_grads):
+        assert np.abs(g - r).max() <= 1e-5 * np.abs(r).max(), name
+
+
+def test_ppo_backward_peak_memory_independent_of_batch():
+    # numpy reports its buffers to tracemalloc; a 256-row minibatch must
+    # peak at about what a 64-row one does, not at four times its graph
+    model = tiny_model(seed=12)
+    vhead = init_value_head(model.config.d_model, seed=12)
+    params = model.params() + vhead.params()
+    cfg = PpoConfig()
+    batches = {rows: ppo_minibatch(model, rows) for rows in (64, 256)}
+    ppo_backward(model, vhead, *batches[64], cfg, env_steps=0)  # warm up
+    take_grads(params)
+    peaks = []
+    for rows in (64, 256):
+        tracemalloc.start()
+        try:
+            ppo_backward(model, vhead, *batches[rows], cfg, env_steps=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        take_grads(params)
+    assert peaks[1] < 1.5 * peaks[0], f"peak grows with the minibatch: {peaks}"
+
+
+def test_ppo_backward_divergence_names_step_and_parts():
+    model = tiny_model(seed=13)
+    vhead = init_value_head(model.config.d_model, seed=13)
+    ctx, acts, old, adv, ret = ppo_minibatch(model, 40)
+    ret[35] = np.nan  # in the second chunk
+    with pytest.raises(TrainingError, match=r"env_steps=4096: surrogate=.*value_loss=nan"):
+        ppo_backward(model, vhead, ctx, acts, old, adv, ret, PpoConfig(), env_steps=4096)
+
+
 # -- evaluate ------------------------------------------------------------------
+
+class RowCountingExpert(ExpertPolicyWrapper):
+    """The expert, recording how many episodes each step decodes."""
+
+    def __init__(self):
+        self.rows = []
+
+    def act(self, obs_batch, states):
+        assert len(obs_batch) == len(states) and not any(s.done for s in states)
+        self.rows.append(len(states))
+        return super().act(obs_batch, states)
+
+
+def evaluate_every_row(policy, tasks, episodes_per_task, env_config, seed=7):
+    """Reference: decode every episode at every step, finished ones too."""
+    from rlrc.env import reset, step
+
+    states, obs, owners = [], [], []
+    for ti, task in enumerate(tasks):
+        for e in range(episodes_per_task):
+            s, o = reset(env_config, task, 100_000 * seed + e)
+            states.append(s)
+            obs.append(o)
+            owners.append(ti)
+    obs = np.stack(obs)
+    n = len(states)
+    returns, lengths = np.zeros(n), np.zeros(n, dtype=np.int64)
+    successes, active = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    for _ in range(env_config.max_steps):
+        if not active.any():
+            break
+        actions = policy.act(obs, states)
+        for i in np.flatnonzero(active):
+            res = step(states[i], int(actions[i]))
+            obs[i] = res.obs
+            returns[i] += res.reward
+            lengths[i] += 1
+            if res.done:
+                active[i] = False
+                successes[i] = states[i].success
+    per_task = {(t.object_type, t.plate_id): float(successes[np.asarray(owners) == ti].mean())
+                for ti, t in enumerate(tasks)}
+    return successes.mean(), returns.mean(), lengths.mean(), per_task
+
+
+@pytest.mark.parametrize("split", ["IND", "OOD"])
+def test_evaluate_decodes_only_running_episodes(split):
+    suite = make_task_suite(0)
+    policy = RowCountingExpert()
+    r = evaluate(policy, suite[split], 3, ENV, seed=3)
+    sr, ret, length, per_task = evaluate_every_row(ExpertPolicyWrapper(), suite[split], 3, ENV,
+                                                   seed=3)
+    assert (r.success_rate, r.mean_return, r.mean_length) == (sr, ret, length)
+    assert r.per_task == per_task
+    # the expert's episodes end at different steps, so later steps shrink
+    assert policy.rows[0] == r.episodes > policy.rows[-1]
+    assert sum(policy.rows) == r.mean_length * r.episodes
+
+
+def test_evaluate_model_matches_every_row_reference():
+    suite = make_task_suite(0)
+    m = tiny_model(seed=7)
+    r = evaluate(m, suite["IND"], 2, ENV)
+    sr, ret, length, per_task = evaluate_every_row(ModelPolicy(m), suite["IND"], 2, ENV)
+    assert (r.success_rate, r.mean_return, r.mean_length) == (sr, ret, length)
+    assert r.per_task == per_task
 
 def test_evaluate_expert_perfect_on_both_splits():
     suite = make_task_suite(0)
