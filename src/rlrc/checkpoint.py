@@ -59,6 +59,22 @@ def _r_u8(f):
     return struct.unpack("<B", _read(f, 1))[0]
 
 
+def _read_array(f, n, dtype):
+    """``n`` values of ``dtype`` read from ``f`` straight into a new array."""
+    nbytes = n * np.dtype(dtype).itemsize
+    pos = f.tell()
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    # checked before allocating, so a corrupt size cannot ask for a huge array
+    if not 0 <= nbytes <= left:
+        raise CheckpointError(f"truncated checkpoint: wanted {nbytes} bytes, got {left}")
+    arr = np.empty(n, dtype=dtype)
+    got = f.readinto(memoryview(arr).cast("B"))
+    if got != nbytes:
+        raise CheckpointError(f"truncated checkpoint: wanted {nbytes} bytes, got {got}")
+    return arr
+
+
 def _write_dense(f, name, arr):
     nb = name.encode("utf-8")
     _w_u32(f, len(nb))
@@ -94,19 +110,14 @@ def _read_entry(f):
         rank = _r_u32(f)
         shape = tuple(_r_u32(f) for _ in range(rank))
         n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(_read(f, 4 * n), dtype="<f4").reshape(shape).astype(np.float32)
-        return name, ("dense", arr)
+        return name, ("dense", _read_array(f, n, "<f4").reshape(shape))
     if kind == KIND_QUANT:
         bits = _r_u32(f)
         block = _r_u32(f)
         rank = _r_u32(f)
         shape = tuple(_r_u32(f) for _ in range(rank))
-        n_scales = _r_u32(f)
-        scales = np.frombuffer(_read(f, 4 * n_scales), dtype="<f4").astype(np.float32)
-        packed_len = _r_u32(f)
-        raw = _read(f, packed_len)
-        dtype = np.uint8 if bits == 4 else np.int8
-        packed = np.frombuffer(raw, dtype=dtype).copy()
+        scales = _read_array(f, _r_u32(f), "<f4")
+        packed = _read_array(f, _r_u32(f), np.uint8 if bits == 4 else np.int8)
         return name, ("quant", QuantizedTensor(bits, block, shape, scales, packed))
     raise CheckpointError(f"unknown entry kind {kind} for tensor {name!r}")
 
@@ -167,7 +178,7 @@ def _take_dense(tensors, name, shape):
     arr = _take(tensors, name, "dense")
     if arr.shape != shape:
         raise CheckpointError(f"tensor {name} shape {arr.shape} != expected {shape}")
-    return arr.copy()
+    return arr
 
 
 def _take_quant(tensors, name, shape, bits, block):
@@ -183,20 +194,20 @@ def _take_quant(tensors, name, shape, bits, block):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        f = io.BytesIO(fh.read())
-    if _read(f, 4) != MAGIC:
-        raise CheckpointError(f"bad magic in {path!r}: not a checkpoint file")
-    version = _r_u32(f)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    try:
-        header = json.loads(_read(f, _r_u32(f)).decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"corrupt checkpoint header: {e}") from e
-    n_entries = _r_u32(f)
-    tensors = dict(_read_entry(f) for _ in range(n_entries))
+    """Load a checkpoint, reading each tensor straight into its own array."""
+    with open(path, "rb") as f:
+        if _read(f, 4) != MAGIC:
+            raise CheckpointError(f"bad magic in {path!r}: not a checkpoint file")
+        version = _r_u32(f)
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
+        try:
+            header = json.loads(_read(f, _r_u32(f)).decode("utf-8"))
+            config = ModelConfig.from_dict(header["config"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+        n_entries = _r_u32(f)
+        tensors = dict(_read_entry(f) for _ in range(n_entries))
 
     value_head = None
     if header.get("has_value_head"):

@@ -16,11 +16,13 @@ import json
 import os
 import sys
 
+# the one parent stage each stage reads, as the recipe orders them
 _STAGE_INPUTS = {
-    "prune": ("dense",),
-    "sft": ("pruned",),
-    "rl": ("sft", "pruned"),
-    "quantize": ("rl", "sft"),
+    "prune": "dense",
+    "sft": "pruned",
+    "rl": "sft",
+    "rl --cold-start": "pruned",
+    "quantize": "rl",
 }
 
 
@@ -57,30 +59,24 @@ def _p(cfg, name):
 
 
 def _load_ckpt_for(cfg, stage, path=None):
+    """Load ``stage``'s input: ``path``, else its parent's checkpoint in the
+    output directory.  Either must come from the parent stage."""
     from .checkpoint import load_checkpoint
 
-    allowed = _STAGE_INPUTS.get(stage)
+    parent = _STAGE_INPUTS[stage]
     if path is None:
-        if allowed is None:
-            raise CliError(f"stage {stage} needs an explicit --input")
-        for cand in allowed:
-            p = _p(cfg, f"{cand}.ckpt")
-            if os.path.exists(p):
-                path = p
-                break
-        if path is None:
-            raise CliError(
-                f"missing input checkpoint for {stage}: looked for "
-                f"{[c + '.ckpt' for c in allowed]} in {cfg.output_dir}"
-            )
+        path = _p(cfg, f"{parent}.ckpt")
+        if not os.path.exists(path):
+            raise CliError(f"missing input checkpoint for {stage}: expected "
+                           f"{parent}.ckpt in {cfg.output_dir}")
     if not os.path.exists(path):
         raise CliError(f"checkpoint not found: {path}")
     loaded = load_checkpoint(path)
     got = loaded.meta.get("stage")
-    if allowed is not None and got not in allowed:
+    if got != parent:
         raise CliError(
             f"stage-order violation: {stage} expects a checkpoint from "
-            f"{allowed}, got {got!r} ({path})"
+            f"{parent}, got {got!r} ({path})"
         )
     return loaded, path
 
@@ -187,10 +183,8 @@ def cmd_rl(cfg, args):
     from .model import init_value_head
     from .training import train_ppo
 
-    if args.cold_start:
-        loaded, src = _load_ckpt_for(cfg, "rl", args.input or _p(cfg, "pruned.ckpt"))
-    else:
-        loaded, src = _load_ckpt_for(cfg, "rl", args.input)
+    loaded, src = _load_ckpt_for(cfg, "rl --cold-start" if args.cold_start else "rl",
+                                 args.input)
     suite = _suite(cfg)
     vhead = loaded.value_head or init_value_head(loaded.model.config.d_model,
                                                  seed=cfg.ppo.seed)

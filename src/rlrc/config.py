@@ -10,7 +10,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .env import EnvConfig
+from .env import N_ACTIONS, EnvConfig
 from .model import ModelConfig
 from .training import PpoConfig, SftConfig
 
@@ -122,12 +122,32 @@ class PipelineConfig:
     def default(cls, seed=0):
         return cls.from_dict({"seed": seed})
 
+    def __post_init__(self):
+        env, model = self.env, self.model
+        for bad, msg in (
+            (env.obs_vocab > model.observation_vocab,
+             f"env.obs_vocab {env.obs_vocab} exceeds model.observation_vocab "
+             f"{model.observation_vocab}"),
+            (env.obs_len + 1 > model.max_seq_len,
+             f"env.obs_len + 1 = {env.obs_len + 1} (observation and action marker) "
+             f"exceeds model.max_seq_len {model.max_seq_len}"),
+            (model.action_vocab != N_ACTIONS,
+             f"model.action_vocab {model.action_vocab} != env.N_ACTIONS {N_ACTIONS}"),
+        ):
+            if bad:
+                raise ConfigError(f"env and model disagree: {msg}")
+
     def override_seed(self, seed):
-        """Re-resolve with a new master seed (CLI --seed)."""
+        """Re-resolve with a new master seed (CLI --seed).
+
+        A stage seed equal to the old master seed followed it, and follows
+        the new one; any other stage seed was set explicitly and is kept.
+        """
         raw = self.to_dict()
-        raw["seed"] = seed
         for name in ("model", "demos", "prune", "sft", "ppo"):
-            raw[name]["seed"] = None
+            if raw[name]["seed"] == self.seed:
+                raw[name]["seed"] = None
+        raw["seed"] = seed
         return PipelineConfig.from_dict(raw)
 
     def to_dict(self):

@@ -14,7 +14,13 @@ weight as ``x @ W``, so a weight is either an array or a
 Given a ``saved`` dict, a block also keeps the intermediates it computed
 anyway; its hand-written backward (`attn_block_backward`,
 `mlp_block_backward`) reads them and recomputes the cheap rest (the rms
-factors, the sigmoid), so the forward does no extra arithmetic.
+factors, the sigmoid), so the forward does no extra arithmetic.  The MLP
+keeps only ``xn, u, g``: its backward recomputes the gated activation
+``h`` by the forward's own expression rather than hold it until the sweep
+reaches the block, and ``tensor.backward`` frees each node's saved arrays
+as soon as its backward has run.  Elementwise chains run in place
+(``out=``, ``*=``) in the order of the plain expressions, so they round
+the same and allocate one temporary, not one per operation.
 
 `qdot4` and `qdot8` dequantize a tile of whole weight rows at a time to
 float32, add it into a float64 output with one BLAS dgemm, and round the
@@ -28,22 +34,34 @@ _EPS_NORM = 1e-6
 
 def _inv_rms(x2):
     """Per-row 1 / rms of a 2-d array, the mean square taken in float64."""
-    ms = np.mean(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
-    return (1.0 / np.sqrt(ms + _EPS_NORM)).astype(x2.dtype)
+    ms = np.add.reduce(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
+    ms /= x2.shape[-1]
+    ms += _EPS_NORM
+    np.sqrt(ms, out=ms)
+    return np.divide(1.0, ms, out=ms).astype(x2.dtype)
 
 
 def rms_rows(x2, gain):
     """Row-wise rms normalization with gain (2-d input)."""
-    return x2 * _inv_rms(x2) * gain
+    out = x2 * _inv_rms(x2)
+    out *= gain
+    return out
 
 
 def rms_rows_backward(g2, x2, gain):
     """Gradients (d x2, d gain) of `rms_rows` for output gradient ``g2``."""
     inv = _inv_rms(x2)
-    dgain = (g2 * (x2 * inv)).sum(axis=0)
+    t = x2 * inv
+    t *= g2
+    dgain = t.sum(axis=0)
     gn = g2 * gain
-    gx = (gn * x2).sum(axis=-1, keepdims=True)
-    return gn * inv - x2 * (inv ** 3) * (gx / x2.shape[-1]), dgain
+    gx = np.multiply(gn, x2, out=t).sum(axis=-1, keepdims=True)
+    # gn * inv - x2 * inv**3 * (gx / D), in that order
+    np.multiply(x2, inv ** 3, out=t)
+    t *= gx / x2.shape[-1]
+    gn *= inv
+    gn -= t
+    return gn, dgain
 
 
 def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
@@ -62,15 +80,18 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(head_dim))
-    scores = scores + mask
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= np.float32(1.0 / np.sqrt(head_dim))
+    scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores)
+    p = np.exp(scores, out=scores)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
     if saved is not None:
         saved.update(xn=xn, xq=xq, q=q, k=k, v=v, p=p, ctx=ctx)
-    return x[:, s - t:] + (ctx @ wo).reshape(b, t, d)
+    out = (ctx @ wo).reshape(b, t, d)
+    out += x[:, s - t:]
+    return out
 
 
 def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved):
@@ -83,8 +104,10 @@ def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, 
     xn, xq, q, k, v, p, ctx = (saved[n] for n in ("xn", "xq", "q", "k", "v", "p", "ctx"))
     g2 = dout.reshape(b * t, d)
     dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
-    dp = np.matmul(dctx, v.transpose(0, 1, 3, 2))
-    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    # dscores = p * (dp - sum(dp * p)) * scale, built in dp
+    dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+    dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+    dscores *= p
     dscores *= np.float32(1.0 / np.sqrt(head_dim))
 
     def rows(a):  # (B, H, R, hd) -> (B*R, H*hd)
@@ -102,34 +125,66 @@ def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, 
     return dx, dgain, xq.T @ dq, xn.T @ dk, xn.T @ dv, ctx.T @ g2
 
 
+def _one_plus_exp_neg(g):
+    """1 + exp(-g): the silu gate is g / this, its sigmoid 1 / this."""
+    t = np.negative(g)
+    np.exp(t, out=t)
+    t += 1.0
+    return t
+
+
 def mlp_block(x, gain, wup, wgate, wdown, saved=None):
     """Pre-norm gated MLP block (silu gate) with residual; returns new x."""
     b, s, d = x.shape
     xn = rms_rows(x.reshape(b * s, d), gain)
     u = xn @ wup
     g = xn @ wgate
-    h = u * (g / (1.0 + np.exp(-g)))
+    h = _one_plus_exp_neg(g)  # becomes h = u * (g / (1 + exp(-g))) in place
+    np.divide(g, h, out=h)
+    h *= u
     if saved is not None:
-        saved.update(xn=xn, u=u, g=g, h=h)
+        saved.update(xn=xn, u=u, g=g)
     # np.dot calls BLAS even for an inner dimension of 1 (a one-channel
     # MLP), where @ takes a loop about 10x slower; a quantized wdown keeps @
-    down = np.dot(h, wdown) if isinstance(wdown, np.ndarray) else h @ wdown
-    return x + down.reshape(b, s, d)
+    out = np.dot(h, wdown) if isinstance(wdown, np.ndarray) else h @ wdown
+    out = out.reshape(b, s, d)
+    out += x
+    return out
 
 
 def mlp_block_backward(dout, x, gain, wup, wgate, wdown, saved):
-    """Gradients (dx, dgain, dwup, dwgate, dwdown) of `mlp_block`."""
+    """Gradients (dx, dgain, dwup, dwgate, dwdown) of `mlp_block`.
+
+    The gated activation h is recomputed as the forward computed it, not
+    saved, so ``dwdown`` is the same.
+    """
     b, s, d = x.shape
-    xn, u, g, h = (saved[n] for n in ("xn", "u", "g", "h"))
+    xn, u, g = (saved[n] for n in ("xn", "u", "g"))
     g2 = dout.reshape(b * s, d)
+    t = _one_plus_exp_neg(g)
+    h = np.divide(g, t)
+    h *= u
+    dwdown = h.T @ g2
+    del h
+    sig = np.divide(1.0, t, out=t)
     dh = g2 @ wdown.T
-    sig = 1.0 / (1.0 + np.exp(-g))
-    du = dh * (g * sig)
-    dg = dh * u * (sig * (1.0 + g * (1.0 - sig)))
+    du = g * sig
+    du *= dh
+    # dg = dh * u * (sig * (1 + g * (1 - sig))), in that order, built in dh
+    c = 1.0 - sig
+    c *= g
+    c += 1.0
+    c *= sig
+    dh *= u
+    dh *= c
+    dg = dh
     # np.dot, not @, for the inner dimension of 1 of a one-channel MLP
-    dx, dgain = rms_rows_backward(np.dot(du, wup.T) + np.dot(dg, wgate.T),
-                                  x.reshape(b * s, d), gain)
-    return dout + dx.reshape(b, s, d), dgain, xn.T @ du, xn.T @ dg, h.T @ g2
+    dxn = np.dot(du, wup.T)
+    dxn += np.dot(dg, wgate.T)
+    dx, dgain = rms_rows_backward(dxn, x.reshape(b * s, d), gain)
+    dx = dx.reshape(b, s, d)
+    dx += dout
+    return dx, dgain, xn.T @ du, xn.T @ dg, dwdown
 
 
 # transient-buffer audit hook for qdot4/qdot8, which work one tile at a time

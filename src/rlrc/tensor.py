@@ -484,8 +484,11 @@ def sum_(a, axis=None):
 def backward(loss):
     """Accumulate gradients of a scalar ``loss`` into every reachable leaf.
 
-    The recorded op graph is replayed once in reverse topological order;
-    a second call on the same graph raises GradError.
+    The recorded op graph is replayed once in reverse topological order.
+    Each op node is released as soon as its backward has run (its closure
+    with the arrays it saved, its gradient and its parent links), so the
+    sweep's memory falls as it goes; a second call on the same graph raises
+    GradError.
     """
     if not isinstance(loss, Tensor):
         raise GradError("backward expects a Tensor")
@@ -513,17 +516,18 @@ def backward(loss):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._bw is not None and node.grad is not None:
-            node._bw(node.grad)
-        node._spent = True
-    # intermediate grads are not needed after the sweep
-    for node in topo:
+    topo.reverse()
+    for i, node in enumerate(topo):
+        # drop the sweep's own reference, so a node whose backward has run
+        # is freed with its closure, saved arrays and gradient
+        topo[i] = None
         if node._bw is not None:
+            if node.grad is not None:
+                node._bw(node.grad)
             node.grad = None
             node._parents = ()
             node._bw = None
-    loss._spent = True
+        node._spent = True
 
 
 # rows per forward/backward in `backward_in_chunks`: peak memory is one

@@ -257,7 +257,9 @@ class MetricsLogger:
 def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
     """SFT with periodic greedy evaluation and best-checkpoint selection.
 
-    Deterministic per seed.  Returns (best model, metric rows).
+    Deterministic per seed.  Trains ``model`` itself, in place, so it ends
+    with the last step's weights; returns (a copy holding the best weights,
+    metric rows).
     """
     if not demos:
         raise TrainingError("empty demonstration dataset")
@@ -423,6 +425,9 @@ def train_ppo(model, value_head, tasks, config, env_config,
     Iterates collect -> GAE -> epochs x minibatches of
     -surrogate + c_v * value_error^2 - c_e * entropy, evaluates IND/OOD at
     intervals, and returns the best checkpoint by IND+OOD success.
+    Trains ``model`` and ``value_head`` themselves, in place, so they end
+    with the last update's weights; returns copies holding the best
+    weights, then the metric rows.
     """
     for t in tasks:
         if t.split != "IND":

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,24 @@ def test_load_builds_no_random_model(tmp_path, monkeypatch):
     for (name, a), (_, b) in zip(vh.named_params(), loaded.value_head.named_params()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     assert isinstance(load_checkpoint(quant).model, QuantizedModel)
+
+
+def test_load_reads_each_tensor_once(tmp_path):
+    # each tensor is read straight into its final array: no whole-file
+    # buffer, no decoded copy, so the peak is about the payload itself
+    m = init_model(ModelConfig())
+    payload = m.num_params() * 4
+    path = tmp_path / "dense.ckpt"
+    save_checkpoint(m, path)
+    del m
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.model.num_params() * 4 == payload
+    assert peak <= 1.25 * payload, peak / payload
 
 
 def test_bad_magic_rejected(tmp_path):

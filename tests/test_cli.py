@@ -87,6 +87,26 @@ def test_missing_input_nonzero_exit(tmp_path, capsys):
     assert "missing input checkpoint" in capsys.readouterr().err
 
 
+def test_stage_parents_required_not_guessed(tmp_path, capsys):
+    cfg_path, out = micro_config(tmp_path)
+    for cmd in (["gen-demos"], ["train-dense"], ["prune"]):
+        assert run(["--config", cfg_path] + cmd) == 0, cmd
+    capsys.readouterr()
+    # rl trains the SFT model; with no sft.ckpt it does not fall back to pruned
+    assert run(["--config", cfg_path, "rl"]) == 1
+    err = capsys.readouterr().err
+    assert "missing input checkpoint for rl" in err and "sft.ckpt" in err
+    assert not os.path.exists(os.path.join(out, "rl.ckpt"))
+    # quantize takes only the RL model
+    assert run(["--config", cfg_path, "quantize"]) == 1
+    assert "rl.ckpt" in capsys.readouterr().err
+    # a cold start is asked for, and reads the pruned model
+    assert run(["--config", cfg_path, "rl", "--cold-start"]) == 0
+    meta = load_checkpoint(os.path.join(out, "rl_cold.ckpt")).meta
+    assert meta["cold_start"] is True
+    assert meta["parent"] == os.path.join(out, "pruned.ckpt")
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"seeed": 3}))
@@ -113,6 +133,29 @@ def test_seed_override_propagates(tmp_path):
     assert resolved["seed"] == 9
     assert resolved["sft"]["seed"] == 9
     assert resolved["ppo"]["seed"] == 9
+
+
+def test_seed_override_keeps_explicit_stage_seeds(tmp_path):
+    cfg_path, out = micro_config(tmp_path, demos={"episodes_per_task": 2, "seed": 5})
+    assert run(["--config", cfg_path, "--seed", "3", "gen-demos"]) == 0
+    with open(os.path.join(out, "resolved_config.json")) as f:
+        resolved = json.load(f)
+    assert resolved["seed"] == 3
+    assert resolved["demos"]["seed"] == 5
+    for name in ("model", "prune", "sft", "ppo"):
+        assert resolved[name]["seed"] == 3, name
+
+
+@pytest.mark.parametrize("raw, fields", [
+    ({"env": {"width": 12, "height": 12}}, ("env.obs_vocab", "model.observation_vocab")),
+    ({"env": {"n_distractors": 8}}, ("env.obs_len", "model.max_seq_len")),
+    ({"model": {"action_vocab": 7}}, ("model.action_vocab", "env.N_ACTIONS")),
+])
+def test_env_and_model_vocabularies_cross_checked(raw, fields):
+    with pytest.raises(ConfigError) as info:
+        PipelineConfig.from_dict(raw)
+    for name in fields:
+        assert name in str(info.value)
 
 
 def test_config_echo_written_next_to_outputs(tmp_path):

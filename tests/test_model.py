@@ -245,6 +245,136 @@ def test_attn_block_query_rows_match_full_block():
             assert close(g_row, g_full), (li, name)
 
 
+# The decoder kernels as plain expressions, most operations allocating a
+# fresh array.  `kernels` computes the same operations in place, in the same
+# order, so its results must be bit-identical to these.
+
+def ref_inv_rms(x2):
+    ms = np.mean(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
+    return (1.0 / np.sqrt(ms + 1e-6)).astype(x2.dtype)
+
+
+def ref_rms_rows(x2, gain):
+    return x2 * ref_inv_rms(x2) * gain
+
+
+def ref_rms_rows_backward(g2, x2, gain):
+    inv = ref_inv_rms(x2)
+    dgain = (g2 * (x2 * inv)).sum(axis=0)
+    gn = g2 * gain
+    gx = (gn * x2).sum(axis=-1, keepdims=True)
+    return gn * inv - x2 * (inv ** 3) * (gx / x2.shape[-1]), dgain
+
+
+def ref_attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask):
+    b, s, d = x.shape
+    t = mask.shape[0]
+    xn = ref_rms_rows(x.reshape(b * s, d), gain)
+    xq = xn.reshape(b, s, d)[:, s - t:].reshape(b * t, d)
+    q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
+    k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
+    v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(head_dim))
+    scores = scores + mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
+    return x[:, s - t:] + (ctx @ wo).reshape(b, t, d), (xn, xq, q, k, v, p, ctx)
+
+
+def ref_attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved):
+    b, s, d = x.shape
+    t = mask.shape[0]
+    xn, xq, q, k, v, p, ctx = saved
+    g2 = dout.reshape(b * t, d)
+    dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
+    dp = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dscores *= np.float32(1.0 / np.sqrt(head_dim))
+
+    def rows(a):
+        return a.transpose(0, 2, 1, 3).reshape(-1, n_heads * head_dim)
+
+    dq = rows(np.matmul(dscores, k))
+    dk = rows(np.matmul(dscores.transpose(0, 1, 3, 2), q))
+    dv = rows(np.matmul(p.transpose(0, 1, 3, 2), dctx))
+    dxn = dk @ wk.T
+    dxn.reshape(b, s, d)[:, s - t:] += (dq @ wq.T).reshape(b, t, d)
+    dxn += dv @ wv.T
+    dx, dgain = ref_rms_rows_backward(dxn, x.reshape(b * s, d), gain)
+    dx = dx.reshape(b, s, d)
+    dx[:, s - t:] += dout
+    return dx, dgain, xq.T @ dq, xn.T @ dk, xn.T @ dv, ctx.T @ g2
+
+
+def ref_mlp_block(x, gain, wup, wgate, wdown):
+    b, s, d = x.shape
+    xn = ref_rms_rows(x.reshape(b * s, d), gain)
+    u = xn @ wup
+    g = xn @ wgate
+    h = u * (g / (1.0 + np.exp(-g)))
+    return x + np.dot(h, wdown).reshape(b, s, d), (xn, u, g, h)
+
+
+def ref_mlp_block_backward(dout, x, gain, wup, wgate, wdown, saved):
+    b, s, d = x.shape
+    xn, u, g, h = saved
+    g2 = dout.reshape(b * s, d)
+    dh = g2 @ wdown.T
+    sig = 1.0 / (1.0 + np.exp(-g))
+    du = dh * (g * sig)
+    dg = dh * u * (sig * (1.0 + g * (1.0 - sig)))
+    dx, dgain = ref_rms_rows_backward(np.dot(du, wup.T) + np.dot(dg, wgate.T),
+                                      x.reshape(b * s, d), gain)
+    return dout + dx.reshape(b, s, d), dgain, xn.T @ du, xn.T @ dg, h.T @ g2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", ["full", "marker"])
+def test_kernels_bit_identical_to_plain_expressions(dtype, rows):
+    # layer 1 is pruned to one head and one MLP channel
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
+    m = init_model(cfg, seed=8)
+    rng = np.random.default_rng(2)
+    b, s, d = 3, 7, cfg.d_model
+    x = rng.standard_normal((b, s, d)).astype(dtype)
+    mask = np.triu(np.full((s, s), -1e9, dtype=dtype), k=1)
+    if rows == "marker":
+        mask = mask[-1:]
+    t = mask.shape[0]
+    dout_attn = rng.standard_normal((b, t, d)).astype(dtype)
+    dout_mlp = rng.standard_normal((b, s, d)).astype(dtype)
+
+    def same(got, want):
+        assert len(got) == len(want)
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype == dtype
+            np.testing.assert_array_equal(a, w)
+
+    for li, layer in enumerate(m.layers):
+        attn_w = [p.data.astype(dtype) for p in
+                  (layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo)]
+        args = (cfg.n_heads[li], cfg.head_dim, mask)
+        saved = {}
+        out = kernels.attn_block(x, *attn_w, *args, saved=saved)
+        want, ref_saved = ref_attn_block(x, *attn_w, *args)
+        same([out], [want])
+        same(kernels.attn_block_backward(dout_attn, x, *attn_w, *args, saved),
+             ref_attn_block_backward(dout_attn, x, *attn_w, *args, ref_saved))
+
+        mlp_w = [p.data.astype(dtype) for p in
+                 (layer.mlp_gain, layer.wup, layer.wgate, layer.wdown)]
+        assert mlp_w[1].shape[1] == cfg.d_ff[li]
+        saved = {}
+        out = kernels.mlp_block(x, *mlp_w, saved=saved)
+        want, ref_saved = ref_mlp_block(x, *mlp_w)
+        same([out], [want])
+        assert sorted(saved) == ["g", "u", "xn"]  # h is recomputed, not kept
+        same(kernels.mlp_block_backward(dout_mlp, x, *mlp_w, saved),
+             ref_mlp_block_backward(dout_mlp, x, *mlp_w, ref_saved))
+
+
 def test_forward_gradients_match_finite_differences():
     # 2 layers, 2 heads, the second layer pruned to 1 head; float64 end to end
     cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,35 @@ def test_backward_twice_rejected():
     T.backward(loss)
     with pytest.raises(T.GradError):
         T.backward(loss)
+
+
+def test_backward_frees_each_node_after_its_backward():
+    # leaf -> first -> last: the sweep runs last's backward first, and has
+    # released last's saved array by the time it reaches first
+    refs, alive = [], []
+
+    def last_fn(a, saved=None):
+        tmp = a * 2.0
+        if saved is not None:
+            saved["tmp"] = tmp
+            refs.append(weakref.ref(tmp))
+        return np.asarray(tmp.sum())
+
+    def last_bw(g, a, saved):
+        return (np.full_like(a, 2.0 * float(g)),)
+
+    def first_fn(a, saved=None):
+        return a + 1.0
+
+    def first_bw(g, a, saved):
+        alive.append(refs[0]() is not None)
+        return (g,)
+
+    w = T.Tensor(np.ones(4), requires_grad=True)
+    loss = T.fused(last_fn, last_bw, [T.fused(first_fn, first_bw, [w])])
+    T.backward(loss)
+    assert len(refs) == 1 and alive == [False]
+    np.testing.assert_array_equal(w.grad, np.full(4, 2.0, dtype=np.float32))
 
 
 def test_backward_empty_tape_rejected():
