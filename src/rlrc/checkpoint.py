@@ -158,11 +158,10 @@ def save_checkpoint(model, path, value_head=None, meta=None):
 
 
 class LoadedCheckpoint:
-    def __init__(self, model, value_head, meta, config):
+    def __init__(self, model, value_head, meta):
         self.model = model
         self.value_head = value_head
         self.meta = meta
-        self.config = config
 
 
 def _take(tensors, name, kind):
@@ -228,4 +227,4 @@ def load_checkpoint(path):
     if tensors:
         raise CheckpointError(f"checkpoint has unexpected tensor(s) {sorted(tensors)}")
     model = (QuantizedModel if quant else PolicyModel).from_params(config, params)
-    return LoadedCheckpoint(model, value_head, header.get("meta", {}), config)
+    return LoadedCheckpoint(model, value_head, header.get("meta", {}))

@@ -180,16 +180,14 @@ def cmd_sft(cfg, args):
 
 def cmd_rl(cfg, args):
     from .checkpoint import save_checkpoint
-    from .model import init_value_head
     from .training import train_ppo
 
     loaded, src = _load_ckpt_for(cfg, "rl --cold-start" if args.cold_start else "rl",
                                  args.input)
     suite = _suite(cfg)
-    vhead = loaded.value_head or init_value_head(loaded.model.config.d_model,
-                                                 seed=cfg.ppo.seed)
+    # without a value head in the checkpoint, train_ppo initialises one
     model, vhead, rows = train_ppo(
-        loaded.model, vhead, suite["IND"], cfg.ppo, cfg.env,
+        loaded.model, loaded.value_head, suite["IND"], cfg.ppo, cfg.env,
         eval_tasks_ind=suite["IND"], eval_tasks_ood=suite["OOD"],
         log_path=_p(cfg, "metrics_rl.jsonl"))
     out = _p(cfg, "rl_cold.ckpt" if args.cold_start else "rl.ckpt")

@@ -8,7 +8,7 @@ a vectorized batch wrapper.  Every trajectory is a pure function of
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ OOD_SIZE = 9
 
 UP, DOWN, LEFT, RIGHT, GRASP, RELEASE = range(6)
 N_ACTIONS = 6
-ACTION_NAMES = ("up", "down", "left", "right", "grasp", "release")
 
 REWARD_PLACED = 1.0
 REWARD_GRASPED = 0.1
@@ -101,14 +100,12 @@ class ObjectState:
     obj_type: int
     x: int
     y: int
-    on_plate: bool = False
 
 
 @dataclass
 class EnvState:
     config: EnvConfig
     task: TaskSpec
-    episode_seed: int
     gripper_x: int
     gripper_y: int
     holding: object  # object index or None
@@ -186,7 +183,7 @@ def reset(config, task, episode_seed):
     for i in range(config.n_distractors):
         objects.append(ObjectState(int(d_types[i]), *coords[3 + i]))
     state = EnvState(
-        config=config, task=task, episode_seed=int(episode_seed),
+        config=config, task=task,
         gripper_x=coords[0][0], gripper_y=coords[0][1],
         holding=None, objects=objects,
         plate_x=coords[2][0], plate_y=coords[2][1],
@@ -223,8 +220,6 @@ def step(state, action):
     action = int(action)
     c = state.config
     reward = 0.0
-    grasped_now = False
-    placed_now = False
 
     if action in (UP, DOWN, LEFT, RIGHT):
         dx = {LEFT: -1, RIGHT: 1}.get(action, 0)
@@ -241,7 +236,6 @@ def step(state, action):
             if here:
                 pick = 0 if 0 in here else here[0]
                 state.holding = pick
-                grasped_now = True
                 if pick == 0 and not state.target_grasped_once:
                     state.target_grasped_once = True
                     reward = REWARD_GRASPED
@@ -250,11 +244,8 @@ def step(state, action):
             idx = state.holding
             obj = state.objects[idx]
             state.holding = None
-            on_plate_cell = obj.x == state.plate_x and obj.y == state.plate_y
-            obj.on_plate = on_plate_cell
-            if idx == 0 and on_plate_cell:
+            if idx == 0 and obj.x == state.plate_x and obj.y == state.plate_y:
                 reward = REWARD_PLACED
-                placed_now = True
                 state.done = True
                 state.success = True
 
@@ -268,7 +259,7 @@ def step(state, action):
         obs=obs_tokens(state),
         reward=reward,
         done=state.done,
-        info={"grasped_now": grasped_now, "placed_now": placed_now, "truncated": truncated},
+        info={"truncated": truncated},
     )
 
 
@@ -390,7 +381,6 @@ class VecEnv:
             infos[i] = res.info
             if res.done:
                 infos[i]["final_obs"] = res.obs
-                infos[i]["success"] = self.states[i].success
                 obs_out[i] = self._fresh(i)
             else:
                 obs_out[i] = res.obs

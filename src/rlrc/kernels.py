@@ -2,7 +2,9 @@
 
 `attn_block`, `mlp_block` and `rms_rows` are the decoder's arithmetic;
 ``model.forward`` applies them as autodiff nodes (`tensor.fused`), so
-serving, rollouts and training run the same code.  `attn_block` takes its
+serving, rollouts and training run the same code.  `rms_rows` is the one
+RMS norm: the blocks apply it to their inputs and ``model.forward`` to the
+last block's output, with one epsilon.  `attn_block` takes its
 query rows from the mask: with a (T, S) mask it attends from the last T
 positions over all S and returns those T rows, so the last layer computes
 keys and values for every position and the rest for the marker row only.
@@ -33,7 +35,7 @@ _EPS_NORM = 1e-6
 
 
 def _inv_rms(x2):
-    """Per-row 1 / rms of a 2-d array, the mean square taken in float64."""
+    """1 / rms of each row (last axis), the mean square taken in float64."""
     ms = np.add.reduce(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
     ms /= x2.shape[-1]
     ms += _EPS_NORM
@@ -41,19 +43,23 @@ def _inv_rms(x2):
     return np.divide(1.0, ms, out=ms).astype(x2.dtype)
 
 
-def rms_rows(x2, gain):
-    """Row-wise rms normalization with gain (2-d input)."""
+def rms_rows(x2, gain, saved=None):
+    """RMS normalization with gain of each row (last axis) of ``x2``.
+
+    Keeps nothing in ``saved``: the backward recomputes the rms factors.
+    """
     out = x2 * _inv_rms(x2)
     out *= gain
     return out
 
 
-def rms_rows_backward(g2, x2, gain):
-    """Gradients (d x2, d gain) of `rms_rows` for output gradient ``g2``."""
+def rms_rows_backward(g2, x2, gain, saved=None):
+    """Gradients (d x2, d gain) of `rms_rows` for output gradient ``g2``;
+    ``dgain`` sums over every leading axis."""
     inv = _inv_rms(x2)
     t = x2 * inv
     t *= g2
-    dgain = t.sum(axis=0)
+    dgain = t.reshape(-1, x2.shape[-1]).sum(axis=0)
     gn = g2 * gain
     gx = np.multiply(gn, x2, out=t).sum(axis=-1, keepdims=True)
     # gn * inv - x2 * inv**3 * (gx / D), in that order

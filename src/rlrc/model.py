@@ -17,12 +17,14 @@ forward bodies are `kernels.attn_block` and `kernels.mlp_block` and whose
 backward is hand-written next to them.  Every layer but the last runs over
 all positions; the last computes keys and values for all of them and the
 rest (queries, attention output, MLP) for the marker row only, and so do
-the output norm and the action head.  Training, PPO log-probs, the value
-head and Taylor scoring record the nodes; under `no_grad` the same call
-runs the kernels and records nothing, which is how `fast_logits_last`
-serves.  A quantized weight implements ``x @ W`` for the kernels, so a
-quantized model serves through `forward` under `no_grad` and is rejected,
-by parameter name, with grad enabled.
+the output norm (a third node, `kernels.rms_rows`, the same norm the
+blocks apply) and the action head.  Tokens are always a (B, S) batch.
+Training, PPO log-probs, the value head and Taylor scoring record the
+nodes; under `no_grad` the same call runs the kernels and records
+nothing, which is how `fast_logits_last` serves.  A quantized weight
+implements ``x @ W`` for the kernels, so a quantized model serves through
+`forward` under `no_grad` and is rejected, by parameter name, with grad
+enabled.
 
 With nothing recorded, rows are independent: a no-grad call on more than
 64 contexts decodes them in 64-row slices and joins the outputs, so
@@ -51,13 +53,10 @@ from .tensor import (
     mul,
     no_grad,
     reshape,
-    rms_norm,
     silu,
     softmax,
     sum_,
 )
-
-EPS_NORM = 1e-6
 
 
 @dataclass
@@ -66,7 +65,6 @@ class ModelConfig:
     n_layers: int = 6
     n_heads_base: int = 4
     d_ff_base: int = 512
-    instruction_vocab: int = 10
     observation_vocab: int = 21
     action_vocab: int = 6
     max_seq_len: int = 32
@@ -197,12 +195,9 @@ class ValueHead:
 
     def apply(self, hidden):
         """Scalar value per row of ``hidden`` ((..., d_model) -> (...,))."""
-        squeeze = hidden.data.ndim == 1
-        if squeeze:
-            hidden = reshape(hidden, (1, hidden.data.shape[0]))
         h = add(matmul(hidden, self.w1), self.b1)
         out = add(matmul(silu(h), self.w2), self.b2)
-        return reshape(out, () if squeeze else out.data.shape[:-1])
+        return reshape(out, out.data.shape[:-1])
 
 
 def param_shapes(config):
@@ -259,20 +254,15 @@ def init_model(config, seed=None):
 
 def _check_tokens(config, tokens):
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-        squeezed = True
-    elif tokens.ndim == 2:
-        squeezed = False
-    else:
-        raise ShapeError(f"token array must be 1-d or 2-d, got shape {tokens.shape}")
+    if tokens.ndim != 2:
+        raise ShapeError(f"tokens must be a (B, S) batch, got shape {tokens.shape}")
     if not 0 < tokens.shape[1] <= config.max_seq_len:
         raise ShapeError(
             f"sequence length {tokens.shape[1]} outside [1, max_seq_len={config.max_seq_len}]"
         )
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.total_vocab):
         raise IndexError(f"token id out of range [0, {config.total_vocab})")
-    return tokens, squeezed
+    return tokens
 
 
 # contexts per slice of a no-grad `forward`: its temporaries stay one
@@ -285,14 +275,13 @@ def forward(model, tokens):
     """The decoder: action logits and final hidden state at the last position.
 
     Returns (logits over the action vocab, final-block hidden state after
-    the output norm), both at the last position only.  Accepts (S,) or
-    (B, S) int tokens; outputs are ((1, A), (1, D)) or ((B, 1, A),
-    (B, 1, D)), keeping a length-1 position axis.  Differentiable with grad
-    enabled; a quantized model runs only under `no_grad`.  Under `no_grad`,
-    more than 64 contexts are decoded 64 at a time and the outputs joined.
+    the output norm), both at the last position only.  Takes (B, S) int
+    tokens and returns ((B, 1, A), (B, 1, D)), keeping a length-1 position
+    axis.  Differentiable with grad enabled; a quantized model runs only
+    under `no_grad`.  Under `no_grad`, more than 64 contexts are decoded 64
+    at a time and the outputs joined.
     """
-    cfg = model.config
-    tokens, squeezed = _check_tokens(cfg, tokens)
+    tokens = _check_tokens(model.config, tokens)
     if grad_enabled():
         for name, p in model.named_params():
             if not isinstance(p, Tensor):
@@ -304,11 +293,7 @@ def forward(model, tokens):
         logits = np.concatenate([lg.data for lg, _ in slices])
         hidden = np.concatenate([h.data for _, h in slices])
         return Tensor(logits, dtype=logits.dtype), Tensor(hidden, dtype=hidden.dtype)
-    logits, hidden = _decode(model, tokens)
-    if squeezed:
-        logits = reshape(logits, (1, cfg.action_vocab))
-        hidden = reshape(hidden, (1, cfg.d_model))
-    return logits, hidden
+    return _decode(model, tokens)
 
 
 def _decode(model, tokens):
@@ -326,7 +311,7 @@ def _decode(model, tokens):
                   cfg.n_heads[li], cfg.head_dim, mask[-1:] if li == last else mask)
         x = fused(kernels.mlp_block, kernels.mlp_block_backward,
                   (x, layer.mlp_gain, layer.wup, layer.wgate, layer.wdown))
-    hidden = mul(rms_norm(x, -1, EPS_NORM), model.final_gain)
+    hidden = fused(kernels.rms_rows, kernels.rms_rows_backward, (x, model.final_gain))
     return matmul(hidden, model.w_act), hidden
 
 
@@ -334,7 +319,7 @@ def fast_logits_last(model, tokens):
     """Action logits at the last position: `forward` under `no_grad`; (B, A)."""
     with no_grad():
         logits, _ = forward(model, tokens)
-    return np.atleast_2d(logits.data[..., -1, :])
+    return logits.data[:, -1, :]
 
 
 def greedy_actions(model, contexts):
@@ -376,7 +361,5 @@ def batch_logprob_value(model, value_head, contexts, actions, detach_value_input
 def build_contexts(config, obs_tokens):
     """Append the begin-of-action marker column to (B, obs_len) tokens."""
     obs = np.asarray(obs_tokens, dtype=np.int64)
-    if obs.ndim == 1:
-        obs = obs[None, :]
     marker = np.full((obs.shape[0], 1), config.bos_action_id, dtype=np.int64)
     return np.concatenate([obs, marker], axis=1)

@@ -2,8 +2,13 @@
 importance, lowest-score group selection with layer exemptions, and
 physical shrinking of the interior widths.  Every layer's external
 d_model interface survives untouched; only head counts and MLP channel
-counts change.  `apply_prune` slices the named parameters and rebuilds
-the model with `PolicyModel.from_params`.
+counts change.
+
+A group's ``members`` are the one statement of its geometry: Taylor
+scores sum over them, `apply_prune` deletes exactly them from the named
+parameters (and rebuilds the model with `PolicyModel.from_params`), and
+`param_counts` sums group sizes.  A new group kind is taught to
+`build_dependency_groups` alone.
 """
 
 import json
@@ -16,6 +21,9 @@ from .tensor import Tensor, backward_in_chunks, check_finite
 
 KIND_ATTN = "attn_head"
 KIND_MLP = "mlp_channel"
+
+# the ModelConfig per-layer width list each group kind counts
+_WIDTHS = {KIND_ATTN: "n_heads", KIND_MLP: "d_ff"}
 
 
 class PruningError(RuntimeError):
@@ -84,10 +92,7 @@ def build_dependency_groups(model):
     d = cfg.d_model
     hd = cfg.head_dim
     groups = []
-    for li, layer in enumerate(model.layers):
-        for name in ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown"):
-            if not hasattr(layer, name):
-                raise PruningError(f"unknown parameter layout: layer {li} lacks {name}")
+    for li in range(cfg.n_layers):
         for h in range(cfg.n_heads[li]):
             lo, hi = h * hd, (h + 1) * hd
             members = (
@@ -107,19 +112,10 @@ def build_dependency_groups(model):
     return groups
 
 
-def _param_map(model):
-    return dict(model.named_params())
-
-
-def _member_view(params, member):
-    name, axis, start, stop = member
-    arr = params[name]
-    data = arr.data if isinstance(arr, Tensor) else arr
-    if stop > data.shape[axis]:
-        raise PruningError(f"stale plan: slice {member} exceeds shape {data.shape}")
-    sl = [slice(None)] * data.ndim
-    sl[axis] = slice(start, stop)
-    return data[tuple(sl)]
+def _member_view(arr, member):
+    """The slice of ``arr`` a (name, axis, start, stop) member covers."""
+    _, axis, start, stop = member
+    return arr[(slice(None),) * axis + (slice(start, stop),)]
 
 
 def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
@@ -144,15 +140,14 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
     loss, = backward_in_chunks(
         lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]),
                                      "calibration loss"),), n)
-    params = _param_map(model)
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for name, p in params.items()}
+    params = dict(model.named_params())
     scores = {}
     for g in build_dependency_groups(model):
         acc = 0.0
         for member in g.members:
-            w = _member_view(params, member)
-            gr = _member_view(grads, member)
+            p = params[member[0]]
+            w = _member_view(p.data, member)
+            gr = _member_view(p.grad, member) if p.grad is not None else np.zeros_like(w)
             acc += float(np.sum(np.abs(w.astype(np.float64) * gr.astype(np.float64))))
         scores[g.key] = acc
     for p in model.params():
@@ -211,67 +206,45 @@ def select_prune_groups(model, table, target_ratio, exempt_layers=None):
 
 
 def apply_prune(model, plan):
-    """Physically remove the planned groups; returns a new, smaller model."""
+    """Physically remove the planned groups; returns a new, smaller model.
+
+    Each (parameter, axis) keeps, in order, the indices that no planned
+    group's members delete, and each layer's ``n_heads`` / ``d_ff`` shrinks
+    by its number of planned groups of that kind.
+    """
     cfg = model.config
-    hd = cfg.head_dim
-    params = _param_map(model)
-    drop_heads = [set() for _ in range(cfg.n_layers)]
-    drop_channels = [set() for _ in range(cfg.n_layers)]
+    params = dict(model.named_params())
     exempt = set(plan.exempt_layers)
-    for g in plan.groups:
+    groups = {g.key: g for g in plan.groups}.values()  # a repeated group counts once
+    deleted = {}  # (name, axis) -> indices the members delete
+    new_cfg = ModelConfig.from_dict(cfg.to_dict())
+    for g in groups:
         if g.layer in exempt:
             raise PruningError(f"plan contains exempt-layer group {g.key}")
-        for member in g.members:
-            _member_view(params, member)  # shape validation
-        if g.kind == KIND_ATTN:
-            if g.index >= cfg.n_heads[g.layer]:
-                raise PruningError(f"stale plan: head {g.key} out of range")
-            drop_heads[g.layer].add(g.index)
-        else:
-            if g.index >= cfg.d_ff[g.layer]:
-                raise PruningError(f"stale plan: channel {g.key} out of range")
-            drop_channels[g.layer].add(g.index)
-    for li in range(cfg.n_layers):
-        if len(drop_heads[li]) >= cfg.n_heads[li]:
-            raise PruningError(f"plan would empty layer {li} of attention heads")
-        if len(drop_channels[li]) >= cfg.d_ff[li]:
-            raise PruningError(f"plan would empty layer {li} of MLP channels")
-
-    new_cfg = ModelConfig.from_dict(cfg.to_dict())
+        for name, axis, start, stop in g.members:
+            size = params[name].data.shape[axis]
+            if stop > size:
+                raise PruningError(f"stale plan: group {g.key} deletes {name}[{start}:{stop}] "
+                                   f"on axis {axis} of size {size}")
+            deleted.setdefault((name, axis), set()).update(range(start, stop))
+        getattr(new_cfg, _WIDTHS[g.kind])[g.layer] -= 1
+    for kind, attr in _WIDTHS.items():
+        for li, width in enumerate(getattr(new_cfg, attr)):
+            if width < 1:
+                raise PruningError(f"plan would empty layer {li} of {kind} groups")
     arrays = {name: p.data for name, p in params.items()}
-    for li in range(cfg.n_layers):
-        keep_h = [h for h in range(cfg.n_heads[li]) if h not in drop_heads[li]]
-        keep_c = np.array([c for c in range(cfg.d_ff[li]) if c not in drop_channels[li]])
-        col_idx = np.concatenate([np.arange(h * hd, (h + 1) * hd) for h in keep_h])
-        for name, keep, axis in (("wq", col_idx, 1), ("wk", col_idx, 1), ("wv", col_idx, 1),
-                                 ("wo", col_idx, 0), ("wup", keep_c, 1),
-                                 ("wgate", keep_c, 1), ("wdown", keep_c, 0)):
-            key = f"layers.{li}.{name}"
-            arrays[key] = np.take(arrays[key], keep, axis=axis)
-        new_cfg.n_heads[li] = len(keep_h)
-        new_cfg.d_ff[li] = len(keep_c)
+    for (name, axis), gone in deleted.items():
+        keep = [i for i in range(arrays[name].shape[axis]) if i not in gone]
+        arrays[name] = np.take(arrays[name], keep, axis=axis)
     return PolicyModel.from_params(
         new_cfg, {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()})
 
 
 def param_counts(model, exempt_layers=None):
-    """Exact parameter accounting: totals, prunable share, per-layer rows.
-
-    Prunable = interior-width-dependent matrices of non-exempt layers;
-    embeddings, norms and heads never count as prunable.
-    """
-    cfg = model.config
-    exempt = set(default_exempt_layers(cfg) if exempt_layers is None else exempt_layers)
-    per_layer = []
-    prunable = 0
-    total = model.num_params()
-    for li, layer in enumerate(model.layers):
-        attn = sum(getattr(layer, n).size for n in ("wq", "wk", "wv", "wo"))
-        mlp = sum(getattr(layer, n).size for n in ("wup", "wgate", "wdown"))
-        gains = layer.attn_gain.size + layer.mlp_gain.size
-        row = {"layer": li, "attn": attn, "mlp": mlp, "gains": gains,
-               "total": attn + mlp + gains, "exempt": li in exempt}
-        row["prunable"] = 0 if li in exempt else attn + mlp
-        prunable += row["prunable"]
-        per_layer.append(row)
-    return {"total": total, "prunable": prunable, "per_layer": per_layer}
+    """Exact parameter accounting: the total, and the prunable share, the
+    summed size of the dependency groups outside the exempt layers
+    (embeddings, norm gains and heads are in no group)."""
+    exempt = set(default_exempt_layers(model.config) if exempt_layers is None
+                 else exempt_layers)
+    prunable = sum(g.size for g in build_dependency_groups(model) if g.layer not in exempt)
+    return {"total": model.num_params(), "prunable": prunable}

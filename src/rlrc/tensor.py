@@ -2,10 +2,10 @@
 
 Dense float32 tensors (float64 allowed for oracle-grade checks), a tape
 recorded implicitly as a graph of parent links, and the ops of the policy's
-losses, embeddings, output norm, action head and value head: matmul,
-elementwise arithmetic, silu, softmax, rms_norm, embedding lookup and cross
-entropy.  `fused` makes one node of a numpy function with a hand-written
-backward; the decoder blocks of rlrc.kernels run through it.  Reductions
+losses, embeddings, action head and value head: matmul, elementwise
+arithmetic, silu, softmax, embedding lookup and cross entropy.  `fused`
+makes one node of a numpy function with a hand-written backward; the
+decoder blocks and the RMS norm of rlrc.kernels run through it.  Reductions
 accumulate in float64 so finite-difference gradient checks stay meaningful
 in float32.  `backward_in_chunks` backpropagates a mean-over-rows loss a
 fixed-size chunk of rows at a time, so a training step's peak memory does
@@ -279,29 +279,6 @@ def softmax(a, axis=-1):
     def bw(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
         a._accum(out * (g - dot))
-
-    return Tensor._op(out, [a], bw)
-
-
-def rms_norm(a, axis=-1, eps=1e-6):
-    """Normalize so the root-mean-square along ``axis`` is 1 (no gain).
-
-    The mean square accumulates in float64; apply a learned gain with
-    ``mul`` afterwards.
-    """
-    ad = _data(a)
-    if ad.shape[axis] == 0:
-        raise ShapeError(f"rms_norm over zero-length axis {axis} of shape {ad.shape}")
-    ms = np.mean(np.square(ad, dtype=np.float64), axis=axis, keepdims=True)
-    inv = (1.0 / np.sqrt(ms + eps)).astype(ad.dtype)
-    out = ad * inv
-    if not _needs_grad(a):
-        return Tensor(out, dtype=out.dtype)
-    n = ad.shape[axis]
-
-    def bw(g):
-        gx = (g * ad).sum(axis=axis, keepdims=True)
-        a._accum(g * inv - ad * (inv ** 3) * (gx / n))
 
     return Tensor._op(out, [a], bw)
 

@@ -123,7 +123,6 @@ class TrajectoryBuffer:
     dones: np.ndarray      # (N, H) f64, success terminal or truncation
     trunc_values: np.ndarray  # (N, H) f64, critic bootstrap at truncations
     next_values: np.ndarray   # (N,) f64, bootstrap at rollout end
-    task_ids: np.ndarray   # (N, H) int64
     advantages: np.ndarray = None
     returns: np.ndarray = None
 
@@ -140,10 +139,9 @@ def demo_arrays(demos):
 
 
 def sft_loss(model, obs_batch, action_batch):
-    """Mean negative log-likelihood of the demonstrated actions."""
+    """Mean negative log-likelihood of the demonstrated actions of a
+    (B, obs_len) observation batch."""
     obs = np.asarray(obs_batch, dtype=np.int64)
-    if obs.ndim == 1:
-        obs = obs[None, :]
     if obs.shape[0] == 0:
         raise TrainingError("sft_loss on an empty batch")
     actions = np.asarray(action_batch, dtype=np.int64).reshape(-1)
@@ -331,9 +329,7 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         dones=np.zeros((n, horizon), dtype=np.float64),
         trunc_values=np.zeros((n, horizon), dtype=np.float64),
         next_values=np.zeros(n, dtype=np.float64),
-        task_ids=np.zeros((n, horizon), dtype=np.int64),
     )
-    task_index = {(t.object_type, t.plate_id): i for i, t in enumerate(vec_env.tasks)}
     for t in range(horizon):
         contexts = build_contexts(model.config, obs)
         with no_grad():
@@ -349,8 +345,6 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         buf.actions[:, t] = acts
         buf.logprobs[:, t] = lp_rows[np.arange(n), acts]
         buf.values[:, t] = vals
-        for i, s in enumerate(vec_env.states):
-            buf.task_ids[i, t] = task_index[(s.task.object_type, s.task.plate_id)]
         obs, rewards, dones, infos = vec_env.vec_step(acts)
         buf.rewards[:, t] = rewards
         buf.dones[:, t] = dones.astype(np.float64)
@@ -424,7 +418,9 @@ def train_ppo(model, value_head, tasks, config, env_config,
 
     Iterates collect -> GAE -> epochs x minibatches of
     -surrogate + c_v * value_error^2 - c_e * entropy, evaluates IND/OOD at
-    intervals, and returns the best checkpoint by IND+OOD success.
+    intervals, and returns the best checkpoint by IND+OOD success.  With
+    ``value_head=None`` the critic starts from
+    ``init_value_head(d_model, seed=config.seed)``.
     Trains ``model`` and ``value_head`` themselves, in place, so they end
     with the last update's weights; returns copies holding the best
     weights, then the metric rows.

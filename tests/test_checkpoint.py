@@ -26,7 +26,7 @@ def test_roundtrip_bit_identical(tmp_path):
     assert loaded.meta == {"stage": "dense", "seed": 1}
     for (name, a), (_, b) in zip(m.named_params(), loaded.model.named_params()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
-    ctx = np.array([1, 2, 3, m.config.bos_action_id])
+    ctx = np.array([[1, 2, 3, m.config.bos_action_id]])
     la, _ = forward(m, ctx)
     lb, _ = forward(loaded.model, ctx)
     np.testing.assert_array_equal(la.data, lb.data)
@@ -149,16 +149,18 @@ def test_corrupt_header_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
-    # a header naming a config key this version does not have
-    save_checkpoint(m, path)
-    raw = path.read_bytes()
-    n = struct.unpack("<I", raw[8:12])[0]
-    header = json.loads(raw[12:12 + n])
-    header["config"]["n_experts"] = 2
-    hb = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + n:])
-    with pytest.raises(CheckpointError, match="unknown ModelConfig key.*'n_experts'"):
-        load_checkpoint(path)
+    # a header naming a config key this version does not have: one never
+    # defined, or instruction_vocab, which checkpoints of older versions carry
+    for key in ("n_experts", "instruction_vocab"):
+        save_checkpoint(m, path)
+        raw = path.read_bytes()
+        n = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12:12 + n])
+        header["config"][key] = 2
+        hb = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + n:])
+        with pytest.raises(CheckpointError, match=f"unknown ModelConfig key.*'{key}'"):
+            load_checkpoint(path)
 
 
 def test_save_is_atomic(tmp_path, monkeypatch):

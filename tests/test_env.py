@@ -5,7 +5,7 @@ import pytest
 
 from rlrc.env import (
     DOWN, GRASP, LEFT, RELEASE, RIGHT, UP,
-    Demonstration, EnvConfig, EnvError, SplitError, TaskSpec, VecEnv,
+    REWARD_PLACED, Demonstration, EnvConfig, EnvError, SplitError, TaskSpec, VecEnv,
     expert_policy, generate_demos, load_demos, load_task_suite,
     make_task_suite, obs_tokens, reset, run_expert_episode,
     save_task_suite, step,
@@ -76,8 +76,7 @@ def test_reward_on_place_and_done():
     while not state.done:
         res = step(state, expert_policy(state))
     assert state.success
-    assert res.reward == 1.0
-    assert res.info["placed_now"]
+    assert res.reward == REWARD_PLACED == 1.0
 
 
 def test_first_grasp_reward_once():
@@ -246,7 +245,7 @@ def test_vec_env_restart_emits_final_obs():
         if dones.any():
             i = int(np.flatnonzero(dones)[0])
             assert "final_obs" in infos[i]
-            assert infos[i]["success"]
+            assert r[i] == REWARD_PLACED  # the expert's episode ended placed
             # returned obs row is the fresh episode, not the terminal one
             assert not vec.states[i].done
             break

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ def tiny_config(**kw):
 
 
 def ctx_for(cfg, length=5, seed=0):
+    """A (1, length + 1) batch: random observation tokens, then the marker."""
     rng = np.random.default_rng(seed)
     toks = rng.integers(0, cfg.observation_vocab, size=length)
-    return np.append(toks, cfg.bos_action_id)
+    return np.append(toks, cfg.bos_action_id)[None]
 
 
 def test_init_deterministic():
@@ -80,12 +82,11 @@ def test_forward_shapes():
     cfg = tiny_config()
     m = init_model(cfg)
     ctx = ctx_for(cfg, 7)
-    # the last position only; a batch keeps a length-1 position axis
+    # the last position only, keeping a length-1 position axis
     logits, hidden = forward(m, ctx)
-    assert logits.data.shape == (1, cfg.action_vocab)
-    assert hidden.data.shape == (1, cfg.d_model)
-    batch = np.stack([ctx, ctx])
-    logits, hidden = forward(m, batch)
+    assert logits.data.shape == (1, 1, cfg.action_vocab)
+    assert hidden.data.shape == (1, 1, cfg.d_model)
+    logits, hidden = forward(m, np.concatenate([ctx, ctx]))
     assert logits.data.shape == (2, 1, cfg.action_vocab)
     assert hidden.data.shape == (2, 1, cfg.d_model)
 
@@ -94,17 +95,21 @@ def test_forward_rejects_overlong_and_bad_ids():
     cfg = tiny_config(max_seq_len=4)
     m = init_model(cfg)
     with pytest.raises(ShapeError):
-        forward(m, np.zeros(5, dtype=np.int64))
+        forward(m, np.zeros((1, 5), dtype=np.int64))
     with pytest.raises(ShapeError):
         forward(m, np.zeros((2, 0), dtype=np.int64))
     with pytest.raises(IndexError):
-        forward(m, np.array([cfg.total_vocab]))
+        forward(m, np.array([[cfg.total_vocab]]))
+    # tokens are a (B, S) batch only: any other rank is refused by shape
+    for shape in ((3,), (2, 1, 3)):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            forward(m, np.zeros(shape, dtype=np.int64))
 
 
 def test_forward_same_with_and_without_grad():
     cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
     m = init_model(cfg, seed=5)
-    ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(4)])
+    ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(4)])
     logits, hidden = forward(m, ctx)
     assert logits.requires_grad and hidden.requires_grad
     with no_grad():
@@ -131,7 +136,7 @@ def test_no_grad_forward_decodes_large_batches_in_slices(monkeypatch):
     # MLP channel, so it runs the inner-dimension-1 products too
     cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
     m = init_model(cfg, seed=5)
-    ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(150)])
+    ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(150)])
     rows = attn_block_rows(monkeypatch)
     with no_grad():
         logits, hidden = forward(m, ctx)
@@ -148,7 +153,7 @@ def test_no_grad_forward_decodes_large_batches_in_slices(monkeypatch):
 def test_grad_forward_is_one_graph_over_all_rows(monkeypatch):
     cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
     m = init_model(cfg, seed=5)
-    ctx = np.stack([ctx_for(cfg, 6, seed=i) for i in range(150)])
+    ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(150)])
     rows = attn_block_rows(monkeypatch)
     logits, hidden = forward(m, ctx)
     assert rows == [150, 150]
@@ -195,7 +200,7 @@ def reference_logits(m, tokens):
 def test_forward_matches_float64_reference():
     cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
     m = init_model(cfg, seed=3)
-    ctx = np.stack([ctx_for(cfg, 9, seed=i) for i in range(3)])
+    ctx = np.concatenate([ctx_for(cfg, 9, seed=i) for i in range(3)])
     logits, _ = forward(m, ctx)
     assert logits.data.shape == (3, 1, cfg.action_vocab)
     assert np.abs(logits.data[:, 0] - reference_logits(m, ctx)[:, -1]).max() < 1e-5
@@ -207,11 +212,11 @@ def test_causality_prefixes_match_reference():
     cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
     m = init_model(cfg, seed=1)
     ctx = ctx_for(cfg, 8)
-    ref = reference_logits(m, ctx)
-    for j in range(1, len(ctx) + 1):
-        logits, _ = forward(m, ctx[:j])
-        assert logits.data.shape == (1, cfg.action_vocab)
-        assert np.abs(logits.data[0] - ref[j - 1]).max() < 1e-5, j
+    ref = reference_logits(m, ctx)[0]
+    for j in range(1, ctx.shape[1] + 1):
+        logits, _ = forward(m, ctx[:, :j])
+        assert logits.data.shape == (1, 1, cfg.action_vocab)
+        assert np.abs(logits.data[0, 0] - ref[j - 1]).max() < 1e-5, j
 
 
 def test_attn_block_query_rows_match_full_block():
@@ -375,6 +380,24 @@ def test_kernels_bit_identical_to_plain_expressions(dtype, rows):
              ref_mlp_block_backward(dout_mlp, x, *mlp_w, ref_saved))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rms_rows_on_marker_rows_equals_2d(dtype):
+    # the output norm runs on forward's (B, 1, D) marker rows; its gain
+    # gradient sums over every leading axis, as the 2-d blocks' does
+    rng = np.random.default_rng(4)
+    b, d = 5, 16
+    x = rng.standard_normal((b, 1, d)).astype(dtype)
+    g = rng.standard_normal((b, 1, d)).astype(dtype)
+    gain = rng.standard_normal(d).astype(dtype)
+    np.testing.assert_array_equal(kernels.rms_rows(x, gain).reshape(b, d),
+                                  kernels.rms_rows(x.reshape(b, d), gain))
+    dx3, dgain3 = kernels.rms_rows_backward(g, x, gain)
+    dx2, dgain2 = kernels.rms_rows_backward(g.reshape(b, d), x.reshape(b, d), gain)
+    assert dx3.shape == (b, 1, d) and dgain3.shape == (d,)
+    np.testing.assert_array_equal(dx3.reshape(b, d), dx2)
+    np.testing.assert_array_equal(dgain3, dgain2)
+
+
 def test_forward_gradients_match_finite_differences():
     # 2 layers, 2 heads, the second layer pruned to 1 head; float64 end to end
     cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8)
@@ -383,7 +406,7 @@ def test_forward_gradients_match_finite_differences():
         name: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
         for name, p in m32.named_params()})
     rng = np.random.default_rng(0)
-    ctx = np.stack([ctx_for(cfg, 4, seed=i) for i in range(2)])
+    ctx = np.concatenate([ctx_for(cfg, 4, seed=i) for i in range(2)])
     # shaped as forward's outputs, the last position only
     r_logits = rng.standard_normal((2, 1, cfg.action_vocab))
     r_hidden = rng.standard_normal((2, 1, cfg.d_model))
@@ -422,7 +445,7 @@ def test_forward_gradients_match_finite_differences():
 def test_greedy_sampling_deterministic():
     cfg = tiny_config()
     m = init_model(cfg)
-    ctx = np.stack([ctx_for(cfg, seed=i) for i in range(4)])
+    ctx = np.concatenate([ctx_for(cfg, seed=i) for i in range(4)])
     a1 = greedy_actions(m, ctx)
     np.testing.assert_array_equal(a1, greedy_actions(m, ctx))
     # the greedy action is the most probable one under the autodiff path
@@ -435,14 +458,14 @@ def test_action_logprob_uniform_closed_form():
     cfg = tiny_config()
     m = init_model(cfg)
     m.w_act.data[:] = 0.0  # uniform over the 6 actions
-    lps, _, _ = batch_logprob_value(m, None, ctx_for(cfg)[None], [2])
+    lps, _, _ = batch_logprob_value(m, None, ctx_for(cfg), [2])
     assert abs(float(lps.data[0]) - np.log(1.0 / 6.0)) < 1e-6
 
 
 def test_action_logprob_is_valid_probability():
     cfg = tiny_config()
     m = init_model(cfg)
-    ctx = np.stack([ctx_for(cfg)] * cfg.action_vocab)
+    ctx = np.repeat(ctx_for(cfg), cfg.action_vocab, axis=0)
     lps, _, _ = batch_logprob_value(m, None, ctx, np.arange(cfg.action_vocab))
     assert np.all(lps.data <= 0.0)
     assert abs(np.exp(lps.data.astype(np.float64)).sum() - 1.0) < 1e-5
@@ -452,7 +475,7 @@ def test_action_logprob_rejects_bad_token():
     cfg = tiny_config()
     m = init_model(cfg)
     with pytest.raises(IndexError):
-        batch_logprob_value(m, None, ctx_for(cfg)[None], [cfg.action_vocab])
+        batch_logprob_value(m, None, ctx_for(cfg), [cfg.action_vocab])
 
 
 def test_value_zero_head_outputs_zero():
@@ -461,7 +484,7 @@ def test_value_zero_head_outputs_zero():
     vh = init_value_head(cfg.d_model, seed=0)
     for p in vh.params():
         p.data[:] = 0.0
-    _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg)[None], [0])
+    _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg), [0])
     assert float(v.data[0]) == 0.0
 
 
@@ -470,7 +493,7 @@ def test_value_is_differentiable_into_backbone():
     for detach in (False, True):
         m = init_model(cfg)
         vh = init_value_head(cfg.d_model, seed=1)
-        _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg)[None], [0],
+        _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg), [0],
                                       detach_value_input=detach)
         backward(sum_(v))
         grad = m.layers[0].wq.grad

@@ -63,14 +63,14 @@ def test_group_sizes():
 def test_single_group_removal_never_breaks_forward():
     m = tiny_model()
     groups = build_dependency_groups(m)
-    ctx = np.array([1, 2, 3, m.config.bos_action_id])
+    ctx = np.array([[1, 2, 3, m.config.bos_action_id]])
     rng = np.random.default_rng(0)
     for g in rng.choice(len(groups), size=6, replace=False):
         g = groups[int(g)]
         plan = _plan_for(m, [g])
         pruned = apply_prune(m, plan)
         logits, _ = forward(pruned, ctx)
-        assert logits.data.shape == (1, m.config.action_vocab)
+        assert logits.data.shape == (1, 1, m.config.action_vocab)
 
 
 def _plan_for(model, groups, exempt=()):
@@ -279,6 +279,74 @@ def test_exempt_layers_never_pruned():
     assert all(g.layer not in (0, 2) for g in plan.groups)
 
 
+def reference_apply_prune(model, plan):
+    """apply_prune by its former per-layer slicing table: (arrays, n_heads, d_ff)."""
+    cfg = model.config
+    hd = cfg.head_dim
+    drop_heads = [set() for _ in range(cfg.n_layers)]
+    drop_channels = [set() for _ in range(cfg.n_layers)]
+    for g in plan.groups:
+        (drop_heads if g.kind == KIND_ATTN else drop_channels)[g.layer].add(g.index)
+    arrays = {name: p.data for name, p in model.named_params()}
+    n_heads, d_ff = [], []
+    for li in range(cfg.n_layers):
+        keep_h = [h for h in range(cfg.n_heads[li]) if h not in drop_heads[li]]
+        keep_c = np.array([c for c in range(cfg.d_ff[li]) if c not in drop_channels[li]])
+        col_idx = np.concatenate([np.arange(h * hd, (h + 1) * hd) for h in keep_h])
+        for name, keep, axis in (("wq", col_idx, 1), ("wk", col_idx, 1), ("wv", col_idx, 1),
+                                 ("wo", col_idx, 0), ("wup", keep_c, 1),
+                                 ("wgate", keep_c, 1), ("wdown", keep_c, 0)):
+            key = f"layers.{li}.{name}"
+            arrays[key] = np.take(arrays[key], keep, axis=axis)
+        n_heads.append(len(keep_h))
+        d_ff.append(len(keep_c))
+    return arrays, n_heads, d_ff
+
+
+def assert_prunes_like_reference(model, plan):
+    pruned = apply_prune(model, plan)
+    arrays, n_heads, d_ff = reference_apply_prune(model, plan)
+    assert (pruned.config.n_heads, pruned.config.d_ff) == (n_heads, d_ff)
+    got = dict(pruned.named_params())
+    assert list(got) == list(arrays)
+    for name, want in arrays.items():
+        assert got[name].data.dtype == want.dtype, name
+        np.testing.assert_array_equal(got[name].data, want, err_msg=name)
+    return pruned
+
+
+def test_apply_matches_slicing_table_on_ninety_percent_plan():
+    m = init_model(ModelConfig())
+    obs, acts = calib_batch(64)
+    plan = select_prune_groups(m, taylor_importance(m, obs, acts), 0.9)
+    assert_prunes_like_reference(m, plan)
+
+
+def random_plan(model, rng, exempt=(0,)):
+    """Random heads and channels of every non-exempt layer, in random order,
+    never a layer's last head or channel."""
+    groups = build_dependency_groups(model)
+    chosen = []
+    for li in range(model.config.n_layers):
+        if li in exempt:
+            continue
+        for kind in (KIND_ATTN, KIND_MLP):
+            mine = [g for g in groups if g.layer == li and g.kind == kind]
+            k = int(rng.integers(0, len(mine)))
+            chosen += [mine[int(i)] for i in rng.choice(len(mine), size=k, replace=False)]
+    rng.shuffle(chosen)
+    return _plan_for(model, chosen, exempt=exempt)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_matches_slicing_table_on_random_mixed_plans(seed):
+    # a second plan prunes the already pruned model, whose layers differ in width
+    rng = np.random.default_rng(seed)
+    m = tiny_model(seed=seed, n_layers=4, d_ff=12, heads=4)
+    for _ in range(2):
+        m = assert_prunes_like_reference(m, random_plan(m, rng))
+
+
 def test_apply_zero_groups_exact_equivalence():
     m = tiny_model(seed=4, n_layers=3, d_ff=8, heads=2)
     groups = build_dependency_groups(m)
@@ -297,7 +365,7 @@ def test_apply_zero_groups_exact_equivalence():
     pruned = apply_prune(m, _plan_for(m, victims, exempt=(0, 2)))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        ctx = np.append(rng.integers(0, 21, size=6), m.config.bos_action_id)
+        ctx = np.append(rng.integers(0, 21, size=6), m.config.bos_action_id)[None]
         la, _ = forward(m, ctx)
         lb, _ = forward(pruned, ctx)
         assert np.abs(la.data - lb.data).max() <= 1e-6
@@ -329,14 +397,9 @@ def test_param_counts_formula_and_embedding_exclusion():
     counts = param_counts(m)
     d = 128
     per_layer_mats = 4 * d * d + 3 * d * 512
-    assert counts["prunable"] == 4 * per_layer_mats  # layers 1..4
-    assert counts["total"] == m.num_params()
-    for row in counts["per_layer"]:
-        assert row["prunable"] in (0, per_layer_mats)
-    # embeddings live in total only
-    emb = m.tok_emb.data.size + m.pos_emb.data.size
-    assert counts["total"] - sum(r["total"] for r in counts["per_layer"]) == \
-        emb + m.final_gain.data.size + m.w_act.data.size
+    # layers 1..4; embeddings, gains and the action head live in total only
+    assert counts == {"total": m.num_params(), "prunable": 4 * per_layer_mats}
+    assert param_counts(m, exempt_layers=())["prunable"] == 6 * per_layer_mats
 
 
 def test_prunable_drop_after_ninety_percent():

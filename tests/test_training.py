@@ -11,7 +11,9 @@ from rlrc.model import (
 from rlrc.tensor import (
     add, backward, clip, exp, mean, minimum, mul, neg, no_grad, square, sub,
 )
+from rlrc import training
 from rlrc.training import (
+    EvalResult,
     ExpertPolicyWrapper,
     ModelPolicy,
     PpoConfig,
@@ -104,6 +106,25 @@ def test_train_sft_log_starts_fresh(tmp_path):
     assert [r["step"] for r in logged] == [r["step"] for r in rows] == [4, 4]
 
 
+def sft_eval_steps(tmp_path, **kw):
+    """The steps at which a 20-step SFT run with an eval every 2 steps evaluated."""
+    suite = make_task_suite(0)
+    cfg = SftConfig(max_steps=20, eval_interval=2, eval_episodes=1, seed=0, batch_size=8, **kw)
+    _, rows = train_sft(tiny_model(seed=4), make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
+    return [r["step"] for r in rows if r["phase"] == "sft"]
+
+
+def test_train_sft_early_stops(tmp_path, monkeypatch):
+    # any success clears a threshold of 0: the first eval stops the run
+    assert sft_eval_steps(tmp_path, early_stop_success=0.0) == [2]
+    # SftConfig refuses lr=0, so the eval score is held fixed instead: the
+    # second eval cannot improve on the first
+    monkeypatch.setattr(training, "evaluate",
+                        lambda *args, **kw: EvalResult(0.5, 0.0, 1.0, 1))
+    assert sft_eval_steps(tmp_path, patience=1) == [2, 4]
+    assert sft_eval_steps(tmp_path) == list(range(2, 21, 2))
+
+
 def test_train_sft_empty_dataset_rejected():
     with pytest.raises(TrainingError):
         train_sft(tiny_model(), [], SftConfig(), ENV, [])
@@ -123,7 +144,6 @@ def _buffer_from(rewards, values, dones, next_values):
         dones=np.asarray(dones, dtype=np.float64),
         trunc_values=np.zeros((n, h), dtype=np.float64),
         next_values=np.asarray(next_values, dtype=np.float64),
-        task_ids=np.zeros((n, h), dtype=np.int64),
     )
 
 
@@ -255,14 +275,6 @@ def test_collect_logprobs_match_recomputation_exactly():
             lps, _, _ = batch_logprob_value(model, None, ctx[None], [int(buf.actions[i, t])])
             lp = float(lps.data[0])
             assert lp == float(buf.logprobs[i, t])
-
-
-def test_collect_task_ids_all_ind():
-    model, vhead, vec, rng = _rollout_setup(seed=2)
-    buf, _ = collect_rollouts(model, vhead, vec, 16, rng)
-    assert buf.task_ids.min() >= 0
-    assert buf.task_ids.max() < len(vec.tasks)
-    assert all(t.split == "IND" for t in vec.tasks)
 
 
 def test_first_epoch_ratio_is_one():
@@ -482,6 +494,17 @@ def test_train_ppo_zero_lr_keeps_params():
                           eval_tasks_ind=suite["IND"][:2])
     for n, p in out.named_params():
         np.testing.assert_array_equal(p.data, before[n], err_msg=n)
+
+
+def test_train_ppo_early_stops_after_patience_evals():
+    # an eval after every 16-step iteration; with lr=0 the second cannot improve
+    suite = make_task_suite(0)
+    for patience, evals in ((1, [16, 32]), (1_000_000, [16, 32, 48, 64, 80])):
+        cfg = micro_ppo_config(lr=0.0, total_env_steps=80, eval_interval_steps=16,
+                               early_stop_patience=patience)
+        _, _, rows = train_ppo(tiny_model(seed=8), None, suite["IND"][:4], cfg, ENV,
+                               eval_tasks_ind=suite["IND"][:1])
+        assert [r["step"] for r in rows if r["phase"] == "ppo"] == evals
 
 
 def test_train_ppo_refuses_ood_tasks():
