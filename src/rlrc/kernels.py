@@ -1,13 +1,19 @@
-"""Numeric kernels of the decoder, on numpy/BLAS.
+"""Numeric kernels of the policy and its losses, on numpy/BLAS.
 
-`attn_block`, `mlp_block` and `rms_rows` are the decoder's arithmetic;
-``model.forward`` applies them as autodiff nodes (`tensor.fused`), so
-serving, rollouts and training run the same code.  `rms_rows` is the one
-RMS norm: the blocks apply it to their inputs and ``model.forward`` to the
-last block's output, with one epsilon.  `attn_block` takes its
-query rows from the mask: with a (T, S) mask it attends from the last T
-positions over all S and returns those T rows, so the last layer computes
-keys and values for every position and the rest for the marker row only.
+Each kernel is a numpy function with a hand-written backward next to it,
+and ``tensor.fused`` makes it one autodiff node, the only kind there is:
+`embed`, `attn_block`, `mlp_block`, `rms_rows` and `linear` are the
+decoder ``model.forward`` runs, `value_mlp` the critic, `nll` the SFT loss
+and `ppo_objective` the PPO loss.  Serving, rollouts and training run the
+same code.  `log_softmax` is the one log-softmax: `nll` and
+`ppo_objective` apply it, and so does rollout collection for the log-probs
+it stores, so stored and recomputed log-probs agree bit for bit.
+`rms_rows` is the one RMS norm: the blocks apply it to their inputs and
+``model.forward`` to the last block's output, with one epsilon.
+`attn_block` takes its query rows from the mask: with a (T, S) mask it
+attends from the last T positions over all S and returns those T rows, so
+the last layer computes keys and values for every position and the rest
+for the marker row only.
 The blocks keep the input dtype (float32 in use, float64 for gradient
 checks), with float64 accumulators in the rms statistics, and apply each
 weight as ``x @ W``, so a weight is either an array or a
@@ -24,12 +30,19 @@ as soon as its backward has run.  Elementwise chains run in place
 (``out=``, ``*=``) in the order of the plain expressions, so they round
 the same and allocate one temporary, not one per operation.
 
+The losses check their action ids (one per row, in [0, A)), take their
+means over rows in float64, and keep the order of operations of the same
+loss written as a chain of elementwise steps, so their gradients round as
+that chain's would.
+
 `qdot4` and `qdot8` dequantize a tile of whole weight rows at a time to
 float32, add it into a float64 output with one BLAS dgemm, and round the
 sum to float32 once.
 """
 
 import numpy as np
+
+from .tensor import ShapeError
 
 _EPS_NORM = 1e-6
 
@@ -191,6 +204,183 @@ def mlp_block_backward(dout, x, gain, wup, wgate, wdown, saved):
     dx = dx.reshape(b, s, d)
     dx += dout
     return dx, dgain, xn.T @ du, xn.T @ dg, dwdown
+
+
+def embed(tok_emb, pos_emb, tokens, saved=None):
+    """Token plus position embedding of checked (B, S) ids: (B, S, D)."""
+    out = tok_emb[tokens]
+    out += pos_emb[:tokens.shape[1]]
+    return out
+
+
+def embed_backward(g, tok_emb, pos_emb, tokens, saved):
+    """Gradients (d tok_emb, d pos_emb) of `embed`; a token row used more
+    than once sums its gradients in id order (``np.add.at``)."""
+    dtok = np.zeros_like(tok_emb)
+    np.add.at(dtok, tokens, g)
+    dpos = np.zeros_like(pos_emb)
+    dpos[:tokens.shape[1]] += g.sum(axis=0)
+    return dtok, dpos
+
+
+def linear(x, w, saved=None):
+    """x @ w over the last axis of x: (..., k) x (k, n) -> (..., n)."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
+def linear_backward(g, x, w, saved):
+    """Gradients (dx, dw) of `linear`."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, x.shape[-1]).T @ g2
+
+
+def value_mlp(x, w1, b1, w2, b2, saved=None):
+    """The critic: silu(x @ w1 + b1) @ w2 + b2 per row (last axis) of x,
+    one value per row, the leading axes flattened: (..., d) -> (rows,)."""
+    h = x.reshape(-1, x.shape[-1]) @ w1
+    h += b1
+    sig = 1.0 / (1.0 + np.exp(-h))
+    s = h * sig
+    if saved is not None:
+        saved.update(h=h, sig=sig, s=s)
+    out = s @ w2
+    out += b2
+    return out.reshape(-1)
+
+
+def value_mlp_backward(g, x, w1, b1, w2, b2, saved):
+    """Gradients (dx, dw1, db1, dw2, db2) of `value_mlp`."""
+    h, sig, s = saved["h"], saved["sig"], saved["s"]
+    g2 = g.reshape(-1, 1)
+    dh = (g2 @ w2.T) * (sig * (1.0 + h * (1.0 - sig)))
+    dx = (dh @ w1.T).reshape(x.shape)
+    return dx, x.reshape(-1, x.shape[-1]).T @ dh, dh.sum(axis=0), s.T @ g2, g2.sum(axis=0)
+
+
+def log_softmax(x, saved=None):
+    """Log-softmax over the last axis of x, the one used for rollout
+    log-probs, the SFT NLL and PPO.
+
+    The log-sum-exp sums in float64 and is rounded to x's dtype.  Given a
+    ``saved`` dict, also keeps the softmax there as ``p`` (its row sums
+    taken in x's dtype).
+    """
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    shifted -= np.log(e.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(x.dtype)
+    if saved is not None:
+        e /= e.sum(axis=-1, keepdims=True)
+        saved["p"] = e
+    return shifted
+
+
+def _check_ids(ids, logits):
+    """The rows of (..., A) logits as (N, A), after checking that ids holds
+    one id in [0, A) per row; numpy indexing would wrap a negative id."""
+    lg = logits.reshape(-1, logits.shape[-1])
+    if ids.shape != lg.shape[:1]:
+        raise ShapeError(f"{ids.shape} ids for logits of shape {logits.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= lg.shape[1]):
+        raise IndexError(f"action id out of range [0, {lg.shape[1]}): "
+                         f"ids span [{ids.min()}, {ids.max()}]")
+    return lg
+
+
+def nll(logits, ids, saved=None):
+    """Mean negative log-likelihood of ``ids``, one per row of (..., A)
+    logits: the SFT loss, a 0-d array of the logits' dtype.  The sum over
+    rows is taken in float64."""
+    lg = _check_ids(ids, logits)
+    n = lg.shape[0]
+    lp = log_softmax(lg, saved)[np.arange(n), ids]
+    return np.asarray(-float(np.sum(lp, dtype=np.float64)) / n, dtype=logits.dtype)
+
+
+def nll_backward(g, logits, ids, saved):
+    """Gradient (dlogits,) of `nll`: (p - onehot) * g / N, built as -p * g/N
+    plus g/N at each id."""
+    n = ids.shape[0]
+    glp = np.full(n, -float(g) / n, dtype=logits.dtype)
+    d = -saved["p"] * glp[:, None]
+    d[np.arange(n), ids] += glp
+    return (d.reshape(logits.shape),)
+
+
+def ppo_objective(logits, values, actions, old_logprobs, advantages, returns,
+                  clip_eps, value_coef, entropy_coef, terms, saved=None):
+    """The PPO loss of a batch of rows, a 0-d float64 array:
+    -surrogate + value_coef * value_error^2 - entropy_coef * entropy.
+
+    surrogate = mean(min(r * A, clip(r, 1 - clip_eps, 1 + clip_eps) * A))
+    with r = exp(log p(action) - old log-prob); value_error^2 = mean((values
+    - returns)^2); entropy = mean(-sum p log p).  ``logits`` are (..., A),
+    one row per action; ``values`` one per row; every float array of one
+    dtype.  Each term is a mean taken in float64 and rounded to that dtype;
+    their weighted sum is taken in float64.  The terms are written to the
+    ``terms`` dict as floats (``surrogate``, ``value_loss``, ``entropy``).
+    """
+    lg = _check_ids(actions, logits)
+    n = lg.shape[0]
+    parts = {}
+    log_p = log_softmax(lg, parts)
+    p = parts["p"]
+    ratio = np.exp(log_p[np.arange(n), actions] - old_logprobs)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
+    surrogate = np.mean(np.minimum(unclipped, clipped), dtype=np.float64).astype(lg.dtype)
+    err = values - returns
+    value_loss = np.mean(err * err, dtype=np.float64).astype(lg.dtype)
+    neg_entropy = np.mean(np.sum(p * log_p, axis=1, dtype=np.float64).astype(lg.dtype),
+                          dtype=np.float64).astype(lg.dtype)
+    entropy = -np.float64(neg_entropy)
+    terms.update(surrogate=float(surrogate), value_loss=float(value_loss),
+                 entropy=float(entropy))
+    if saved is not None:
+        saved.update(log_p=log_p, p=p, ratio=ratio, err=err,
+                     take_unclipped=unclipped <= clipped)
+    return np.asarray((-np.float64(surrogate) + np.float64(value_loss) * value_coef)
+                      + entropy * -entropy_coef)
+
+
+def ppo_objective_backward(g, logits, values, actions, old_logprobs, advantages, returns,
+                           clip_eps, value_coef, entropy_coef, terms, saved):
+    """Gradients (dlogits, dvalues) of `ppo_objective`.
+
+    Each term's scalar gradient is rounded to the term's dtype before it is
+    spread over the rows, and the logits gradient sums the log-prob term,
+    then the softmax's, then the log-softmax's; these orders make the
+    gradients those of the same loss written as a chain of elementwise
+    steps, bit for bit.
+    """
+    log_p, p, ratio, err = saved["log_p"], saved["p"], saved["ratio"], saved["err"]
+    n = ratio.shape[0]
+    g = float(g)
+
+    def row_grads(term_grad):  # the rows' share of a mean's gradient, rounded first
+        return np.full(n, float(np.asarray(term_grad, dtype=ratio.dtype)) / n, dtype=ratio.dtype)
+
+    # surrogate: the min passes its gradient to the branch it took, and the
+    # clipped branch reaches r only inside the clip range
+    g_min = row_grads(-g)
+    take = saved["take_unclipped"]
+    inside = (ratio >= 1.0 - clip_eps) & (ratio <= 1.0 + clip_eps)
+    g_ratio = (g_min * take) * advantages
+    g_ratio += ((g_min * ~take) * advantages) * inside
+    g_lp = g_ratio * ratio
+    dlogits = -p * g_lp[:, None]
+    dlogits[np.arange(n), actions] += g_lp
+    # entropy: mean(sum p log p) reaches the logits through p (softmax) and
+    # through log p (log-softmax); the second path sums to zero in exact
+    # arithmetic and is kept for its rounding
+    g_plogp = row_grads(g * -entropy_coef * -1.0)[:, None]
+    g_p = g_plogp * log_p
+    g_logp = g_plogp * p
+    dlogits += p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+    dlogits += g_logp - np.exp(log_p) * g_logp.sum(axis=-1, keepdims=True)
+    # value error: (v - R)^2 reaches v twice
+    dvalues = row_grads(g * value_coef) * err
+    dvalues += dvalues
+    return dlogits.reshape(logits.shape), dvalues
 
 
 # transient-buffer audit hook for qdot4/qdot8, which work one tile at a time

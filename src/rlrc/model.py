@@ -12,14 +12,17 @@ A model is its config plus named parameters (`named_params`), and
 to the model.  `param_shapes` gives every parameter's shape from the
 config alone.
 
-`forward` is the one decoder.  Each layer is two autodiff nodes whose
-forward bodies are `kernels.attn_block` and `kernels.mlp_block` and whose
-backward is hand-written next to them.  Every layer but the last runs over
-all positions; the last computes keys and values for all of them and the
-rest (queries, attention output, MLP) for the marker row only, and so do
-the output norm (a third node, `kernels.rms_rows`, the same norm the
-blocks apply) and the action head.  Tokens are always a (B, S) batch.
-Training, PPO log-probs, the value head and Taylor scoring record the
+`forward` is the one decoder, a chain of `tensor.fused` nodes over
+rlrc.kernels, each with its hand-written backward: the token plus position
+embedding (`kernels.embed`), two nodes per layer (`kernels.attn_block`,
+`kernels.mlp_block`), the output norm (`kernels.rms_rows`, the same norm
+the blocks apply) and the action head (`kernels.linear`).  Every layer but
+the last runs over all positions; the last computes keys and values for
+all of them and the rest (queries, attention output, MLP) for the marker
+row only, and so do the output norm and the action head.  Tokens are
+always a (B, S) batch, and `_check_tokens` is the one check of their
+shape and ids.  The value head is one `kernels.value_mlp` node.  SFT,
+the PPO update (`batch_logprob_value`) and Taylor scoring record the
 nodes; under `no_grad` the same call runs the kernels and records
 nothing, which is how `fast_logits_last` serves.  A quantized weight
 implements ``x @ W`` for the kernels, so a quantized model serves through
@@ -38,25 +41,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import kernels
-from .tensor import (
-    GradError,
-    Tensor,
-    ShapeError,
-    add,
-    embedding_lookup,
-    fused,
-    grad_enabled,
-    log_softmax,
-    log_softmax_gather,
-    matmul,
-    mean,
-    mul,
-    no_grad,
-    reshape,
-    silu,
-    softmax,
-    sum_,
-)
+from .tensor import GradError, ShapeError, Tensor, fused, grad_enabled, no_grad
 
 
 @dataclass
@@ -190,14 +175,11 @@ class ValueHead:
     def params(self):
         return [p for _, p in self.named_params()]
 
-    def copy(self):
-        return ValueHead(*(Tensor(p.data.copy(), requires_grad=True) for p in self.params()))
-
     def apply(self, hidden):
-        """Scalar value per row of ``hidden`` ((..., d_model) -> (...,))."""
-        h = add(matmul(hidden, self.w1), self.b1)
-        out = add(matmul(silu(h), self.w2), self.b2)
-        return reshape(out, out.data.shape[:-1])
+        """One value per row of ``hidden``, its leading axes flattened:
+        (B, 1, d_model) -> (B,); one `kernels.value_mlp` node."""
+        return fused(kernels.value_mlp, kernels.value_mlp_backward,
+                     (hidden, self.w1, self.b1, self.w2, self.b2))
 
 
 def param_shapes(config):
@@ -300,8 +282,7 @@ def _decode(model, tokens):
     """`forward` of checked (B, S) tokens: ((B, 1, A), (B, 1, D))."""
     cfg = model.config
     s = tokens.shape[1]
-    x = add(embedding_lookup(model.tok_emb, tokens),
-            embedding_lookup(model.pos_emb, np.arange(s)))
+    x = fused(kernels.embed, kernels.embed_backward, (model.tok_emb, model.pos_emb), tokens)
     mask = np.triu(np.full((s, s), -1e9, dtype=x.data.dtype), k=1)
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
@@ -312,7 +293,7 @@ def _decode(model, tokens):
         x = fused(kernels.mlp_block, kernels.mlp_block_backward,
                   (x, layer.mlp_gain, layer.wup, layer.wgate, layer.wdown))
     hidden = fused(kernels.rms_rows, kernels.rms_rows_backward, (x, model.final_gain))
-    return matmul(hidden, model.w_act), hidden
+    return fused(kernels.linear, kernels.linear_backward, (hidden, model.w_act)), hidden
 
 
 def fast_logits_last(model, tokens):
@@ -328,34 +309,24 @@ def greedy_actions(model, contexts):
 
 
 # ---------------------------------------------------------------------------
-# action log-probs and values (autodiff path)
+# the PPO update's forward pass
 # ---------------------------------------------------------------------------
 
-def batch_logprob_value(model, value_head, contexts, actions, detach_value_input=False):
-    """Log-probs and values for a batch of single-token actions.
+def batch_logprob_value(model, value_head, contexts, detach_value_input=False):
+    """Action logits and critic values at the marker of (B, S) contexts.
 
-    ``contexts`` is (B, S) all ending at the marker position; ``actions``
-    is (B,).  Returns differentiable ((B,) log-probs, (B,) values, entropy
-    scalar), all read at the marker, the one position `forward` computes.
-    This is the PPO update path; collection uses the same ops so
-    stored and recomputed log-probs agree exactly.  With
+    Returns differentiable ((B, 1, A) logits, (B,) values): `forward` and
+    the value head on its hidden state.  This is the PPO update's forward
+    pass; ``kernels.ppo_objective`` turns the logits into the log-probs
+    rollout collection stored, with the same `kernels.log_softmax`.  With
     ``detach_value_input`` the critic reads the hidden state through a
     stop-gradient (ablation switch); by default critic gradients flow into
     the shared backbone.
     """
     logits, hidden = forward(model, contexts)
-    last_logits = reshape(logits, (-1, model.config.action_vocab))
-    lps = log_softmax_gather(last_logits, np.asarray(actions, dtype=np.int64))
-    log_p = log_softmax(last_logits, -1)
-    p = softmax(last_logits, -1)
-    entropy = mul(mean(sum_(mul(p, log_p), axis=1)), -1.0)
-    values = None
-    if value_head is not None:
-        h_last = reshape(hidden, (-1, model.config.d_model))
-        if detach_value_input:
-            h_last = h_last.detach()
-        values = value_head.apply(h_last)
-    return lps, values, entropy
+    if detach_value_input:
+        hidden = hidden.detach()
+    return logits, value_head.apply(hidden)
 
 
 def build_contexts(config, obs_tokens):

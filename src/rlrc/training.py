@@ -7,9 +7,11 @@ batched greedy rollout over a deterministic (task, seed) grid and is the
 single scorer used by every pipeline stage.
 
 Every loss, rollout and value here reads the policy at the marker, the
-last context position, which is the one position `model.forward` computes:
-its (B, 1, A) logits and (B, 1, D) hidden states are reshaped or indexed
-at ``[:, -1, :]``.
+last context position, which is the one position `model.forward` computes.
+Each loss is one autodiff node over the (B, 1, A) logits `forward`
+returns: ``kernels.nll`` for SFT, ``kernels.ppo_objective`` for PPO, which
+reads the critic's values too.  Rollouts store ``kernels.log_softmax`` of
+the same logits, the log-softmax both losses apply.
 
 No batch size sets peak memory.  Each loss is a mean over rows, so an SFT
 step and a PPO minibatch update backpropagate it a fixed-size chunk of
@@ -25,35 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .env import VecEnv, reset, step as env_step, expert_policy
-from .model import (
-    PolicyModel,
-    batch_logprob_value,
-    build_contexts,
-    forward,
-    greedy_actions,
-    init_value_head,
-)
-from .tensor import (
-    OptimizerState,
-    Tensor,
-    adam_step,
-    add,
-    backward_in_chunks,
-    check_finite,
-    clip,
-    cross_entropy,
-    exp,
-    log_softmax,
-    mean,
-    minimum,
-    mul,
-    neg,
-    no_grad,
-    reshape,
-    square,
-    sub,
-)
+from .model import (ModelConfig, PolicyModel, ValueHead, batch_logprob_value, build_contexts,
+                    forward, greedy_actions, init_value_head)
+from .tensor import (OptimizerState, Tensor, adam_step, backward_in_chunks, check_finite, fused,
+                     no_grad)
 
 
 class TrainingError(RuntimeError):
@@ -79,6 +58,8 @@ class SftConfig:
     def __post_init__(self):
         if min(self.lr, self.batch_size, self.max_steps, self.eval_interval) <= 0:
             raise ValueError("SftConfig values must be positive")
+        if self.eval_episodes < 1:
+            raise ValueError(f"eval_episodes must be >= 1, got {self.eval_episodes}")
 
 
 @dataclass
@@ -106,10 +87,20 @@ class PpoConfig:
     early_stop_patience: int = 1_000_000
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        for name in ("epochs", "minibatches", "n_envs", "horizon", "total_env_steps",
+                     "eval_interval_steps", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("gamma", "lam"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.clip_eps <= 0:
             raise ValueError(f"clip_eps must be positive, got {self.clip_eps}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.minibatches > self.n_envs * self.horizon:
+            raise ValueError(f"minibatches={self.minibatches} exceeds the n_envs * horizon = "
+                             f"{self.n_envs * self.horizon} rows of an iteration")
 
 
 @dataclass
@@ -145,9 +136,18 @@ def sft_loss(model, obs_batch, action_batch):
     if obs.shape[0] == 0:
         raise TrainingError("sft_loss on an empty batch")
     actions = np.asarray(action_batch, dtype=np.int64).reshape(-1)
-    contexts = build_contexts(model.config, obs)
-    logits, _ = forward(model, contexts)
-    return cross_entropy(reshape(logits, (-1, model.config.action_vocab)), actions)
+    logits, _ = forward(model, build_contexts(model.config, obs))
+    return fused(kernels.nll, kernels.nll_backward, (logits,), actions)
+
+
+def _from_arrays(model, value_head, arrays):
+    """A model like ``model``, and a value head if one is given, whose
+    parameters wrap ``arrays`` (model then head, in `params` order)."""
+    names = [name for name, _ in model.named_params()]
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = type(model).from_params(ModelConfig.from_dict(model.config.to_dict()),
+                                  dict(zip(names, tensors)))
+    return out if value_head is None else (out, ValueHead(*tensors[len(names):]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +290,8 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
                 stall += 1
             if sr >= config.early_stop_success or stall >= config.patience:
                 break
-    out = model.copy()
-    for p, b in zip(out.params(), best_params):
-        p.data = b.copy()
     logger.log(step=best_step, phase="sft_best", ind_sr=best_sr)
-    return out, logger.rows
+    return _from_arrays(model, None, best_params), logger.rows
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +299,17 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
 # ---------------------------------------------------------------------------
 
 def _values_at_marker(model, value_head, obs):
-    contexts = build_contexts(model.config, obs)
     with no_grad():
-        _, hidden = forward(model, contexts)
-        v = value_head.apply(Tensor(hidden.data[:, -1, :]))
-    return v.data.astype(np.float64)
+        _, hidden = forward(model, build_contexts(model.config, obs))
+        return value_head.apply(hidden).data.astype(np.float64)
 
 
 def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
     """Gather an (envs x horizon) buffer under the frozen current policy.
 
-    Stored log-probs and values come from the same ops the PPO update
-    replays, so the first-epoch ratio is exactly one.  Returns
+    Stored log-probs are `kernels.log_softmax` of the decoder's logits, the
+    function ``kernels.ppo_objective`` applies to the same logits, so the
+    first-epoch ratio is one; values are the value head's.  Returns
     (buffer, last observations) for seamless continuation.
     """
     if obs is None:
@@ -334,8 +330,8 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         contexts = build_contexts(model.config, obs)
         with no_grad():
             logits, hidden = forward(model, contexts)
-            vals = value_head.apply(Tensor(hidden.data[:, -1, :])).data
-            lp_rows = log_softmax(logits.data[:, -1, :], -1).data
+            vals = value_head.apply(hidden).data
+        lp_rows = kernels.log_softmax(logits.data[:, -1, :])
         p = np.exp(lp_rows.astype(np.float64))
         p /= p.sum(axis=1, keepdims=True)
         u = rng.random(n)
@@ -385,28 +381,25 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
     The loss is -surrogate + value_coef * value_error^2 - entropy_coef *
     entropy, each term a mean over the rows, so it is backpropagated a chunk
     of rows at a time (`tensor.backward_in_chunks`) and peak memory is one
-    chunk's graph whatever the minibatch size.  Returns the row-weighted
-    means of the three terms; a chunk whose loss is not finite raises
-    TrainingError naming ``env_steps`` and the chunk's terms.
+    chunk's graph whatever the minibatch size.  A chunk is
+    `model.batch_logprob_value` followed by one ``kernels.ppo_objective``
+    node, which also reports the chunk's three terms.  Returns the
+    row-weighted means of the terms; a chunk whose loss is not finite
+    raises TrainingError naming ``env_steps`` and the chunk's terms.
     """
     def chunk_loss(r0, r1):
-        lps, values, entropy = batch_logprob_value(
-            model, value_head, contexts[r0:r1], actions[r0:r1],
+        logits, values = batch_logprob_value(
+            model, value_head, contexts[r0:r1],
             detach_value_input=config.stop_value_backbone_grad)
-        ratio = exp(sub(lps, old_logprobs[r0:r1]))
-        a = advantages[r0:r1]
-        surr = mean(minimum(mul(ratio, a),
-                            mul(clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps), a)))
-        vloss = mean(square(sub(values, returns[r0:r1])))
-        total = add(add(neg(surr), mul(vloss, config.value_coef)),
-                    mul(entropy, -config.entropy_coef))
+        terms = {}
+        total = fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
+                      actions[r0:r1], old_logprobs[r0:r1], advantages[r0:r1], returns[r0:r1],
+                      config.clip_eps, config.value_coef, config.entropy_coef, terms)
         if not np.isfinite(total.data):
             raise TrainingError(
                 f"ppo diverged at env_steps={env_steps}: "
-                f"surrogate={float(surr.data)}, value_loss={float(vloss.data)}, "
-                f"entropy={float(entropy.data)}"
-            )
-        return total, surr, vloss, entropy
+                + ", ".join(f"{k}={v}" for k, v in terms.items()))
+        return total, terms["surrogate"], terms["value_loss"], terms["entropy"]
 
     _, surr, vloss, entropy = backward_in_chunks(chunk_loss, len(actions))
     return {"surrogate": surr, "value_loss": vloss, "entropy": entropy}
@@ -486,12 +479,5 @@ def train_ppo(model, value_head, tasks, config, env_config,
                 stall += 1
             if stall >= config.early_stop_patience:
                 break
-    out_model = model.copy()
-    out_head = value_head.copy()
-    n_model = len(model.params())
-    for p, b in zip(out_model.params(), best[0][:n_model]):
-        p.data = b.copy()
-    for p, b in zip(out_head.params(), best[0][n_model:]):
-        p.data = b.copy()
     logger.log(step=best[1], phase="ppo_best", best_key=best_key)
-    return out_model, out_head, logger.rows
+    return (*_from_arrays(model, value_head, best[0]), logger.rows)

@@ -15,7 +15,20 @@ from rlrc.model import (
     init_model,
     init_value_head,
 )
-from rlrc.tensor import ShapeError, Tensor, add, backward, mul, no_grad, sum_
+from rlrc.tensor import ShapeError, Tensor, backward, fused, no_grad
+
+
+def _dot(x, r, saved=None):
+    return np.asarray(np.sum(x * r))
+
+
+def _dot_backward(g, x, r, saved):
+    return (g * r,)
+
+
+def dot(x, r):
+    """Test-local scalarization node: sum(x * r) for a fixed array r."""
+    return fused(_dot, _dot_backward, (x,), r)
 
 
 def tiny_config(**kw):
@@ -158,7 +171,7 @@ def test_grad_forward_is_one_graph_over_all_rows(monkeypatch):
     logits, hidden = forward(m, ctx)
     assert rows == [150, 150]
     assert logits.requires_grad and hidden.requires_grad
-    backward(sum_(logits))
+    backward(dot(logits, np.ones(logits.shape)))
     assert all(p.grad is not None for p in m.params())
     with no_grad():
         logits_ng, hidden_ng = forward(m, ctx)
@@ -414,7 +427,8 @@ def test_forward_gradients_match_finite_differences():
     def loss():
         logits, hidden = forward(m, ctx)
         assert logits.data.shape == r_logits.shape and hidden.data.shape == r_hidden.shape
-        return add(sum_(mul(logits, r_logits)), sum_(mul(hidden, r_hidden)))
+        return fused(lambda lg, h, saved=None: _dot(lg, r_logits) + _dot(h, r_hidden),
+                     lambda g, lg, h, saved: (g * r_logits, g * r_hidden), (logits, hidden))
 
     backward(loss())
     used_rows = np.unique(ctx)
@@ -442,6 +456,12 @@ def test_forward_gradients_match_finite_differences():
             assert abs(fd - p.grad[idx]) <= 1e-7 + 1e-6 * abs(fd), (name, idx, fd, p.grad[idx])
 
 
+def logprobs(m, ctx):
+    """(B, A) action log-probs at the marker, on the PPO update's path."""
+    logits, _ = batch_logprob_value(m, init_value_head(m.config.d_model), ctx)
+    return kernels.log_softmax(logits.data[:, -1, :])
+
+
 def test_greedy_sampling_deterministic():
     cfg = tiny_config()
     m = init_model(cfg)
@@ -449,33 +469,34 @@ def test_greedy_sampling_deterministic():
     a1 = greedy_actions(m, ctx)
     np.testing.assert_array_equal(a1, greedy_actions(m, ctx))
     # the greedy action is the most probable one under the autodiff path
-    lps = np.stack([batch_logprob_value(m, None, ctx, np.full(4, a))[0].data
-                    for a in range(cfg.action_vocab)])
-    np.testing.assert_array_equal(a1, lps.argmax(axis=0))
+    np.testing.assert_array_equal(a1, logprobs(m, ctx).argmax(axis=1))
 
 
 def test_action_logprob_uniform_closed_form():
     cfg = tiny_config()
     m = init_model(cfg)
     m.w_act.data[:] = 0.0  # uniform over the 6 actions
-    lps, _, _ = batch_logprob_value(m, None, ctx_for(cfg), [2])
-    assert abs(float(lps.data[0]) - np.log(1.0 / 6.0)) < 1e-6
+    lps = logprobs(m, ctx_for(cfg))
+    np.testing.assert_allclose(lps, np.log(1.0 / 6.0), atol=1e-6)
 
 
 def test_action_logprob_is_valid_probability():
     cfg = tiny_config()
     m = init_model(cfg)
-    ctx = np.repeat(ctx_for(cfg), cfg.action_vocab, axis=0)
-    lps, _, _ = batch_logprob_value(m, None, ctx, np.arange(cfg.action_vocab))
-    assert np.all(lps.data <= 0.0)
-    assert abs(np.exp(lps.data.astype(np.float64)).sum() - 1.0) < 1e-5
+    lps = logprobs(m, ctx_for(cfg))[0]
+    assert np.all(lps <= 0.0)
+    assert abs(np.exp(lps.astype(np.float64)).sum() - 1.0) < 1e-5
 
 
 def test_action_logprob_rejects_bad_token():
     cfg = tiny_config()
     m = init_model(cfg)
-    with pytest.raises(IndexError):
-        batch_logprob_value(m, None, ctx_for(cfg), [cfg.action_vocab])
+    logits, values = batch_logprob_value(m, init_value_head(cfg.d_model), ctx_for(cfg))
+    zero = np.zeros(1, dtype=np.float32)
+    for bad in (cfg.action_vocab, -1):
+        with pytest.raises(IndexError, match="action id out of range"):
+            fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
+                  np.array([bad]), zero, zero, zero, 0.2, 0.5, 0.01, {})
 
 
 def test_value_zero_head_outputs_zero():
@@ -484,8 +505,8 @@ def test_value_zero_head_outputs_zero():
     vh = init_value_head(cfg.d_model, seed=0)
     for p in vh.params():
         p.data[:] = 0.0
-    _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg), [0])
-    assert float(v.data[0]) == 0.0
+    _, v = batch_logprob_value(m, vh, ctx_for(cfg))
+    assert v.shape == (1,) and float(v.data[0]) == 0.0
 
 
 def test_value_is_differentiable_into_backbone():
@@ -493,10 +514,10 @@ def test_value_is_differentiable_into_backbone():
     for detach in (False, True):
         m = init_model(cfg)
         vh = init_value_head(cfg.d_model, seed=1)
-        _, v, _ = batch_logprob_value(m, vh, ctx_for(cfg), [0],
-                                      detach_value_input=detach)
-        backward(sum_(v))
+        _, v = batch_logprob_value(m, vh, ctx_for(cfg), detach_value_input=detach)
+        backward(dot(v, np.ones(v.shape)))
         grad = m.layers[0].wq.grad
+        assert all(p.grad is not None for p in vh.params())
         if detach:
             assert grad is None or not np.any(grad)
         else:

@@ -5,69 +5,126 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlrc import kernels, tensor as T
+from rlrc.model import (
+    ModelConfig, PolicyModel, ValueHead, batch_logprob_value, forward, init_model, init_value_head,
+)
 
+
+def _dot(x, r, saved=None):
+    return np.asarray(np.sum(x * r))
+
+
+def _dot_backward(g, x, r, saved):
+    return (g * r,)
+
+
+def dot(x, r):
+    """Test-local scalarization node: sum(x * r) for a fixed array r."""
+    return T.fused(_dot, _dot_backward, (x,), r)
+
+
+def node(fn, *inputs_and_args):
+    """One fused node of kernel ``fn`` (its backward is ``fn_backward``)."""
+    return T.fused(fn, getattr(kernels, fn.__name__ + "_backward"), *inputs_and_args)
+
+
+def assert_grads_match_fd(loss, tensors, rng=None, picks=None):
+    """Compare each tensor's ``grad`` with float64 central differences of
+    ``loss()``, a float, over the tensor's data: at every entry, or at
+    ``picks`` random entries per tensor; |fd - grad| <= 1e-7 + 1e-6 |fd|."""
+    eps = 1e-6
+    for ti, t in enumerate(tensors):
+        assert t.grad is not None and t.grad.dtype == np.float64, ti
+        idxs = list(np.ndindex(t.shape)) if picks is None else \
+            [tuple(rng.integers(0, n) for n in t.shape) for _ in range(picks)]
+        for idx in idxs:
+            orig = t.data[idx]
+            with T.no_grad():
+                t.data[idx] = orig + eps
+                up = loss()
+                t.data[idx] = orig - eps
+                down = loss()
+            t.data[idx] = orig
+            fd = (up - down) / (2 * eps)
+            assert abs(fd - t.grad[idx]) <= 1e-7 + 1e-6 * abs(fd), (ti, idx, fd, t.grad[idx])
+
+
+def assert_node_matches_fd(fn, arrays, *args, seed=0):
+    """Backpropagate sum(r * output) of one fused node of kernel ``fn`` over
+    float64 ``arrays`` (r fixed and random) and check every input gradient
+    against central differences."""
+    inputs = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+    out = node(fn, inputs, *args)
+    r = np.random.default_rng(seed).standard_normal(out.shape)
+    T.backward(dot(out, r))
+    assert_grads_match_fd(lambda: float(np.sum(fn(*[t.data for t in inputs], *args) * r)),
+                          inputs)
+
+
+def ppo_rows(rng, logits, ratios, signs):
+    """(actions, old log-probs, advantages, returns) for float64 (N, A)
+    logits whose probability ratios are ``ratios`` and whose advantages
+    have ``signs``; no ratio sits within 0.05 of a clip bound."""
+    n, a = logits.shape
+    actions = rng.integers(0, a, n)
+    lp = kernels.log_softmax(logits)[np.arange(n), actions]
+    adv = np.asarray(signs) * rng.uniform(0.2, 1.5, n)
+    return actions, lp - np.log(ratios), adv, rng.standard_normal(n)
+
+
+# closed forms of the kernels -------------------------------------------------
 
 def test_matmul_identity():
-    a = T.Tensor(np.eye(2, dtype=np.float32))
-    b = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = T.matmul(a, b)
-    np.testing.assert_array_equal(out.data, [[1, 2], [3, 4]])
+    w = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
+    np.testing.assert_array_equal(kernels.linear(np.eye(2, dtype=np.float32), w), w)
 
 
 def test_matmul_hand_case():
-    out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
-    np.testing.assert_array_equal(out.data, [[11.0]])
+    out = kernels.linear(np.array([[[1.0, 2.0]]]), np.array([[3.0], [4.0]]))
+    np.testing.assert_array_equal(out, [[[11.0]]])
 
 
 def test_matmul_zero_case():
-    out = T.matmul(T.Tensor(np.zeros((2, 3), dtype=np.float32)),
-                   T.Tensor(np.ones((3, 4), dtype=np.float32)))
-    assert out.data.shape == (2, 4)
-    assert np.all(out.data == 0)
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+    out = kernels.linear(np.zeros((2, 3), dtype=np.float32), np.ones((3, 4), dtype=np.float32))
+    assert out.shape == (2, 4)
+    assert np.all(out == 0)
 
 
 def test_cross_entropy_certainty():
     # one scorching-hot logit => probability ~1 on the target
-    logits = T.Tensor(np.array([[50.0, 0.0, 0.0]], dtype=np.float32))
-    loss = T.cross_entropy(logits, np.array([0]))
-    assert abs(float(loss.data)) < 1e-6
+    loss = kernels.nll(np.array([[50.0, 0.0, 0.0]], dtype=np.float32), np.array([0]))
+    assert loss.dtype == np.float32 and abs(float(loss)) < 1e-6
 
 
 def test_cross_entropy_uniform_closed_form():
-    logits = T.Tensor(np.zeros((3, 16), dtype=np.float32))
-    loss = T.cross_entropy(logits, np.array([0, 5, 15]))
-    assert abs(float(loss.data) - np.log(16.0)) < 1e-6
+    loss = kernels.nll(np.zeros((3, 1, 16), dtype=np.float32), np.array([0, 5, 15]))
+    assert abs(float(loss) - np.log(16.0)) < 1e-6
 
 
 def test_cross_entropy_out_of_range_id():
-    logits = T.Tensor(np.zeros((1, 4), dtype=np.float32))
-    with pytest.raises(IndexError):
-        T.cross_entropy(logits, np.array([4]))
+    # a negative id would silently wrap around under numpy indexing
+    logits = np.zeros((1, 4), dtype=np.float32)
+    for bad in (4, -1):
+        with pytest.raises(IndexError, match=r"out of range \[0, 4\)"):
+            kernels.nll(logits, np.array([bad]))
+    with pytest.raises(T.ShapeError):
+        kernels.nll(logits, np.array([0, 1]))
 
 
 def test_softmax_symmetry():
-    out = T.softmax(T.Tensor([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-
-def test_softmax_zero_axis_error():
-    with pytest.raises(T.ShapeError):
-        T.softmax(T.Tensor(np.zeros((2, 0), dtype=np.float32)))
+    np.testing.assert_allclose(np.exp(kernels.log_softmax(np.zeros(2))), [0.5, 0.5])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 9))
 def test_softmax_rows_sum_to_one(seed, rows, cols):
     rng = np.random.default_rng(seed)
-    x = T.Tensor(rng.standard_normal((rows, cols)).astype(np.float32) * 5)
-    out = T.softmax(x, axis=-1).data
-    assert np.all(out >= 0)
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+    x = rng.standard_normal((rows, cols)).astype(np.float32) * 5
+    saved = {}
+    log_p = kernels.log_softmax(x, saved)
+    assert log_p.dtype == np.float32 and np.all(log_p <= 0)
+    np.testing.assert_allclose(np.exp(log_p.astype(np.float64)).sum(axis=-1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(saved["p"].sum(axis=-1), 1.0, atol=1e-6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -81,29 +138,42 @@ def test_rms_norm_unit_rms(seed, cols):
     np.testing.assert_allclose(rms, 1.0, atol=1e-5)
 
 
+def test_embedding_lookup_and_grad():
+    tok = T.Tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
+    pos = T.Tensor(np.zeros((5, 3), dtype=np.float32), requires_grad=True)
+    ids = np.array([[0, 2, 2]])
+    out = node(kernels.embed, (tok, pos), ids)
+    np.testing.assert_array_equal(out.data[0, 1], out.data[0, 2])
+    np.testing.assert_array_equal(out.data[0, 1], tok.data[2])
+    T.backward(dot(out, np.ones((1, 3, 3))))
+    expected = np.zeros((4, 3), dtype=np.float32)
+    expected[0] = 1
+    expected[2] = 2
+    np.testing.assert_array_equal(tok.grad, expected)
+    np.testing.assert_array_equal(pos.grad, [[1] * 3] * 3 + [[0] * 3] * 2)
+
+
+# the graph ---------------------------------------------------------------------
+
 def test_backward_linear():
-    w = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    T.backward(T.sum_(w))
-    np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
-
-
-def test_backward_square():
-    w = T.Tensor([3.0], requires_grad=True)
-    T.backward(T.sum_(T.mul(w, w)))
-    np.testing.assert_allclose(w.grad, [6.0])
+    # d/dw of sum(x @ w) is x^T 1
+    x = np.arange(6, dtype=np.float32).reshape(2, 3)
+    w = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    T.backward(dot(node(kernels.linear, (x, w)), np.ones((2, 2))))
+    np.testing.assert_array_equal(w.grad, x.T @ np.ones((2, 2)))
 
 
 def test_backward_non_scalar_rejected():
-    w = T.Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(T.GradError):
-        T.backward(T.mul(w, 2.0))
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(T.GradError, match="scalar"):
+        T.backward(node(kernels.linear, (np.ones((1, 2)), w)))
 
 
 def test_backward_twice_rejected():
-    w = T.Tensor([2.0], requires_grad=True)
-    loss = T.sum_(T.mul(w, w))
+    logits = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+    loss = node(kernels.nll, (logits,), np.array([0, 2]))
     T.backward(loss)
-    with pytest.raises(T.GradError):
+    with pytest.raises(T.GradError, match="twice"):
         T.backward(loss)
 
 
@@ -141,82 +211,153 @@ def test_backward_empty_tape_rejected():
         T.backward(T.Tensor([1.0]))
 
 
-def test_embedding_lookup_and_grad():
-    table = T.Tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
-    ids = np.array([0, 2, 2])
-    out = T.embedding_lookup(table, ids)
-    np.testing.assert_array_equal(out.data[1], out.data[2])
-    T.backward(T.sum_(out))
-    expected = np.zeros((4, 3), dtype=np.float32)
-    expected[0] = 1
-    expected[2] = 2
-    np.testing.assert_array_equal(table.grad, expected)
+def test_backward_scale_seeds_the_loss_gradient():
+    logits = T.Tensor(np.array([[1.0, -1.0, 0.5]]), requires_grad=True)
+    T.backward(node(kernels.nll, (logits,), np.array([1])))
+    once, logits.grad = logits.grad, None
+    T.backward(node(kernels.nll, (logits,), np.array([1])), scale=0.25)
+    np.testing.assert_allclose(logits.grad, 0.25 * once, rtol=1e-6)
 
 
-def test_embedding_out_of_range():
-    table = T.Tensor(np.zeros((4, 3), dtype=np.float32))
-    with pytest.raises(IndexError):
-        T.embedding_lookup(table, np.array([4]))
-
-
-# -- gradient fidelity: autodiff vs central finite differences ------------
-
-def _random_graph(seed):
-    """A small random net mixing the op set; returns (params, loss_fn)."""
-    rng = np.random.default_rng(seed)
-    din, dh, dout = rng.integers(2, 6), rng.integers(2, 8), rng.integers(2, 5)
-    x = rng.standard_normal((3, din)) * 0.8
-    tgt = rng.integers(0, dout, size=3)
-    kind = seed % 3
-
-    def loss_fn(w1, w2, g):
-        h = T.silu(T.matmul(T.Tensor(x.astype(w1.dtype), dtype=w1.dtype), w1))
-        h = T.fused(kernels.rms_rows, kernels.rms_rows_backward, (h, g))
-        logits = T.matmul(h, w2)
-        if kind == 0:
-            return T.cross_entropy(logits, tgt)
-        if kind == 1:
-            p = T.softmax(logits, -1)
-            return T.mean(T.square(T.sub(p, 0.3)))
-        return T.mean(T.mul(T.exp(T.mul(logits, 0.1)), logits))
-
-    shapes = [(din, dh), (dh, dout), (dh,)]
-    inits = [rng.standard_normal(s) * 0.5 for s in shapes]
-    return inits, loss_fn
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_gradient_fidelity_finite_differences(seed):
-    inits, loss_fn = _random_graph(seed)
-    params32 = [T.Tensor(w.astype(np.float32), requires_grad=True) for w in inits]
-    T.backward(loss_fn(*params32))
-    h = 1e-3
-    for pi, w in enumerate(inits):
-        ad = params32[pi].grad
-        fd = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            params64 = [T.Tensor(v.copy(), dtype=np.float64) for v in inits]
-            params64[pi].data[idx] += h
-            up = float(loss_fn(*params64).data)
-            params64 = [T.Tensor(v.copy(), dtype=np.float64) for v in inits]
-            params64[pi].data[idx] -= h
-            down = float(loss_fn(*params64).data)
-            fd[idx] = (up - down) / (2 * h)
-        rel = np.abs(ad - fd) / np.maximum(np.abs(fd), 1e-3)
-        assert rel.max() < 1e-3, f"param {pi}: max rel err {rel.max()}"
+def test_no_grad_blocks_graph():
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_grad():
+        out = node(kernels.linear, (np.ones((1, 2)), w))
+    assert not out.requires_grad
+    with pytest.raises(T.GradError, match="empty tape"):
+        T.backward(dot(out, np.ones((1, 2))))
 
 
 def test_determinism_same_seed_bit_identical():
     outs = []
     for _ in range(2):
         rng = np.random.default_rng(1234)
-        x = T.Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        w = T.Tensor(rng.standard_normal((8, 8)).astype(np.float32))
-        outs.append(T.softmax(T.matmul(x, w), -1).data)
-    np.testing.assert_array_equal(outs[0], outs[1])
+        x = rng.standard_normal((4, 8)).astype(np.float32)
+        w = T.Tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
+        loss = node(kernels.nll, (node(kernels.linear, (x, w)),), np.arange(4))
+        T.backward(loss)
+        outs.append((kernels.log_softmax(x @ w.data), loss.data, w.grad))
+    for a, b in zip(*outs):
+        np.testing.assert_array_equal(a, b)
 
 
-# -- adam -------------------------------------------------------------------
+def test_backward_in_chunks_matches_one_pass():
+    # 70 rows: two full chunks and a partial one; the loss is a row mean
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((70, 5)).astype(np.float32)
+    y = rng.integers(0, 3, 70)
+    w = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+
+    def row_mean(r0, r1):
+        return node(kernels.nll, (node(kernels.linear, (x[r0:r1], w)),), y[r0:r1])
+
+    ref = row_mean(0, 70)
+    T.backward(ref)
+    ref_grad, w.grad = w.grad, None
+    spans = []
+
+    def loss_fn(r0, r1):
+        spans.append((r0, r1))
+        loss = row_mean(r0, r1)
+        return loss, 2.0 * float(loss.data), float(r1 - r0)
+
+    loss, doubled, rows = T.backward_in_chunks(loss_fn, 70)
+    assert spans == [(0, 32), (32, 64), (64, 70)]
+    assert loss == pytest.approx(float(ref.data), rel=1e-6)
+    assert doubled == pytest.approx(2 * loss, rel=1e-12)
+    assert rows == pytest.approx((32 * 32 + 32 * 32 + 6 * 6) / 70)
+    np.testing.assert_allclose(w.grad, ref_grad, rtol=1e-5, atol=1e-6)
+
+
+def test_backward_in_chunks_rejects_an_empty_batch():
+    with pytest.raises(T.GradError, match="at least 1 row, got 0"):
+        T.backward_in_chunks(lambda r0, r1: pytest.fail("called"), 0)
+
+
+# gradient fidelity: hand-written backwards vs central finite differences -----
+
+def _random_case(seed):
+    """A kernel with random float64 inputs of random sizes: (fn, arrays, args)."""
+    rng = np.random.default_rng(seed)
+    b, s, d, a = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 5), (2, 6), (2, 7)))
+
+    def normal(*shape):
+        return rng.standard_normal(shape)
+
+    kind = seed % 5
+    if kind == 0:  # ids repeat, so a row sums several gradients
+        vocab = int(rng.integers(2, 6))
+        ids = rng.integers(0, vocab, (b, s))
+        return kernels.embed, [normal(vocab, d), normal(s + 2, d)], (ids,)
+    if kind == 1:
+        return kernels.linear, [normal(b, s, d), normal(d, a)], ()
+    if kind == 2:
+        width = int(rng.integers(2, 8))
+        return kernels.value_mlp, [normal(b, 1, d), normal(d, width), normal(width),
+                                   normal(width, 1), normal(1)], ()
+    if kind == 3:
+        return kernels.nll, [2 * normal(b * s, 1, a)], (rng.integers(0, a, b * s),)
+    logits, values = 2 * normal(b * s, a), normal(b * s)
+    rows = ppo_rows(rng, logits, rng.choice([0.5, 0.9, 1.1, 1.5], b * s),
+                    rng.choice([-1.0, 1.0], b * s))
+    return kernels.ppo_objective, [logits, values], rows + (0.2, 0.5, 0.05, {})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gradient_fidelity_finite_differences(seed):
+    fn, arrays, args = _random_case(seed)
+    assert_node_matches_fd(fn, arrays, *args, seed=seed)
+
+
+def test_ppo_objective_gradients_match_finite_differences():
+    # ratios clipped above and below the range and inside it, each with
+    # both signs of advantage
+    rng = np.random.default_rng(3)
+    ratios = np.repeat([0.5, 0.7, 1.0, 1.1, 1.4, 2.0], 2)
+    signs = np.tile([1.0, -1.0], 6)
+    logits = 2 * rng.standard_normal((12, 1, 5))
+    rows = ppo_rows(rng, logits.reshape(12, 5), ratios, signs)
+    terms = {}
+    assert_node_matches_fd(kernels.ppo_objective, [logits, rng.standard_normal(12)], *rows,
+                           0.25, 0.5, 0.1, terms)
+    assert set(terms) == {"surrogate", "value_loss", "entropy"} and terms["entropy"] > 0
+
+
+def test_ppo_objective_with_stop_gradient_matches_finite_differences():
+    # with the switch on, the critic reads the backbone's hidden state as a
+    # constant: the backbone's gradient is that of the loss whose value term
+    # holds the hidden state fixed
+    cfg = ModelConfig(d_model=8, n_layers=1, n_heads_base=2, d_ff_base=6,
+                      observation_vocab=12, action_vocab=6, max_seq_len=8)
+
+    def float64(named):
+        return {name: T.Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+                for name, p in named}
+
+    m = PolicyModel.from_params(cfg, float64(init_model(cfg, seed=2).named_params()))
+    vh = ValueHead(*float64(init_value_head(cfg.d_model, seed=4).named_params()).values())
+    rng = np.random.default_rng(1)
+    ctx = np.concatenate([rng.integers(0, 12, (8, 4)), np.full((8, 1), cfg.bos_action_id)], 1)
+    with T.no_grad():
+        logits0, hidden0 = forward(m, ctx)
+    rows = ppo_rows(rng, logits0.data[:, -1], np.repeat([0.6, 1.0, 1.5, 1.05], 2),
+                    np.tile([1.0, -1.0], 4))
+
+    def objective(logits, values):
+        return T.fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
+                       *rows, 0.2, 0.5, 0.01, {})
+
+    T.backward(objective(*batch_logprob_value(m, vh, ctx, detach_value_input=True)))
+    hidden_const = T.Tensor(hidden0.data, dtype=np.float64)
+
+    def loss():
+        logits, _ = forward(m, ctx)
+        return float(objective(logits, vh.apply(hidden_const)).data)
+
+    assert_grads_match_fd(loss, m.params() + vh.params(), rng, picks=3)
+
+
+# adam -------------------------------------------------------------------------
 
 def test_adam_zero_grad_noop():
     p = T.Tensor([1.0, -2.0], requires_grad=True)
@@ -249,39 +390,3 @@ def test_adam_missing_grad_rejected():
     p = T.Tensor([0.0], requires_grad=True)
     with pytest.raises(T.GradError):
         T.adam_step(T.OptimizerState([p]))
-
-
-def test_no_grad_blocks_graph():
-    w = T.Tensor([1.0], requires_grad=True)
-    with T.no_grad():
-        out = T.mul(w, w)
-    assert not out.requires_grad
-
-
-def test_backward_in_chunks_matches_one_pass():
-    # 70 rows: two full chunks and a partial one; the loss is a row mean
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((70, 5)).astype(np.float32)
-    y = rng.standard_normal((70, 3)).astype(np.float32)
-    w = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-
-    def row_mean(r0, r1):
-        err = T.sub(T.matmul(T.Tensor(x[r0:r1]), w), y[r0:r1])
-        return T.mean(T.sum_(T.square(err), axis=1))
-
-    ref = row_mean(0, 70)
-    T.backward(ref)
-    ref_grad, w.grad = w.grad, None
-    spans = []
-
-    def loss_fn(r0, r1):
-        spans.append((r0, r1))
-        loss = row_mean(r0, r1)
-        return loss, T.mul(loss, 2.0), float(r1 - r0)
-
-    loss, doubled, rows = T.backward_in_chunks(loss_fn, 70)
-    assert spans == [(0, 32), (32, 64), (64, 70)]
-    assert loss == pytest.approx(float(ref.data), rel=1e-6)
-    assert doubled == pytest.approx(2 * loss, rel=1e-12)
-    assert rows == pytest.approx((32 * 32 + 32 * 32 + 6 * 6) / 70)
-    np.testing.assert_allclose(w.grad, ref_grad, rtol=1e-5, atol=1e-6)

@@ -6,12 +6,11 @@ import pytest
 
 from rlrc.env import EnvConfig, VecEnv, generate_demos, make_task_suite
 from rlrc.model import (
-    ModelConfig, batch_logprob_value, build_contexts, init_model, init_value_head,
+    ModelConfig, batch_logprob_value, build_contexts, forward, init_model, init_value_head,
 )
-from rlrc.tensor import (
-    add, backward, clip, exp, mean, minimum, mul, neg, no_grad, square, sub,
-)
-from rlrc import training
+from rlrc.config import ConfigError, PipelineConfig
+from rlrc.tensor import backward, fused, no_grad
+from rlrc import kernels, training
 from rlrc.training import (
     EvalResult,
     ExpertPolicyWrapper,
@@ -68,6 +67,14 @@ def test_sft_loss_empty_batch_rejected():
     m = tiny_model()
     with pytest.raises(TrainingError):
         sft_loss(m, np.zeros((0, ENV.obs_len), dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def test_sft_loss_rejects_out_of_range_actions(tmp_path):
+    obs, acts = demo_arrays(make_demos(tmp_path))
+    for bad in (6, -1):
+        acts[3] = bad
+        with pytest.raises(IndexError, match=r"action id out of range \[0, 6\)"):
+            sft_loss(tiny_model(), obs[:8], acts[:8])
 
 
 def test_sft_memorizes_single_demo(tmp_path):
@@ -222,7 +229,7 @@ def test_gae_truncation_bootstraps_from_critic():
 
 def ppo_loss(ratio, advantage, eps):
     """Clipped surrogate term min(r*A, clip(r, 1-eps, 1+eps)*A): the numpy
-    reference of the expression `train_ppo` builds from differentiable ops."""
+    reference of the surrogate `kernels.ppo_objective` averages."""
     r = np.asarray(ratio, dtype=np.float64)
     if np.any(r <= 0):
         raise ValueError("probability ratio must be positive")
@@ -245,6 +252,29 @@ def test_ppo_loss_clips_low_ratio_negative_advantage():
 def test_ppo_loss_rejects_nonpositive_ratio():
     with pytest.raises(ValueError):
         ppo_loss(0.0, 1.0, 0.2)
+
+
+def test_ppo_objective_terms_match_numpy_reference():
+    rng = np.random.default_rng(5)
+    logits = rng.standard_normal((40, 6)).astype(np.float32) * 2
+    values, ret = rng.standard_normal((2, 40)).astype(np.float32)
+    acts = rng.integers(0, 6, 40)
+    old = rng.normal(-1.8, 0.5, 40).astype(np.float32)
+    adv = rng.standard_normal(40).astype(np.float32)
+    terms = {}
+    total = kernels.ppo_objective(logits, values, acts, old, adv, ret, 0.2, 0.5, 0.01, terms)
+    lg = logits.astype(np.float64)
+    log_p = lg - np.log(np.exp(lg).sum(axis=1, keepdims=True))
+    ratio = np.exp(log_p[np.arange(40), acts] - old)
+    assert ratio.min() < 0.8 and ratio.max() > 1.2
+    ref = {"surrogate": ppo_loss(ratio, adv, 0.2).mean(),
+           "value_loss": np.mean((values.astype(np.float64) - ret) ** 2),
+           "entropy": -np.mean(np.sum(np.exp(log_p) * log_p, axis=1))}
+    for k, v in ref.items():
+        assert terms[k] == pytest.approx(v, rel=1e-5), k
+    assert total.dtype == np.float64
+    assert float(total) == pytest.approx(
+        -ref["surrogate"] + 0.5 * ref["value_loss"] - 0.01 * ref["entropy"], rel=1e-5)
 
 
 # -- rollouts ------------------------------------------------------------------
@@ -272,9 +302,9 @@ def test_collect_logprobs_match_recomputation_exactly():
     for i in (0, 3):
         for t in (0, 5):
             ctx = np.append(buf.obs[i, t], model.config.bos_action_id)
-            lps, _, _ = batch_logprob_value(model, None, ctx[None], [int(buf.actions[i, t])])
-            lp = float(lps.data[0])
-            assert lp == float(buf.logprobs[i, t])
+            logits, _ = batch_logprob_value(model, vhead, ctx[None])
+            lp = kernels.log_softmax(logits.data[:, -1, :])[0, buf.actions[i, t]]
+            assert lp == buf.logprobs[i, t]
 
 
 def test_first_epoch_ratio_is_one():
@@ -285,9 +315,16 @@ def test_first_epoch_ratio_is_one():
     acts = buf.actions.reshape(nh)
     old = buf.logprobs.reshape(nh)
     sel = np.random.default_rng(0).permutation(nh)[:24]
-    lps, _, _ = batch_logprob_value(model, vhead, ctx[sel], acts[sel])
-    ratio = exp(sub(lps, old[sel])).data
+    logits, values = batch_logprob_value(model, vhead, ctx[sel])
+    lps = kernels.log_softmax(logits.data[:, -1, :])[np.arange(24), acts[sel]]
+    ratio = np.exp(lps - old[sel])
     assert np.abs(ratio - 1.0).max() < 1e-6
+    # so the objective's surrogate at advantages of one is one
+    terms = {}
+    ones = np.ones(24, dtype=np.float32)
+    fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
+          acts[sel], old[sel], ones, ones, 0.2, 0.5, 0.01, terms)
+    assert terms["surrogate"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_advantage_normalization_stats():
@@ -309,8 +346,9 @@ def ppo_minibatch(model, rows, seed=0):
     ctx = build_contexts(model.config, obs)
     acts = rng.integers(0, model.config.action_vocab, size=rows)
     with no_grad():
-        lps, _, _ = batch_logprob_value(model, None, ctx, acts)
-    old = (lps.data + rng.normal(0.0, 0.3, size=rows)).astype(np.float32)
+        logits, _ = forward(model, ctx)
+    lps = kernels.log_softmax(logits.data[:, -1, :])[np.arange(rows), acts]
+    old = (lps + rng.normal(0.0, 0.3, size=rows)).astype(np.float32)
     adv = rng.standard_normal(rows).astype(np.float32)
     ret = rng.standard_normal(rows).astype(np.float32)
     return ctx, acts, old, adv, ret
@@ -319,14 +357,11 @@ def ppo_minibatch(model, rows, seed=0):
 def one_pass_ppo(model, vhead, batch, cfg):
     """Reference: the PPO loss of the whole minibatch in one graph."""
     ctx, acts, old, adv, ret = batch
-    lps, values, entropy = batch_logprob_value(model, vhead, ctx, acts)
-    ratio = exp(sub(lps, old))
-    surr = mean(minimum(mul(ratio, adv),
-                        mul(clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps), adv)))
-    vloss = mean(square(sub(values, ret)))
-    backward(add(add(neg(surr), mul(vloss, cfg.value_coef)), mul(entropy, -cfg.entropy_coef)))
-    return {"surrogate": float(surr.data), "value_loss": float(vloss.data),
-            "entropy": float(entropy.data)}
+    terms = {}
+    backward(fused(kernels.ppo_objective, kernels.ppo_objective_backward,
+                   batch_logprob_value(model, vhead, ctx), acts, old, adv, ret,
+                   cfg.clip_eps, cfg.value_coef, cfg.entropy_coef, terms))
+    return terms
 
 
 def take_grads(params):
@@ -384,6 +419,16 @@ def test_ppo_backward_divergence_names_step_and_parts():
     ret[35] = np.nan  # in the second chunk
     with pytest.raises(TrainingError, match=r"env_steps=4096: surrogate=.*value_loss=nan"):
         ppo_backward(model, vhead, ctx, acts, old, adv, ret, PpoConfig(), env_steps=4096)
+
+
+def test_ppo_backward_rejects_out_of_range_actions():
+    model = tiny_model(seed=13)
+    vhead = init_value_head(model.config.d_model, seed=13)
+    ctx, acts, old, adv, ret = ppo_minibatch(model, 40)
+    for bad in (model.config.action_vocab, -1):
+        acts[35] = bad  # in the second chunk
+        with pytest.raises(IndexError, match=r"action id out of range \[0, 6\)"):
+            ppo_backward(model, vhead, ctx, acts, old, adv, ret, PpoConfig(), env_steps=0)
 
 
 # -- evaluate ------------------------------------------------------------------
@@ -535,3 +580,71 @@ def test_train_ppo_stop_gradient_switch():
     # parameters still move (policy loss flows), smoke only
     moved = any(np.abs(p.data - before[n]).max() > 0 for n, p in out.named_params())
     assert moved
+
+
+def test_train_sft_returns_the_best_evals_weights(tmp_path, monkeypatch):
+    # the first of three evals scores best: its weights come back, not the last
+    seen = []
+
+    def scored(model, *args, **kw):
+        seen.append([p.data.copy() for p in model.params()])
+        return EvalResult(1.0 / len(seen), 0.0, 1.0, 1)
+
+    monkeypatch.setattr(training, "evaluate", scored)
+    suite = make_task_suite(0)
+    m = tiny_model(seed=4)
+    cfg = SftConfig(max_steps=6, eval_interval=2, eval_episodes=1, seed=0, batch_size=8)
+    out, _ = train_sft(m, make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
+    assert len(seen) == 3
+    for p, best, last in zip(out.params(), seen[0], m.params()):
+        np.testing.assert_array_equal(p.data, best)
+        assert p.requires_grad and not np.shares_memory(p.data, last.data)
+    assert any(np.any(p.data != last.data) for p, last in zip(out.params(), m.params()))
+
+
+def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
+    seen = []
+    m = tiny_model(seed=8)
+    vh = init_value_head(m.config.d_model, seed=8)
+
+    def scored(model, *args, **kw):
+        seen.append([p.data.copy() for p in model.params() + vh.params()])
+        return EvalResult(1.0 / len(seen), 0.0, 1.0, 1)
+
+    monkeypatch.setattr(training, "evaluate", scored)
+    suite = make_task_suite(0)
+    cfg = micro_ppo_config(lr=1e-3, total_env_steps=48, eval_interval_steps=16)
+    out, out_vh, _ = train_ppo(m, vh, suite["IND"][:4], cfg, ENV,
+                               eval_tasks_ind=suite["IND"][:1])
+    assert len(seen) == 3
+    params, trained = out.params() + out_vh.params(), m.params() + vh.params()
+    for p, best, last in zip(params, seen[0], trained):
+        np.testing.assert_array_equal(p.data, best)
+        assert not np.shares_memory(p.data, last.data)
+    assert any(np.any(p.data != last.data) for p, last in zip(params, trained))
+
+
+# -- configs --------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("minibatches", 0), ("n_envs", 0), ("horizon", -1),
+    ("total_env_steps", 0), ("eval_interval_steps", 0), ("eval_episodes", 0),
+    ("lr", -1e-4), ("lam", 1.5), ("lam", -0.1), ("gamma", 1.01), ("clip_eps", 0.0),
+])
+def test_ppo_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} .*{value}"):
+        PpoConfig(**{field: value})
+
+
+def test_ppo_config_rejects_more_minibatches_than_rows():
+    with pytest.raises(ValueError, match="minibatches=32 exceeds .* = 16 rows"):
+        PpoConfig(n_envs=2, horizon=8, minibatches=32)
+    assert PpoConfig(n_envs=2, horizon=8, minibatches=16, lr=0.0).minibatches == 16
+    with pytest.raises(ConfigError, match="bad values in section ppo: minibatches=32"):
+        PipelineConfig.from_dict({"ppo": {"n_envs": 2, "horizon": 8, "minibatches": 32}})
+
+
+def test_sft_config_rejects_no_eval_episodes():
+    with pytest.raises(ValueError, match="eval_episodes must be >= 1, got 0"):
+        SftConfig(eval_episodes=0)
+
