@@ -29,8 +29,8 @@ class DemoSection:
 class PruneSection:
     ratio: float = 0.9
     exempt_layers: list = None  # None -> first and last
-    # rows scored by taylor_importance; scored a fixed-size chunk at a time,
-    # so the batch size does not set peak memory
+    # rows scored by taylor_importance; scored a chunk at a time, the rows
+    # sized to the model's widths, so the batch size does not set peak memory
     calib_batch: int = 256
     seed: int = None
 

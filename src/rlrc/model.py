@@ -34,6 +34,9 @@ With nothing recorded, rows are independent: a no-grad call on more than
 evaluation and held-out losses over hundreds of contexts hold one slice's
 temporaries at a time.  Training bounds its graphs the same way, by
 backpropagating a chunk of rows at a time (`tensor.backward_in_chunks`).
+A chunk is bounded by the activation values its graph saves, not by a
+row count: `chunk_rows` gives the rows that fit one budget at the model's
+widths, so a dense model's chunks hold half the rows of a 90%-pruned one's.
 """
 
 from dataclasses import dataclass, field, fields, asdict
@@ -195,6 +198,25 @@ def param_shapes(config):
     shapes["final_gain"] = (d,)
     shapes["w_act"] = (d, config.action_vocab)
     return shapes
+
+
+# activation values one autodiff chunk may save, counted as rows x context
+# positions x the summed output widths of the decoder matrices; a chunk's
+# recorded graph tracks this count to within about 12% (tracemalloc).  The
+# budget is a 32-row chunk of 16-position contexts on the recipe's
+# 90%-pruned policy (summed width 4,936), so recovery keeps its 32-row
+# chunks while the dense default model (9,984) runs 15-row ones, and a
+# chunk's graph is about the same size on both.
+_CHUNK_VALUES = 32 * 16 * 4936
+
+
+def chunk_rows(config, context_len):
+    """Rows per chunk of `tensor.backward_in_chunks` on contexts of
+    ``context_len`` positions: the most whose activation values fit
+    `_CHUNK_VALUES` at ``config``'s widths, and at least one."""
+    width = sum(shape[1] for name, shape in param_shapes(config).items()
+                if name.startswith("layers.") and len(shape) == 2)
+    return max(1, _CHUNK_VALUES // (context_len * width))
 
 
 def value_head_shapes(d_model):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, PolicyModel
+from .model import ModelConfig, PolicyModel, chunk_rows
 from .tensor import Tensor, backward_in_chunks, check_finite
 
 KIND_ATTN = "attn_head"
@@ -122,11 +122,15 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
     """First-order Taylor scores: I(g) = sum over g of |w * dL/dw|.
 
     L is the SFT loss, the mean over all calibration rows.  Its gradient is
-    accumulated a fixed-size chunk of rows at a time
-    (`tensor.backward_in_chunks`), so peak memory is one chunk's graph,
-    independent of the batch size.  Scores cover every group (exemptions
-    apply at selection time), and ``loss`` is the mean over all rows.
-    Parameter gradients are cleared afterwards.
+    accumulated a chunk of rows at a time (`tensor.backward_in_chunks`),
+    the rows sized to the model's widths (`model.chunk_rows`), so peak
+    memory is one chunk's graph, independent of the batch size, and about
+    the same for a dense model as for a pruned one.  The saliency
+    |w * dL/dw| is formed in float64 one parameter at a time, and each
+    group member's slice sum is added to its group's score in member
+    order.  Scores cover every group (exemptions apply at selection time),
+    and ``loss`` is the mean over all rows.  Parameter gradients are
+    cleared afterwards.
     """
     from .training import sft_loss  # local import; training pulls in env
 
@@ -139,17 +143,23 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
         p.grad = None
     loss, = backward_in_chunks(
         lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]),
-                                     "calibration loss"),), n)
-    params = dict(model.named_params())
-    scores = {}
-    for g in build_dependency_groups(model):
-        acc = 0.0
+                                     "calibration loss"),),
+        n, chunk_rows(model.config, obs.shape[1] + 1))
+    groups = build_dependency_groups(model)
+    scores = {g.key: 0.0 for g in groups}
+    members = {}  # param name -> (group key, member) in member order
+    for g in groups:
         for member in g.members:
-            p = params[member[0]]
-            w = _member_view(p.data, member)
-            gr = _member_view(p.grad, member) if p.grad is not None else np.zeros_like(w)
-            acc += float(np.sum(np.abs(w.astype(np.float64) * gr.astype(np.float64))))
-        scores[g.key] = acc
+            members.setdefault(member[0], []).append((g.key, member))
+    # parameters come in member order (wq wk wv wo, then wup wgate wdown)
+    for name, p in model.named_params():
+        if name not in members or p.grad is None:
+            continue
+        saliency = p.data.astype(np.float64)
+        saliency *= p.grad
+        np.abs(saliency, out=saliency)
+        for key, member in members[name]:
+            scores[key] += float(np.sum(_member_view(saliency, member)))
     for p in model.params():
         p.grad = None
     return ImportanceTable(scores=scores, batch_size=n, seed=seed, loss=loss)

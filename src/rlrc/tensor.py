@@ -7,9 +7,11 @@ differentiable step is such a node, with its forward and backward in
 rlrc.kernels: the embeddings, the decoder blocks, the output norm, the
 action and value heads, and the SFT and PPO losses.  `backward` replays
 the recorded nodes once, in reverse, freeing each as it goes;
-`backward_in_chunks` backpropagates a mean-over-rows loss a fixed-size
-chunk of rows at a time, so a training step's peak memory does not grow
-with its batch.  `adam_step` updates the parameters.
+`backward_in_chunks` backpropagates a mean-over-rows loss a chunk of rows
+at a time, so a training step's peak memory does not grow with its batch;
+its callers size the chunks by the activation values a row saves
+(`model.chunk_rows`), so one chunk's graph is about the same size whatever
+the model's widths.  `adam_step` updates the parameters.
 
 Set RLRC_CHECK_FINITE=1 to assert finiteness after every node (slow;
 losses and optimizer steps are always checked).
@@ -206,14 +208,9 @@ def backward(loss, scale=1.0):
         node._spent = True
 
 
-# rows per forward/backward in `backward_in_chunks`: peak memory is one
-# chunk's autodiff graph, whatever the batch size
-_CHUNK_ROWS = 32
-
-
-def backward_in_chunks(loss_fn, n):
-    """Accumulate the gradients of a mean-over-rows loss, one chunk of rows
-    at a time.
+def backward_in_chunks(loss_fn, n, rows):
+    """Accumulate the gradients of a mean-over-rows loss, ``rows`` rows at
+    a time.
 
     ``loss_fn(r0, r1)`` builds the graph of rows r0 .. r1-1 of an n-row
     batch and returns a tuple: their mean loss, a scalar Tensor, then any
@@ -221,14 +218,16 @@ def backward_in_chunks(loss_fn, n):
     backpropagated with its share of the rows, (r1 - r0) / n, as the seed
     of `backward`, so the gradients summed into the leaves are those of the
     mean loss over all n rows, and only one chunk's graph is alive at a
-    time.  Returns the row-weighted means of everything ``loss_fn``
-    returned, as floats.  Fewer than one row raises GradError.
+    time; ``rows`` is chosen by the caller to bound that graph
+    (`model.chunk_rows`).  Returns the row-weighted means of everything
+    ``loss_fn`` returned, as floats.  Fewer than one row in the batch or
+    per chunk raises GradError.
     """
-    if n < 1:
-        raise GradError(f"backward_in_chunks needs at least 1 row, got {n}")
+    if n < 1 or rows < 1:
+        raise GradError(f"backward_in_chunks needs at least 1 row, got {n} in chunks of {rows}")
     means = None
-    for r0 in range(0, n, _CHUNK_ROWS):
-        r1 = min(n, r0 + _CHUNK_ROWS)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
         share = (r1 - r0) / n
         loss, *rest = loss_fn(r0, r1)
         backward(loss, scale=share)

@@ -14,11 +14,13 @@ reads the critic's values too.  Rollouts store ``kernels.log_softmax`` of
 the same logits, the log-softmax both losses apply.
 
 No batch size sets peak memory.  Each loss is a mean over rows, so an SFT
-step and a PPO minibatch update backpropagate it a fixed-size chunk of
-rows at a time (`tensor.backward_in_chunks`), their gradients summing to
-those of the whole batch.  Evaluation, value bootstraps and held-out
-losses run `model.forward` under `no_grad`, which decodes large batches in
-fixed-size slices.
+step and a PPO minibatch update backpropagate it a chunk of rows at a time
+(`tensor.backward_in_chunks`), their gradients summing to those of the
+whole batch.  A chunk holds as many rows as fit one budget of activation
+values at the model's widths (`model.chunk_rows`), and the metric rows of
+`train_sft` and `train_ppo` record that row count as ``chunk_rows``.
+Evaluation, value bootstraps and held-out losses run `model.forward` under
+`no_grad`, which decodes large batches in fixed-size slices.
 """
 
 import json
@@ -30,7 +32,7 @@ import numpy as np
 from . import kernels
 from .env import VecEnv, reset, step as env_step, expert_policy
 from .model import (ModelConfig, PolicyModel, ValueHead, batch_logprob_value, build_contexts,
-                    forward, greedy_actions, init_value_head)
+                    chunk_rows, forward, greedy_actions, init_value_head)
 from .tensor import (OptimizerState, Tensor, adam_step, backward_in_chunks, check_finite, fused,
                      no_grad)
 
@@ -42,8 +44,9 @@ class TrainingError(RuntimeError):
 @dataclass
 class SftConfig:
     """SFT recovery: Adam steps on the mean NLL of ``batch_size`` sampled
-    demonstration steps.  A step's gradient is accumulated a fixed-size
-    chunk of rows at a time, so the batch size does not set peak memory."""
+    demonstration steps.  A step's gradient is accumulated a chunk of rows
+    at a time, the rows sized to the model's widths, so the batch size does
+    not set peak memory."""
     lr: float = 3e-4
     batch_size: int = 64
     max_steps: int = 10_000
@@ -67,8 +70,8 @@ class PpoConfig:
     """PPO recovery: each iteration collects ``n_envs x horizon`` env steps,
     then makes ``epochs x minibatches`` Adam steps on minibatches of
     ``n_envs * horizon // minibatches`` rows.  A minibatch's gradient is
-    accumulated a fixed-size chunk of rows at a time, so the minibatch size
-    does not set peak memory."""
+    accumulated a chunk of rows at a time, the rows sized to the model's
+    widths, so the minibatch size does not set peak memory."""
     gamma: float = 0.99
     lam: float = 0.95
     clip_eps: float = 0.2
@@ -114,8 +117,6 @@ class TrajectoryBuffer:
     dones: np.ndarray      # (N, H) f64, success terminal or truncation
     trunc_values: np.ndarray  # (N, H) f64, critic bootstrap at truncations
     next_values: np.ndarray   # (N,) f64, bootstrap at rollout end
-    advantages: np.ndarray = None
-    returns: np.ndarray = None
 
 
 def demo_arrays(demos):
@@ -271,16 +272,17 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
     best_step = 0
     stall = 0
     m = obs_all.shape[0]
+    rows = chunk_rows(model.config, obs_all.shape[1] + 1)
     for it in range(1, config.max_steps + 1):
         idx = rng.integers(0, m, size=config.batch_size)
         obs, act = obs_all[idx], act_all[idx]
         loss, = backward_in_chunks(
             lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], act[r0:r1]), "sft loss"),),
-            config.batch_size)
+            config.batch_size, rows)
         adam_step(opt)
         if it % config.eval_interval == 0 or it == config.max_steps:
             sr = evaluate(model, eval_tasks, config.eval_episodes, env_config).success_rate
-            logger.log(step=it, phase="sft", loss=loss, ind_sr=sr)
+            logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows)
             if sr > best_sr:
                 best_sr = sr
                 best_params = [p.data.copy() for p in params]
@@ -368,10 +370,7 @@ def compute_gae(buffer, gamma, lam):
         delta = rewards[:, t] + gamma * nv * nonterm - values[:, t]
         acc = delta + gamma * lam * nonterm * acc
         adv[:, t] = acc
-    ret = adv + values
-    buffer.advantages = adv
-    buffer.returns = ret
-    return adv, ret
+    return adv, adv + values
 
 
 def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages, returns,
@@ -380,12 +379,14 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
 
     The loss is -surrogate + value_coef * value_error^2 - entropy_coef *
     entropy, each term a mean over the rows, so it is backpropagated a chunk
-    of rows at a time (`tensor.backward_in_chunks`) and peak memory is one
-    chunk's graph whatever the minibatch size.  A chunk is
-    `model.batch_logprob_value` followed by one ``kernels.ppo_objective``
-    node, which also reports the chunk's three terms.  Returns the
-    row-weighted means of the terms; a chunk whose loss is not finite
-    raises TrainingError naming ``env_steps`` and the chunk's terms.
+    of rows at a time (`tensor.backward_in_chunks`), `model.chunk_rows`
+    rows per chunk, and peak memory is one chunk's graph whatever the
+    minibatch size.  A chunk is `model.batch_logprob_value` followed by one
+    ``kernels.ppo_objective`` node, which also reports the chunk's three
+    terms.  Returns the
+    row-weighted means of the terms and ``chunk_rows``, the rows per chunk;
+    a chunk whose loss is not finite raises TrainingError naming
+    ``env_steps`` and the chunk's terms.
     """
     def chunk_loss(r0, r1):
         logits, values = batch_logprob_value(
@@ -401,8 +402,9 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
                 + ", ".join(f"{k}={v}" for k, v in terms.items()))
         return total, terms["surrogate"], terms["value_loss"], terms["entropy"]
 
-    _, surr, vloss, entropy = backward_in_chunks(chunk_loss, len(actions))
-    return {"surrogate": surr, "value_loss": vloss, "entropy": entropy}
+    rows = chunk_rows(model.config, contexts.shape[1])
+    _, surr, vloss, entropy = backward_in_chunks(chunk_loss, len(actions), rows)
+    return {"surrogate": surr, "value_loss": vloss, "entropy": entropy, "chunk_rows": rows}
 
 
 def train_ppo(model, value_head, tasks, config, env_config,

@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from rlrc import kernels
+from rlrc import kernels, model as model_module
 from rlrc.model import (
     ModelConfig,
     PolicyModel,
     batch_logprob_value,
     build_contexts,
+    chunk_rows,
     forward,
     greedy_actions,
     init_model,
@@ -80,6 +81,33 @@ def test_param_count_closed_form_default():
     expected = (cfg.total_vocab * d + cfg.max_seq_len * d
                 + cfg.n_layers * per_layer + d + d * cfg.action_vocab)
     assert m.num_params() == expected
+
+
+def test_chunk_rows_fit_the_activation_budget():
+    def width(cfg):
+        """Summed output widths of wq wk wv wo wup wgate wdown."""
+        return sum(3 * h * cfg.head_dim + 2 * f + 2 * cfg.d_model
+                   for h, f in zip(cfg.n_heads, cfg.d_ff))
+
+    budget = model_module._CHUNK_VALUES
+    recipe = ModelConfig(n_heads=[4, 3, 1, 1, 1, 4], d_ff=[512, 1, 1, 1, 1, 512])
+    assert (width(ModelConfig()), width(recipe)) == (9984, 4936)
+    assert (chunk_rows(ModelConfig(), 16), chunk_rows(recipe, 16)) == (15, 32)
+    huge = ModelConfig(d_model=1024, n_layers=8, n_heads_base=8, d_ff_base=16384)
+    assert 16 * width(huge) > budget and chunk_rows(huge, 16) == 1
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        heads, n_layers = (int(v) for v in rng.integers(1, 9, size=2))
+        cfg = ModelConfig(d_model=heads * int(rng.integers(1, 65)), n_layers=n_layers,
+                          n_heads_base=heads,
+                          n_heads=[int(h) for h in rng.integers(1, heads + 1, n_layers)],
+                          d_ff=[int(f) for f in rng.integers(1, 4097, n_layers)])
+        context = int(rng.integers(1, 33))
+        rows, one_row = chunk_rows(cfg, context), context * width(cfg)
+        if one_row > budget:
+            assert rows == 1
+        else:
+            assert rows * one_row <= budget < (rows + 1) * one_row
 
 
 def test_invalid_dims_rejected():

@@ -5,8 +5,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from rlrc.env import EnvConfig, generate_demos, make_task_suite
-from rlrc import tensor
-from rlrc.model import ModelConfig, forward, init_model
+from rlrc.model import ModelConfig, chunk_rows, forward, init_model
 from rlrc.pruning import (
     KIND_ATTN, KIND_MLP,
     ImportanceTable, PruningError,
@@ -26,15 +25,25 @@ def tiny_model(seed=0, n_layers=3, d_ff=8, heads=2, d_model=16):
 
 
 def calib_batch(n=64, seed=0):
+    """The first n steps of at least 8 expert episodes, one IND task after
+    another."""
     suite = make_task_suite(0)
     cfg = EnvConfig()
     demos = []
     from rlrc.env import run_expert_episode
 
-    for i, task in enumerate(suite["IND"][:8]):
-        demos.append(run_expert_episode(cfg, task, seed + i))
+    i = steps = 0
+    while i < 8 or steps < n:
+        demos.append(run_expert_episode(cfg, suite["IND"][i % len(suite["IND"])], seed + i))
+        steps += len(demos[-1].steps)
+        i += 1
     obs, acts = demo_arrays(demos)
     return obs[:n], acts[:n]
+
+
+def model_chunk_rows(model):
+    """Rows per chunk `taylor_importance` takes on ``model``."""
+    return chunk_rows(model.config, EnvConfig().obs_len + 1)
 
 
 def test_group_count_default_config():
@@ -147,13 +156,15 @@ def one_pass_importance(model, obs, acts):
     lambda: init_model(ModelConfig(seed=6)),
 ], ids=["tiny", "default"])
 def test_chunked_importance_matches_one_pass(make_model):
-    # 70 rows: two full chunks and a partial one
+    # two full chunks and a partial one, at the model's own chunk rows
     m = make_model()
-    obs, acts = calib_batch(70)
-    assert obs.shape[0] == 70 and 70 % tensor._CHUNK_ROWS != 0
+    rows = model_chunk_rows(m)
+    n = 2 * rows + max(1, rows // 2)
+    obs, acts = calib_batch(n)
+    assert obs.shape[0] == n and n % rows != 0
     ref = one_pass_importance(m, obs, acts)
     table = taylor_importance(m, obs, acts)
-    assert table.batch_size == 70
+    assert table.batch_size == n
     assert table.loss == pytest.approx(ref.loss, rel=1e-6)
     keys = sorted(ref.scores)
     np.testing.assert_allclose([table.scores[k] for k in keys],
@@ -169,7 +180,7 @@ def test_importance_peak_memory_independent_of_batch():
     # numpy reports its buffers to tracemalloc; scoring 8 chunks' rows must
     # peak at about one chunk's graph, not 8 of them
     m = tiny_model()
-    obs, acts = calib_batch(tensor._CHUNK_ROWS)
+    obs, acts = calib_batch(model_chunk_rows(m))
     taylor_importance(m, obs, acts)  # warm up one-time allocations
     peaks = []
     for reps in (1, 8):
@@ -180,6 +191,23 @@ def test_importance_peak_memory_independent_of_batch():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0], f"peak grows with the batch: {peaks}"
+
+
+def test_importance_peak_memory_on_the_dense_default_model():
+    # a dense row saves twice the activations of a 90%-pruned row, so the
+    # dense model is scored in chunks of half the rows: one chunk's graph
+    # (about 10 MiB) plus the float32 gradients (6 MiB), not a 32-row
+    # chunk's 22 MiB graph
+    m = init_model(ModelConfig(seed=6))
+    obs, acts = calib_batch(64)
+    taylor_importance(m, obs[:8], acts[:8])  # warm up one-time allocations
+    tracemalloc.start()
+    try:
+        taylor_importance(m, obs, acts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, f"taylor_importance peaks at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_select_minimum_scores_first():

@@ -261,7 +261,7 @@ def test_backward_in_chunks_matches_one_pass():
         loss = row_mean(r0, r1)
         return loss, 2.0 * float(loss.data), float(r1 - r0)
 
-    loss, doubled, rows = T.backward_in_chunks(loss_fn, 70)
+    loss, doubled, rows = T.backward_in_chunks(loss_fn, 70, 32)
     assert spans == [(0, 32), (32, 64), (64, 70)]
     assert loss == pytest.approx(float(ref.data), rel=1e-6)
     assert doubled == pytest.approx(2 * loss, rel=1e-12)
@@ -270,8 +270,9 @@ def test_backward_in_chunks_matches_one_pass():
 
 
 def test_backward_in_chunks_rejects_an_empty_batch():
-    with pytest.raises(T.GradError, match="at least 1 row, got 0"):
-        T.backward_in_chunks(lambda r0, r1: pytest.fail("called"), 0)
+    for n, rows in ((0, 32), (70, 0)):
+        with pytest.raises(T.GradError, match=f"at least 1 row, got {n} in chunks of {rows}"):
+            T.backward_in_chunks(lambda r0, r1: pytest.fail("called"), n, rows)
 
 
 # gradient fidelity: hand-written backwards vs central finite differences -----

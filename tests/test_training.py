@@ -6,10 +6,11 @@ import pytest
 
 from rlrc.env import EnvConfig, VecEnv, generate_demos, make_task_suite
 from rlrc.model import (
-    ModelConfig, batch_logprob_value, build_contexts, forward, init_model, init_value_head,
+    ModelConfig, batch_logprob_value, build_contexts, chunk_rows, forward, init_model,
+    init_value_head,
 )
 from rlrc.config import ConfigError, PipelineConfig
-from rlrc.tensor import backward, fused, no_grad
+from rlrc.tensor import backward, backward_in_chunks, fused, no_grad
 from rlrc import kernels, training
 from rlrc.training import (
     EvalResult,
@@ -364,6 +365,11 @@ def one_pass_ppo(model, vhead, batch, cfg):
     return terms
 
 
+def model_chunk_rows(model):
+    """Rows per chunk of a training pass on ``model``'s contexts."""
+    return chunk_rows(model.config, ENV.obs_len + 1)
+
+
 def take_grads(params):
     grads = [p.grad for p in params]
     for p in params:
@@ -372,16 +378,18 @@ def take_grads(params):
 
 
 def test_ppo_backward_matches_one_pass():
-    # 70 rows: two full chunks and a partial one
+    # two full chunks and a partial one, at the model's own chunk rows
     model = tiny_model(seed=11)
     vhead = init_value_head(model.config.d_model, seed=11)
     params = model.params() + vhead.params()
     cfg = PpoConfig()
-    batch = ppo_minibatch(model, 70)
+    rows = model_chunk_rows(model)
+    batch = ppo_minibatch(model, 2 * rows + rows // 2)
     ref = one_pass_ppo(model, vhead, batch, cfg)
     ref_grads = take_grads(params)
     parts = ppo_backward(model, vhead, *batch, cfg, env_steps=0)
     grads = take_grads(params)
+    assert parts.pop("chunk_rows") == rows
     assert parts.keys() == ref.keys()
     for k in ref:
         assert parts[k] == pytest.approx(ref[k], rel=1e-5, abs=1e-7), k
@@ -391,17 +399,18 @@ def test_ppo_backward_matches_one_pass():
 
 
 def test_ppo_backward_peak_memory_independent_of_batch():
-    # numpy reports its buffers to tracemalloc; a 256-row minibatch must
-    # peak at about what a 64-row one does, not at four times its graph
+    # numpy reports its buffers to tracemalloc; a minibatch of four chunks
+    # must peak at about what a one-chunk one does, not at four times its graph
     model = tiny_model(seed=12)
     vhead = init_value_head(model.config.d_model, seed=12)
     params = model.params() + vhead.params()
     cfg = PpoConfig()
-    batches = {rows: ppo_minibatch(model, rows) for rows in (64, 256)}
-    ppo_backward(model, vhead, *batches[64], cfg, env_steps=0)  # warm up
+    one = model_chunk_rows(model)
+    batches = {rows: ppo_minibatch(model, rows) for rows in (one, 4 * one)}
+    ppo_backward(model, vhead, *batches[one], cfg, env_steps=0)  # warm up
     take_grads(params)
     peaks = []
-    for rows in (64, 256):
+    for rows in (one, 4 * one):
         tracemalloc.start()
         try:
             ppo_backward(model, vhead, *batches[rows], cfg, env_steps=0)
@@ -415,8 +424,9 @@ def test_ppo_backward_peak_memory_independent_of_batch():
 def test_ppo_backward_divergence_names_step_and_parts():
     model = tiny_model(seed=13)
     vhead = init_value_head(model.config.d_model, seed=13)
-    ctx, acts, old, adv, ret = ppo_minibatch(model, 40)
-    ret[35] = np.nan  # in the second chunk
+    rows = model_chunk_rows(model)
+    ctx, acts, old, adv, ret = ppo_minibatch(model, rows + 8)
+    ret[rows + 3] = np.nan  # in the second chunk
     with pytest.raises(TrainingError, match=r"env_steps=4096: surrogate=.*value_loss=nan"):
         ppo_backward(model, vhead, ctx, acts, old, adv, ret, PpoConfig(), env_steps=4096)
 
@@ -424,9 +434,10 @@ def test_ppo_backward_divergence_names_step_and_parts():
 def test_ppo_backward_rejects_out_of_range_actions():
     model = tiny_model(seed=13)
     vhead = init_value_head(model.config.d_model, seed=13)
-    ctx, acts, old, adv, ret = ppo_minibatch(model, 40)
+    rows = model_chunk_rows(model)
+    ctx, acts, old, adv, ret = ppo_minibatch(model, rows + 8)
     for bad in (model.config.action_vocab, -1):
-        acts[35] = bad  # in the second chunk
+        acts[rows + 3] = bad  # in the second chunk
         with pytest.raises(IndexError, match=r"action id out of range \[0, 6\)"):
             ppo_backward(model, vhead, ctx, acts, old, adv, ret, PpoConfig(), env_steps=0)
 
@@ -550,6 +561,26 @@ def test_train_ppo_early_stops_after_patience_evals():
         _, _, rows = train_ppo(tiny_model(seed=8), None, suite["IND"][:4], cfg, ENV,
                                eval_tasks_ind=suite["IND"][:1])
         assert [r["step"] for r in rows if r["phase"] == "ppo"] == evals
+
+
+def test_training_rows_record_the_chunk_rows_used(tmp_path, monkeypatch):
+    used = []
+
+    def recording(loss_fn, n, rows):
+        used.append(rows)
+        return backward_in_chunks(loss_fn, n, rows)
+
+    monkeypatch.setattr(training, "backward_in_chunks", recording)
+    suite = make_task_suite(0)
+    m = tiny_model(seed=8)
+    _, sft_rows = train_sft(m, make_demos(tmp_path), SftConfig(
+        max_steps=2, eval_interval=2, eval_episodes=1, batch_size=8), ENV, suite["IND"][:1])
+    _, _, ppo_rows = train_ppo(m, None, suite["IND"][:4], micro_ppo_config(), ENV,
+                               eval_tasks_ind=suite["IND"][:1])
+    rows = model_chunk_rows(m)
+    assert used and set(used) == {rows}
+    logged = [r["chunk_rows"] for r in sft_rows + ppo_rows if r["phase"] in ("sft", "ppo")]
+    assert len(logged) >= 2 and set(logged) == {rows}
 
 
 def test_train_ppo_refuses_ood_tasks():
