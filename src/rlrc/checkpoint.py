@@ -210,7 +210,7 @@ def load_checkpoint(path):
 
     value_head = None
     if header.get("has_value_head"):
-        value_head = ValueHead(*(Tensor(_take_dense(tensors, name, shape), requires_grad=True)
+        value_head = ValueHead(*(Tensor(_take_dense(tensors, name, shape))
                                  for name, shape in value_head_shapes(config.d_model).items()))
 
     quant = header.get("quant")
@@ -223,7 +223,7 @@ def load_checkpoint(path):
         if quant and name.rsplit(".", 1)[-1] in QUANT_MATRICES:
             params[name] = _take_quant(tensors, name, shape, bits, block)
         else:
-            params[name] = Tensor(_take_dense(tensors, name, shape), requires_grad=True)
+            params[name] = Tensor(_take_dense(tensors, name, shape))
     if tensors:
         raise CheckpointError(f"checkpoint has unexpected tensor(s) {sorted(tensors)}")
     model = (QuantizedModel if quant else PolicyModel).from_params(config, params)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .env import N_ACTIONS, EnvConfig
 from .model import ModelConfig
+from .quant import Q_MAX
 from .training import PpoConfig, SftConfig
 
 
@@ -19,10 +20,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _require(ok, rule, value):
+    """A section's value check: ValueError stating ``rule`` and ``value``."""
+    if not ok:
+        raise ValueError(f"{rule}, got {value}")
+
+
 @dataclass
 class DemoSection:
     episodes_per_task: int = 50
     seed: int = None
+
+    def __post_init__(self):
+        _require(self.episodes_per_task >= 1, "episodes_per_task must be >= 1",
+                 self.episodes_per_task)
 
 
 @dataclass
@@ -34,6 +45,10 @@ class PruneSection:
     calib_batch: int = 256
     seed: int = None
 
+    def __post_init__(self):
+        _require(0.0 <= self.ratio < 1.0, "ratio must be in [0, 1)", self.ratio)
+        _require(self.calib_batch >= 1, "calib_batch must be >= 1", self.calib_batch)
+
 
 @dataclass
 class QuantSection:
@@ -41,11 +56,19 @@ class QuantSection:
     bits: int = 4
     block_size: int = 64
 
+    def __post_init__(self):
+        _require(self.bits in Q_MAX, f"bits must be one of {sorted(Q_MAX)}", self.bits)
+        _require(self.block_size >= 1, "block_size must be >= 1", self.block_size)
+
 
 @dataclass
 class EvalSection:
     episodes_per_task: int = 10
     seed: int = 7
+
+    def __post_init__(self):
+        _require(self.episodes_per_task >= 1, "episodes_per_task must be >= 1",
+                 self.episodes_per_task)
 
 
 @dataclass
@@ -55,10 +78,10 @@ class BenchSection:
     timed_iters: int = 50
 
     def __post_init__(self):
-        if self.warmup_iters < 10:
-            raise ValueError(f"warmup_iters must be >= 10, got {self.warmup_iters}")
-        if self.timed_iters < 50:
-            raise ValueError(f"timed_iters must be >= 50, got {self.timed_iters}")
+        _require(self.batch_sizes and min(self.batch_sizes) >= 1,
+                 "batch_sizes must be a non-empty list of sizes >= 1", self.batch_sizes)
+        _require(self.warmup_iters >= 10, "warmup_iters must be >= 10", self.warmup_iters)
+        _require(self.timed_iters >= 50, "timed_iters must be >= 50", self.timed_iters)
 
 
 def _build(cls, data, path):
@@ -93,6 +116,8 @@ class PipelineConfig:
         "prune": PruneSection, "sft": SftConfig, "ppo": PpoConfig,
         "quant": QuantSection, "eval": EvalSection, "bench": BenchSection,
     }
+    # the sections whose seed, when not set, follows the master seed
+    _SEEDED = ("model", "demos", "prune", "sft", "ppo")
 
     @classmethod
     def from_dict(cls, raw):
@@ -105,10 +130,7 @@ class PipelineConfig:
         kw = {"seed": seed, "output_dir": raw.get("output_dir", "runs/default")}
         for name, section_cls in cls._SECTIONS.items():
             data = dict(raw.get(name, {}))
-            # stage seeds default to the master seed
-            if name in ("demos", "prune", "sft", "ppo") and data.get("seed") is None:
-                data["seed"] = seed
-            if name == "model" and data.get("seed") is None:
+            if name in cls._SEEDED and data.get("seed") is None:
                 data["seed"] = seed
             kw[name] = _build(section_cls, data, name)
         return cls(**kw)
@@ -123,7 +145,7 @@ class PipelineConfig:
         return cls.from_dict({"seed": seed})
 
     def __post_init__(self):
-        env, model = self.env, self.model
+        env, model, exempt = self.env, self.model, self.prune.exempt_layers
         for bad, msg in (
             (env.obs_vocab > model.observation_vocab,
              f"env.obs_vocab {env.obs_vocab} exceeds model.observation_vocab "
@@ -133,9 +155,11 @@ class PipelineConfig:
              f"exceeds model.max_seq_len {model.max_seq_len}"),
             (model.action_vocab != N_ACTIONS,
              f"model.action_vocab {model.action_vocab} != env.N_ACTIONS {N_ACTIONS}"),
+            (any(not 0 <= li < model.n_layers for li in exempt or ()),
+             f"prune.exempt_layers {exempt} outside [0, model.n_layers = {model.n_layers})"),
         ):
             if bad:
-                raise ConfigError(f"env and model disagree: {msg}")
+                raise ConfigError(f"sections disagree: {msg}")
 
     def override_seed(self, seed):
         """Re-resolve with a new master seed (CLI --seed).
@@ -144,7 +168,7 @@ class PipelineConfig:
         the new one; any other stage seed was set explicitly and is kept.
         """
         raw = self.to_dict()
-        for name in ("model", "demos", "prune", "sft", "ppo"):
+        for name in self._SEEDED:
             if raw[name]["seed"] == self.seed:
                 raw[name]["seed"] = None
         raw["seed"] = seed

@@ -9,8 +9,8 @@ A model is its config plus named parameters (`named_params`), and
 `PolicyModel.from_params` builds one from such a dict.  A parameter is a
 `Tensor`, or, for a decoder matrix of a `quant.QuantizedModel`, a
 `quant.QuantizedTensor`: the storage format belongs to the weight, not
-to the model.  `param_shapes` gives every parameter's shape from the
-config alone.
+to the model, and each model holds its own copy of its config.
+`param_shapes` gives every parameter's shape from the config alone.
 
 `forward` is the one decoder, a chain of `tensor.fused` nodes over
 rlrc.kernels, each with its hand-written backward: the token plus position
@@ -21,10 +21,11 @@ the last runs over all positions; the last computes keys and values for
 all of them and the rest (queries, attention output, MLP) for the marker
 row only, and so do the output norm and the action head.  Tokens are
 always a (B, S) batch, and `_check_tokens` is the one check of their
-shape and ids.  The value head is one `kernels.value_mlp` node.  SFT,
-the PPO update (`batch_logprob_value`) and Taylor scoring record the
-nodes; under `no_grad` the same call runs the kernels and records
-nothing, which is how `fast_logits_last` serves.  A quantized weight
+shape and ids.  The value head is one `kernels.value_mlp` node, whose
+gradients flow into the shared backbone.  SFT, the PPO update
+(`batch_logprob_value`) and Taylor scoring record the nodes; under
+`no_grad` the same call runs the kernels and records nothing, which is
+how `fast_logits_last` serves.  A quantized weight
 implements ``x @ W`` for the kernels, so a quantized model serves through
 `forward` under `no_grad` and is rejected, by parameter name, with grad
 enabled.
@@ -146,7 +147,9 @@ class PolicyModel:
 
     @classmethod
     def from_params(cls, config, params):
-        """Build a model from a {name: parameter} dict keyed as `named_params`."""
+        """Build a model from a {name: parameter} dict keyed as `named_params`,
+        on its own copy of ``config``."""
+        config = ModelConfig.from_dict(config.to_dict())
         layers = [
             DecoderLayer(*(params[f"layers.{i}.{name}"] for name in DecoderLayer.__slots__))
             for i in range(config.n_layers)
@@ -157,10 +160,9 @@ class PolicyModel:
     def copy(self):
         """A model with its own copy of every Tensor; quantized matrices,
         which nothing updates in place, are shared."""
-        cfg = ModelConfig.from_dict(self.config.to_dict())
         return type(self).from_params(
-            cfg, {name: Tensor(p.data.copy(), requires_grad=True) if isinstance(p, Tensor) else p
-                  for name, p in self.named_params()})
+            self.config, {name: Tensor(p.data.copy()) if isinstance(p, Tensor) else p
+                          for name, p in self.named_params()})
 
 
 class ValueHead:
@@ -236,7 +238,7 @@ def _init_params(shapes, rng):
             data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
         else:
             data = (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(np.float32)
-        params[name] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data)
     return params
 
 
@@ -334,20 +336,16 @@ def greedy_actions(model, contexts):
 # the PPO update's forward pass
 # ---------------------------------------------------------------------------
 
-def batch_logprob_value(model, value_head, contexts, detach_value_input=False):
+def batch_logprob_value(model, value_head, contexts):
     """Action logits and critic values at the marker of (B, S) contexts.
 
     Returns differentiable ((B, 1, A) logits, (B,) values): `forward` and
-    the value head on its hidden state.  This is the PPO update's forward
-    pass; ``kernels.ppo_objective`` turns the logits into the log-probs
-    rollout collection stored, with the same `kernels.log_softmax`.  With
-    ``detach_value_input`` the critic reads the hidden state through a
-    stop-gradient (ablation switch); by default critic gradients flow into
-    the shared backbone.
+    the value head on its hidden state, so critic gradients flow into the
+    shared backbone.  This is the PPO update's forward pass;
+    ``kernels.ppo_objective`` turns the logits into the log-probs rollout
+    collection stored, with the same `kernels.log_softmax`.
     """
     logits, hidden = forward(model, contexts)
-    if detach_value_input:
-        hidden = hidden.detach()
     return logits, value_head.apply(hidden)
 
 

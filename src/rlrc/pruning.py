@@ -170,12 +170,16 @@ def select_prune_groups(model, table, target_ratio, exempt_layers=None):
     parameters first reaches the target.
 
     Ties break on (layer, kind, index).  Groups that would empty a layer's
-    last head or channel are skipped so every plan stays applicable.
+    last head or channel are skipped so every plan stays applicable.  An
+    exempt layer outside [0, n_layers) raises PruningError.
     """
     cfg = model.config
     if not 0.0 <= target_ratio < 1.0:
         raise PruningError(f"target ratio must be in [0, 1), got {target_ratio}")
     exempt = set(default_exempt_layers(cfg) if exempt_layers is None else exempt_layers)
+    for li in sorted(exempt):
+        if not 0 <= li < cfg.n_layers:
+            raise PruningError(f"exempt layer {li} outside [0, n_layers={cfg.n_layers})")
     groups = build_dependency_groups(model)
     candidates = [g for g in groups if g.layer not in exempt]
     prunable = sum(g.size for g in candidates)
@@ -247,7 +251,7 @@ def apply_prune(model, plan):
         keep = [i for i in range(arrays[name].shape[axis]) if i not in gone]
         arrays[name] = np.take(arrays[name], keep, axis=axis)
     return PolicyModel.from_params(
-        new_cfg, {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()})
+        new_cfg, {name: Tensor(a.copy()) for name, a in arrays.items()})
 
 
 def param_counts(model, exempt_layers=None):

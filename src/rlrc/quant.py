@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import ModelConfig, PolicyModel, fast_logits_last
+from .model import PolicyModel, fast_logits_last
 from .tensor import Tensor
 
 Q_MAX = {4: 7, 8: 127}
@@ -180,25 +180,22 @@ class QuantizedModel(PolicyModel):
 
 def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
     """Quantize every decoder-layer matrix; keep the rest float32."""
-    cfg = ModelConfig.from_dict(model.config.to_dict())
     params = {
         name: (quantize_tensor(p.data, bits, block_size)
                if name.rsplit(".", 1)[-1] in QUANT_MATRICES
-               else Tensor(p.data.copy(), requires_grad=True))
+               else Tensor(p.data.copy()))
         for name, p in model.named_params()
     }
-    return QuantizedModel.from_params(cfg, params)
+    return QuantizedModel.from_params(model.config, params)
 
 
 def dequantize_model(qm):
     """Dense PolicyModel with every quantized matrix reconstructed."""
-    cfg = ModelConfig.from_dict(qm.config.to_dict())
     params = {
-        name: Tensor(dequantize(p) if isinstance(p, QuantizedTensor) else p.data.copy(),
-                     requires_grad=True)
+        name: Tensor(dequantize(p) if isinstance(p, QuantizedTensor) else p.data.copy())
         for name, p in qm.named_params()
     }
-    return PolicyModel.from_params(cfg, params)
+    return PolicyModel.from_params(qm.config, params)
 
 
 def memory_bytes(m):

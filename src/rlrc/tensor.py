@@ -13,11 +13,10 @@ its callers size the chunks by the activation values a row saves
 (`model.chunk_rows`), so one chunk's graph is about the same size whatever
 the model's widths.  `adam_step` updates the parameters.
 
-Set RLRC_CHECK_FINITE=1 to assert finiteness after every node (slow;
-losses and optimizer steps are always checked).
+`no_grad` is the one switch of recording: with grad enabled a node with
+a Tensor input is recorded and each Tensor input gets its gradient.
+Losses are checked where they are built (`check_finite`).
 """
-
-import os
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class NonFiniteError(FloatingPointError):
     """Raised when a guarded value contains NaN or Inf."""
 
 
-_CHECK_FINITE = os.environ.get("RLRC_CHECK_FINITE", "0") == "1"
-
-
 class Tensor:
     """N-d array with optional gradient buffer and parent links for backward.
 
@@ -44,29 +40,14 @@ class Tensor:
     float64.  ``grad`` is allocated lazily with the same shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_spent")
+    __slots__ = ("data", "grad", "_parents", "_bw", "_spent")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float32):
+    def __init__(self, data, dtype=np.float32):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._bw = None
         self._spent = False
-
-    # the node constructor of `fused`
-    @staticmethod
-    def _op(data, parents, bw):
-        t = Tensor.__new__(Tensor)
-        t.data = data
-        t.grad = None
-        t.requires_grad = True
-        t._parents = tuple(parents)
-        t._bw = bw
-        t._spent = False
-        if _CHECK_FINITE and not np.all(np.isfinite(data)):
-            raise NonFiniteError("non-finite values produced by a node")
-        return t
 
     @property
     def shape(self):
@@ -80,10 +61,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        """Constant view of this tensor's data (cuts the graph)."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = g.astype(self.data.dtype, copy=True)
@@ -91,7 +68,7 @@ class Tensor:
             self.grad += g
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 _GRAD_ENABLED = True
@@ -131,15 +108,15 @@ def fused(fn, fn_backward, inputs, *args):
 
     ``inputs`` are the operands that can carry gradients; a Tensor is
     passed as its data, anything else (a quantized weight) as itself.
-    ``args`` pass through unchanged (ids, masks, coefficients).  Without
-    grad, fn runs as-is and nothing is recorded.  With grad, fn also gets
-    ``saved={}`` to keep the intermediates it computes anyway, and
-    ``fn_backward(g, *arrays, *args, saved)`` returns one gradient per input;
-    only Tensors that require grad receive theirs.  This is the only
-    constructor of a graph node.
+    ``args`` pass through unchanged (ids, masks, coefficients).  Under
+    `no_grad`, or with no Tensor input, fn runs as-is and nothing is
+    recorded.  Otherwise fn also gets ``saved={}`` to keep the
+    intermediates it computes anyway, and ``fn_backward(g, *arrays, *args,
+    saved)`` returns one gradient per input, which each Tensor input
+    receives.  This is the only constructor of a graph node.
     """
     arrays = [t.data if isinstance(t, Tensor) else t for t in inputs]
-    if not (_GRAD_ENABLED and any(isinstance(t, Tensor) and t.requires_grad for t in inputs)):
+    if not (_GRAD_ENABLED and any(isinstance(t, Tensor) for t in inputs)):
         out = fn(*arrays, *args)
         return Tensor(out, dtype=out.dtype)
     saved = {}
@@ -147,10 +124,13 @@ def fused(fn, fn_backward, inputs, *args):
 
     def bw(g):
         for t, gt in zip(inputs, fn_backward(g, *arrays, *args, saved)):
-            if isinstance(t, Tensor) and t.requires_grad:
+            if isinstance(t, Tensor):
                 t._accum(gt)
 
-    return Tensor._op(out, [t for t in inputs if isinstance(t, Tensor)], bw)
+    node = Tensor(out, dtype=out.dtype)
+    node._parents = tuple(t for t in inputs if isinstance(t, Tensor))
+    node._bw = bw
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +255,3 @@ def adam_step(state):
         vhat = state.v[i] / c2
         p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
         p.grad = None
-    if _CHECK_FINITE:
-        for p in state.params:
-            check_finite(p, "parameter after adam_step")

@@ -2,9 +2,9 @@
 
 SFT minimizes mean negative log-likelihood of expert actions; PPO runs
 clipped-surrogate updates with GAE over sparse-reward rollouts from the
-vectorized env, critic sharing the transformer backbone.  Evaluation is
-batched greedy rollout over a deterministic (task, seed) grid and is the
-single scorer used by every pipeline stage.
+vectorized env; the critic shares the transformer backbone and trains
+it too.  Evaluation is batched greedy rollout over a deterministic,
+non-empty (task, seed) grid and is the single scorer of every stage.
 
 Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes.
@@ -31,8 +31,8 @@ import numpy as np
 
 from . import kernels
 from .env import VecEnv, reset, step as env_step, expert_policy
-from .model import (ModelConfig, PolicyModel, ValueHead, batch_logprob_value, build_contexts,
-                    chunk_rows, forward, greedy_actions, init_value_head)
+from .model import (PolicyModel, ValueHead, batch_logprob_value, build_contexts, chunk_rows,
+                    forward, greedy_actions, init_value_head)
 from .tensor import (OptimizerState, Tensor, adam_step, backward_in_chunks, check_finite, fused,
                      no_grad)
 
@@ -53,9 +53,8 @@ class SftConfig:
     eval_interval: int = 200
     eval_episodes: int = 4
     seed: int = 0
-    # stop once eval success clears this, or after `patience` evals
-    # without improvement; best checkpoint is returned either way
-    early_stop_success: float = 1.01
+    # stop after `patience` evals without improvement; the best checkpoint
+    # is returned either way
     patience: int = 1_000_000
 
     def __post_init__(self):
@@ -69,9 +68,10 @@ class SftConfig:
 class PpoConfig:
     """PPO recovery: each iteration collects ``n_envs x horizon`` env steps,
     then makes ``epochs x minibatches`` Adam steps on minibatches of
-    ``n_envs * horizon // minibatches`` rows.  A minibatch's gradient is
-    accumulated a chunk of rows at a time, the rows sized to the model's
-    widths, so the minibatch size does not set peak memory."""
+    ``n_envs * horizon // minibatches`` rows; the value loss trains the
+    shared backbone too.  A minibatch's gradient is accumulated a chunk of
+    rows at a time, the rows sized to the model's widths, so the minibatch
+    size does not set peak memory."""
     gamma: float = 0.99
     lam: float = 0.95
     clip_eps: float = 0.2
@@ -86,7 +86,6 @@ class PpoConfig:
     seed: int = 0
     eval_interval_steps: int = 8_192
     eval_episodes: int = 4
-    stop_value_backbone_grad: bool = False
     early_stop_patience: int = 1_000_000
 
     def __post_init__(self):
@@ -145,9 +144,8 @@ def _from_arrays(model, value_head, arrays):
     """A model like ``model``, and a value head if one is given, whose
     parameters wrap ``arrays`` (model then head, in `params` order)."""
     names = [name for name, _ in model.named_params()]
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = type(model).from_params(ModelConfig.from_dict(model.config.to_dict()),
-                                  dict(zip(names, tensors)))
+    tensors = [Tensor(a) for a in arrays]
+    out = type(model).from_params(model.config, dict(zip(names, tensors)))
     return out if value_head is None else (out, ValueHead(*tensors[len(names):]))
 
 
@@ -184,7 +182,11 @@ class ExpertPolicyWrapper:
 def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
     """Deterministic greedy rollouts over a (task, episode-seed) grid.
 
-    Each step decodes only the episodes still running."""
+    Each step decodes only the episodes still running.  An empty grid raises
+    TrainingError."""
+    if not tasks or episodes_per_task < 1:
+        raise TrainingError(f"evaluate needs at least one (task, episode): got "
+                            f"{len(tasks)} tasks and episodes_per_task={episodes_per_task}")
     if isinstance(policy, PolicyModel):
         policy = ModelPolicy(policy)
     states = []
@@ -290,7 +292,7 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
                 stall = 0
             else:
                 stall += 1
-            if sr >= config.early_stop_success or stall >= config.patience:
+            if stall >= config.patience:
                 break
     logger.log(step=best_step, phase="sft_best", ind_sr=best_sr)
     return _from_arrays(model, None, best_params), logger.rows
@@ -383,15 +385,12 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
     rows per chunk, and peak memory is one chunk's graph whatever the
     minibatch size.  A chunk is `model.batch_logprob_value` followed by one
     ``kernels.ppo_objective`` node, which also reports the chunk's three
-    terms.  Returns the
-    row-weighted means of the terms and ``chunk_rows``, the rows per chunk;
-    a chunk whose loss is not finite raises TrainingError naming
-    ``env_steps`` and the chunk's terms.
+    terms.  Returns the row-weighted means of the terms and ``chunk_rows``,
+    the rows per chunk; a chunk whose loss is not finite raises
+    TrainingError naming ``env_steps`` and the chunk's terms.
     """
     def chunk_loss(r0, r1):
-        logits, values = batch_logprob_value(
-            model, value_head, contexts[r0:r1],
-            detach_value_input=config.stop_value_backbone_grad)
+        logits, values = batch_logprob_value(model, value_head, contexts[r0:r1])
         terms = {}
         total = fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
                       actions[r0:r1], old_logprobs[r0:r1], advantages[r0:r1], returns[r0:r1],

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ def test_bench_iteration_floors_rejected(tmp_path):
         path.write_text(json.dumps({"bench": {field: value}}))
         with pytest.raises(ConfigError, match=field):
             PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("quant", "bits", 3),
+    ("quant", "block_size", 0),
+    ("demos", "episodes_per_task", 0),
+    ("eval", "episodes_per_task", 0),
+    ("prune", "ratio", 1.0),
+    ("prune", "ratio", -0.1),
+    ("prune", "calib_batch", 0),
+    ("bench", "batch_sizes", []),
+    ("bench", "batch_sizes", [1, 0]),
+])
+def test_section_values_checked_at_load(section, field, value):
+    # rejected when the config loads, before any stage has run
+    with pytest.raises(ConfigError, match=re.escape(f"bad values in section {section}: {field} ")
+                       + ".*" + re.escape(f"got {value}")):
+        PipelineConfig.from_dict({section: {field: value}})
+
+
+def test_exempt_layers_checked_against_the_model():
+    with pytest.raises(ConfigError, match=re.escape(
+            "prune.exempt_layers [7, -1] outside [0, model.n_layers = 6)")):
+        PipelineConfig.from_dict({"prune": {"exempt_layers": [7, -1]}})
+    assert PipelineConfig.from_dict({"prune": {"exempt_layers": [0, 5]}}).prune.exempt_layers \
+        == [0, 5]
 
 
 def test_seed_override_propagates(tmp_path):

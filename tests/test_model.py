@@ -16,7 +16,7 @@ from rlrc.model import (
     init_model,
     init_value_head,
 )
-from rlrc.tensor import ShapeError, Tensor, backward, fused, no_grad
+from rlrc.tensor import GradError, ShapeError, Tensor, backward, fused, no_grad
 
 
 def _dot(x, r, saved=None):
@@ -51,6 +51,16 @@ def test_init_deterministic():
     a, b = init_model(cfg, seed=3), init_model(cfg, seed=3)
     for (na, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data, err_msg=na)
+
+
+def test_models_hold_their_own_config():
+    cfg = tiny_config()
+    m = init_model(cfg)
+    cfg.d_ff[0] = 1  # the caller's config is not the model's
+    assert m.config == tiny_config()
+    c = m.copy()
+    assert c.config == m.config and c.config is not m.config
+    assert c.config.d_ff is not m.config.d_ff
 
 
 def test_init_values_pinned():
@@ -152,11 +162,14 @@ def test_forward_same_with_and_without_grad():
     m = init_model(cfg, seed=5)
     ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(4)])
     logits, hidden = forward(m, ctx)
-    assert logits.requires_grad and hidden.requires_grad
     with no_grad():
         logits_ng, hidden_ng = forward(m, ctx)
+        with pytest.raises(GradError, match="empty tape"):
+            backward(dot(logits_ng, np.ones(logits_ng.shape)))
     np.testing.assert_array_equal(logits.data, logits_ng.data)
     np.testing.assert_array_equal(hidden.data, hidden_ng.data)
+    backward(dot(logits, np.ones(logits.shape)))
+    assert all(p.grad is not None for p in m.params())
 
 
 def attn_block_rows(monkeypatch):
@@ -198,7 +211,6 @@ def test_grad_forward_is_one_graph_over_all_rows(monkeypatch):
     rows = attn_block_rows(monkeypatch)
     logits, hidden = forward(m, ctx)
     assert rows == [150, 150]
-    assert logits.requires_grad and hidden.requires_grad
     backward(dot(logits, np.ones(logits.shape)))
     assert all(p.grad is not None for p in m.params())
     with no_grad():
@@ -444,7 +456,7 @@ def test_forward_gradients_match_finite_differences():
     cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8)
     m32 = init_model(cfg, seed=2)
     m = PolicyModel.from_params(cfg, {
-        name: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+        name: Tensor(p.data.astype(np.float64), dtype=np.float64)
         for name, p in m32.named_params()})
     rng = np.random.default_rng(0)
     ctx = np.concatenate([ctx_for(cfg, 4, seed=i) for i in range(2)])
@@ -539,17 +551,13 @@ def test_value_zero_head_outputs_zero():
 
 def test_value_is_differentiable_into_backbone():
     cfg = tiny_config()
-    for detach in (False, True):
-        m = init_model(cfg)
-        vh = init_value_head(cfg.d_model, seed=1)
-        _, v = batch_logprob_value(m, vh, ctx_for(cfg), detach_value_input=detach)
-        backward(dot(v, np.ones(v.shape)))
-        grad = m.layers[0].wq.grad
-        assert all(p.grad is not None for p in vh.params())
-        if detach:
-            assert grad is None or not np.any(grad)
-        else:
-            assert grad is not None and np.abs(grad).sum() > 0
+    m = init_model(cfg)
+    vh = init_value_head(cfg.d_model, seed=1)
+    _, v = batch_logprob_value(m, vh, ctx_for(cfg))
+    backward(dot(v, np.ones(v.shape)))
+    grad = m.layers[0].wq.grad
+    assert all(p.grad is not None for p in vh.params())
+    assert grad is not None and np.abs(grad).sum() > 0
 
 
 def test_build_contexts():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_taylor_two_param_analytic_ranking():
     # |w * dL/dw| for L = w1^2 + w2^2 at w=(1,2) is (2, 8)
     from rlrc import tensor as T
 
-    w = T.Tensor([1.0, 2.0], requires_grad=True)
+    w = T.Tensor([1.0, 2.0])
     T.backward(T.fused(lambda a, saved=None: np.asarray(np.sum(a * a)),
                        lambda g, a, saved: (2 * a * g,), (w,)))
     scores = np.abs(w.data * w.grad)
@@ -239,6 +240,15 @@ def test_select_rejects_bad_ratio():
         select_prune_groups(m, table, 1.0)
     with pytest.raises(PruningError):
         select_prune_groups(m, table, -0.1)
+
+
+def test_select_rejects_out_of_range_exempt_layers():
+    m = tiny_model()  # 3 layers
+    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
+    for exempt in ([7], [0, -1]):
+        with pytest.raises(PruningError, match=re.escape(
+                f"exempt layer {exempt[-1]} outside [0, n_layers=3)")):
+            select_prune_groups(m, table, 0.3, exempt_layers=exempt)
 
 
 def test_select_unreachable_ratio():

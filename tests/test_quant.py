@@ -19,7 +19,7 @@ from rlrc.quant import (
     quantize_tensor,
     unpack4,
 )
-from rlrc.tensor import GradError, ShapeError, Tensor, no_grad
+from rlrc.tensor import GradError, ShapeError, Tensor, backward, fused, no_grad
 
 
 def tiny_model(seed=0):
@@ -210,7 +210,8 @@ def test_quantized_forward_serves_under_no_grad():
     with no_grad():
         logits, hidden = forward(qm, ctx)
         ref_logits, ref_hidden = forward(ref, ctx)
-    assert not logits.requires_grad
+        with pytest.raises(GradError, match="empty tape"):
+            backward(fused(kernels.nll, kernels.nll_backward, (logits,), np.zeros(2, np.int64)))
     assert np.abs(logits.data - ref_logits.data).max() < 1e-5
     assert np.abs(hidden.data - ref_hidden.data).max() < 1e-5
 

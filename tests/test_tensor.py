@@ -53,7 +53,7 @@ def assert_node_matches_fd(fn, arrays, *args, seed=0):
     """Backpropagate sum(r * output) of one fused node of kernel ``fn`` over
     float64 ``arrays`` (r fixed and random) and check every input gradient
     against central differences."""
-    inputs = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+    inputs = [T.Tensor(a, dtype=np.float64) for a in arrays]
     out = node(fn, inputs, *args)
     r = np.random.default_rng(seed).standard_normal(out.shape)
     T.backward(dot(out, r))
@@ -139,8 +139,8 @@ def test_rms_norm_unit_rms(seed, cols):
 
 
 def test_embedding_lookup_and_grad():
-    tok = T.Tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
-    pos = T.Tensor(np.zeros((5, 3), dtype=np.float32), requires_grad=True)
+    tok = T.Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
+    pos = T.Tensor(np.zeros((5, 3), dtype=np.float32))
     ids = np.array([[0, 2, 2]])
     out = node(kernels.embed, (tok, pos), ids)
     np.testing.assert_array_equal(out.data[0, 1], out.data[0, 2])
@@ -158,19 +158,19 @@ def test_embedding_lookup_and_grad():
 def test_backward_linear():
     # d/dw of sum(x @ w) is x^T 1
     x = np.arange(6, dtype=np.float32).reshape(2, 3)
-    w = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    w = T.Tensor(np.ones((3, 2)))
     T.backward(dot(node(kernels.linear, (x, w)), np.ones((2, 2))))
     np.testing.assert_array_equal(w.grad, x.T @ np.ones((2, 2)))
 
 
 def test_backward_non_scalar_rejected():
-    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    w = T.Tensor(np.ones((2, 2)))
     with pytest.raises(T.GradError, match="scalar"):
         T.backward(node(kernels.linear, (np.ones((1, 2)), w)))
 
 
 def test_backward_twice_rejected():
-    logits = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+    logits = T.Tensor(np.zeros((2, 3)))
     loss = node(kernels.nll, (logits,), np.array([0, 2]))
     T.backward(loss)
     with pytest.raises(T.GradError, match="twice"):
@@ -199,7 +199,7 @@ def test_backward_frees_each_node_after_its_backward():
         alive.append(refs[0]() is not None)
         return (g,)
 
-    w = T.Tensor(np.ones(4), requires_grad=True)
+    w = T.Tensor(np.ones(4))
     loss = T.fused(last_fn, last_bw, [T.fused(first_fn, first_bw, [w])])
     T.backward(loss)
     assert len(refs) == 1 and alive == [False]
@@ -212,7 +212,7 @@ def test_backward_empty_tape_rejected():
 
 
 def test_backward_scale_seeds_the_loss_gradient():
-    logits = T.Tensor(np.array([[1.0, -1.0, 0.5]]), requires_grad=True)
+    logits = T.Tensor(np.array([[1.0, -1.0, 0.5]]))
     T.backward(node(kernels.nll, (logits,), np.array([1])))
     once, logits.grad = logits.grad, None
     T.backward(node(kernels.nll, (logits,), np.array([1])), scale=0.25)
@@ -220,12 +220,19 @@ def test_backward_scale_seeds_the_loss_gradient():
 
 
 def test_no_grad_blocks_graph():
-    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    w = T.Tensor(np.ones((2, 2)))
     with T.no_grad():
         out = node(kernels.linear, (np.ones((1, 2)), w))
-    assert not out.requires_grad
+        loss = dot(out, np.ones((1, 2)))
     with pytest.raises(T.GradError, match="empty tape"):
-        T.backward(dot(out, np.ones((1, 2))))
+        T.backward(loss)
+    # a no-grad output is a leaf: a graph built on it with grad enabled
+    # stops there, and the parameter behind it receives nothing
+    T.backward(dot(out, np.ones((1, 2))))
+    assert w.grad is None and out.grad is not None
+    # with grad enabled the same node records, and the parameter receives
+    T.backward(dot(node(kernels.linear, (np.ones((1, 2)), w)), np.ones((1, 2))))
+    np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
 
 def test_determinism_same_seed_bit_identical():
@@ -233,7 +240,7 @@ def test_determinism_same_seed_bit_identical():
     for _ in range(2):
         rng = np.random.default_rng(1234)
         x = rng.standard_normal((4, 8)).astype(np.float32)
-        w = T.Tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((8, 8)).astype(np.float32))
         loss = node(kernels.nll, (node(kernels.linear, (x, w)),), np.arange(4))
         T.backward(loss)
         outs.append((kernels.log_softmax(x @ w.data), loss.data, w.grad))
@@ -246,7 +253,7 @@ def test_backward_in_chunks_matches_one_pass():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((70, 5)).astype(np.float32)
     y = rng.integers(0, 3, 70)
-    w = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((5, 3)))
 
     def row_mean(r0, r1):
         return node(kernels.nll, (node(kernels.linear, (x[r0:r1], w)),), y[r0:r1])
@@ -324,15 +331,14 @@ def test_ppo_objective_gradients_match_finite_differences():
     assert set(terms) == {"surrogate", "value_loss", "entropy"} and terms["entropy"] > 0
 
 
-def test_ppo_objective_with_stop_gradient_matches_finite_differences():
-    # with the switch on, the critic reads the backbone's hidden state as a
-    # constant: the backbone's gradient is that of the loss whose value term
-    # holds the hidden state fixed
+def test_ppo_objective_through_the_shared_backbone_matches_finite_differences():
+    # the critic reads the backbone's hidden state, so the backbone's
+    # gradient holds the value term's share as well as the policy terms'
     cfg = ModelConfig(d_model=8, n_layers=1, n_heads_base=2, d_ff_base=6,
                       observation_vocab=12, action_vocab=6, max_seq_len=8)
 
     def float64(named):
-        return {name: T.Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+        return {name: T.Tensor(p.data.astype(np.float64), dtype=np.float64)
                 for name, p in named}
 
     m = PolicyModel.from_params(cfg, float64(init_model(cfg, seed=2).named_params()))
@@ -340,7 +346,7 @@ def test_ppo_objective_with_stop_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     ctx = np.concatenate([rng.integers(0, 12, (8, 4)), np.full((8, 1), cfg.bos_action_id)], 1)
     with T.no_grad():
-        logits0, hidden0 = forward(m, ctx)
+        logits0, _ = forward(m, ctx)
     rows = ppo_rows(rng, logits0.data[:, -1], np.repeat([0.6, 1.0, 1.5, 1.05], 2),
                     np.tile([1.0, -1.0], 4))
 
@@ -348,12 +354,10 @@ def test_ppo_objective_with_stop_gradient_matches_finite_differences():
         return T.fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
                        *rows, 0.2, 0.5, 0.01, {})
 
-    T.backward(objective(*batch_logprob_value(m, vh, ctx, detach_value_input=True)))
-    hidden_const = T.Tensor(hidden0.data, dtype=np.float64)
+    T.backward(objective(*batch_logprob_value(m, vh, ctx)))
 
     def loss():
-        logits, _ = forward(m, ctx)
-        return float(objective(logits, vh.apply(hidden_const)).data)
+        return float(objective(*batch_logprob_value(m, vh, ctx)).data)
 
     assert_grads_match_fd(loss, m.params() + vh.params(), rng, picks=3)
 
@@ -361,7 +365,7 @@ def test_ppo_objective_with_stop_gradient_matches_finite_differences():
 # adam -------------------------------------------------------------------------
 
 def test_adam_zero_grad_noop():
-    p = T.Tensor([1.0, -2.0], requires_grad=True)
+    p = T.Tensor([1.0, -2.0])
     st_ = T.OptimizerState([p], lr=0.1)
     p.grad = np.zeros(2, dtype=np.float32)
     T.adam_step(st_)
@@ -369,7 +373,7 @@ def test_adam_zero_grad_noop():
 
 
 def test_adam_first_step_magnitude():
-    p = T.Tensor([0.0], requires_grad=True)
+    p = T.Tensor([0.0])
     st_ = T.OptimizerState([p], lr=0.1)
     p.grad = np.ones(1, dtype=np.float32)
     T.adam_step(st_)
@@ -378,7 +382,7 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_step_counter_and_grad_clear():
-    p = T.Tensor([0.0], requires_grad=True)
+    p = T.Tensor([0.0])
     st_ = T.OptimizerState([p])
     for i in range(3):
         p.grad = np.ones(1, dtype=np.float32)
@@ -388,6 +392,6 @@ def test_adam_step_counter_and_grad_clear():
 
 
 def test_adam_missing_grad_rejected():
-    p = T.Tensor([0.0], requires_grad=True)
+    p = T.Tensor([0.0])
     with pytest.raises(T.GradError):
         T.adam_step(T.OptimizerState([p]))

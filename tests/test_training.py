@@ -123,8 +123,6 @@ def sft_eval_steps(tmp_path, **kw):
 
 
 def test_train_sft_early_stops(tmp_path, monkeypatch):
-    # any success clears a threshold of 0: the first eval stops the run
-    assert sft_eval_steps(tmp_path, early_stop_success=0.0) == [2]
     # SftConfig refuses lr=0, so the eval score is held fixed instead: the
     # second eval cannot improve on the first
     monkeypatch.setattr(training, "evaluate",
@@ -502,6 +500,14 @@ def test_evaluate_decodes_only_running_episodes(split):
     assert sum(policy.rows) == r.mean_length * r.episodes
 
 
+def test_evaluate_rejects_an_empty_grid():
+    suite = make_task_suite(0)
+    for tasks, episodes in (([], 2), (suite["IND"][:2], 0)):
+        with pytest.raises(TrainingError, match=f"got {len(tasks)} tasks and "
+                                                f"episodes_per_task={episodes}"):
+            evaluate(ExpertPolicyWrapper(), tasks, episodes, ENV)
+
+
 def test_evaluate_model_matches_every_row_reference():
     suite = make_task_suite(0)
     m = tiny_model(seed=7)
@@ -601,18 +607,6 @@ def test_train_ppo_deterministic():
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
-def test_train_ppo_stop_gradient_switch():
-    suite = make_task_suite(0)
-    m = tiny_model(seed=10)
-    before = {n: p.data.copy() for n, p in m.named_params()}
-    cfg = micro_ppo_config(stop_value_backbone_grad=True, lr=1e-3)
-    out, vh, _ = train_ppo(m, None, suite["IND"][:4], cfg, ENV,
-                           eval_tasks_ind=suite["IND"][:2])
-    # parameters still move (policy loss flows), smoke only
-    moved = any(np.abs(p.data - before[n]).max() > 0 for n, p in out.named_params())
-    assert moved
-
-
 def test_train_sft_returns_the_best_evals_weights(tmp_path, monkeypatch):
     # the first of three evals scores best: its weights come back, not the last
     seen = []
@@ -625,11 +619,15 @@ def test_train_sft_returns_the_best_evals_weights(tmp_path, monkeypatch):
     suite = make_task_suite(0)
     m = tiny_model(seed=4)
     cfg = SftConfig(max_steps=6, eval_interval=2, eval_episodes=1, seed=0, batch_size=8)
-    out, _ = train_sft(m, make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
+    demos = make_demos(tmp_path)
+    out, _ = train_sft(m, demos, cfg, ENV, suite["IND"][:1])
     assert len(seen) == 3
     for p, best, last in zip(out.params(), seen[0], m.params()):
         np.testing.assert_array_equal(p.data, best)
-        assert p.requires_grad and not np.shares_memory(p.data, last.data)
+        assert not np.shares_memory(p.data, last.data)
+    # the returned weights are trainable: a backward pass reaches every one
+    backward(sft_loss(out, *[a[:4] for a in demo_arrays(demos)]))
+    assert all(p.grad is not None for p in out.params())
     assert any(np.any(p.data != last.data) for p, last in zip(out.params(), m.params()))
 
 
