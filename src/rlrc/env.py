@@ -4,7 +4,8 @@
 out-of-distribution, sparse rewards {1.0 placed, 0.1 first grasp, 0
 otherwise}, a shortest-path scripted expert, JSONL demonstration files and
 a vectorized batch wrapper.  Every trajectory is a pure function of
-(task, episode seed, action sequence).
+(task, episode seed, action sequence), and `state_key` names the part of
+a state that decides everything but the time limit.
 """
 
 import json
@@ -209,6 +210,20 @@ def obs_tokens(state):
         else:
             toks.extend([c.null_token, c.null_token, c.null_token])
     return np.array(toks, dtype=np.int64)
+
+
+def state_key(state):
+    """Everything `step` changes except the step count ``t``: the gripper
+    cell, ``holding``, ``target_grasped_once`` and the object cells.
+
+    Within an episode the task and plate are fixed, so two states with one
+    key give the same observation, and one action steps both to states that
+    again share a key, with equal observations, rewards and ``done``, as
+    long as neither reaches ``max_steps``.  A field `step` writes must join
+    the key.
+    """
+    return (state.gripper_x, state.gripper_y, state.holding, state.target_grasped_once,
+            tuple((o.x, o.y) for o in state.objects))
 
 
 def step(state, action):

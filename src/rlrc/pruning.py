@@ -86,6 +86,16 @@ def default_exempt_layers(config):
     return {0, config.n_layers - 1}
 
 
+def _exempt_set(config, exempt_layers):
+    """The exempt layer set, the first and last layers by default; a layer
+    outside [0, n_layers) raises PruningError."""
+    exempt = set(default_exempt_layers(config) if exempt_layers is None else exempt_layers)
+    for li in sorted(exempt):
+        if not 0 <= li < config.n_layers:
+            raise PruningError(f"exempt layer {li} outside [0, n_layers={config.n_layers})")
+    return exempt
+
+
 def build_dependency_groups(model):
     """One group per attention head and per MLP channel, every layer."""
     cfg = model.config
@@ -176,10 +186,7 @@ def select_prune_groups(model, table, target_ratio, exempt_layers=None):
     cfg = model.config
     if not 0.0 <= target_ratio < 1.0:
         raise PruningError(f"target ratio must be in [0, 1), got {target_ratio}")
-    exempt = set(default_exempt_layers(cfg) if exempt_layers is None else exempt_layers)
-    for li in sorted(exempt):
-        if not 0 <= li < cfg.n_layers:
-            raise PruningError(f"exempt layer {li} outside [0, n_layers={cfg.n_layers})")
+    exempt = _exempt_set(cfg, exempt_layers)
     groups = build_dependency_groups(model)
     candidates = [g for g in groups if g.layer not in exempt]
     prunable = sum(g.size for g in candidates)
@@ -257,8 +264,8 @@ def apply_prune(model, plan):
 def param_counts(model, exempt_layers=None):
     """Exact parameter accounting: the total, and the prunable share, the
     summed size of the dependency groups outside the exempt layers
-    (embeddings, norm gains and heads are in no group)."""
-    exempt = set(default_exempt_layers(model.config) if exempt_layers is None
-                 else exempt_layers)
+    (embeddings, norm gains and heads are in no group).  An exempt layer
+    outside [0, n_layers) raises PruningError."""
+    exempt = _exempt_set(model.config, exempt_layers)
     prunable = sum(g.size for g in build_dependency_groups(model) if g.layer not in exempt)
     return {"total": model.num_params(), "prunable": prunable}

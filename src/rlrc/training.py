@@ -4,7 +4,11 @@ SFT minimizes mean negative log-likelihood of expert actions; PPO runs
 clipped-surrogate updates with GAE over sparse-reward rollouts from the
 vectorized env; the critic shares the transformer backbone and trains
 it too.  Evaluation is batched greedy rollout over a deterministic,
-non-empty (task, seed) grid and is the single scorer of every stage.
+non-empty (task, seed) grid and is the single scorer of every stage.  It
+stops an episode once its state repeats: with a deterministic policy the
+episode would loop until it timed out, earning nothing, so it is scored as
+that time-out without decoding the loop.  The metric rows logged at each
+evaluation record its wall seconds as ``eval_s``.
 
 Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes.
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .env import VecEnv, reset, step as env_step, expert_policy
+from .env import VecEnv, expert_policy, reset, state_key, step as env_step
 from .model import (PolicyModel, ValueHead, batch_logprob_value, build_contexts, chunk_rows,
                     forward, greedy_actions, init_value_head)
 from .tensor import (OptimizerState, Tensor, adam_step, backward_in_chunks, check_finite, fused,
@@ -182,8 +186,16 @@ class ExpertPolicyWrapper:
 def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
     """Deterministic greedy rollouts over a (task, episode-seed) grid.
 
-    Each step decodes only the episodes still running.  An empty grid raises
-    TrainingError."""
+    ``policy.act`` must be a deterministic function of each episode's
+    state; greedy `ModelPolicy` and `ExpertPolicyWrapper` are.  Each step
+    decodes only the episodes still running, and an episode stops running
+    once its `env.state_key` repeats one it has already visited, the reset
+    state included.  From there it would repeat the same loop until the
+    time limit, and a loop earns nothing: a success ends the episode, and
+    the only other reward, the first grasp of the target, sets
+    ``target_grasped_once``, which is part of the key.  Such an episode
+    counts as a failure of ``max_steps`` steps with the return it has.
+    An empty grid raises TrainingError."""
     if not tasks or episodes_per_task < 1:
         raise TrainingError(f"evaluate needs at least one (task, episode): got "
                             f"{len(tasks)} tasks and episodes_per_task={episodes_per_task}")
@@ -203,6 +215,7 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
     returns = np.zeros(n)
     lengths = np.zeros(n, dtype=np.int64)
     successes = np.zeros(n, dtype=bool)
+    seen = [{state_key(s)} for s in states]  # each episode's visited states
     live = np.arange(n)  # the episodes still running
     for _ in range(env_config.max_steps):
         if not live.size:
@@ -217,6 +230,12 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
             if res.done:
                 done[j] = True
                 successes[i] = states[i].success
+                continue
+            key = state_key(states[i])
+            if key in seen[i]:  # a loop: it can only time out
+                done[j] = True
+                lengths[i] = env_config.max_steps
+            seen[i].add(key)
         live = live[~done]
     per_task = {}
     for ti, task in enumerate(tasks):
@@ -260,10 +279,13 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
 
     Deterministic per seed.  Trains ``model`` itself, in place, so it ends
     with the last step's weights; returns (a copy holding the best weights,
-    metric rows).
+    metric rows).  No demonstrations or no eval tasks raise TrainingError
+    before the first step.
     """
     if not demos:
         raise TrainingError("empty demonstration dataset")
+    if not eval_tasks:
+        raise TrainingError("train_sft needs at least one eval task")
     obs_all, act_all = demo_arrays(demos)
     rng = np.random.default_rng(config.seed)
     params = model.params()
@@ -283,8 +305,10 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
             config.batch_size, rows)
         adam_step(opt)
         if it % config.eval_interval == 0 or it == config.max_steps:
+            t0 = time.perf_counter()
             sr = evaluate(model, eval_tasks, config.eval_episodes, env_config).success_rate
-            logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows)
+            logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows,
+                       eval_s=time.perf_counter() - t0)
             if sr > best_sr:
                 best_sr = sr
                 best_params = [p.data.copy() for p in params]
@@ -468,9 +492,11 @@ def train_ppo(model, value_head, tasks, config, env_config,
                 adam_step(opt)
         if env_steps >= next_eval or env_steps >= config.total_env_steps:
             next_eval = env_steps + config.eval_interval_steps
+            t0 = time.perf_counter()
             ind, ood = run_eval()
             logger.log(step=env_steps, phase="ppo", ind_sr=ind, ood_sr=ood,
-                       mean_reward=float(buf.rewards.mean()), **loss_row)
+                       mean_reward=float(buf.rewards.mean()), eval_s=time.perf_counter() - t0,
+                       **loss_row)
             key = ind + ood
             if key > best_key:
                 best_key = key

@@ -1,14 +1,17 @@
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from rlrc.env import (
-    DOWN, GRASP, LEFT, RELEASE, RIGHT, UP,
-    REWARD_PLACED, Demonstration, EnvConfig, EnvError, SplitError, TaskSpec, VecEnv,
+    DOWN, GRASP, LEFT, N_ACTIONS, RELEASE, RIGHT, UP,
+    REWARD_GRASPED, REWARD_PLACED, Demonstration, EnvConfig, EnvError, EnvState, ObjectState,
+    SplitError, TaskSpec, VecEnv,
     expert_policy, generate_demos, load_demos, load_task_suite,
     make_task_suite, obs_tokens, reset, run_expert_episode,
-    save_task_suite, step,
+    save_task_suite, state_key, step,
 )
 
 CFG = EnvConfig()
@@ -262,3 +265,88 @@ def test_episode_return_bounded():
         for _, a in demo.steps:
             total += step(state, a).reward
         assert total <= 1.1 + 1e-9
+
+
+# -- state_key ----------------------------------------------------------------
+
+# EnvState fields `step` never writes, and the ones it writes that the key leaves out
+FIXED_FIELDS = {"config", "task", "plate_x", "plate_y"}
+UNKEYED_FIELDS = {"t", "done", "success"}
+
+
+def visited_states():
+    """Every state before a step of expert episodes and of random walks: the
+    walks hold distractors and drop the target, the expert grasps and places."""
+    rng = np.random.default_rng(0)
+    states = []
+    for seed in range(6):
+        task = make_task_suite(0)["IND"][seed]
+        state, _ = reset(CFG, task, seed)
+        while not state.done:
+            states.append(copy.deepcopy(state))
+            step(state, expert_policy(state))
+        state, _ = reset(CFG, task, seed)
+        for _ in range(40):
+            if state.done:
+                break
+            states.append(copy.deepcopy(state))
+            step(state, int(rng.integers(N_ACTIONS)))
+    return states
+
+
+def test_step_depends_on_the_state_key_not_t():
+    seen_rewards, seen_success = set(), False
+    for state in visited_states():
+        twin = copy.deepcopy(state)
+        twin.t += 5  # still short of max_steps, so neither truncates
+        assert state_key(twin) == state_key(state)
+        for action in range(N_ACTIONS):
+            a, b = copy.deepcopy(state), copy.deepcopy(twin)
+            ra, rb = step(a, action), step(b, action)
+            assert state_key(a) == state_key(b)
+            np.testing.assert_array_equal(ra.obs, rb.obs)
+            assert (ra.reward, ra.done, a.success) == (rb.reward, rb.done, b.success)
+            for name in FIXED_FIELDS:
+                assert getattr(a, name) == getattr(state, name), name
+            seen_rewards.add(ra.reward)
+            seen_success |= a.success
+    assert seen_rewards == {0.0, REWARD_GRASPED, REWARD_PLACED} and seen_success
+
+
+def _changed(value):
+    """``value`` changed, for a field type `step` writes."""
+    if isinstance(value, bool):
+        return not value
+    if value is None:
+        return 0
+    if isinstance(value, int):
+        return value + 1
+    return None
+
+
+def test_state_key_changes_with_every_field_step_writes():
+    state, _ = reset(CFG, TaskSpec(0, 0, "IND"), 3)
+    variants = []
+    for f in dataclasses.fields(EnvState):
+        if f.name in FIXED_FIELDS | UNKEYED_FIELDS:
+            continue
+        if f.name == "objects":
+            for i in range(len(state.objects)):
+                for g in dataclasses.fields(ObjectState):
+                    if g.name == "obj_type":  # step moves objects, never retypes them
+                        continue
+                    v = copy.deepcopy(state)
+                    setattr(v.objects[i], g.name, _changed(getattr(v.objects[i], g.name)))
+                    variants.append((f"objects[{i}].{g.name}", v))
+            continue
+        new = _changed(getattr(state, f.name))
+        if new is None:
+            pytest.fail(f"no way to change EnvState.{f.name}: teach this test, and state_key")
+        variants.append((f.name, dataclasses.replace(copy.deepcopy(state), **{f.name: new})))
+    assert len(variants) == 4 + 2 * len(state.objects)
+    for name, v in variants:
+        assert state_key(v) != state_key(state), name
+    # holding which object counts, not only whether one is held
+    a, b = copy.deepcopy(state), copy.deepcopy(state)
+    a.holding, b.holding = 0, 1
+    assert state_key(a) != state_key(b)

@@ -251,6 +251,14 @@ def test_select_rejects_out_of_range_exempt_layers():
             select_prune_groups(m, table, 0.3, exempt_layers=exempt)
 
 
+def test_param_counts_rejects_out_of_range_exempt_layers():
+    m = tiny_model()  # 3 layers
+    for exempt in ([7], [0, -1]):
+        with pytest.raises(PruningError, match=re.escape(
+                f"exempt layer {exempt[-1]} outside [0, n_layers=3)")):
+            param_counts(m, exempt)
+
+
 def test_select_unreachable_ratio():
     m = tiny_model(n_layers=2)
     table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)

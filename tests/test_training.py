@@ -136,6 +136,16 @@ def test_train_sft_empty_dataset_rejected():
         train_sft(tiny_model(), [], SftConfig(), ENV, [])
 
 
+def test_train_sft_without_eval_tasks_rejected_before_any_step(tmp_path):
+    m = tiny_model()
+    before = {n: p.data.copy() for n, p in m.named_params()}
+    with pytest.raises(TrainingError, match="at least one eval task"):
+        train_sft(m, make_demos(tmp_path), SftConfig(max_steps=4, eval_interval=2,
+                                                     batch_size=8), ENV, [])
+    for n, p in m.named_params():
+        np.testing.assert_array_equal(p.data, before[n], err_msg=n)
+
+
 # -- gae ---------------------------------------------------------------------
 
 def _buffer_from(rewards, values, dones, next_values):
@@ -508,13 +518,28 @@ def test_evaluate_rejects_an_empty_grid():
             evaluate(ExpertPolicyWrapper(), tasks, episodes, ENV)
 
 
+class RowCountingModelPolicy(ModelPolicy):
+    """Greedy decoding, recording how many episodes each step decodes."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.rows = []
+
+    def act(self, obs_batch, states):
+        self.rows.append(len(obs_batch))
+        return super().act(obs_batch, states)
+
+
 def test_evaluate_model_matches_every_row_reference():
     suite = make_task_suite(0)
-    m = tiny_model(seed=7)
-    r = evaluate(m, suite["IND"], 2, ENV)
-    sr, ret, length, per_task = evaluate_every_row(ModelPolicy(m), suite["IND"], 2, ENV)
-    assert (r.success_rate, r.mean_return, r.mean_length) == (sr, ret, length)
-    assert r.per_task == per_task
+    m = tiny_model(seed=7)  # untrained: its greedy episodes loop
+    for split in ("IND", "OOD"):
+        policy = RowCountingModelPolicy(m)
+        r = evaluate(policy, suite[split], 2, ENV)
+        sr, ret, length, per_task = evaluate_every_row(ModelPolicy(m), suite[split], 2, ENV)
+        assert r == EvalResult(sr, ret, length, 2 * len(suite[split]), per_task)
+        # a looping episode stops at its first repeated state, scored as a time-out
+        assert sum(policy.rows) < r.mean_length * r.episodes
 
 def test_evaluate_expert_perfect_on_both_splits():
     suite = make_task_suite(0)
@@ -585,8 +610,10 @@ def test_training_rows_record_the_chunk_rows_used(tmp_path, monkeypatch):
                                eval_tasks_ind=suite["IND"][:1])
     rows = model_chunk_rows(m)
     assert used and set(used) == {rows}
-    logged = [r["chunk_rows"] for r in sft_rows + ppo_rows if r["phase"] in ("sft", "ppo")]
-    assert len(logged) >= 2 and set(logged) == {rows}
+    evals = [r for r in sft_rows + ppo_rows if r["phase"] in ("sft", "ppo")]
+    assert len(evals) >= 2 and {r["chunk_rows"] for r in evals} == {rows}
+    # each evaluation's wall seconds, within the run's
+    assert all(0.0 < r["eval_s"] < r["wallclock"] for r in evals)
 
 
 def test_train_ppo_refuses_ood_tasks():
