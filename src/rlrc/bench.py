@@ -40,8 +40,8 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
-def report_header(extra=None):
-    h = {
+def report_header():
+    return {
         "cpu": _cpu_model(),
         "platform": platform.platform(),
         "throughput_definition": "greedy action decodes per second at the stated batch size",
@@ -49,22 +49,19 @@ def report_header(extra=None):
         # the thread counts BLAS was started with, after RLRC_THREADS applied
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
     }
-    if extra:
-        h.update(extra)
-    return h
 
 
-def probe_contexts(model, env_config, batch, task, seed=0):
-    obs = np.stack([reset(env_config, task, seed + i)[1] for i in range(batch)])
+def probe_contexts(model, env_config, batch, task):
+    obs = np.stack([reset(env_config, task, i)[1] for i in range(batch)])
     return build_contexts(model.config, obs)
 
 
 def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
-                               warmup=10, iters=50, seed=0):
+                               warmup=10, iters=50):
     """Timing rows per batch size; flags rows with cv >= 15% as unstable."""
     rows = []
     for batch in sorted(batch_sizes):
-        contexts = probe_contexts(model, env_config, batch, task, seed)
+        contexts = probe_contexts(model, env_config, batch, task)
         for _ in range(warmup):
             greedy_actions(model, contexts)
         times = []

@@ -9,9 +9,9 @@ bit-exact.
 
 Saving writes a temp file next to the target and renames it into place,
 so a crash never leaves a truncated checkpoint at the target path.
-Loading is strict: a missing, unknown or leftover tensor, or one whose
-kind, shape or quantized layout does not match the config, is an error
-that names the tensor.
+Loading is strict: a missing, repeated, unknown or leftover tensor, or
+one whose kind, shape or quantized layout does not match the config, is
+an error that names the tensor.
 """
 
 import io
@@ -123,10 +123,10 @@ def _read_entry(f):
 
 
 def save_checkpoint(model, path, value_head=None, meta=None):
-    """Serialize a PolicyModel or QuantizedModel (plus optional value head)."""
-    quant = None
-    if isinstance(model, QuantizedModel):
-        quant = {"bits": model.bits, "block_size": model.block_size}
+    """Serialize a model (plus optional value head); the header's bits and
+    block size are those of its first quantized weight, if it has one."""
+    qt = next((p for _, p in model.named_params() if isinstance(p, QuantizedTensor)), None)
+    quant = None if qt is None else {"bits": qt.bits, "block_size": qt.block_size}
     header = {
         "config": model.config.to_dict(),
         "meta": dict(meta or {}),
@@ -206,7 +206,12 @@ def load_checkpoint(path):
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from e
         n_entries = _r_u32(f)
-        tensors = dict(_read_entry(f) for _ in range(n_entries))
+        tensors = {}
+        for _ in range(n_entries):
+            name, entry = _read_entry(f)
+            if name in tensors:
+                raise CheckpointError(f"checkpoint repeats tensor {name}")
+            tensors[name] = entry
 
     value_head = None
     if header.get("has_value_head"):

@@ -129,9 +129,10 @@ class PipelineConfig:
         seed = raw.get("seed", 0)
         kw = {"seed": seed, "output_dir": raw.get("output_dir", "runs/default")}
         for name, section_cls in cls._SECTIONS.items():
-            data = dict(raw.get(name, {}))
-            if name in cls._SEEDED and data.get("seed") is None:
-                data["seed"] = seed
+            data = raw.get(name, {})
+            # a section that is not an object reaches _build unchanged, to be named there
+            if name in cls._SEEDED and isinstance(data, dict) and data.get("seed") is None:
+                data = {**data, "seed": seed}
             kw[name] = _build(section_cls, data, name)
         return cls(**kw)
 

@@ -30,10 +30,9 @@ as soon as its backward has run.  Elementwise chains run in place
 (``out=``, ``*=``) in the order of the plain expressions, so they round
 the same and allocate one temporary, not one per operation.
 
-The losses check their action ids (one per row, in [0, A)), take their
-means over rows in float64, and keep the order of operations of the same
-loss written as a chain of elementwise steps, so their gradients round as
-that chain's would.
+The losses check their action ids (one per row, in [0, A)) and take their
+means over rows in float64; their backwards are the gradients of those
+formulas, each row's share of a mean's gradient computed once.
 
 `qdot4` and `qdot8` dequantize a tile of whole weight rows at a time to
 float32, add it into a float64 output with one BLAS dgemm, and round the
@@ -309,14 +308,13 @@ def nll_backward(g, logits, ids, saved):
 def ppo_objective(logits, values, actions, old_logprobs, advantages, returns,
                   clip_eps, value_coef, entropy_coef, terms, saved=None):
     """The PPO loss of a batch of rows, a 0-d float64 array:
-    -surrogate + value_coef * value_error^2 - entropy_coef * entropy.
+    -surrogate + value_coef * value_loss - entropy_coef * entropy.
 
     surrogate = mean(min(r * A, clip(r, 1 - clip_eps, 1 + clip_eps) * A))
-    with r = exp(log p(action) - old log-prob); value_error^2 = mean((values
-    - returns)^2); entropy = mean(-sum p log p).  ``logits`` are (..., A),
+    with r = exp(log p(action) - old log-prob); value_loss = mean((values -
+    returns)^2); entropy = mean(-sum p log p).  ``logits`` are (..., A),
     one row per action; ``values`` one per row; every float array of one
-    dtype.  Each term is a mean taken in float64 and rounded to that dtype;
-    their weighted sum is taken in float64.  The terms are written to the
+    dtype.  Each term is a float64 mean; the terms are written to the
     ``terms`` dict as floats (``surrogate``, ``value_loss``, ``entropy``).
     """
     lg = _check_ids(actions, logits)
@@ -327,59 +325,34 @@ def ppo_objective(logits, values, actions, old_logprobs, advantages, returns,
     ratio = np.exp(log_p[np.arange(n), actions] - old_logprobs)
     unclipped = ratio * advantages
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
-    surrogate = np.mean(np.minimum(unclipped, clipped), dtype=np.float64).astype(lg.dtype)
+    surrogate = np.mean(np.minimum(unclipped, clipped), dtype=np.float64)
     err = values - returns
-    value_loss = np.mean(err * err, dtype=np.float64).astype(lg.dtype)
-    neg_entropy = np.mean(np.sum(p * log_p, axis=1, dtype=np.float64).astype(lg.dtype),
-                          dtype=np.float64).astype(lg.dtype)
-    entropy = -np.float64(neg_entropy)
+    value_loss = np.mean(err * err, dtype=np.float64)
+    entropy = -np.mean(np.sum(p * log_p, axis=1, dtype=np.float64))
     terms.update(surrogate=float(surrogate), value_loss=float(value_loss),
                  entropy=float(entropy))
     if saved is not None:
         saved.update(log_p=log_p, p=p, ratio=ratio, err=err,
                      take_unclipped=unclipped <= clipped)
-    return np.asarray((-np.float64(surrogate) + np.float64(value_loss) * value_coef)
-                      + entropy * -entropy_coef)
+    return np.asarray(-surrogate + value_coef * value_loss - entropy_coef * entropy)
 
 
 def ppo_objective_backward(g, logits, values, actions, old_logprobs, advantages, returns,
                            clip_eps, value_coef, entropy_coef, terms, saved):
-    """Gradients (dlogits, dvalues) of `ppo_objective`.
-
-    Each term's scalar gradient is rounded to the term's dtype before it is
-    spread over the rows, and the logits gradient sums the log-prob term,
-    then the softmax's, then the log-softmax's; these orders make the
-    gradients those of the same loss written as a chain of elementwise
-    steps, bit for bit.
-    """
+    """Gradients (dlogits, dvalues) of `ppo_objective`, in the logits' dtype."""
     log_p, p, ratio, err = saved["log_p"], saved["p"], saved["ratio"], saved["err"]
     n = ratio.shape[0]
-    g = float(g)
-
-    def row_grads(term_grad):  # the rows' share of a mean's gradient, rounded first
-        return np.full(n, float(np.asarray(term_grad, dtype=ratio.dtype)) / n, dtype=ratio.dtype)
-
+    share = float(g) / n  # each row's share of a mean's gradient
     # surrogate: the min passes its gradient to the branch it took, and the
     # clipped branch reaches r only inside the clip range
-    g_min = row_grads(-g)
-    take = saved["take_unclipped"]
     inside = (ratio >= 1.0 - clip_eps) & (ratio <= 1.0 + clip_eps)
-    g_ratio = (g_min * take) * advantages
-    g_ratio += ((g_min * ~take) * advantages) * inside
-    g_lp = g_ratio * ratio
+    g_lp = advantages * ratio * (saved["take_unclipped"] | inside)
+    g_lp *= -share
     dlogits = -p * g_lp[:, None]
     dlogits[np.arange(n), actions] += g_lp
-    # entropy: mean(sum p log p) reaches the logits through p (softmax) and
-    # through log p (log-softmax); the second path sums to zero in exact
-    # arithmetic and is kept for its rounding
-    g_plogp = row_grads(g * -entropy_coef * -1.0)[:, None]
-    g_p = g_plogp * log_p
-    g_logp = g_plogp * p
-    dlogits += p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
-    dlogits += g_logp - np.exp(log_p) * g_logp.sum(axis=-1, keepdims=True)
-    # value error: (v - R)^2 reaches v twice
-    dvalues = row_grads(g * value_coef) * err
-    dvalues += dvalues
+    # entropy: d(sum p log p) / d logits = p * (log p - sum p log p)
+    dlogits += (share * entropy_coef) * p * (log_p - (p * log_p).sum(axis=-1, keepdims=True))
+    dvalues = (2 * share * value_coef) * err
     return dlogits.reshape(logits.shape), dvalues
 
 

@@ -54,12 +54,6 @@ class QuantizedTensor:
     def size(self):
         return int(np.prod(self.shape))
 
-    def packed_bytes(self):
-        return self.packed.nbytes
-
-    def scales_bytes(self):
-        return self.scales.nbytes
-
 
 def _round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
@@ -161,14 +155,6 @@ class QuantizedModel(PolicyModel):
     under ``no_grad`` as a dense model.
     """
 
-    @property
-    def bits(self):
-        return next(self.named_quant_tensors())[1].bits
-
-    @property
-    def block_size(self):
-        return next(self.named_quant_tensors())[1].block_size
-
     def logits_last(self, tokens):
         return fast_logits_last(self, tokens)
 
@@ -208,8 +194,8 @@ def memory_bytes(m):
     w = s = 0
     for _, p in m.named_params():
         if isinstance(p, QuantizedTensor):
-            w += p.packed_bytes()
-            s += p.scales_bytes()
+            w += p.packed.nbytes
+            s += p.scales.nbytes
         else:
             w += 4 * p.size
     return {"weights_bytes": w, "scales_bytes": s, "total_bytes": w + s}

@@ -9,6 +9,7 @@ from rlrc import checkpoint, model as model_module
 from rlrc.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from rlrc.model import ModelConfig, PolicyModel, forward, init_model, init_value_head
 from rlrc.quant import QuantizedModel, quantize_model
+from rlrc.tensor import Tensor
 
 
 def tiny_model(seed=0, **kw):
@@ -56,9 +57,10 @@ def test_value_head_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.data, b.data, err_msg=n)
 
 
-def test_quantized_roundtrip(tmp_path):
+@pytest.mark.parametrize("bits", [4, 8])
+def test_quantized_roundtrip(tmp_path, bits):
     m = tiny_model(seed=2)
-    qm = quantize_model(m, bits=4, block_size=16)
+    qm = quantize_model(m, bits=bits, block_size=16)
     path = tmp_path / "q.ckpt"
     save_checkpoint(qm, path, meta={"stage": "quant"})
     loaded = load_checkpoint(path)
@@ -66,9 +68,8 @@ def test_quantized_roundtrip(tmp_path):
     assert isinstance(loaded.model, PolicyModel)
     ctx = np.array([[1, 2, 3, m.config.bos_action_id]])
     np.testing.assert_array_equal(qm.logits_last(ctx), loaded.model.logits_last(ctx))
-    assert loaded.model.bits == 4
-    assert loaded.model.block_size == 16
     for (n, a), (_, b) in zip(qm.named_quant_tensors(), loaded.model.named_quant_tensors()):
+        assert (b.bits, b.block_size) == (bits, 16), n
         np.testing.assert_array_equal(a.packed, b.packed, err_msg=n)
         np.testing.assert_array_equal(a.scales, b.scales, err_msg=n)
 
@@ -218,10 +219,26 @@ def test_load_rejects_missing_tensor(tmp_path, monkeypatch):
             load_checkpoint(tmp_path / "x.ckpt")
 
 
+def test_load_rejects_repeated_tensor(tmp_path, monkeypatch):
+    # a second entry of one name would replace the first and still leave
+    # no tensor over, so it is rejected by name
+    m = tiny_model()
+    full = type(m).named_params
+    altered = Tensor(m.tok_emb.data + 1.0)
+    monkeypatch.setattr(type(m), "named_params",
+                        lambda self: iter([*full(self), ("tok_emb", altered)]))
+    save_checkpoint(m, tmp_path / "x.ckpt")
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="repeats tensor tok_emb"):
+        load_checkpoint(tmp_path / "x.ckpt")
+
+
 def test_load_rejects_mismatched_quantized_tensor(tmp_path):
     qm = quantize_model(tiny_model(), 4, 16)
     wup = qm.layers[0].wup
     for field, value, what in (("shape", (24, 16), "shape"),
+                               ("bits", 8, "bits"),
+                               ("block_size", 32, "block size"),
                                ("packed", wup.packed[:-1], "packed size"),
                                ("scales", wup.scales[:-1], "scales size")):
         good = getattr(wup, field)

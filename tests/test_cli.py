@@ -116,6 +116,12 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text(json.dumps({"sft": {"max_stepz": 1}}))
     with pytest.raises(ConfigError, match="unknown key"):
         PipelineConfig.from_file(path)
+    # a section that is not an object is named, not read as pairs or a string
+    for raw in ({"model": [["d_model", 64]]}, {"model": 5}, {"model": "ab"}, {"sft": None}):
+        section = next(iter(raw))
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"section {section} must be an object"):
+            PipelineConfig.from_file(path)
 
 
 def test_bench_iteration_floors_rejected(tmp_path):

@@ -250,12 +250,12 @@ def test_memory_bytes_formulas():
     n = 4096
     w = np.random.default_rng(0).standard_normal(n).astype(np.float32).reshape(64, 64)
     qt4 = quantize_tensor(w, 4, 64)
-    assert qt4.packed_bytes() == n // 2 == 2048
-    assert qt4.scales_bytes() == (n // 64) * 4 == 256
-    assert (n * 4) / (qt4.packed_bytes() + qt4.scales_bytes()) == pytest.approx(16384 / 2304)
+    assert qt4.packed.nbytes == n // 2 == 2048
+    assert qt4.scales.nbytes == (n // 64) * 4 == 256
+    assert (n * 4) / (qt4.packed.nbytes + qt4.scales.nbytes) == pytest.approx(16384 / 2304)
     qt8 = quantize_tensor(w, 8, 64)
-    assert qt8.packed_bytes() == n
-    assert qt8.scales_bytes() == 256
+    assert qt8.packed.nbytes == n
+    assert qt8.scales.nbytes == 256
 
 
 def test_memory_dense_formula():
@@ -297,6 +297,6 @@ def test_odd_sized_matrix_padding():
     # n not divisible by block or by 2: ceil rules apply
     w = np.random.default_rng(1).standard_normal((5, 7)).astype(np.float32)
     qt = quantize_tensor(w, 4, 16)
-    assert qt.packed_bytes() == (35 + 1) // 2
+    assert qt.packed.nbytes == (35 + 1) // 2
     assert qt.scales.size == -(-35 // 16)
     np.testing.assert_allclose(dequantize(qt), w, atol=float(qt.scales.max()) / 2 + 1e-6)

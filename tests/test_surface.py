@@ -1,6 +1,7 @@
 """The package's surface holds nothing unused: every config field is read
-by the program, and every public function and class has a user outside
-its own definition, in ``src/rlrc`` or in perfbench's program files."""
+by the program, every public function and class has a user outside its
+own definition, and every defaulted parameter of a public function is
+passed by some call, in ``src/rlrc`` or in perfbench's program files."""
 
 import ast
 import dataclasses
@@ -16,6 +17,11 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 # public names no program file uses, each with the reason it stays
 UNUSED_ALLOWED = {
     "kernels.set_alloc_hook": "test hook: tests count qmatmul's transient weight tiles with it",
+}
+# defaulted parameters no program call passes, each with the reason it stays
+UNPASSED_ALLOWED = {
+    "cli.main(argv)": "test hook: tests drive the CLI in-process",
+    "model.init_model(seed)": "test hook: tests seed the models they build",
 }
 
 
@@ -63,3 +69,49 @@ def test_every_public_definition_is_used():
                 unused.append(f"{own.stem}.{node.name}")
     assert sorted(set(unused) - set(UNUSED_ALLOWED)) == []
     assert sorted(set(UNUSED_ALLOWED) - set(unused)) == [], "stale exception"
+
+
+def defaulted_params(fn):
+    """(position or None, name) of each parameter of ``fn`` with a default."""
+    args = fn.args
+    positional = list(enumerate(args.posonlyargs + args.args))
+    out = [(i, a.arg) for i, a in positional[len(positional) - len(args.defaults):]]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def passes(call, index, name):
+    """Whether ``call`` passes the parameter at ``index`` named ``name``;
+    ``*args`` and ``**kwargs`` count as passing every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    return (index is not None and index < len(call.args)) or \
+        any(k.arg == name for k in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls, values = {}, set()
+    for path in program_files():
+        tree = ast.parse(path.read_text())
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+        # a function passed as a value (a kernel given to ``fused``) is
+        # called with arguments this scan cannot see
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load) and id(node) not in called:
+                values.add(getattr(node, "id", getattr(node, "attr", None)))
+    unpassed = []
+    for own in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(own.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") \
+                    or fn.name in values:
+                continue
+            unpassed += [f"{own.stem}.{fn.name}({name})" for index, name in defaulted_params(fn)
+                         if not any(passes(c, index, name) for c in calls.get(fn.name, ()))]
+    assert sorted(set(unpassed) - set(UNPASSED_ALLOWED)) == []
+    assert sorted(set(UNPASSED_ALLOWED) - set(unpassed)) == [], "stale exception"
