@@ -58,9 +58,10 @@ def probe_contexts(model, env_config, batch, task):
 
 def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
                                warmup=10, iters=50):
-    """Timing rows per batch size; flags rows with cv >= 15% as unstable."""
+    """Timing rows of the smallest and the largest batch size, the two a
+    report reads; flags rows with cv >= 15% as unstable."""
     rows = []
-    for batch in sorted(batch_sizes):
+    for batch in sorted({min(batch_sizes), max(batch_sizes)}):
         contexts = probe_contexts(model, env_config, batch, task)
         for _ in range(warmup):
             greedy_actions(model, contexts)

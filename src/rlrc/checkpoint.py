@@ -4,8 +4,10 @@ Layout: magic "RLRC", version u32, header length u32, JSON header
 (model config, metadata, and the bits and block size of a quantized
 model), entry count u32, then one named entry per parameter, written by
 its weight type: a Tensor as raw little-endian float32, a QuantizedTensor
-as {bits, block_size, shape, scales, packed codes}.  Round-trips are
-bit-exact.
+as {bits, block_size, shape, scales, packed code bytes}.  Round-trips are
+bit-exact.  The code layout is ``quant``'s: this module stores and reads
+the arrays as bytes, and a loaded entry becomes a QuantizedTensor, which
+checks them, once its bits, block size and shape match the header.
 
 Saving writes a temp file next to the target and renames it into place,
 so a crash never leaves a truncated checkpoint at the target path.
@@ -22,7 +24,7 @@ import struct
 import numpy as np
 
 from .model import ModelConfig, PolicyModel, ValueHead, param_shapes, value_head_shapes
-from .quant import Q_MAX, QuantizedModel, QuantizedTensor, QUANT_MATRICES
+from .quant import Q_MAX, QuantError, QuantizedModel, QuantizedTensor, QUANT_MATRICES
 from .tensor import Tensor
 
 MAGIC = b"RLRC"
@@ -117,8 +119,9 @@ def _read_entry(f):
         rank = _r_u32(f)
         shape = tuple(_r_u32(f) for _ in range(rank))
         scales = _read_array(f, _r_u32(f), "<f4")
-        packed = _read_array(f, _r_u32(f), np.uint8 if bits == 4 else np.int8)
-        return name, ("quant", QuantizedTensor(bits, block, shape, scales, packed))
+        packed = _read_array(f, _r_u32(f), np.uint8)
+        # _take_quant builds the QuantizedTensor once the header agrees
+        return name, ("quant", (bits, block, shape, scales, packed))
     raise CheckpointError(f"unknown entry kind {kind} for tensor {name!r}")
 
 
@@ -181,15 +184,15 @@ def _take_dense(tensors, name, shape):
 
 
 def _take_quant(tensors, name, shape, bits, block):
-    qt = _take(tensors, name, "quant")
-    n = int(np.prod(shape))
-    for key, got, want in (("shape", qt.shape, shape), ("bits", qt.bits, bits),
-                           ("block size", qt.block_size, block),
-                           ("packed size", qt.packed.size, (n + 1) // 2 if bits == 4 else n),
-                           ("scales size", qt.scales.size, -(-n // block))):
+    got_bits, got_block, got_shape, scales, packed = _take(tensors, name, "quant")
+    for key, got, want in (("shape", got_shape, shape), ("bits", got_bits, bits),
+                           ("block size", got_block, block)):
         if got != want:
             raise CheckpointError(f"quantized tensor {name} {key} {got} != expected {want}")
-    return qt
+    try:
+        return QuantizedTensor(got_bits, got_block, got_shape, scales, packed)
+    except QuantError as e:
+        raise CheckpointError(f"quantized tensor {name} {e}") from e
 
 
 def load_checkpoint(path):

@@ -61,8 +61,15 @@ class EnvConfig:
         needed = 3 + self.n_distractors  # gripper, target, plate, distractors
         if self.width * self.height < needed:
             raise EnvError(f"grid too small to place {needed} entities")
+        # each distractor is an object type other than the target's
+        if not 0 <= self.n_distractors <= N_OBJECT_TYPES - 1:
+            raise ValueError(f"n_distractors must be in [0, {N_OBJECT_TYPES - 1}], "
+                             f"got {self.n_distractors}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
-    # token alphabet: coordinates, object types, plate ids, holding flag, null
+    # token alphabet: coordinates, object types, plate ids, holding flag, and
+    # a null token no observation writes, kept so obs_vocab stays the same
     @property
     def coord_vocab(self):
         return max(self.width, self.height)
@@ -203,12 +210,9 @@ def obs_tokens(state):
         state.plate_x, state.plate_y,
         c.hold_base + (0 if state.holding is None else 1),
     ]
-    for i in range(c.n_distractors):
-        if 1 + i < len(state.objects):
-            o = state.objects[1 + i]
-            toks.extend([c.type_base + o.obj_type, o.x, o.y])
-        else:
-            toks.extend([c.null_token, c.null_token, c.null_token])
+    # reset places exactly n_distractors distractors and step keeps them
+    for o in state.objects[1:]:
+        toks.extend([c.type_base + o.obj_type, o.x, o.y])
     return np.array(toks, dtype=np.int64)
 
 

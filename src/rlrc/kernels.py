@@ -17,7 +17,7 @@ for the marker row only.
 The blocks keep the input dtype (float32 in use, float64 for gradient
 checks), with float64 accumulators in the rms statistics, and apply each
 weight as ``x @ W``, so a weight is either an array or a
-``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot4` or `qdot8`.
+``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot`.
 
 Given a ``saved`` dict, a block also keeps the intermediates it computed
 anyway; its hand-written backward (`attn_block_backward`,
@@ -34,9 +34,10 @@ The losses check their action ids (one per row, in [0, A)) and take their
 means over rows in float64; their backwards are the gradients of those
 formulas, each row's share of a mean's gradient computed once.
 
-`qdot4` and `qdot8` dequantize a tile of whole weight rows at a time to
-float32, add it into a float64 output with one BLAS dgemm, and round the
-sum to float32 once.
+`qdot` applies a quantized weight without knowing its storage layout,
+which ``quant`` owns: it asks ``QuantizedTensor.values`` for a tile of
+whole weight rows at a time as float32, adds each tile into a float64
+output with one BLAS dgemm, and rounds the sum to float32 once.
 """
 
 import numpy as np
@@ -356,35 +357,20 @@ def ppo_objective_backward(g, logits, values, actions, old_logprobs, advantages,
     return dlogits.reshape(logits.shape), dvalues
 
 
-# transient-buffer audit hook for qdot4/qdot8, which work one tile at a time
-_alloc_hook = None
-
-
-def set_alloc_hook(fn):
-    """Install fn(num_elements) called per transient weight tile."""
-    global _alloc_hook
-    _alloc_hook = fn
-
-
 # weight values dequantized per tile (whole rows; one row if a row is longer):
 # 64 KiB once widened to float64, so a tile stays in cache for its GEMM
 _TILE_VALUES = 8192
 
-# float32 (low, high) code values of each byte: two two's-complement nibbles
-_NIBBLE_VALUES = np.array([0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1],
-                          dtype=np.float32)
-_BYTE_VALUES = np.stack([_NIBBLE_VALUES[np.arange(256) & 0xF],
-                         _NIBBLE_VALUES[np.arange(256) >> 4]], axis=1)
 
+def qdot(x, n, values):
+    """x @ W for a weight W of logical shape (x.shape[1], n) given by its
+    values: values(start, stop) returns the float32 weights of flat
+    elements start .. stop-1 of W's row-major flattening.
 
-def _qdot_tiles(x, scales, n, block, codes):
-    """x @ W, where flat element j of W is scales[j // block] * code j.
-
-    codes(start, stop) gives the codes of flat elements start .. stop-1.  W
-    is dequantized a tile of whole rows at a time, to float32 exactly as
-    ``quant.dequantize`` does; only the tile is widened to float64 and added
-    into a float64 output by one BLAS dgemm.  The sum is rounded to float32
-    once, at the end.
+    W is decoded a tile of whole rows at a time, and never whole; only the
+    tile is widened to float64 and added into a float64 output by one BLAS
+    dgemm.  The sum is rounded to float32 once, at the end, so the result
+    is within 1e-5 relative of the exact product.
     """
     # deferred: importing scipy.linalg adds ~28 MiB RSS to every process,
     # including the ones that never serve a quantized model
@@ -400,43 +386,11 @@ def _qdot_tiles(x, scales, n, block, codes):
     rows = max(1, _TILE_VALUES // n)
     for r0 in range(0, k, rows):
         r1 = min(k, r0 + rows)
-        start, stop = r0 * n, r1 * n
-        # the scale of each element: the tile's blocks, each repeated
-        tile = np.repeat(scales[start // block : -(-stop // block)], block)
-        tile = tile[start % block :][: stop - start]
-        tile *= codes(start, stop)
-        if _alloc_hook is not None:
-            _alloc_hook(tile.size)
         # out.T = tile.T @ x[:, r0:r1].T (+ out.T after the first tile).  The
         # transpose of a C-ordered float64 cast of the tile's columns of x is
         # the Fortran-ordered (rows, m) operand dgemm reads untransposed, so
         # f2py copies neither operand (a transposing cast of x costs ~4x)
-        w64 = tile.astype(np.float64).reshape(r1 - r0, n)
+        w64 = values(r0 * n, r1 * n).astype(np.float64).reshape(r1 - r0, n)
         x64 = np.ascontiguousarray(x[:, r0:r1], dtype=np.float64)
         dgemm(1.0, w64.T, x64.T, beta=float(r0 > 0), c=out.T, overwrite_c=1)
     return out.astype(np.float32)
-
-
-def qdot4(x, packed, scales, n, block):
-    """x @ W for a 4-bit packed weight of logical shape (x.shape[1], n).
-
-    Dequantizes W a tile of whole rows at a time to float32 (the values
-    ``quant.dequantize`` gives) and never materializes the dense matrix.
-    Each tile is added into a float64 output by one GEMM; the float32 result
-    is the exact product rounded once, so within 1e-5 relative of it.
-    """
-    def codes(start, stop):
-        # both nibbles of every byte the span touches, then the span's own
-        pairs = _BYTE_VALUES.take(packed[start >> 1 : (stop + 1) >> 1], axis=0)
-        lo = start & 1
-        return pairs.reshape(-1)[lo : lo + stop - start]
-
-    return _qdot_tiles(x, scales, n, block, codes)
-
-
-def qdot8(x, codes, scales, n, block):
-    """x @ W for an 8-bit weight of logical shape (x.shape[1], n).
-
-    Tile-at-a-time dequantization and a float64 GEMM, as in `qdot4`.
-    """
-    return _qdot_tiles(x, scales, n, block, lambda start, stop: codes[start:stop])

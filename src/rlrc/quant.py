@@ -4,9 +4,14 @@ Per block of 64 weights (default): scale s = max|w| / q_max, codes
 round-half-away-from-zero(w / s) clamped to [-q_max, q_max]; an all-zero
 block gets s = 1.  4-bit codes pack two per byte.
 
+This module alone knows that storage layout.  A `QuantizedTensor` checks
+its arrays against its shape when built, and `QuantizedTensor.values` is
+the one place codes are decoded: `dequantize` and ``kernels.qdot`` read
+weights through it, and ``checkpoint`` stores the arrays as they are.
+
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
-calls `qmatmul`, which dequantizes a tile of whole weight rows at a time
-and applies it with a float64 GEMM (see rlrc.kernels), so the dense matrix
+calls `qmatmul`, which decodes a tile of whole weight rows at a time
+and applies it with a float64 GEMM (``kernels.qdot``), so the dense matrix
 never materializes.  A `QuantizedModel` is a `PolicyModel` whose decoder
 matrices are QuantizedTensors; its embeddings, norm gains and action head
 stay float32 Tensors.  It has no state of its own and runs on the one
@@ -33,17 +38,48 @@ class QuantError(ValueError):
     pass
 
 
+def _check_format(bits, block_size):
+    if bits not in Q_MAX:
+        raise QuantError(f"bits must be one of {sorted(Q_MAX)}, got {bits}")
+    if block_size < 1:
+        raise QuantError(f"block_size must be >= 1, got {block_size}")
+
+
+# float32 (low, high) code values of each byte: two two's-complement nibbles
+_NIBBLE_VALUES = np.array([0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1],
+                          dtype=np.float32)
+_BYTE_VALUES = np.stack([_NIBBLE_VALUES[np.arange(256) & 0xF],
+                         _NIBBLE_VALUES[np.arange(256) >> 4]], axis=1)
+
+
 @dataclass
 class QuantizedTensor:
+    """A weight stored as blockwise codes; checked when built.
+
+    ``packed`` holds the codes of the row-major flattening: two per uint8
+    byte at 4 bits (`pack4`), one int8 each at 8; its bytes are viewed as
+    that dtype.  ``scales`` holds one float32 scale per block.
+    """
+
     bits: int
     block_size: int
     shape: tuple
-    scales: np.ndarray  # float32, one per block of the row-major flattening
-    packed: np.ndarray  # uint8 nibble pairs (4-bit) or int8 codes (8-bit)
+    scales: np.ndarray
+    packed: np.ndarray
 
     # numpy defers ``ndarray @ qt`` to __rmatmul__ instead of treating qt
     # as an object scalar
     __array_ufunc__ = None
+
+    def __post_init__(self):
+        _check_format(self.bits, self.block_size)
+        four = self.bits == 4
+        self.packed = np.asarray(self.packed).view(np.uint8 if four else np.int8)
+        n = self.size
+        for field, got, want in (("packed", self.packed.size, (n + 1) // 2 if four else n),
+                                 ("scales", self.scales.size, -(-n // self.block_size))):
+            if got != want:
+                raise QuantError(f"{field} size {got} != expected {want}")
 
     def __rmatmul__(self, x):
         # looked up as a module global on each call, so a wrapper installed
@@ -53,6 +89,22 @@ class QuantizedTensor:
     @property
     def size(self):
         return int(np.prod(self.shape))
+
+    def values(self, start, stop):
+        """Float32 weights of flat elements start .. stop-1: each code
+        times its block's scale."""
+        block = self.block_size
+        # the scale of each element: the span's blocks, each repeated
+        out = np.repeat(self.scales[start // block : -(-stop // block)], block)
+        out = out[start % block :][: stop - start]
+        if self.bits == 4:
+            # both nibbles of every byte the span touches, then the span's own
+            pairs = _BYTE_VALUES.take(self.packed[start >> 1 : (stop + 1) >> 1], axis=0)
+            lo = start & 1
+            out *= pairs.reshape(-1)[lo : lo + stop - start]
+        else:
+            out *= self.packed[start:stop]
+        return out
 
 
 def _round_half_away(x):
@@ -69,22 +121,8 @@ def pack4(codes):
     return (lo | (hi << 4)).astype(np.uint8)
 
 
-def unpack4(packed, n):
-    lo = (packed & 0xF).astype(np.int8)
-    hi = ((packed >> 4) & 0xF).astype(np.int8)
-    lo = np.where(lo >= 8, lo - 16, lo)
-    hi = np.where(hi >= 8, hi - 16, hi)
-    out = np.empty(packed.size * 2, dtype=np.int8)
-    out[0::2] = lo
-    out[1::2] = hi
-    return out[:n]
-
-
 def quantize_tensor(weights, bits=4, block_size=DEFAULT_BLOCK):
-    if bits not in Q_MAX:
-        raise QuantError(f"bits must be 4 or 8, got {bits}")
-    if block_size < 1:
-        raise QuantError(f"block_size must be >= 1, got {block_size}")
+    _check_format(bits, block_size)
     w = np.asarray(weights, dtype=np.float32)
     if not np.all(np.isfinite(w)):
         raise QuantError("cannot quantize non-finite weights")
@@ -108,21 +146,7 @@ def quantize_tensor(weights, bits=4, block_size=DEFAULT_BLOCK):
 
 def dequantize(qt):
     """Reconstruct s_block * code at the original shape."""
-    n = qt.size
-    if qt.bits == 4:
-        expected = (n + 1) // 2
-        if qt.packed.size != expected:
-            raise QuantError(f"corrupted pack: {qt.packed.size} bytes, expected {expected}")
-        codes = unpack4(qt.packed, n)
-    else:
-        if qt.packed.size != n:
-            raise QuantError(f"corrupted pack: {qt.packed.size} codes, expected {n}")
-        codes = qt.packed
-    n_scales = -(-n // qt.block_size)
-    if qt.scales.size != n_scales:
-        raise QuantError(f"corrupted scales: {qt.scales.size}, expected {n_scales}")
-    idx = np.arange(n) // qt.block_size
-    return (qt.scales[idx] * codes).astype(np.float32).reshape(qt.shape)
+    return qt.values(0, qt.size).reshape(qt.shape)
 
 
 def qmatmul(qt, activations):
@@ -141,11 +165,7 @@ def qmatmul(qt, activations):
         raise QuantError(f"qmatmul shape mismatch: activations {x.shape} vs weight {qt.shape}")
     lead = x.shape[:-1]
     x2 = np.ascontiguousarray(x.reshape(-1, k))
-    if qt.bits == 4:
-        out = kernels.qdot4(x2, qt.packed, qt.scales, n, qt.block_size)
-    else:
-        out = kernels.qdot8(x2, qt.packed, qt.scales, n, qt.block_size)
-    return out.reshape(*lead, n)
+    return kernels.qdot(x2, n, qt.values).reshape(*lead, n)
 
 
 class QuantizedModel(PolicyModel):

@@ -209,9 +209,8 @@ def test_load_rejects_unknown_tensor(tmp_path):
 
 def test_load_rejects_missing_tensor(tmp_path, monkeypatch):
     for m in (tiny_model(), quantize_model(tiny_model(), 4, 16)):
-        named = "named_params" if hasattr(m, "named_params") else "named_quant_tensors"
-        full = getattr(type(m), named)
-        monkeypatch.setattr(type(m), named,
+        full = type(m).named_params
+        monkeypatch.setattr(type(m), "named_params",
                             lambda self: (e for e in full(self) if e[0] != "layers.1.wk"))
         save_checkpoint(m, tmp_path / "x.ckpt")
         monkeypatch.undo()
@@ -247,3 +246,13 @@ def test_load_rejects_mismatched_quantized_tensor(tmp_path):
         setattr(wup, field, good)
         with pytest.raises(CheckpointError, match=f"layers.0.wup {what}"):
             load_checkpoint(tmp_path / "q.ckpt")
+
+
+def test_load_rejects_unknown_bits(tmp_path):
+    # the header takes its bits from layers.0.wq; a later entry's own bits
+    # are checked against it before the entry becomes a QuantizedTensor
+    qm = quantize_model(tiny_model(), 4, 16)
+    qm.layers[0].wup.bits = 5
+    save_checkpoint(qm, tmp_path / "q.ckpt")
+    with pytest.raises(CheckpointError, match="layers.0.wup bits 5 != expected 4"):
+        load_checkpoint(tmp_path / "q.ckpt")

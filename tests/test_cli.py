@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from rlrc import bench, cli, pruning
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
-from rlrc.env import load_demos
+from rlrc.env import EnvConfig, TaskSpec, load_demos
+from rlrc.model import ModelConfig, init_model
 
 
 def micro_config(tmp_path, **over):
@@ -142,6 +144,9 @@ def test_bench_iteration_floors_rejected(tmp_path):
     ("prune", "calib_batch", 0),
     ("bench", "batch_sizes", []),
     ("bench", "batch_sizes", [1, 0]),
+    ("env", "n_distractors", 5),
+    ("env", "n_distractors", -1),
+    ("env", "max_steps", 0),
 ])
 def test_section_values_checked_at_load(section, field, value):
     # rejected when the config loads, before any stage has run
@@ -181,7 +186,8 @@ def test_seed_override_keeps_explicit_stage_seeds(tmp_path):
 
 @pytest.mark.parametrize("raw, fields", [
     ({"env": {"width": 12, "height": 12}}, ("env.obs_vocab", "model.observation_vocab")),
-    ({"env": {"n_distractors": 8}}, ("env.obs_len", "model.max_seq_len")),
+    ({"env": {"n_distractors": 4}, "model": {"max_seq_len": 16}},
+     ("env.obs_len", "model.max_seq_len")),
     ({"model": {"action_vocab": 7}}, ("model.action_vocab", "env.N_ACTIONS")),
 ])
 def test_env_and_model_vocabularies_cross_checked(raw, fields):
@@ -256,6 +262,25 @@ def test_bench_report_csv_columns(tmp_path):
     with open(os.path.join(out, "bench_report.json")) as f:
         row = json.load(f)["rows"][0]
     assert row["unstable"] == (row["latency_cv"] >= 0.15)
+
+
+def test_bench_times_only_the_reported_batch_sizes(monkeypatch):
+    # a report reads the smallest and the largest batch, so no other is
+    # timed; a clock that ticks once per reading makes every timing exact
+    decoded = []
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(bench, "greedy_actions", lambda model, ctx: decoded.append(len(ctx)))
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    model = init_model(ModelConfig(d_model=16, n_layers=2, n_heads_base=2, d_ff_base=16,
+                                   observation_vocab=21, action_vocab=6, max_seq_len=18))
+    env, task = EnvConfig(), TaskSpec(0, 0, "IND")
+    rows = bench.measure_latency_throughput(model, env, task, [1, 4, 16], 10, 50)
+    assert [r["batch_size"] for r in rows] == [1, 16]
+    assert sorted(set(decoded)) == [1, 16]
+    # the rows of timing every size one at a time give the same report
+    every = [r for b in (1, 4, 16)
+             for r in bench.measure_latency_throughput(model, env, task, [b], 10, 50)]
+    assert bench.variant_row("m", model, rows) == bench.variant_row("m", model, every)
 
 
 def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rlrc
 from rlrc import kernels, model as model_module
 from rlrc.model import (
     ModelConfig,
@@ -566,3 +571,28 @@ def test_build_contexts():
     ctx = build_contexts(cfg, obs)
     assert ctx.shape == (3, 6)
     assert np.all(ctx[:, -1] == cfg.bos_action_id)
+
+
+def test_dense_serving_loads_no_scipy():
+    # kernels.qdot imports scipy (about 28 MiB of RSS) when it first runs,
+    # so a process that serves no quantized model never loads it; run in a
+    # fresh interpreter, as this one may have run qdot already
+    code = """
+import importlib, pkgutil, sys
+import numpy as np
+import rlrc
+for info in pkgutil.iter_modules(rlrc.__path__):
+    importlib.import_module("rlrc." + info.name)
+from rlrc.model import ModelConfig, fast_logits_last, init_model
+m = init_model(ModelConfig(d_model=16, n_layers=2, n_heads_base=2, d_ff_base=24,
+                           observation_vocab=12, action_vocab=6, max_seq_len=16))
+fast_logits_last(m, np.array([[1, 2, 3, m.config.bos_action_id]]))
+print(sorted(n for n in sys.modules if n.split(".")[0] == "scipy"))
+"""
+    src = str(pathlib.Path(rlrc.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -8,8 +8,10 @@ from rlrc import checkpoint, kernels
 from rlrc.checkpoint import save_checkpoint
 from rlrc.model import ModelConfig, fast_logits_last, forward, init_model
 from rlrc.quant import (
+    Q_MAX,
     QuantError,
     QuantizedModel,
+    QuantizedTensor,
     dequantize,
     dequantize_model,
     memory_bytes,
@@ -17,7 +19,6 @@ from rlrc.quant import (
     qmatmul,
     quantize_model,
     quantize_tensor,
-    unpack4,
 )
 from rlrc.tensor import GradError, ShapeError, Tensor, backward, fused, no_grad
 
@@ -53,8 +54,8 @@ def test_hand_case_scale_and_error():
 def test_round_half_away_from_zero():
     block = np.array([7.0, 2.5, -2.5, 0.0], dtype=np.float32)  # s = 1
     qt = quantize_tensor(block, 4, 4)
-    codes = unpack4(qt.packed, 4)
-    np.testing.assert_array_equal(codes, [7, 3, -3, 0])
+    assert qt.scales[0] == np.float32(1.0)
+    np.testing.assert_array_equal(dequantize(qt), [7, 3, -3, 0])
 
 
 def test_rejects_non_finite():
@@ -84,10 +85,12 @@ def test_error_bound_half_scale(seed, bits, n):
 
 
 def test_pack_unpack_bit_exact():
+    # packed codes decode to themselves under unit scales
     rng = np.random.default_rng(0)
     for n in (1, 2, 7, 64, 101):
         codes = rng.integers(-7, 8, size=n).astype(np.int8)
-        np.testing.assert_array_equal(unpack4(pack4(codes), n), codes)
+        qt = QuantizedTensor(4, 64, (n,), np.ones(-(-n // 64), np.float32), pack4(codes))
+        np.testing.assert_array_equal(dequantize(qt), codes)
 
 
 def test_quantize_idempotent_codes():
@@ -108,10 +111,36 @@ def test_eight_bit_error_below_four_bit():
 
 
 def test_corrupted_pack_rejected():
-    qt = quantize_tensor(np.ones(64, dtype=np.float32), 4, 64)
-    qt.packed = qt.packed[:-1]
-    with pytest.raises(QuantError, match="corrupted"):
-        dequantize(qt)
+    # a QuantizedTensor checks its layout when built, naming the bad field
+    qt = quantize_tensor(np.ones(64, dtype=np.float32), 4, 16)
+    for bits, block, scales, packed, field in ((3, 16, qt.scales, qt.packed, "bits"),
+                                               (4, 0, qt.scales, qt.packed, "block_size"),
+                                               (4, 16, qt.scales, qt.packed[:-1], "packed"),
+                                               (4, 16, qt.scales[:-1], qt.packed, "scales")):
+        with pytest.raises(QuantError, match=f"^{field} "):
+            QuantizedTensor(bits, block, (64,), scales, packed)
+
+
+def test_values_of_any_span():
+    # spans that start and stop mid-byte and mid-block decode to code *
+    # scale, for weights built from the integer codes quantize_tensor
+    # rounds them to: each block holds +-q_max, so its scale is exact
+    rng = np.random.default_rng(11)
+    k, n, block = 7, 9, 16
+    n_blocks = -(-k * n // block)
+    for bits in (4, 8):
+        qmax = Q_MAX[bits]
+        codes = rng.integers(-qmax, qmax + 1, size=n_blocks * block)
+        codes[::block] = qmax * rng.choice([-1, 1], size=n_blocks)
+        scales = np.float32(2.0) ** rng.integers(-6, 3, size=n_blocks)
+        w = (codes * np.repeat(scales, block)).astype(np.float32)[:k * n]
+        qt = quantize_tensor(w.reshape(k, n), bits, block)
+        np.testing.assert_array_equal(qt.scales, scales)
+        for start, stop in ((0, k * n), (1, k * n), (3, 20), (15, 33), (17, 18), (16, 48),
+                            (31, 31), (62, 63)):
+            got = qt.values(start, stop)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, w[start:stop], err_msg=f"{bits} {start}:{stop}")
 
 
 def test_qmatmul_matches_dense_dequant():
@@ -147,9 +176,7 @@ def test_qmatmul_any_activation_layout():
             for x in (np.asfortranarray(wide[:7, :k]), wide[::2, ::2], wide[1::2, k:]):
                 ref = qmatmul(qt, np.ascontiguousarray(x))
                 np.testing.assert_array_equal(qmatmul(qt, x), ref)
-                kernel = kernels.qdot4 if bits == 4 else kernels.qdot8
-                np.testing.assert_array_equal(
-                    kernel(x, qt.packed, qt.scales, n, qt.block_size), ref)
+                np.testing.assert_array_equal(kernels.qdot(x, n, qt.values), ref)
 
 
 def test_qmatmul_zero_activations():
@@ -164,18 +191,22 @@ def test_qmatmul_shape_mismatch():
         qmatmul(qt, np.zeros((3, 9), dtype=np.float32))
 
 
-def test_qmatmul_transient_buffer_one_tile():
+def test_qmatmul_transient_buffer_one_tile(monkeypatch):
     # qmatmul dequantizes one tile of whole rows at a time; audit it on a
     # weight of several tiles whose tiles start mid-byte and mid-block
     k, n = 700, 49
     sizes = []
-    kernels.set_alloc_hook(sizes.append)
-    try:
-        rng = np.random.default_rng(6)
-        qt = quantize_tensor(rng.standard_normal((k, n)).astype(np.float32), 4, 16)
-        qmatmul(qt, rng.standard_normal((5, k)).astype(np.float32))
-    finally:
-        kernels.set_alloc_hook(None)
+    values = QuantizedTensor.values
+
+    def counted(self, start, stop):
+        tile = values(self, start, stop)
+        sizes.append(tile.size)
+        return tile
+
+    monkeypatch.setattr(QuantizedTensor, "values", counted)
+    rng = np.random.default_rng(6)
+    qt = quantize_tensor(rng.standard_normal((k, n)).astype(np.float32), 4, 16)
+    qmatmul(qt, rng.standard_normal((5, k)).astype(np.float32))
     assert len(sizes) > 1 and sum(sizes) == k * n
     assert max(sizes) <= max(kernels._TILE_VALUES, n) and max(sizes) < k * n
 
@@ -280,8 +311,9 @@ def weight_payload_bytes(path):
         if kind == "dense":
             weights += payload.nbytes
         else:
-            weights += payload.packed.nbytes
-            scales += payload.scales.nbytes
+            *_, scale_array, packed = payload
+            weights += packed.nbytes
+            scales += scale_array.nbytes
     return {"weights_bytes": weights, "scales_bytes": scales, "total_bytes": weights + scales}
 
 

@@ -15,9 +15,7 @@ SRC = pathlib.Path(rlrc.__file__).parent
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 # public names no program file uses, each with the reason it stays
-UNUSED_ALLOWED = {
-    "kernels.set_alloc_hook": "test hook: tests count qmatmul's transient weight tiles with it",
-}
+UNUSED_ALLOWED = {}
 # defaulted parameters no program call passes, each with the reason it stays
 UNPASSED_ALLOWED = {
     "cli.main(argv)": "test hook: tests drive the CLI in-process",
