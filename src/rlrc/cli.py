@@ -226,7 +226,7 @@ def cmd_eval(cfg, args):
 
         policy = load_checkpoint(args.input).model
         name = os.path.splitext(os.path.basename(args.input))[0]
-    episodes = args.episodes or cfg.eval.episodes_per_task
+    episodes = cfg.eval.episodes_per_task if args.episodes is None else args.episodes
     out = {}
     for split in ("IND", "OOD"):
         r = evaluate(policy, suite[split], episodes, cfg.env, seed=cfg.eval.seed)

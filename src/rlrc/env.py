@@ -60,7 +60,7 @@ class EnvConfig:
             raise ValueError("grid must be at least 2x2")
         needed = 3 + self.n_distractors  # gripper, target, plate, distractors
         if self.width * self.height < needed:
-            raise EnvError(f"grid too small to place {needed} entities")
+            raise ValueError(f"grid too small to place {needed} entities")
         # each distractor is an object type other than the target's
         if not 0 <= self.n_distractors <= N_OBJECT_TYPES - 1:
             raise ValueError(f"n_distractors must be in [0, {N_OBJECT_TYPES - 1}], "
@@ -97,10 +97,6 @@ class EnvConfig:
     @property
     def obs_len(self):
         return 9 + 3 * self.n_distractors
-
-    def to_dict(self):
-        return {"width": self.width, "height": self.height,
-                "n_distractors": self.n_distractors, "max_steps": self.max_steps}
 
 
 @dataclass

@@ -180,6 +180,9 @@ class ValueHead:
     def params(self):
         return [p for _, p in self.named_params()]
 
+    def copy(self):
+        return ValueHead(*(Tensor(p.data.copy()) for p in self.params()))
+
     def apply(self, hidden):
         """One value per row of ``hidden``, its leading axes flattened:
         (B, 1, d_model) -> (B,); one `kernels.value_mlp` node."""

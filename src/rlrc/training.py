@@ -10,12 +10,20 @@ episode would loop until it timed out, earning nothing, so it is scored as
 that time-out without decoding the loop.  The metric rows logged at each
 evaluation record its wall seconds as ``eval_s``.
 
+Both trainers select their best weights by one rule (`_Best`): an
+evaluation that beats every earlier score keeps copies of the trained
+objects, training stops after ``patience`` evaluations in a row that do
+not, and the trainer returns the copies.  SFT scores IND success, PPO IND
+plus OOD success.
+
 Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes.
 Each loss is one autodiff node over the (B, 1, A) logits `forward`
 returns: ``kernels.nll`` for SFT, ``kernels.ppo_objective`` for PPO, which
-reads the critic's values too.  Rollouts store ``kernels.log_softmax`` of
-the same logits, the log-softmax both losses apply.
+reads the critic's values too.  Rollouts and value bootstraps read logits
+and values through `model.batch_logprob_value` under `no_grad`, the PPO
+update's own forward, and store ``kernels.log_softmax`` of the logits, the
+log-softmax both losses apply.
 
 No batch size sets peak memory.  Each loss is a mean over rows, so an SFT
 step and a PPO minibatch update backpropagate it a chunk of rows at a time
@@ -23,22 +31,22 @@ step and a PPO minibatch update backpropagate it a chunk of rows at a time
 whole batch.  A chunk holds as many rows as fit one budget of activation
 values at the model's widths (`model.chunk_rows`), and the metric rows of
 `train_sft` and `train_ppo` record that row count as ``chunk_rows``.
-Evaluation, value bootstraps and held-out losses run `model.forward` under
-`no_grad`, which decodes large batches in fixed-size slices.
+Evaluation, rollouts, value bootstraps and held-out losses run
+`model.forward` under `no_grad`, which decodes large batches in fixed-size
+slices.
 """
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .env import VecEnv, expert_policy, reset, state_key, step as env_step
-from .model import (PolicyModel, ValueHead, batch_logprob_value, build_contexts, chunk_rows,
-                    forward, greedy_actions, init_value_head)
-from .tensor import (OptimizerState, Tensor, adam_step, backward_in_chunks, check_finite, fused,
-                     no_grad)
+from .model import (PolicyModel, batch_logprob_value, build_contexts, chunk_rows, forward,
+                    greedy_actions, init_value_head)
+from .tensor import OptimizerState, adam_step, backward_in_chunks, check_finite, fused, no_grad
 
 
 class TrainingError(RuntimeError):
@@ -64,8 +72,9 @@ class SftConfig:
     def __post_init__(self):
         if min(self.lr, self.batch_size, self.max_steps, self.eval_interval) <= 0:
             raise ValueError("SftConfig values must be positive")
-        if self.eval_episodes < 1:
-            raise ValueError(f"eval_episodes must be >= 1, got {self.eval_episodes}")
+        for name in ("eval_episodes", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -94,7 +103,7 @@ class PpoConfig:
 
     def __post_init__(self):
         for name in ("epochs", "minibatches", "n_envs", "horizon", "total_env_steps",
-                     "eval_interval_steps", "eval_episodes"):
+                     "eval_interval_steps", "eval_episodes", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("gamma", "lam"):
@@ -144,15 +153,6 @@ def sft_loss(model, obs_batch, action_batch):
     return fused(kernels.nll, kernels.nll_backward, (logits,), actions)
 
 
-def _from_arrays(model, value_head, arrays):
-    """A model like ``model``, and a value head if one is given, whose
-    parameters wrap ``arrays`` (model then head, in `params` order)."""
-    names = [name for name, _ in model.named_params()]
-    tensors = [Tensor(a) for a in arrays]
-    out = type(model).from_params(model.config, dict(zip(names, tensors)))
-    return out if value_head is None else (out, ValueHead(*tensors[len(names):]))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -163,7 +163,6 @@ class EvalResult:
     mean_return: float
     mean_length: float
     episodes: int
-    per_task: dict = field(default_factory=dict)
 
 
 class ModelPolicy:
@@ -203,13 +202,11 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
         policy = ModelPolicy(policy)
     states = []
     obs_rows = []
-    owners = []
-    for ti, task in enumerate(tasks):
+    for task in tasks:
         for e in range(episodes_per_task):
             s, o = reset(env_config, task, 100_000 * seed + e)
             states.append(s)
             obs_rows.append(o)
-            owners.append(ti)
     n = len(states)
     obs = np.stack(obs_rows)
     returns = np.zeros(n)
@@ -237,16 +234,11 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
                 lengths[i] = env_config.max_steps
             seen[i].add(key)
         live = live[~done]
-    per_task = {}
-    for ti, task in enumerate(tasks):
-        m = np.asarray(owners) == ti
-        per_task[(task.object_type, task.plate_id)] = float(successes[m].mean())
     return EvalResult(
         success_rate=float(successes.mean()),
         mean_return=float(returns.mean()),
         mean_length=float(lengths.mean()),
         episodes=n,
-        per_task=per_task,
     )
 
 
@@ -274,6 +266,29 @@ class MetricsLogger:
         return row
 
 
+class _Best:
+    """Best-weights selection, the one rule of both trainers: an evaluation
+    whose score beats every earlier one keeps copies of the trained objects
+    (`PolicyModel.copy`, `ValueHead.copy`), its score and its step."""
+
+    def __init__(self, patience):
+        self.patience = patience
+        self.score = -np.inf
+        self.step = 0
+        self.stall = 0  # evaluations since the best
+        self.copies = ()
+
+    def update(self, score, step, *trained):
+        """Record an evaluation of ``trained`` at ``step``; True once
+        ``patience`` evaluations in a row have not beaten the best."""
+        if score > self.score:
+            self.score, self.step, self.stall = score, step, 0
+            self.copies = tuple(t.copy() for t in trained)
+        else:
+            self.stall += 1
+        return self.stall >= self.patience
+
+
 def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
     """SFT with periodic greedy evaluation and best-checkpoint selection.
 
@@ -288,13 +303,9 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
         raise TrainingError("train_sft needs at least one eval task")
     obs_all, act_all = demo_arrays(demos)
     rng = np.random.default_rng(config.seed)
-    params = model.params()
-    opt = OptimizerState(params, lr=config.lr)
+    opt = OptimizerState(model.params(), lr=config.lr)
     logger = MetricsLogger(log_path)
-    best_sr = -1.0
-    best_params = [p.data.copy() for p in params]
-    best_step = 0
-    stall = 0
+    best = _Best(config.patience)
     m = obs_all.shape[0]
     rows = chunk_rows(model.config, obs_all.shape[1] + 1)
     for it in range(1, config.max_steps + 1):
@@ -309,17 +320,10 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
             sr = evaluate(model, eval_tasks, config.eval_episodes, env_config).success_rate
             logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows,
                        eval_s=time.perf_counter() - t0)
-            if sr > best_sr:
-                best_sr = sr
-                best_params = [p.data.copy() for p in params]
-                best_step = it
-                stall = 0
-            else:
-                stall += 1
-            if stall >= config.patience:
+            if best.update(sr, it, model):
                 break
-    logger.log(step=best_step, phase="sft_best", ind_sr=best_sr)
-    return _from_arrays(model, None, best_params), logger.rows
+    logger.log(step=best.step, phase="sft_best", ind_sr=best.score)
+    return best.copies[0], logger.rows
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +332,19 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
 
 def _values_at_marker(model, value_head, obs):
     with no_grad():
-        _, hidden = forward(model, build_contexts(model.config, obs))
-        return value_head.apply(hidden).data.astype(np.float64)
+        _, values = batch_logprob_value(model, value_head, build_contexts(model.config, obs))
+    return values.data.astype(np.float64)
 
 
 def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
     """Gather an (envs x horizon) buffer under the frozen current policy.
 
-    Stored log-probs are `kernels.log_softmax` of the decoder's logits, the
-    function ``kernels.ppo_objective`` applies to the same logits, so the
-    first-epoch ratio is one; values are the value head's.  Returns
-    (buffer, last observations) for seamless continuation.
+    Logits and values come from `model.batch_logprob_value` under
+    `no_grad`, the PPO update's forward.  Stored log-probs are
+    `kernels.log_softmax` of those logits, the function
+    ``kernels.ppo_objective`` applies to the same logits, so the first-epoch
+    ratio is one.  Returns (buffer, last observations) for seamless
+    continuation.
     """
     if obs is None:
         obs = vec_env.vec_reset()
@@ -355,10 +361,9 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         next_values=np.zeros(n, dtype=np.float64),
     )
     for t in range(horizon):
-        contexts = build_contexts(model.config, obs)
         with no_grad():
-            logits, hidden = forward(model, contexts)
-            vals = value_head.apply(hidden).data
+            logits, vals = batch_logprob_value(model, value_head,
+                                               build_contexts(model.config, obs))
         lp_rows = kernels.log_softmax(logits.data[:, -1, :])
         p = np.exp(lp_rows.astype(np.float64))
         p /= p.sum(axis=1, keepdims=True)
@@ -368,7 +373,7 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         buf.obs[:, t] = obs
         buf.actions[:, t] = acts
         buf.logprobs[:, t] = lp_rows[np.arange(n), acts]
-        buf.values[:, t] = vals
+        buf.values[:, t] = vals.data
         obs, rewards, dones, infos = vec_env.vec_step(acts)
         buf.rewards[:, t] = rewards
         buf.dones[:, t] = dones.astype(np.float64)
@@ -448,8 +453,7 @@ def train_ppo(model, value_head, tasks, config, env_config,
             raise TrainingError(f"train_ppo refuses non-IND task {t}")
     if value_head is None:
         value_head = init_value_head(model.config.d_model, seed=config.seed)
-    params = model.params() + value_head.params()
-    opt = OptimizerState(params, lr=config.lr)
+    opt = OptimizerState(model.params() + value_head.params(), lr=config.lr)
     rng_collect = np.random.default_rng([config.seed, 101])
     rng_update = np.random.default_rng([config.seed, 202])
     vec = VecEnv(env_config, tasks, config.n_envs, seed=config.seed)
@@ -457,18 +461,8 @@ def train_ppo(model, value_head, tasks, config, env_config,
     logger = MetricsLogger(log_path)
     env_steps = 0
     next_eval = 0
-    best_key = -1.0
-    best = ([p.data.copy() for p in params], 0)
-    stall = 0
+    best = _Best(config.early_stop_patience)
     nh = config.n_envs * config.horizon
-
-    def run_eval():
-        ind = evaluate(model, eval_tasks_ind, config.eval_episodes, env_config).success_rate \
-            if eval_tasks_ind else 0.0
-        ood = evaluate(model, eval_tasks_ood, config.eval_episodes, env_config).success_rate \
-            if eval_tasks_ood else 0.0
-        return ind, ood
-
     while env_steps < config.total_env_steps:
         buf, obs = collect_rollouts(model, value_head, vec, config.horizon, rng_collect, obs)
         env_steps += nh
@@ -493,18 +487,12 @@ def train_ppo(model, value_head, tasks, config, env_config,
         if env_steps >= next_eval or env_steps >= config.total_env_steps:
             next_eval = env_steps + config.eval_interval_steps
             t0 = time.perf_counter()
-            ind, ood = run_eval()
+            ind, ood = (evaluate(model, grid, config.eval_episodes, env_config).success_rate
+                        if grid else 0.0 for grid in (eval_tasks_ind, eval_tasks_ood))
             logger.log(step=env_steps, phase="ppo", ind_sr=ind, ood_sr=ood,
                        mean_reward=float(buf.rewards.mean()), eval_s=time.perf_counter() - t0,
                        **loss_row)
-            key = ind + ood
-            if key > best_key:
-                best_key = key
-                best = ([p.data.copy() for p in params], env_steps)
-                stall = 0
-            else:
-                stall += 1
-            if stall >= config.early_stop_patience:
+            if best.update(ind + ood, env_steps, model, value_head):
                 break
-    logger.log(step=best[1], phase="ppo_best", best_key=best_key)
-    return (*_from_arrays(model, value_head, best[0]), logger.rows)
+    logger.log(step=best.step, phase="ppo_best", best_key=best.score)
+    return (*best.copies, logger.rows)

@@ -71,6 +71,13 @@ def test_eval_expert_and_checkpoint(tmp_path):
     assert r["OOD"]["success_rate"] == 1.0
 
 
+def test_eval_zero_episodes_is_an_error_not_the_default(tmp_path, capsys):
+    cfg_path, out = micro_config(tmp_path)
+    assert run(["--config", cfg_path, "eval", "--expert", "--episodes", "0"]) == 1
+    assert "episodes_per_task=0" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "eval_expert.json"))
+
+
 def test_stage_order_violation_rejected(tmp_path, capsys):
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "gen-demos"]) == 0
@@ -153,6 +160,12 @@ def test_section_values_checked_at_load(section, field, value):
     with pytest.raises(ConfigError, match=re.escape(f"bad values in section {section}: {field} ")
                        + ".*" + re.escape(f"got {value}")):
         PipelineConfig.from_dict({section: {field: value}})
+
+
+def test_grid_too_small_for_its_entities_named_at_load():
+    with pytest.raises(ConfigError, match="bad values in section env: grid too small to place "
+                                          "5 entities"):
+        PipelineConfig.from_dict({"env": {"width": 2, "height": 2}})
 
 
 def test_exempt_layers_checked_against_the_model():

@@ -68,7 +68,7 @@ def test_reset_obs_layout_length():
 
 
 def test_grid_too_small_rejected():
-    with pytest.raises(EnvError):
+    with pytest.raises(ValueError, match="grid too small"):
         EnvConfig(width=2, height=2, n_distractors=10)
 
 

@@ -307,13 +307,47 @@ def test_collect_rewards_alphabet_and_logprob_sign():
 
 def test_collect_logprobs_match_recomputation_exactly():
     model, vhead, vec, rng = _rollout_setup(seed=1)
-    buf, _ = collect_rollouts(model, vhead, vec, 8, rng)
+    buf, last_obs = collect_rollouts(model, vhead, vec, 8, rng)
     for i in (0, 3):
         for t in (0, 5):
             ctx = np.append(buf.obs[i, t], model.config.bos_action_id)
             logits, _ = batch_logprob_value(model, vhead, ctx[None])
             lp = kernels.log_softmax(logits.data[:, -1, :])[0, buf.actions[i, t]]
             assert lp == buf.logprobs[i, t]
+    # stored values are the critic's on each step's batch, and so is the end bootstrap
+    for t in range(8):
+        _, values = batch_logprob_value(model, vhead, build_contexts(model.config, buf.obs[:, t]))
+        np.testing.assert_array_equal(buf.values[:, t], values.data)
+    _, values = batch_logprob_value(model, vhead, build_contexts(model.config, last_obs))
+    np.testing.assert_array_equal(buf.next_values, values.data.astype(np.float64))
+
+
+def test_collect_truncation_bootstraps_are_the_final_obs_values():
+    suite = make_task_suite(0)
+    model = tiny_model(seed=2)
+    vhead = init_value_head(model.config.d_model, seed=2)
+    vec = VecEnv(EnvConfig(max_steps=5), suite["IND"], 4, seed=2)
+    infos = []  # each step's infos
+    vec_step = vec.vec_step
+
+    def recording(actions):
+        out = vec_step(actions)
+        infos.append(out[3])
+        return out
+
+    vec.vec_step = recording
+    buf, _ = collect_rollouts(model, vhead, vec, 16, np.random.default_rng(2))
+    finals = {(i, t): info["final_obs"] for t, step_infos in enumerate(infos)
+              for i, info in enumerate(step_infos) if info.get("truncated")}
+    assert finals  # episodes of 5 steps truncate inside the 16-step horizon
+    assert set(zip(*np.nonzero(buf.trunc_values))) == set(finals)
+    for t in range(16):
+        slots = [i for i in range(4) if (i, t) in finals]
+        if slots:
+            ctx = build_contexts(model.config, np.stack([finals[i, t] for i in slots]))
+            _, values = batch_logprob_value(model, vhead, ctx)
+            np.testing.assert_array_equal(buf.trunc_values[slots, t],
+                                          values.data.astype(np.float64))
 
 
 def test_first_epoch_ratio_is_one():
@@ -468,13 +502,12 @@ def evaluate_every_row(policy, tasks, episodes_per_task, env_config, seed=7):
     """Reference: decode every episode at every step, finished ones too."""
     from rlrc.env import reset, step
 
-    states, obs, owners = [], [], []
-    for ti, task in enumerate(tasks):
+    states, obs = [], []
+    for task in tasks:
         for e in range(episodes_per_task):
             s, o = reset(env_config, task, 100_000 * seed + e)
             states.append(s)
             obs.append(o)
-            owners.append(ti)
     obs = np.stack(obs)
     n = len(states)
     returns, lengths = np.zeros(n), np.zeros(n, dtype=np.int64)
@@ -491,9 +524,7 @@ def evaluate_every_row(policy, tasks, episodes_per_task, env_config, seed=7):
             if res.done:
                 active[i] = False
                 successes[i] = states[i].success
-    per_task = {(t.object_type, t.plate_id): float(successes[np.asarray(owners) == ti].mean())
-                for ti, t in enumerate(tasks)}
-    return successes.mean(), returns.mean(), lengths.mean(), per_task
+    return successes.mean(), returns.mean(), lengths.mean()
 
 
 @pytest.mark.parametrize("split", ["IND", "OOD"])
@@ -501,10 +532,8 @@ def test_evaluate_decodes_only_running_episodes(split):
     suite = make_task_suite(0)
     policy = RowCountingExpert()
     r = evaluate(policy, suite[split], 3, ENV, seed=3)
-    sr, ret, length, per_task = evaluate_every_row(ExpertPolicyWrapper(), suite[split], 3, ENV,
-                                                   seed=3)
+    sr, ret, length = evaluate_every_row(ExpertPolicyWrapper(), suite[split], 3, ENV, seed=3)
     assert (r.success_rate, r.mean_return, r.mean_length) == (sr, ret, length)
-    assert r.per_task == per_task
     # the expert's episodes end at different steps, so later steps shrink
     assert policy.rows[0] == r.episodes > policy.rows[-1]
     assert sum(policy.rows) == r.mean_length * r.episodes
@@ -536,8 +565,8 @@ def test_evaluate_model_matches_every_row_reference():
     for split in ("IND", "OOD"):
         policy = RowCountingModelPolicy(m)
         r = evaluate(policy, suite[split], 2, ENV)
-        sr, ret, length, per_task = evaluate_every_row(ModelPolicy(m), suite[split], 2, ENV)
-        assert r == EvalResult(sr, ret, length, 2 * len(suite[split]), per_task)
+        sr, ret, length = evaluate_every_row(ModelPolicy(m), suite[split], 2, ENV)
+        assert r == EvalResult(sr, ret, length, 2 * len(suite[split]))
         # a looping episode stops at its first repeated state, scored as a time-out
         assert sum(policy.rows) < r.mean_length * r.episodes
 
@@ -686,6 +715,7 @@ def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
     ("epochs", 0), ("minibatches", 0), ("n_envs", 0), ("horizon", -1),
     ("total_env_steps", 0), ("eval_interval_steps", 0), ("eval_episodes", 0),
     ("lr", -1e-4), ("lam", 1.5), ("lam", -0.1), ("gamma", 1.01), ("clip_eps", 0.0),
+    ("early_stop_patience", 0),
 ])
 def test_ppo_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=f"{field} .*{value}"):
@@ -704,3 +734,9 @@ def test_sft_config_rejects_no_eval_episodes():
     with pytest.raises(ValueError, match="eval_episodes must be >= 1, got 0"):
         SftConfig(eval_episodes=0)
 
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_sft_config_rejects_patience_below_one(value):
+    # at 0 the stall check would stop SFT after an improving first evaluation
+    with pytest.raises(ValueError, match=f"patience must be >= 1, got {value}"):
+        SftConfig(patience=value)
