@@ -1,49 +1,41 @@
 """Binary checkpoint container.
 
-Layout: magic "RLRC", version u32, header length u32, JSON header
-(model config, metadata, and the bits and block size of a quantized
-model), entry count u32, then one named entry per parameter, written by
-its weight type: a Tensor as raw little-endian float32, a QuantizedTensor
-as {bits, block_size, shape, scales, packed code bytes}.  Round-trips are
-bit-exact.  The code layout is ``quant``'s: this module stores and reads
-the arrays as bytes, and a loaded entry becomes a QuantizedTensor, which
-checks them, once its bits, block size and shape match the header.
+Layout: magic "RLRC", version u32, header length u32, a JSON header
+(config, meta, quant: the bits and block size of a quantized model,
+has_value_head, and tensors: the parameter names in file order), then
+the raw little-endian arrays of every parameter in `named_params` order,
+the model's and then the value head's: a Tensor's float32 data, a
+QuantizedTensor's float32 scales and then its code bytes.  The header is
+the one statement of the layout: the config fixes every shape
+(``model.param_shapes``) and ``quant.stored_sizes`` the lengths of a
+quantized weight's arrays, so saving rejects by name a tensor that
+differs from them.  Round-trips are bit-exact.
 
 Saving writes a temp file next to the target and renames it into place,
 so a crash never leaves a truncated checkpoint at the target path.
-Loading is strict: a missing, repeated, unknown or leftover tensor, or
-one whose kind, shape or quantized layout does not match the config, is
-an error that names the tensor.
+Loading is strict: a missing, repeated or unexpected tensor name is an
+error that names the tensor, and a payload of another size than the
+header lays out one that names the file, raised before any allocation.
 """
 
-import io
 import json
+import math
 import os
 import struct
+from collections import namedtuple
 
 import numpy as np
 
 from .model import ModelConfig, PolicyModel, ValueHead, param_shapes, value_head_shapes
-from .quant import Q_MAX, QuantError, QuantizedModel, QuantizedTensor, QUANT_MATRICES
+from .quant import QuantError, QuantizedModel, QuantizedTensor, QUANT_MATRICES, stored_sizes
 from .tensor import Tensor
 
 MAGIC = b"RLRC"
-VERSION = 1
-
-KIND_DENSE = 0
-KIND_QUANT = 1
+VERSION = 2
 
 
 class CheckpointError(IOError):
     pass
-
-
-def _w_u32(f, v):
-    f.write(struct.pack("<I", v))
-
-
-def _w_u8(f, v):
-    f.write(struct.pack("<B", v))
 
 
 def _read(f, n):
@@ -53,106 +45,57 @@ def _read(f, n):
     return b
 
 
-def _r_u32(f):
-    return struct.unpack("<I", _read(f, 4))[0]
-
-
-def _r_u8(f):
-    return struct.unpack("<B", _read(f, 1))[0]
-
-
 def _read_array(f, n, dtype):
     """``n`` values of ``dtype`` read from ``f`` straight into a new array."""
-    nbytes = n * np.dtype(dtype).itemsize
-    pos = f.tell()
-    left = f.seek(0, io.SEEK_END) - pos
-    f.seek(pos)
-    # checked before allocating, so a corrupt size cannot ask for a huge array
-    if not 0 <= nbytes <= left:
-        raise CheckpointError(f"truncated checkpoint: wanted {nbytes} bytes, got {left}")
     arr = np.empty(n, dtype=dtype)
-    got = f.readinto(memoryview(arr).cast("B"))
-    if got != nbytes:
-        raise CheckpointError(f"truncated checkpoint: wanted {nbytes} bytes, got {got}")
+    got = f.readinto(arr)
+    if got != arr.nbytes:
+        raise CheckpointError(f"truncated checkpoint: wanted {arr.nbytes} bytes, got {got}")
     return arr
 
 
-def _write_dense(f, name, arr):
-    nb = name.encode("utf-8")
-    _w_u32(f, len(nb))
-    f.write(nb)
-    _w_u8(f, KIND_DENSE)
-    arr = np.asarray(arr, dtype=np.float32)
-    _w_u32(f, arr.ndim)
-    for e in arr.shape:
-        _w_u32(f, e)
-    f.write(np.ascontiguousarray(arr).astype("<f4").tobytes())
+def _quant_format(p):
+    return {"bits": p.bits, "block_size": p.block_size} if isinstance(p, QuantizedTensor) else None
 
 
-def _write_quant(f, name, qt):
-    nb = name.encode("utf-8")
-    _w_u32(f, len(nb))
-    f.write(nb)
-    _w_u8(f, KIND_QUANT)
-    _w_u32(f, qt.bits)
-    _w_u32(f, qt.block_size)
-    _w_u32(f, len(qt.shape))
-    for e in qt.shape:
-        _w_u32(f, e)
-    _w_u32(f, qt.scales.size)
-    f.write(qt.scales.astype("<f4").tobytes())
-    _w_u32(f, qt.packed.nbytes)
-    f.write(qt.packed.tobytes())
-
-
-def _read_entry(f):
-    name = _read(f, _r_u32(f)).decode("utf-8")
-    kind = _r_u8(f)
-    if kind == KIND_DENSE:
-        rank = _r_u32(f)
-        shape = tuple(_r_u32(f) for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
-        return name, ("dense", _read_array(f, n, "<f4").reshape(shape))
-    if kind == KIND_QUANT:
-        bits = _r_u32(f)
-        block = _r_u32(f)
-        rank = _r_u32(f)
-        shape = tuple(_r_u32(f) for _ in range(rank))
-        scales = _read_array(f, _r_u32(f), "<f4")
-        packed = _read_array(f, _r_u32(f), np.uint8)
-        # _take_quant builds the QuantizedTensor once the header agrees
-        return name, ("quant", (bits, block, shape, scales, packed))
-    raise CheckpointError(f"unknown entry kind {kind} for tensor {name!r}")
+def _is_quant_matrix(name):
+    return name.rsplit(".", 1)[-1] in QUANT_MATRICES
 
 
 def save_checkpoint(model, path, value_head=None, meta=None):
-    """Serialize a model (plus optional value head); the header's bits and
-    block size are those of its first quantized weight, if it has one."""
-    qt = next((p for _, p in model.named_params() if isinstance(p, QuantizedTensor)), None)
-    quant = None if qt is None else {"bits": qt.bits, "block_size": qt.block_size}
+    """Serialize a model (plus optional value head).  Every tensor must be
+    as the header lays it out: of its config's shape and, if the model is
+    quantized, a decoder matrix at the bits and block size of the first."""
+    entries = list(model.named_params())
+    shapes = param_shapes(model.config)
+    if value_head is not None:
+        entries.extend(value_head.named_params())
+        shapes.update(value_head_shapes(model.config.d_model))
+    quant = next(filter(None, map(_quant_format, model.params())), None)
+    for name, p in entries:
+        got = (tuple(p.shape), _quant_format(p))
+        want = (shapes.get(name), quant if _is_quant_matrix(name) else None)
+        if got != want:
+            raise CheckpointError(f"cannot save tensor {name}: shape and quant format "
+                                  f"{got}, its config lays out {want}")
     header = {
         "config": model.config.to_dict(),
         "meta": dict(meta or {}),
         "quant": quant,
         "has_value_head": value_head is not None,
+        "tensors": [name for name, _ in entries],
     }
     hb = json.dumps(header).encode("utf-8")
-    entries = list(model.named_params())
-    if value_head is not None:
-        entries.extend(value_head.named_params())
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            _w_u32(f, VERSION)
-            _w_u32(f, len(hb))
-            f.write(hb)
-            _w_u32(f, len(entries))
-            for name, p in entries:
+            f.write(MAGIC + struct.pack("<II", VERSION, len(hb)) + hb)
+            for _, p in entries:
                 if isinstance(p, QuantizedTensor):
-                    _write_quant(f, name, p)
+                    f.write(np.ascontiguousarray(p.scales, dtype="<f4"))
+                    f.write(np.ascontiguousarray(p.packed))
                 else:
-                    _write_dense(f, name, p.data)
+                    f.write(np.ascontiguousarray(p.data, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -160,79 +103,70 @@ def save_checkpoint(model, path, value_head=None, meta=None):
         raise
 
 
-class LoadedCheckpoint:
-    def __init__(self, model, value_head, meta):
-        self.model = model
-        self.value_head = value_head
-        self.meta = meta
+LoadedCheckpoint = namedtuple("LoadedCheckpoint", "model value_head meta")
 
 
-def _take(tensors, name, kind):
-    if name not in tensors:
-        raise CheckpointError(f"checkpoint missing tensor {name}")
-    got, payload = tensors.pop(name)
-    if got != kind:
-        raise CheckpointError(f"tensor {name} is {got}, expected {kind}")
-    return payload
-
-
-def _take_dense(tensors, name, shape):
-    arr = _take(tensors, name, "dense")
-    if arr.shape != shape:
-        raise CheckpointError(f"tensor {name} shape {arr.shape} != expected {shape}")
-    return arr
-
-
-def _take_quant(tensors, name, shape, bits, block):
-    got_bits, got_block, got_shape, scales, packed = _take(tensors, name, "quant")
-    for key, got, want in (("shape", got_shape, shape), ("bits", got_bits, bits),
-                           ("block size", got_block, block)):
-        if got != want:
-            raise CheckpointError(f"quantized tensor {name} {key} {got} != expected {want}")
-    try:
-        return QuantizedTensor(got_bits, got_block, got_shape, scales, packed)
-    except QuantError as e:
-        raise CheckpointError(f"quantized tensor {name} {e}") from e
+def _layout(header):
+    """The config and quant format a header states and, in file order,
+    each tensor's name, shape and arrays as (dtype, count) pairs."""
+    config = ModelConfig.from_dict(header["config"])
+    shapes = param_shapes(config)
+    if header["has_value_head"]:
+        shapes.update(value_head_shapes(config.d_model))
+    seen = set()
+    for name in header["tensors"]:
+        if name in seen or name not in shapes:
+            what = "repeats" if name in seen else "has unexpected"
+            raise CheckpointError(f"checkpoint {what} tensor {name}")
+        seen.add(name)
+    missing = [name for name in shapes if name not in seen]
+    if missing:
+        raise CheckpointError(f"checkpoint missing tensor {missing[0]}")
+    quant = header["quant"] and (header["quant"]["bits"], header["quant"]["block_size"])
+    if quant and not isinstance(quant[1], int):
+        raise TypeError(f"quant block_size {quant[1]!r} is not an int")
+    layout = []
+    for name in header["tensors"]:
+        n = math.prod(shapes[name])
+        if quant and _is_quant_matrix(name):
+            # a QuantError (a ValueError) here names unusable bits or block size
+            arrays = tuple(zip(("<f4", np.uint8), stored_sizes(*quant, n)))
+        else:
+            arrays = (("<f4", n),)
+        layout.append((name, shapes[name], arrays))
+    return config, quant, layout
 
 
 def load_checkpoint(path):
-    """Load a checkpoint, reading each tensor straight into its own array."""
+    """Load a checkpoint, reading each array straight into its own buffer."""
     with open(path, "rb") as f:
         if _read(f, 4) != MAGIC:
             raise CheckpointError(f"bad magic in {path!r}: not a checkpoint file")
-        version = _r_u32(f)
+        version, header_len = struct.unpack("<II", _read(f, 8))
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
         try:
-            header = json.loads(_read(f, _r_u32(f)).decode("utf-8"))
-            config = ModelConfig.from_dict(header["config"])
+            header = json.loads(_read(f, header_len).decode("utf-8"))
+            config, quant, layout = _layout(header)
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from e
-        n_entries = _r_u32(f)
-        tensors = {}
-        for _ in range(n_entries):
-            name, entry = _read_entry(f)
-            if name in tensors:
-                raise CheckpointError(f"checkpoint repeats tensor {name}")
-            tensors[name] = entry
-
+        # checked before allocating, so a corrupt config cannot ask for huge arrays
+        want = sum(np.dtype(dtype).itemsize * n for *_, arrays in layout for dtype, n in arrays)
+        got = os.fstat(f.fileno()).st_size - f.tell()
+        if got != want:
+            what = "truncated" if got < want else "trailing bytes in"
+            raise CheckpointError(f"{what} checkpoint {os.fspath(path)!r}: {got} bytes after "
+                                  f"the header, its config lays out {want}")
+        params = {}
+        for name, shape, arrays in layout:
+            data = [_read_array(f, n, dtype) for dtype, n in arrays]
+            try:
+                params[name] = (QuantizedTensor(*quant, shape, *data) if len(data) == 2
+                                else Tensor(data[0].reshape(shape)))
+            except QuantError as e:
+                raise CheckpointError(f"quantized tensor {name} {e}") from e
     value_head = None
-    if header.get("has_value_head"):
-        value_head = ValueHead(*(Tensor(_take_dense(tensors, name, shape))
-                                 for name, shape in value_head_shapes(config.d_model).items()))
-
-    quant = header.get("quant")
-    if quant:
-        bits, block = quant.get("bits"), quant.get("block_size")
-        if bits not in Q_MAX or not isinstance(block, int) or block < 1:
-            raise CheckpointError(f"corrupt checkpoint header: quant {quant}")
-    params = {}
-    for name, shape in param_shapes(config).items():
-        if quant and name.rsplit(".", 1)[-1] in QUANT_MATRICES:
-            params[name] = _take_quant(tensors, name, shape, bits, block)
-        else:
-            params[name] = Tensor(_take_dense(tensors, name, shape))
-    if tensors:
-        raise CheckpointError(f"checkpoint has unexpected tensor(s) {sorted(tensors)}")
+    if header["has_value_head"]:
+        value_head = ValueHead(*(params[name] for name in value_head_shapes(config.d_model)))
     model = (QuantizedModel if quant else PolicyModel).from_params(config, params)
-    return LoadedCheckpoint(model, value_head, header.get("meta", {}))
+    return LoadedCheckpoint(model, value_head, header["meta"])

@@ -194,9 +194,8 @@ def cmd_rl(cfg, args):
     save_checkpoint(model, out, value_head=vhead,
                     meta={"stage": "rl", "seed": cfg.seed, "parent": src,
                           "cold_start": bool(args.cold_start)})
-    evals = [r for r in rows if r.get("phase") == "ppo"]
-    last = evals[-1] if evals else {}
-    print(f"rl checkpoint: {out} (last IND {last.get('ind_sr')}, OOD {last.get('ood_sr')})")
+    best = rows[-1]
+    print(f"rl checkpoint: {out} (best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f})")
 
 
 def cmd_quantize(cfg, args):
@@ -284,7 +283,6 @@ def cmd_pipeline(cfg, args):
     cmd_rl(cfg, ns)
     stages = ["dense", "pruned", "sft", "rl"]
     if cfg.quant.enabled:
-        ns.input = _p(cfg, "rl.ckpt")
         cmd_quantize(cfg, ns)
         stages.append("quant")
     ns.inputs = [_p(cfg, f"{s}.ckpt") for s in stages]

@@ -63,8 +63,9 @@ class ModelConfig:
     d_ff: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.d_model <= 0 or self.n_layers <= 0:
-            raise ValueError(f"invalid dims: d_model={self.d_model}, n_layers={self.n_layers}")
+        if self.d_model <= 0 or self.n_layers <= 0 or self.max_seq_len <= 0:
+            raise ValueError(f"invalid dims: d_model={self.d_model}, n_layers={self.n_layers}, "
+                             f"max_seq_len={self.max_seq_len}")
         if self.n_heads_base <= 0 or self.d_model % self.n_heads_base != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads_base={self.n_heads_base}"

@@ -4,10 +4,12 @@ Per block of 64 weights (default): scale s = max|w| / q_max, codes
 round-half-away-from-zero(w / s) clamped to [-q_max, q_max]; an all-zero
 block gets s = 1.  4-bit codes pack two per byte.
 
-This module alone knows that storage layout.  A `QuantizedTensor` checks
-its arrays against its shape when built, and `QuantizedTensor.values` is
-the one place codes are decoded: `dequantize` and ``kernels.qdot`` read
-weights through it, and ``checkpoint`` stores the arrays as they are.
+This module alone knows that storage layout.  `stored_sizes` gives the
+lengths of a weight's two arrays; a `QuantizedTensor` checks its arrays
+against them when built, and ``checkpoint`` sizes a file's arrays by them
+and stores the arrays as they are.  `QuantizedTensor.values` is the one
+place codes are decoded: `dequantize` and ``kernels.qdot`` read weights
+through it.
 
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
 calls `qmatmul`, which decodes a tile of whole weight rows at a time
@@ -38,11 +40,15 @@ class QuantError(ValueError):
     pass
 
 
-def _check_format(bits, block_size):
+def stored_sizes(bits, block_size, n):
+    """(scale count, code byte count) of ``n`` weights stored at ``bits``
+    in blocks of ``block_size``: one scale per block, codes two per byte at
+    4 bits and one at 8."""
     if bits not in Q_MAX:
         raise QuantError(f"bits must be one of {sorted(Q_MAX)}, got {bits}")
     if block_size < 1:
         raise QuantError(f"block_size must be >= 1, got {block_size}")
+    return -(-n // block_size), (n + 1) // 2 if bits == 4 else n
 
 
 # float32 (low, high) code values of each byte: two two's-complement nibbles
@@ -72,12 +78,10 @@ class QuantizedTensor:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        _check_format(self.bits, self.block_size)
-        four = self.bits == 4
-        self.packed = np.asarray(self.packed).view(np.uint8 if four else np.int8)
-        n = self.size
-        for field, got, want in (("packed", self.packed.size, (n + 1) // 2 if four else n),
-                                 ("scales", self.scales.size, -(-n // self.block_size))):
+        n_scales, n_packed = stored_sizes(self.bits, self.block_size, self.size)
+        self.packed = np.asarray(self.packed).view(np.uint8 if self.bits == 4 else np.int8)
+        for field, got, want in (("packed", self.packed.size, n_packed),
+                                 ("scales", self.scales.size, n_scales)):
             if got != want:
                 raise QuantError(f"{field} size {got} != expected {want}")
 
@@ -122,13 +126,12 @@ def pack4(codes):
 
 
 def quantize_tensor(weights, bits=4, block_size=DEFAULT_BLOCK):
-    _check_format(bits, block_size)
     w = np.asarray(weights, dtype=np.float32)
+    n = w.size
+    n_blocks, _ = stored_sizes(bits, block_size, n)
     if not np.all(np.isfinite(w)):
         raise QuantError("cannot quantize non-finite weights")
     qmax = Q_MAX[bits]
-    n = w.size
-    n_blocks = -(-n // block_size)
     flat = np.zeros(n_blocks * block_size, dtype=np.float32)
     flat[:n] = w.reshape(-1)
     blocks = flat.reshape(n_blocks, block_size)
@@ -136,12 +139,8 @@ def quantize_tensor(weights, bits=4, block_size=DEFAULT_BLOCK):
     scales = np.where(scales == 0.0, np.float32(1.0), scales).astype(np.float32)
     codes = _round_half_away(blocks / scales[:, None])
     codes = np.clip(codes, -qmax, qmax).astype(np.int8).reshape(-1)[:n]
-    if bits == 4:
-        packed = pack4(codes)
-    else:
-        packed = codes
     return QuantizedTensor(bits=bits, block_size=int(block_size), shape=tuple(w.shape),
-                           scales=scales, packed=packed)
+                           scales=scales, packed=pack4(codes) if bits == 4 else codes)
 
 
 def dequantize(qt):
@@ -209,7 +208,8 @@ def memory_bytes(m):
 
     4 bytes per float32 parameter; a quantized matrix counts its packed
     code bytes, plus 4 bytes per block scale under ``scales_bytes``.
-    Matches the serialized checkpoint payload byte-for-byte.
+    ``total_bytes`` is the size of a checkpoint's payload, the bytes after
+    its header.
     """
     w = s = 0
     for _, p in m.named_params():

@@ -13,8 +13,9 @@ evaluation record its wall seconds as ``eval_s``.
 Both trainers select their best weights by one rule (`_Best`): an
 evaluation that beats every earlier score keeps copies of the trained
 objects, training stops after ``patience`` evaluations in a row that do
-not, and the trainer returns the copies.  SFT scores IND success, PPO IND
-plus OOD success.
+not, and the trainer returns the copies and logs that evaluation's
+success rates again as its last metric row.  SFT scores IND success, PPO
+IND plus OOD success; both need IND eval tasks.
 
 Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes.
@@ -269,20 +270,20 @@ class MetricsLogger:
 class _Best:
     """Best-weights selection, the one rule of both trainers: an evaluation
     whose score beats every earlier one keeps copies of the trained objects
-    (`PolicyModel.copy`, `ValueHead.copy`), its score and its step."""
+    (`PolicyModel.copy`, `ValueHead.copy`), its score and its metric row."""
 
     def __init__(self, patience):
         self.patience = patience
         self.score = -np.inf
-        self.step = 0
+        self.row = None
         self.stall = 0  # evaluations since the best
         self.copies = ()
 
-    def update(self, score, step, *trained):
-        """Record an evaluation of ``trained`` at ``step``; True once
+    def update(self, score, row, *trained):
+        """Record an evaluation of ``trained``, logged as ``row``; True once
         ``patience`` evaluations in a row have not beaten the best."""
         if score > self.score:
-            self.score, self.step, self.stall = score, step, 0
+            self.score, self.row, self.stall = score, row, 0
             self.copies = tuple(t.copy() for t in trained)
         else:
             self.stall += 1
@@ -318,11 +319,11 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
         if it % config.eval_interval == 0 or it == config.max_steps:
             t0 = time.perf_counter()
             sr = evaluate(model, eval_tasks, config.eval_episodes, env_config).success_rate
-            logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows,
-                       eval_s=time.perf_counter() - t0)
-            if best.update(sr, it, model):
+            row = logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows,
+                             eval_s=time.perf_counter() - t0)
+            if best.update(sr, row, model):
                 break
-    logger.log(step=best.step, phase="sft_best", ind_sr=best.score)
+    logger.log(step=best.row["step"], phase="sft_best", ind_sr=best.row["ind_sr"])
     return best.copies[0], logger.rows
 
 
@@ -446,11 +447,14 @@ def train_ppo(model, value_head, tasks, config, env_config,
     ``init_value_head(d_model, seed=config.seed)``.
     Trains ``model`` and ``value_head`` themselves, in place, so they end
     with the last update's weights; returns copies holding the best
-    weights, then the metric rows.
+    weights, then the metric rows.  A non-IND training task or no IND eval
+    tasks raise TrainingError before the first rollout.
     """
     for t in tasks:
         if t.split != "IND":
             raise TrainingError(f"train_ppo refuses non-IND task {t}")
+    if not eval_tasks_ind:
+        raise TrainingError("train_ppo needs at least one IND eval task")
     if value_head is None:
         value_head = init_value_head(model.config.d_model, seed=config.seed)
     opt = OptimizerState(model.params() + value_head.params(), lr=config.lr)
@@ -489,10 +493,11 @@ def train_ppo(model, value_head, tasks, config, env_config,
             t0 = time.perf_counter()
             ind, ood = (evaluate(model, grid, config.eval_episodes, env_config).success_rate
                         if grid else 0.0 for grid in (eval_tasks_ind, eval_tasks_ood))
-            logger.log(step=env_steps, phase="ppo", ind_sr=ind, ood_sr=ood,
-                       mean_reward=float(buf.rewards.mean()), eval_s=time.perf_counter() - t0,
-                       **loss_row)
-            if best.update(ind + ood, env_steps, model, value_head):
+            row = logger.log(step=env_steps, phase="ppo", ind_sr=ind, ood_sr=ood,
+                             mean_reward=float(buf.rewards.mean()),
+                             eval_s=time.perf_counter() - t0, **loss_row)
+            if best.update(ind + ood, row, model, value_head):
                 break
-    logger.log(step=best.step, phase="ppo_best", best_key=best.score)
+    logger.log(step=best.row["step"], phase="ppo_best", ind_sr=best.row["ind_sr"],
+               ood_sr=best.row["ood_sr"])
     return (*best.copies, logger.rows)

@@ -651,6 +651,19 @@ def test_train_ppo_refuses_ood_tasks():
         train_ppo(tiny_model(), None, suite["OOD"][:1], micro_ppo_config(), ENV)
 
 
+def test_train_ppo_refuses_no_ind_eval_tasks(monkeypatch):
+    # every evaluation would score 0, so the first one's weights would win
+    def refuse(*args, **kwargs):
+        raise AssertionError("train_ppo collected a rollout")
+
+    monkeypatch.setattr(training, "collect_rollouts", refuse)
+    suite = make_task_suite(0)
+    for ind in (None, []):
+        with pytest.raises(TrainingError, match="at least one IND eval task"):
+            train_ppo(tiny_model(), None, suite["IND"][:1], micro_ppo_config(), ENV,
+                      ind, suite["OOD"][:1])
+
+
 def test_train_ppo_deterministic():
     suite = make_task_suite(0)
     outs = []
@@ -699,9 +712,13 @@ def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
     monkeypatch.setattr(training, "evaluate", scored)
     suite = make_task_suite(0)
     cfg = micro_ppo_config(lr=1e-3, total_env_steps=48, eval_interval_steps=16)
-    out, out_vh, _ = train_ppo(m, vh, suite["IND"][:4], cfg, ENV,
-                               eval_tasks_ind=suite["IND"][:1])
+    out, out_vh, rows = train_ppo(m, vh, suite["IND"][:4], cfg, ENV,
+                                  eval_tasks_ind=suite["IND"][:1])
     assert len(seen) == 3
+    # the last row names the chosen evaluation, not the last one
+    assert [r["ind_sr"] for r in rows if r["phase"] == "ppo"] == [1.0, 0.5, 1.0 / 3]
+    assert {k: rows[-1][k] for k in ("phase", "step", "ind_sr", "ood_sr")} == \
+        {"phase": "ppo_best", "step": 16, "ind_sr": 1.0, "ood_sr": 0.0}
     params, trained = out.params() + out_vh.params(), m.params() + vh.params()
     for p, best, last in zip(params, seen[0], trained):
         np.testing.assert_array_equal(p.data, best)
