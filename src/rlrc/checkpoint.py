@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 
 from .model import ModelConfig, PolicyModel, ValueHead, param_shapes, value_head_shapes
-from .quant import QuantError, QuantizedModel, QuantizedTensor, QUANT_MATRICES, stored_sizes
+from .quant import QuantError, QuantizedModel, QuantizedTensor, is_quantized, stored_sizes
 from .tensor import Tensor
 
 MAGIC = b"RLRC"
@@ -58,10 +58,6 @@ def _quant_format(p):
     return {"bits": p.bits, "block_size": p.block_size} if isinstance(p, QuantizedTensor) else None
 
 
-def _is_quant_matrix(name):
-    return name.rsplit(".", 1)[-1] in QUANT_MATRICES
-
-
 def save_checkpoint(model, path, value_head=None, meta=None):
     """Serialize a model (plus optional value head).  Every tensor must be
     as the header lays it out: of its config's shape and, if the model is
@@ -74,7 +70,7 @@ def save_checkpoint(model, path, value_head=None, meta=None):
     quant = next(filter(None, map(_quant_format, model.params())), None)
     for name, p in entries:
         got = (tuple(p.shape), _quant_format(p))
-        want = (shapes.get(name), quant if _is_quant_matrix(name) else None)
+        want = (shapes.get(name), quant if is_quantized(name) else None)
         if got != want:
             raise CheckpointError(f"cannot save tensor {name}: shape and quant format "
                                   f"{got}, its config lays out {want}")
@@ -128,7 +124,7 @@ def _layout(header):
     layout = []
     for name in header["tensors"]:
         n = math.prod(shapes[name])
-        if quant and _is_quant_matrix(name):
+        if quant and is_quantized(name):
             # a QuantError (a ValueError) here names unusable bits or block size
             arrays = tuple(zip(("<f4", np.uint8), stored_sizes(*quant, n)))
         else:

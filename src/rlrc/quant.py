@@ -36,6 +36,11 @@ DEFAULT_BLOCK = 64
 QUANT_MATRICES = ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown")
 
 
+def is_quantized(name):
+    """Whether `quantize_model` quantizes the parameter ``name``: a decoder matrix."""
+    return name.rsplit(".", 1)[-1] in QUANT_MATRICES
+
+
 class QuantError(ValueError):
     pass
 
@@ -187,7 +192,7 @@ def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
     """Quantize every decoder-layer matrix; keep the rest float32."""
     params = {
         name: (quantize_tensor(p.data, bits, block_size)
-               if name.rsplit(".", 1)[-1] in QUANT_MATRICES
+               if is_quantized(name)
                else Tensor(p.data.copy()))
         for name, p in model.named_params()
     }
