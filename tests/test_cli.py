@@ -62,6 +62,22 @@ def test_full_stage_chain(tmp_path):
     assert rows["quant"]["prunable_params"] == rows["rl"]["prunable_params"]
 
 
+def test_pipeline_runs_every_stage_in_order(tmp_path):
+    cfg_path, out = micro_config(tmp_path)
+    assert run(["--config", cfg_path, "pipeline"]) == 0
+    chain = ["dense", "pruned", "sft", "rl", "quant"]
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert json.load(f)["checkpoints"] == {s: f"{s}.ckpt" for s in chain}
+    parent = None
+    for stage in chain:
+        meta = load_checkpoint(os.path.join(out, f"{stage}.ckpt")).meta
+        assert meta["stage"] == stage
+        assert meta.get("parent") == (parent and os.path.join(out, f"{parent}.ckpt"))
+        parent = stage
+    with open(os.path.join(out, "bench_report.json")) as f:
+        assert [r["variant"] for r in json.load(f)["rows"]] == chain
+
+
 def test_eval_expert_and_checkpoint(tmp_path):
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "eval", "--expert"]) == 0
