@@ -1,10 +1,11 @@
 """Measurement harness: latency, throughput, memory and success-rate rows.
 
-Latency is the median wall time of one greedy action decode at batch 1
-over the configured timed iterations, after the configured warmups;
-throughput is decodes per second at the largest configured batch.
-Throughput here always means greedy env-action decodes per second.  Memory numbers come from
-quant.memory_bytes and reconcile exactly with serialized checkpoints.
+Every row times greedy action decodes at two fixed batch sizes, each
+with 10 untimed warm-up decodes and then 50 timed ones.  Latency is the
+median wall time of one decode at batch 1; throughput is decodes per
+second at batch 16.  Throughput here always means greedy env-action
+decodes per second.  Memory numbers come from quant.memory_bytes and
+reconcile exactly with serialized checkpoints.
 """
 
 import csv
@@ -21,6 +22,11 @@ from .env import reset
 from .model import build_contexts, greedy_actions
 from .pruning import param_counts
 from .quant import memory_bytes
+
+LATENCY_BATCH = 1
+THROUGHPUT_BATCH = 16
+WARMUP_ITERS = 10
+TIMED_ITERS = 50
 
 REPORT_COLUMNS = [
     "variant", "total_params", "prunable_params", "weights_bytes",
@@ -44,8 +50,8 @@ def report_header():
     return {
         "cpu": _cpu_model(),
         "platform": platform.platform(),
-        "throughput_definition": "greedy action decodes per second at the stated batch size",
-        "latency_definition": "median wall ms of one greedy decode at batch 1",
+        "throughput_definition": f"greedy action decodes per second at batch {THROUGHPUT_BATCH}",
+        "latency_definition": f"median wall ms of one greedy decode at batch {LATENCY_BATCH}",
         # the thread counts BLAS was started with, after RLRC_THREADS applied
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
     }
@@ -56,40 +62,28 @@ def probe_contexts(model, env_config, batch, task):
     return build_contexts(model.config, obs)
 
 
-def measure_latency_throughput(model, env_config, task, batch_sizes=(1, 16),
-                               warmup=10, iters=50):
-    """Timing rows of the smallest and the largest batch size, the two a
-    report reads; flags rows with cv >= 15% as unstable."""
-    rows = []
-    for batch in sorted({min(batch_sizes), max(batch_sizes)}):
-        contexts = probe_contexts(model, env_config, batch, task)
-        for _ in range(warmup):
-            greedy_actions(model, contexts)
-        times = []
-        for _ in range(iters):
-            t0 = time.perf_counter()
-            greedy_actions(model, contexts)
-            times.append(time.perf_counter() - t0)
-        med = statistics.median(times)
-        mu = statistics.fmean(times)
-        cv = statistics.pstdev(times) / mu if mu > 0 else 0.0
-        rows.append({
-            "batch_size": batch,
-            "latency_ms": med * 1e3,
-            "latency_cv": cv,
-            "unstable": cv >= 0.15,
-            "throughput_sps": batch * iters / sum(times),
-            "iters": iters,
-        })
-    return rows
+def _decode_times(model, env_config, task, batch):
+    """Wall seconds of each timed greedy decode of ``batch`` contexts."""
+    contexts = probe_contexts(model, env_config, batch, task)
+    for _ in range(WARMUP_ITERS):
+        greedy_actions(model, contexts)
+    times = []
+    for _ in range(TIMED_ITERS):
+        t0 = time.perf_counter()
+        greedy_actions(model, contexts)
+        times.append(time.perf_counter() - t0)
+    return times
 
 
-def variant_row(name, model, timing_rows, ind_sr=None, ood_sr=None, exempt_layers=None):
-    """One BenchReport row; memory fields come straight from memory_bytes."""
+def variant_row(name, model, env_config, task, ind_sr, ood_sr, exempt_layers):
+    """One report row: memory straight from memory_bytes, then the decodes
+    of ``task``'s contexts timed; a latency cv >= 15% flags it unstable."""
     mem = memory_bytes(model)
     counts = param_counts(model, exempt_layers)
-    batch1 = min(timing_rows, key=lambda r: r["batch_size"])
-    batchmax = max(timing_rows, key=lambda r: r["batch_size"])
+    latency = _decode_times(model, env_config, task, LATENCY_BATCH)
+    throughput = _decode_times(model, env_config, task, THROUGHPUT_BATCH)
+    mu = statistics.fmean(latency)
+    cv = statistics.pstdev(latency) / mu if mu > 0 else 0.0
     return {
         "variant": name,
         "total_params": counts["total"],
@@ -97,11 +91,11 @@ def variant_row(name, model, timing_rows, ind_sr=None, ood_sr=None, exempt_layer
         "weights_bytes": mem["weights_bytes"],
         "scales_bytes": mem["scales_bytes"],
         "total_bytes": mem["total_bytes"],
-        "latency_ms": batch1["latency_ms"],
-        "latency_cv": batch1["latency_cv"],
-        "unstable": batch1["unstable"],
-        "throughput_sps": batchmax["throughput_sps"],
-        "throughput_batch": batchmax["batch_size"],
+        "latency_ms": statistics.median(latency) * 1e3,
+        "latency_cv": cv,
+        "unstable": cv >= 0.15,
+        "throughput_sps": THROUGHPUT_BATCH * TIMED_ITERS / sum(throughput),
+        "throughput_batch": THROUGHPUT_BATCH,
         "ind_sr": ind_sr,
         "ood_sr": ood_sr,
     }

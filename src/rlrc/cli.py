@@ -1,10 +1,14 @@
 """Command line pipeline driver.
 
-Subcommands: gen-demos, train-dense, prune, sft, rl, quantize, eval,
-bench, pipeline, sweep.  Each stage consumes the previous
-stage's checkpoint (validated via checkpoint metadata), writes its own
-checkpoint plus a JSONL metrics log, and echoes the fully resolved config
-into the output directory.
+Subcommands: gen-demos, then the recipe's stages train-dense, prune, sft,
+rl and quantize, then eval, bench, pipeline and sweep.  `STAGES` is the
+one statement of the recipe's order: each row names a stage command, the
+stage it writes (``<stage>.ckpt``, whose ``meta["stage"]`` it is), the
+parent stage whose checkpoint it reads (checked against that checkpoint's
+metadata) and the body that does the work.  The stage commands, `rlrc
+pipeline`, bench's default inputs and the manifest all read that table.
+Every command echoes the fully resolved config into the output directory,
+and the training stages write a JSONL metrics log.
 
 RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
 inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
@@ -12,18 +16,11 @@ loads, so the heavy imports happen inside main().
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
-
-# the one parent stage each stage reads, as the recipe orders them
-_STAGE_INPUTS = {
-    "prune": "dense",
-    "sft": "pruned",
-    "rl": "sft",
-    "rl --cold-start": "pruned",
-    "quantize": "rl",
-}
+from typing import NamedTuple
 
 
 class CliError(RuntimeError):
@@ -58,12 +55,12 @@ def _p(cfg, name):
     return os.path.join(cfg.output_dir, name)
 
 
-def _load_ckpt_for(cfg, stage, path=None):
-    """Load ``stage``'s input: ``path``, else its parent's checkpoint in the
-    output directory.  Either must come from the parent stage."""
+def _load_ckpt_for(cfg, stage, parent, path):
+    """Load the input of the command ``stage``: ``path``, else the
+    ``parent`` stage's checkpoint in the output directory.  Either must
+    come from the parent stage."""
     from .checkpoint import load_checkpoint
 
-    parent = _STAGE_INPUTS[stage]
     if path is None:
         path = _p(cfg, f"{parent}.ckpt")
         if not os.path.exists(path):
@@ -110,20 +107,21 @@ def cmd_gen_demos(cfg, args):
     print(f"demos: {len(demos)} episodes -> {_p(cfg, 'demos.jsonl')}")
 
 
-def cmd_train_dense(cfg, args):
-    from .checkpoint import save_checkpoint
-    from .model import init_model
+def _train(cfg, model, log_name):
+    """SFT ``model`` on the demos; the body of train-dense and sft."""
     from .training import train_sft
 
     suite = _suite(cfg)
     demos = _demos(cfg)
-    model = init_model(cfg.model)
     model, rows = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"],
-                            log_path=_p(cfg, "metrics_dense.jsonl"))
-    save_checkpoint(model, _p(cfg, "dense.ckpt"),
-                    meta={"stage": "dense", "seed": cfg.seed})
-    print(f"dense checkpoint: {_p(cfg, 'dense.ckpt')} "
-          f"(best IND SR {rows[-1].get('ind_sr'):.3f})")
+                            log_path=_p(cfg, log_name))
+    return model, None, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
+
+
+def _train_dense(cfg, args, _):
+    from .model import init_model
+
+    return _train(cfg, init_model(cfg.model), "metrics_dense.jsonl")
 
 
 def _prune(cfg, model, demos, ratio, table=None):
@@ -147,68 +145,83 @@ def _prune(cfg, model, demos, ratio, table=None):
     return table, plan, apply_prune(model, plan)
 
 
-def cmd_prune(cfg, args):
-    from .checkpoint import save_checkpoint
-
-    loaded, src = _load_ckpt_for(cfg, "prune", args.input)
+def _prune_stage(cfg, args, loaded):
     ratio = cfg.prune.ratio if args.ratio is None else args.ratio
     _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg), ratio)
     with open(_p(cfg, "prune_plan.json"), "w", encoding="utf-8") as f:
         f.write(plan.to_json())
-    save_checkpoint(pruned, _p(cfg, "pruned.ckpt"),
-                    meta={"stage": "pruned", "seed": cfg.seed, "parent": src,
-                          "ratio": plan.achieved_ratio})
-    print(f"pruned checkpoint: {_p(cfg, 'pruned.ckpt')} "
-          f"(achieved ratio {plan.achieved_ratio:.4f}, "
-          f"{plan.removed_params}/{plan.prunable_params} prunable params removed)")
+    return pruned, None, {"ratio": plan.achieved_ratio}, (
+        f"achieved ratio {plan.achieved_ratio:.4f}, "
+        f"{plan.removed_params}/{plan.prunable_params} prunable params removed")
 
 
-def cmd_sft(cfg, args):
-    from .checkpoint import save_checkpoint
-    from .training import train_sft
-
-    loaded, src = _load_ckpt_for(cfg, "sft", args.input)
-    suite = _suite(cfg)
-    demos = _demos(cfg)
-    model, rows = train_sft(loaded.model, demos, cfg.sft, cfg.env, suite["IND"],
-                            log_path=_p(cfg, "metrics_sft.jsonl"))
-    save_checkpoint(model, _p(cfg, "sft.ckpt"),
-                    meta={"stage": "sft", "seed": cfg.seed, "parent": src})
-    print(f"sft checkpoint: {_p(cfg, 'sft.ckpt')} "
-          f"(best IND SR {rows[-1].get('ind_sr'):.3f})")
+def _sft(cfg, args, loaded):
+    return _train(cfg, loaded.model, "metrics_sft.jsonl")
 
 
-def cmd_rl(cfg, args):
-    from .checkpoint import save_checkpoint
+def _rl(cfg, args, loaded):
     from .training import train_ppo
 
-    loaded, src = _load_ckpt_for(cfg, "rl --cold-start" if args.cold_start else "rl",
-                                 args.input)
     suite = _suite(cfg)
     # without a value head in the checkpoint, train_ppo initialises one
     model, vhead, rows = train_ppo(
         loaded.model, loaded.value_head, suite["IND"], cfg.ppo, cfg.env,
         eval_tasks_ind=suite["IND"], eval_tasks_ood=suite["OOD"],
         log_path=_p(cfg, "metrics_rl.jsonl"))
-    out = _p(cfg, "rl_cold.ckpt" if args.cold_start else "rl.ckpt")
-    save_checkpoint(model, out, value_head=vhead,
-                    meta={"stage": "rl", "seed": cfg.seed, "parent": src,
-                          "cold_start": bool(args.cold_start)})
     best = rows[-1]
-    print(f"rl checkpoint: {out} (best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f})")
+    return model, vhead, {"cold_start": args.cold_start}, (
+        f"best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f}")
 
 
-def cmd_quantize(cfg, args):
-    from .checkpoint import save_checkpoint
+def _quantize(cfg, args, loaded):
     from .quant import quantize_model
 
-    loaded, src = _load_ckpt_for(cfg, "quantize", args.input)
     bits = args.bits or cfg.quant.bits
-    qm = quantize_model(loaded.model, bits, cfg.quant.block_size)
-    save_checkpoint(qm, _p(cfg, "quant.ckpt"),
-                    meta={"stage": "quant", "seed": cfg.seed, "parent": src,
-                          "bits": bits})
-    print(f"quant checkpoint: {_p(cfg, 'quant.ckpt')} ({bits}-bit)")
+    return (quantize_model(loaded.model, bits, cfg.quant.block_size), None, {"bits": bits},
+            f"{bits}-bit")
+
+
+class Stage(NamedTuple):
+    """One step of the recipe.  ``rlrc <command>`` reads the checkpoint of
+    ``parent`` (none for the first step), runs ``body(cfg, args, loaded
+    parent)`` for (model, value head or None, extra meta, summary) and
+    writes ``<stage>.ckpt``.  ``options`` are the command's own flags.  A
+    step with a ``cold_parent`` also takes ``--cold-start``: it then reads
+    that stage instead and writes ``<stage>_cold.ckpt``."""
+    command: str
+    stage: str
+    parent: str
+    body: object
+    options: tuple = ()
+    cold_parent: str = None
+
+
+# the recipe, in the order it runs
+STAGES = (
+    Stage("train-dense", "dense", None, _train_dense),
+    Stage("prune", "pruned", "dense", _prune_stage, (("--ratio", {"type": float}),)),
+    Stage("sft", "sft", "pruned", _sft),
+    Stage("rl", "rl", "sft", _rl, cold_parent="pruned"),
+    Stage("quantize", "quant", "rl", _quantize,
+          (("--bits", {"type": int, "choices": (4, 8)}),)),
+)
+
+
+def _run_stage(stage, cfg, args):
+    """Run one row of `STAGES` and save its checkpoint."""
+    from .checkpoint import save_checkpoint
+
+    command, parent, stem = stage.command, stage.parent, stage.stage
+    if stage.cold_parent and args.cold_start:
+        command, parent, stem = f"{command} --cold-start", stage.cold_parent, f"{stem}_cold"
+    meta = {"stage": stage.stage, "seed": cfg.seed}
+    loaded = None
+    if parent:
+        loaded, meta["parent"] = _load_ckpt_for(cfg, command, parent, args.input)
+    model, value_head, extra, summary = stage.body(cfg, args, loaded)
+    path = _p(cfg, f"{stem}.ckpt")
+    save_checkpoint(model, path, value_head=value_head, meta={**meta, **extra})
+    print(f"{stage.stage} checkpoint: {path} ({summary})")
 
 
 def cmd_eval(cfg, args):
@@ -237,16 +250,13 @@ def cmd_eval(cfg, args):
         json.dump(out, f, indent=2)
 
 
-def _bench_variant(cfg, name, model, suite, episodes):
-    from .bench import measure_latency_throughput, variant_row
+def _bench_variant(cfg, name, model, suite):
+    from .bench import variant_row
     from .training import evaluate
 
-    timing = measure_latency_throughput(
-        model, cfg.env, suite["IND"][0], tuple(cfg.bench.batch_sizes),
-        cfg.bench.warmup_iters, cfg.bench.timed_iters)
-    ind = evaluate(model, suite["IND"], episodes, cfg.env, seed=cfg.eval.seed)
-    ood = evaluate(model, suite["OOD"], episodes, cfg.env, seed=cfg.eval.seed)
-    return variant_row(name, model, timing, ind.success_rate, ood.success_rate,
+    ind, ood = (evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
+                         seed=cfg.eval.seed).success_rate for split in ("IND", "OOD"))
+    return variant_row(name, model, cfg.env, suite["IND"][0], ind, ood,
                        cfg.prune.exempt_layers)
 
 
@@ -256,8 +266,7 @@ def cmd_bench(cfg, args):
 
     suite = _suite(cfg)
     inputs = args.inputs or [
-        _p(cfg, f"{s}.ckpt") for s in ("dense", "pruned", "sft", "rl", "quant")
-        if os.path.exists(_p(cfg, f"{s}.ckpt"))
+        _p(cfg, f"{s.stage}.ckpt") for s in STAGES if os.path.exists(_p(cfg, f"{s.stage}.ckpt"))
     ]
     if not inputs:
         raise CliError("bench found no checkpoints; pass --inputs")
@@ -265,8 +274,7 @@ def cmd_bench(cfg, args):
     for path in inputs:
         loaded = load_checkpoint(path)
         name = os.path.splitext(os.path.basename(path))[0]
-        rows.append(_bench_variant(cfg, name, loaded.model, suite,
-                                   cfg.eval.episodes_per_task))
+        rows.append(_bench_variant(cfg, name, loaded.model, suite))
         print(f"benched {name}: {rows[-1]['latency_ms']:.3f} ms, "
               f"{rows[-1]['throughput_sps']:.1f} decodes/s")
     csv_path, _ = write_report(_p(cfg, "bench_report"), report_header(), rows)
@@ -274,21 +282,13 @@ def cmd_bench(cfg, args):
 
 
 def cmd_pipeline(cfg, args):
-    ns = argparse.Namespace(input=None, ratio=None, bits=None, cold_start=False,
-                            expert=False, episodes=None, inputs=None)
-    cmd_gen_demos(cfg, ns)
-    cmd_train_dense(cfg, ns)
-    cmd_prune(cfg, ns)
-    cmd_sft(cfg, ns)
-    cmd_rl(cfg, ns)
-    stages = ["dense", "pruned", "sft", "rl"]
-    if cfg.quant.enabled:
-        cmd_quantize(cfg, ns)
-        stages.append("quant")
-    ns.inputs = [_p(cfg, f"{s}.ckpt") for s in stages]
-    cmd_bench(cfg, ns)
+    """Run gen-demos, every stage and bench, each as its command given no
+    options, then write the manifest."""
+    parser = build_parser()
+    for command in ("gen-demos", *(s.command for s in STAGES), "bench"):
+        _COMMANDS[command](cfg, parser.parse_args([command]))
     manifest = {
-        "checkpoints": {s: f"{s}.ckpt" for s in stages},
+        "checkpoints": {s.stage: f"{s.stage}.ckpt" for s in STAGES},
         "reports": ["bench_report.csv", "bench_report.json"],
         "config": "resolved_config.json",
         "suite": "suite.json",
@@ -316,7 +316,7 @@ def cmd_sweep(cfg, args):
     demos = _demos(cfg)
     dense_path = _p(cfg, "dense.ckpt")
     if not os.path.exists(dense_path):
-        cmd_train_dense(cfg, args)
+        _run_stage(STAGES[0], cfg, args)
     dense = load_checkpoint(dense_path).model
     table = None  # every ratio prunes the same dense model: score it once
     rows = []
@@ -333,7 +333,7 @@ def cmd_sweep(cfg, args):
             variant = model if q == "none" else quantize_model(model, int(q),
                                                                cfg.quant.block_size)
             name = f"ratio{ratio:g}_{'fp32' if q == 'none' else q + 'bit'}"
-            row = _bench_variant(cfg, name, variant, suite, cfg.eval.episodes_per_task)
+            row = _bench_variant(cfg, name, variant, suite)
             row["ratio"] = ratio
             row["quant"] = q
             rows.append(row)
@@ -352,18 +352,14 @@ def build_parser():
     p.add_argument("--output-dir", help="override output directory")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-demos")
-    sub.add_parser("train-dense")
-    sp = sub.add_parser("prune")
-    sp.add_argument("--input")
-    sp.add_argument("--ratio", type=float)
-    sp = sub.add_parser("sft")
-    sp.add_argument("--input")
-    sp = sub.add_parser("rl")
-    sp.add_argument("--input")
-    sp.add_argument("--cold-start", action="store_true")
-    sp = sub.add_parser("quantize")
-    sp.add_argument("--input")
-    sp.add_argument("--bits", type=int, choices=(4, 8))
+    for stage in STAGES:
+        sp = sub.add_parser(stage.command)
+        if stage.parent:
+            sp.add_argument("--input")
+        if stage.cold_parent:
+            sp.add_argument("--cold-start", action="store_true")
+        for flag, kwargs in stage.options:
+            sp.add_argument(flag, **kwargs)
     sp = sub.add_parser("eval")
     sp.add_argument("--input")
     sp.add_argument("--expert", action="store_true")
@@ -379,11 +375,7 @@ def build_parser():
 
 _COMMANDS = {
     "gen-demos": cmd_gen_demos,
-    "train-dense": cmd_train_dense,
-    "prune": cmd_prune,
-    "sft": cmd_sft,
-    "rl": cmd_rl,
-    "quantize": cmd_quantize,
+    **{s.command: functools.partial(_run_stage, s) for s in STAGES},
     "eval": cmd_eval,
     "bench": cmd_bench,
     "pipeline": cmd_pipeline,

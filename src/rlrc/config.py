@@ -52,7 +52,6 @@ class PruneSection:
 
 @dataclass
 class QuantSection:
-    enabled: bool = True
     bits: int = 4
     block_size: int = 64
 
@@ -69,19 +68,6 @@ class EvalSection:
     def __post_init__(self):
         _require(self.episodes_per_task >= 1, "episodes_per_task must be >= 1",
                  self.episodes_per_task)
-
-
-@dataclass
-class BenchSection:
-    batch_sizes: list = field(default_factory=lambda: [1, 16])
-    warmup_iters: int = 10
-    timed_iters: int = 50
-
-    def __post_init__(self):
-        _require(self.batch_sizes and min(self.batch_sizes) >= 1,
-                 "batch_sizes must be a non-empty list of sizes >= 1", self.batch_sizes)
-        _require(self.warmup_iters >= 10, "warmup_iters must be >= 10", self.warmup_iters)
-        _require(self.timed_iters >= 50, "timed_iters must be >= 50", self.timed_iters)
 
 
 def _build(cls, data, path):
@@ -107,14 +93,13 @@ class PipelineConfig:
     ppo: PpoConfig = field(default_factory=PpoConfig)
     quant: QuantSection = field(default_factory=QuantSection)
     eval: EvalSection = field(default_factory=EvalSection)
-    bench: BenchSection = field(default_factory=BenchSection)
     seed: int = 0
     output_dir: str = "runs/default"
 
     _SECTIONS = {
         "model": ModelConfig, "env": EnvConfig, "demos": DemoSection,
         "prune": PruneSection, "sft": SftConfig, "ppo": PpoConfig,
-        "quant": QuantSection, "eval": EvalSection, "bench": BenchSection,
+        "quant": QuantSection, "eval": EvalSection,
     }
     # the sections whose seed, when not set, follows the master seed
     _SEEDED = ("model", "demos", "prune", "sft", "ppo")

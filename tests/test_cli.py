@@ -29,7 +29,6 @@ def micro_config(tmp_path, **over):
                 "minibatches": 1, "eval_interval_steps": 10_000, "eval_episodes": 1},
         "quant": {"bits": 4, "block_size": 16},
         "eval": {"episodes_per_task": 1},
-        "bench": {"batch_sizes": [1, 4], "warmup_iters": 10, "timed_iters": 50},
     }
     cfg.update(over)
     path = tmp_path / "config.json"
@@ -149,14 +148,6 @@ def test_unknown_config_key_rejected(tmp_path):
             PipelineConfig.from_file(path)
 
 
-def test_bench_iteration_floors_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    for field, value in (("warmup_iters", 9), ("timed_iters", 49)):
-        path.write_text(json.dumps({"bench": {field: value}}))
-        with pytest.raises(ConfigError, match=field):
-            PipelineConfig.from_file(path)
-
-
 @pytest.mark.parametrize("section, field, value", [
     ("quant", "bits", 3),
     ("quant", "block_size", 0),
@@ -165,8 +156,6 @@ def test_bench_iteration_floors_rejected(tmp_path):
     ("prune", "ratio", 1.0),
     ("prune", "ratio", -0.1),
     ("prune", "calib_batch", 0),
-    ("bench", "batch_sizes", []),
-    ("bench", "batch_sizes", [1, 0]),
     ("env", "n_distractors", 5),
     ("env", "n_distractors", -1),
     ("env", "max_steps", 0),
@@ -293,23 +282,23 @@ def test_bench_report_csv_columns(tmp_path):
     assert row["unstable"] == (row["latency_cv"] >= 0.15)
 
 
-def test_bench_times_only_the_reported_batch_sizes(monkeypatch):
-    # a report reads the smallest and the largest batch, so no other is
-    # timed; a clock that ticks once per reading makes every timing exact
+def test_bench_row_times_batch_1_and_batch_16(monkeypatch):
+    # a clock reading k*k at its k-th reading makes the i-th timed decode
+    # take 4i + 1 s: batch 1 gets i = 0..49 and batch 16 gets i = 50..99
     decoded = []
-    ticks = iter(range(10 ** 6))
+    readings = iter(range(10 ** 6))
     monkeypatch.setattr(bench, "greedy_actions", lambda model, ctx: decoded.append(len(ctx)))
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    monkeypatch.setattr(bench, "time", SimpleNamespace(
+        perf_counter=lambda: float(next(readings) ** 2)))
     model = init_model(ModelConfig(d_model=16, n_layers=2, n_heads_base=2, d_ff_base=16,
                                    observation_vocab=21, action_vocab=6, max_seq_len=18))
-    env, task = EnvConfig(), TaskSpec(0, 0, "IND")
-    rows = bench.measure_latency_throughput(model, env, task, [1, 4, 16], 10, 50)
-    assert [r["batch_size"] for r in rows] == [1, 16]
-    assert sorted(set(decoded)) == [1, 16]
-    # the rows of timing every size one at a time give the same report
-    every = [r for b in (1, 4, 16)
-             for r in bench.measure_latency_throughput(model, env, task, [b], 10, 50)]
-    assert bench.variant_row("m", model, rows) == bench.variant_row("m", model, every)
+    row = bench.variant_row("m", model, EnvConfig(), TaskSpec(0, 0, "IND"), 0.5, 0.25, None)
+    assert decoded == [1] * 60 + [16] * 60
+    assert row["latency_ms"] == 99e3  # the median of 1, 5, ..., 197 s
+    assert row["throughput_batch"] == 16
+    assert row["throughput_sps"] == pytest.approx(16 * 50 / sum(4 * i + 1 for i in range(50, 100)))
+    assert row["latency_cv"] > 0.15 and row["unstable"] == (row["latency_cv"] >= 0.15)
+    assert (row["ind_sr"], row["ood_sr"]) == (0.5, 0.25)
 
 
 def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):
