@@ -57,14 +57,11 @@ def report_header():
     }
 
 
-def probe_contexts(model, env_config, batch, task):
-    obs = np.stack([reset(env_config, task, i)[1] for i in range(batch)])
-    return build_contexts(model.config, obs)
-
-
 def _decode_times(model, env_config, task, batch):
-    """Wall seconds of each timed greedy decode of ``batch`` contexts."""
-    contexts = probe_contexts(model, env_config, batch, task)
+    """Wall seconds of each timed greedy decode of the contexts of
+    ``batch`` episodes of ``task``, reset at seeds 0 .. batch - 1."""
+    obs = np.stack([reset(env_config, task, i)[1] for i in range(batch)])
+    contexts = build_contexts(model.config, obs)
     for _ in range(WARMUP_ITERS):
         greedy_actions(model, contexts)
     times = []

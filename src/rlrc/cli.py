@@ -107,21 +107,19 @@ def cmd_gen_demos(cfg, args):
     print(f"demos: {len(demos)} episodes -> {_p(cfg, 'demos.jsonl')}")
 
 
-def _train(cfg, model, log_name):
-    """SFT ``model`` on the demos; the body of train-dense and sft."""
+def _train(cfg, args, loaded):
+    """SFT on the demos: of a new model for train-dense, of the pruned one
+    for sft."""
+    from .model import init_model
     from .training import train_sft
 
     suite = _suite(cfg)
     demos = _demos(cfg)
+    model = init_model(cfg.model) if loaded is None else loaded.model
+    log = "metrics_dense.jsonl" if loaded is None else "metrics_sft.jsonl"
     model, rows = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"],
-                            log_path=_p(cfg, log_name))
+                            log_path=_p(cfg, log))
     return model, None, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
-
-
-def _train_dense(cfg, args, _):
-    from .model import init_model
-
-    return _train(cfg, init_model(cfg.model), "metrics_dense.jsonl")
 
 
 def _prune(cfg, model, demos, ratio, table=None):
@@ -153,10 +151,6 @@ def _prune_stage(cfg, args, loaded):
     return pruned, None, {"ratio": plan.achieved_ratio}, (
         f"achieved ratio {plan.achieved_ratio:.4f}, "
         f"{plan.removed_params}/{plan.prunable_params} prunable params removed")
-
-
-def _sft(cfg, args, loaded):
-    return _train(cfg, loaded.model, "metrics_sft.jsonl")
 
 
 def _rl(cfg, args, loaded):
@@ -198,9 +192,9 @@ class Stage(NamedTuple):
 
 # the recipe, in the order it runs
 STAGES = (
-    Stage("train-dense", "dense", None, _train_dense),
+    Stage("train-dense", "dense", None, _train),
     Stage("prune", "pruned", "dense", _prune_stage, (("--ratio", {"type": float}),)),
-    Stage("sft", "sft", "pruned", _sft),
+    Stage("sft", "sft", "pruned", _train),
     Stage("rl", "rl", "sft", _rl, cold_parent="pruned"),
     Stage("quantize", "quant", "rl", _quantize,
           (("--bits", {"type": int, "choices": (4, 8)}),)),
