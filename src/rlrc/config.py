@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .env import N_ACTIONS, EnvConfig
 from .model import ModelConfig
 from .quant import Q_MAX
-from .training import PpoConfig, SftConfig
+from .training import SELECTION_SEED, PpoConfig, SftConfig
 
 
 class ConfigError(ValueError):
@@ -68,6 +68,8 @@ class EvalSection:
     def __post_init__(self):
         _require(self.episodes_per_task >= 1, "episodes_per_task must be >= 1",
                  self.episodes_per_task)
+        _require(self.seed != SELECTION_SEED, "seed must differ from the trainers' "
+                 f"selection seed training.SELECTION_SEED = {SELECTION_SEED}", self.seed)
 
 
 def _build(cls, data, path):

@@ -14,8 +14,10 @@ Both trainers select their best weights by one rule (`_Best`): an
 evaluation that beats every earlier score keeps copies of the trained
 objects, training stops after ``patience`` evaluations in a row that do
 not, and the trainer returns the copies and logs that evaluation's
-success rates again as its last metric row.  SFT scores IND success, PPO
-IND plus OOD success; both need IND eval tasks.
+success rates again as its last metric row.  Both score IND success at
+`SELECTION_SEED`, whose episodes are not those reported on (`eval.seed`
+must differ); PPO logs OOD success too but never selects on it.  Both
+need IND eval tasks.
 
 Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes.
@@ -52,6 +54,10 @@ from .tensor import OptimizerState, adam_step, backward_in_chunks, check_finite,
 
 class TrainingError(RuntimeError):
     pass
+
+
+# the evaluation seed the trainers select their weights at
+SELECTION_SEED = 1234
 
 
 @dataclass
@@ -318,7 +324,8 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
         adam_step(opt)
         if it % config.eval_interval == 0 or it == config.max_steps:
             t0 = time.perf_counter()
-            sr = evaluate(model, eval_tasks, config.eval_episodes, env_config).success_rate
+            sr = evaluate(model, eval_tasks, config.eval_episodes, env_config,
+                          seed=SELECTION_SEED).success_rate
             row = logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows,
                              eval_s=time.perf_counter() - t0)
             if best.update(sr, row, model):
@@ -442,7 +449,7 @@ def train_ppo(model, value_head, tasks, config, env_config,
 
     Iterates collect -> GAE -> epochs x minibatches of
     -surrogate + c_v * value_error^2 - c_e * entropy, evaluates IND/OOD at
-    intervals, and returns the best checkpoint by IND+OOD success.  With
+    intervals, and returns the best checkpoint by IND success.  With
     ``value_head=None`` the critic starts from
     ``init_value_head(d_model, seed=config.seed)``.
     Trains ``model`` and ``value_head`` themselves, in place, so they end
@@ -491,12 +498,13 @@ def train_ppo(model, value_head, tasks, config, env_config,
         if env_steps >= next_eval or env_steps >= config.total_env_steps:
             next_eval = env_steps + config.eval_interval_steps
             t0 = time.perf_counter()
-            ind, ood = (evaluate(model, grid, config.eval_episodes, env_config).success_rate
+            ind, ood = (evaluate(model, grid, config.eval_episodes, env_config,
+                                 seed=SELECTION_SEED).success_rate
                         if grid else 0.0 for grid in (eval_tasks_ind, eval_tasks_ood))
             row = logger.log(step=env_steps, phase="ppo", ind_sr=ind, ood_sr=ood,
                              mean_reward=float(buf.rewards.mean()),
                              eval_s=time.perf_counter() - t0, **loss_row)
-            if best.update(ind + ood, row, model, value_head):
+            if best.update(ind, row, model, value_head):
                 break
     logger.log(step=best.row["step"], phase="ppo_best", ind_sr=best.row["ind_sr"],
                ood_sr=best.row["ood_sr"])

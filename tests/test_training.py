@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -724,6 +726,59 @@ def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
         np.testing.assert_array_equal(p.data, best)
         assert not np.shares_memory(p.data, last.data)
     assert any(np.any(p.data != last.data) for p, last in zip(params, trained))
+
+
+def test_train_ppo_selects_on_ind_success_alone(monkeypatch):
+    # the second evaluation has the higher IND + OOD sum, the first the higher IND
+    scores = {"IND": [0.5, 0.25], "OOD": [0.0, 1.0]}
+    seen = []
+    m = tiny_model(seed=8)
+    vh = init_value_head(m.config.d_model, seed=8)
+
+    def scored(model, tasks, *args, **kw):
+        if tasks[0].split == "IND":
+            seen.append([p.data.copy() for p in model.params() + vh.params()])
+        return EvalResult(scores[tasks[0].split][len(seen) - 1], 0.0, 1.0, 1)
+
+    monkeypatch.setattr(training, "evaluate", scored)
+    suite = make_task_suite(0)
+    cfg = micro_ppo_config(lr=1e-3, total_env_steps=32, eval_interval_steps=16)
+    out, out_vh, rows = train_ppo(m, vh, suite["IND"][:4], cfg, ENV,
+                                  eval_tasks_ind=suite["IND"][:1],
+                                  eval_tasks_ood=suite["OOD"][:1])
+    # OOD is still logged at every evaluation, and for the chosen one
+    assert [(r["ind_sr"], r["ood_sr"]) for r in rows if r["phase"] == "ppo"] == \
+        [(0.5, 0.0), (0.25, 1.0)]
+    assert {k: rows[-1][k] for k in ("phase", "step", "ind_sr", "ood_sr")} == \
+        {"phase": "ppo_best", "step": 16, "ind_sr": 0.5, "ood_sr": 0.0}
+    for p, best in zip(out.params() + out_vh.params(), seen[0]):
+        np.testing.assert_array_equal(p.data, best)
+
+
+def test_trainers_never_select_on_the_reported_episodes(tmp_path, monkeypatch):
+    seeds = []
+    real = training.evaluate
+
+    def recorded(*args, **kw):
+        bound = inspect.signature(real).bind(*args, **kw)
+        bound.apply_defaults()
+        seeds.append(bound.arguments["seed"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(training, "evaluate", recorded)
+    suite = make_task_suite(0)
+    cfg = SftConfig(max_steps=4, eval_interval=2, eval_episodes=1, seed=0, batch_size=8)
+    model, _ = train_sft(tiny_model(), make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
+    train_ppo(model, None, suite["IND"][:2], micro_ppo_config(), ENV,
+              eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=suite["OOD"][:1])
+    assert len(seeds) == 4 and set(seeds) == {training.SELECTION_SEED}
+    assert PipelineConfig.default().eval.seed not in seeds
+    # a report at the selection seed would read the episodes that chose the weights
+    with pytest.raises(ConfigError, match=re.escape(
+            f"bad values in section eval: seed must differ from the trainers' selection "
+            f"seed training.SELECTION_SEED = {training.SELECTION_SEED}, "
+            f"got {training.SELECTION_SEED}")):
+        PipelineConfig.from_dict({"eval": {"seed": training.SELECTION_SEED}})
 
 
 # -- configs --------------------------------------------------------------------
