@@ -176,12 +176,12 @@ def _quantize(cfg, args, loaded):
 
 
 class Stage(NamedTuple):
-    """One step of the recipe.  ``rlrc <command>`` reads the checkpoint of
-    ``parent`` (none for the first step), runs ``body(cfg, args, loaded
-    parent)`` for (model, value head or None, extra meta, summary) and
-    writes ``<stage>.ckpt``.  ``options`` are the command's own flags.  A
-    step with a ``cold_parent`` also takes ``--cold-start``: it then reads
-    that stage instead and writes ``<stage>_cold.ckpt``."""
+    """One step of the recipe.  ``rlrc <command>`` loads the checkpoint of
+    ``parent`` (none for the first step), calls ``body(cfg, args, loaded)``
+    on it for (model, value head or None, extra meta, summary) and writes
+    ``<stage>.ckpt``.  ``options`` are the command's own flags.  A step
+    with a ``cold_parent`` also takes ``--cold-start``: it then reads that
+    stage instead and writes ``<stage>_cold.ckpt``."""
     command: str
     stage: str
     parent: str
@@ -201,21 +201,21 @@ STAGES = (
 )
 
 
-def _run_stage(stage, cfg, args):
+def _run_stage(row, cfg, args):
     """Run one row of `STAGES` and save its checkpoint."""
     from .checkpoint import save_checkpoint
 
-    command, parent, stem = stage.command, stage.parent, stage.stage
-    if stage.cold_parent and args.cold_start:
-        command, parent, stem = f"{command} --cold-start", stage.cold_parent, f"{stem}_cold"
-    meta = {"stage": stage.stage, "seed": cfg.seed}
+    command, parent, stem = row.command, row.parent, row.stage
+    if row.cold_parent and args.cold_start:
+        command, parent, stem = f"{command} --cold-start", row.cold_parent, f"{stem}_cold"
+    meta = {"stage": row.stage, "seed": cfg.seed}
     loaded = None
     if parent:
         loaded, meta["parent"] = _load_ckpt_for(cfg, command, parent, args.input)
-    model, value_head, extra, summary = stage.body(cfg, args, loaded)
+    model, value_head, extra, summary = row.body(cfg, args, loaded)
     path = _p(cfg, f"{stem}.ckpt")
     save_checkpoint(model, path, value_head=value_head, meta={**meta, **extra})
-    print(f"{stage.stage} checkpoint: {path} ({summary})")
+    print(f"{row.stage} checkpoint: {path} ({summary})")
 
 
 def cmd_eval(cfg, args):
