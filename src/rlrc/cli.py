@@ -161,7 +161,7 @@ def _rl(cfg, args, loaded):
     model, vhead, rows = train_ppo(
         loaded.model, loaded.value_head, suite["IND"], cfg.ppo, cfg.env,
         eval_tasks_ind=suite["IND"], eval_tasks_ood=suite["OOD"],
-        log_path=_p(cfg, "metrics_rl.jsonl"))
+        log_path=_p(cfg, "metrics_rl_cold.jsonl" if args.cold_start else "metrics_rl.jsonl"))
     best = rows[-1]
     return model, vhead, {"cold_start": args.cold_start}, (
         f"best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f}")

@@ -28,7 +28,10 @@ keeps only ``xn, u, g``: its backward recomputes the gated activation
 reaches the block, and ``tensor.backward`` frees each node's saved arrays
 as soon as its backward has run.  Elementwise chains run in place
 (``out=``, ``*=``) in the order of the plain expressions, so they round
-the same and allocate one temporary, not one per operation.
+the same and allocate one temporary, not one per operation.  Without
+``saved`` (serving), the MLP builds its gated activation in the gate's
+buffer and computes the up projection last, so the up projection, the gate
+and the activation are never alive together.
 
 The losses check their action ids (one per row, in [0, A)) and take their
 means over rows in float64; their backwards are the gradients of those
@@ -36,8 +39,11 @@ formulas, each row's share of a mean's gradient computed once.
 
 `qdot` applies a quantized weight without knowing its storage layout,
 which ``quant`` owns: it asks ``QuantizedTensor.values`` for a tile of
-whole weight rows at a time as float32, adds each tile into a float64
-output with one BLAS dgemm, and rounds the sum to float32 once.
+whole weight rows at a time as float32, widens it once, applies it with
+numpy's float64 GEMM, sums the tiles' products in float64 and rounds the
+sum to float32 once.  A tile holds up to max(32768, m * n) values for m
+activation rows and n weight columns, so a batch-1 decode takes one or two
+tiles per weight and a batch-64 decode one.
 """
 
 import numpy as np
@@ -156,12 +162,20 @@ def mlp_block(x, gain, wup, wgate, wdown, saved=None):
     """Pre-norm gated MLP block (silu gate) with residual; returns new x."""
     b, s, d = x.shape
     xn = rms_rows(x.reshape(b * s, d), gain)
-    u = xn @ wup
-    g = xn @ wgate
-    h = _one_plus_exp_neg(g)  # becomes h = u * (g / (1 + exp(-g))) in place
-    np.divide(g, h, out=h)
-    h *= u
-    if saved is not None:
+    if saved is None:
+        # h = u * (g / (1 + exp(-g))) built in g's buffer, u made last, so
+        # u, g and h are never alive together
+        h = xn @ wgate
+        t = _one_plus_exp_neg(h)
+        np.divide(h, t, out=h)
+        del t
+        h *= xn @ wup
+    else:
+        u = xn @ wup
+        g = xn @ wgate
+        h = _one_plus_exp_neg(g)  # becomes h = u * (g / (1 + exp(-g))) in place
+        np.divide(g, h, out=h)
+        h *= u
         saved.update(xn=xn, u=u, g=g)
     # np.dot calls BLAS even for an inner dimension of 1 (a one-channel
     # MLP), where @ takes a loop about 10x slower; a quantized wdown keeps @
@@ -357,9 +371,10 @@ def ppo_objective_backward(g, logits, values, actions, old_logprobs, advantages,
     return dlogits.reshape(logits.shape), dvalues
 
 
-# weight values dequantized per tile (whole rows; one row if a row is longer):
-# 64 KiB once widened to float64, so a tile stays in cache for its GEMM
-_TILE_VALUES = 8192
+# weight values dequantized per tile (whole rows; one row if a row is longer),
+# unless the float64 output the call allocates anyway is larger: 256 KiB once
+# widened to float64, so a tile stays in L2 cache for its GEMM
+_TILE_VALUES = 32768
 
 
 def qdot(x, n, values):
@@ -367,30 +382,26 @@ def qdot(x, n, values):
     values: values(start, stop) returns the float32 weights of flat
     elements start .. stop-1 of W's row-major flattening.
 
-    W is decoded a tile of whole rows at a time, and never whole; only the
-    tile is widened to float64 and added into a float64 output by one BLAS
-    dgemm.  The sum is rounded to float32 once, at the end, so the result
-    is within 1e-5 relative of the exact product.
+    W is decoded a tile of whole rows at a time, and never whole unless it
+    fits in a tile: max(_TILE_VALUES, m * n) values for m rows of x.  Each
+    tile is widened to float64 and applied by numpy's GEMM to a float64
+    copy of x; the tiles' products are summed in float64 and the sum is
+    rounded to float32 once, so the result is within 1e-5 relative of the
+    exact product.
     """
-    # deferred: importing scipy.linalg adds ~28 MiB RSS to every process,
-    # including the ones that never serve a quantized model
-    from scipy.linalg.blas import dgemm
-
     m, k = x.shape
-    if m * n * k == 0:  # dgemm rejects empty operands
-        return np.zeros((m, n), dtype=np.float32)
-    # dgemm updates out.T in place because it is Fortran-ordered (with any
-    # other layout f2py would update a copy), and rounding the C-ordered out
-    # to float32 is then a plain copy, not a transpose
-    out = np.empty((m, n), dtype=np.float64)
-    rows = max(1, _TILE_VALUES // n)
+    # a C-ordered copy, so every layout of x gives the same GEMM operands
+    x64 = np.ascontiguousarray(x, dtype=np.float64)
+    rows = max(1, max(_TILE_VALUES, m * n) // max(n, 1))
+    out = part = None
     for r0 in range(0, k, rows):
         r1 = min(k, r0 + rows)
-        # out.T = tile.T @ x[:, r0:r1].T (+ out.T after the first tile).  The
-        # transpose of a C-ordered float64 cast of the tile's columns of x is
-        # the Fortran-ordered (rows, m) operand dgemm reads untransposed, so
-        # f2py copies neither operand (a transposing cast of x costs ~4x)
         w64 = values(r0 * n, r1 * n).astype(np.float64).reshape(r1 - r0, n)
-        x64 = np.ascontiguousarray(x[:, r0:r1], dtype=np.float64)
-        dgemm(1.0, w64.T, x64.T, beta=float(r0 > 0), c=out.T, overwrite_c=1)
+        if out is None:
+            out = np.dot(x64[:, r0:r1], w64)
+        else:
+            part = np.dot(x64[:, r0:r1], w64, out=part)
+            out += part
+    if out is None:  # k == 0
+        return np.zeros((m, n), dtype=np.float32)
     return out.astype(np.float32)

@@ -12,9 +12,10 @@ place codes are decoded: `dequantize` and ``kernels.qdot`` read weights
 through it.
 
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
-calls `qmatmul`, which decodes a tile of whole weight rows at a time
-and applies it with a float64 GEMM (``kernels.qdot``), so the dense matrix
-never materializes.  A `QuantizedModel` is a `PolicyModel` whose decoder
+calls `qmatmul`, which decodes a tile of whole weight rows at a time,
+widens it to float64 and applies it with numpy's GEMM (``kernels.qdot``),
+so the dense matrix materializes only where it is no larger than the
+float64 product the call allocates anyway, or than one 32768-value tile.  A `QuantizedModel` is a `PolicyModel` whose decoder
 matrices are QuantizedTensors; its embeddings, norm gains and action head
 stay float32 Tensors.  It has no state of its own and runs on the one
 decoder, ``model.forward``, under ``no_grad``, as a dense model serves
@@ -156,8 +157,8 @@ def dequantize(qt):
 def qmatmul(qt, activations):
     """activations @ W for a quantized W of logical shape (k, n).
 
-    Dequantizes a tile of whole weight rows at a time and adds each tile's
-    product into a float64 output with one GEMM, so the float32 result is
+    Dequantizes a tile of whole weight rows at a time and sums the tiles'
+    float64 GEMM products before rounding once, so the float32 result is
     within 1e-5 relative (floor 1e-3) of the exact product of the
     activations with ``dequantize(qt)``.
     """

@@ -126,10 +126,18 @@ def test_stage_parents_required_not_guessed(tmp_path, capsys):
     assert run(["--config", cfg_path, "quantize"]) == 1
     assert "rl.ckpt" in capsys.readouterr().err
     # a cold start is asked for, and reads the pruned model
+    assert run(["--config", cfg_path, "sft"]) == 0
+    assert run(["--config", cfg_path, "rl"]) == 0
+    with open(os.path.join(out, "metrics_rl.jsonl"), "rb") as f:
+        warm_log = f.read()
     assert run(["--config", cfg_path, "rl", "--cold-start"]) == 0
     meta = load_checkpoint(os.path.join(out, "rl_cold.ckpt")).meta
     assert meta["cold_start"] is True
     assert meta["parent"] == os.path.join(out, "pruned.ckpt")
+    # it logs under its own checkpoint stem, leaving the warm-start log as it was
+    assert os.path.getsize(os.path.join(out, "metrics_rl_cold.jsonl")) > 0
+    with open(os.path.join(out, "metrics_rl.jsonl"), "rb") as f:
+        assert f.read() == warm_log
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -433,6 +433,8 @@ def test_kernels_bit_identical_to_plain_expressions(dtype, rows):
         out = kernels.mlp_block(x, *mlp_w, saved=saved)
         want, ref_saved = ref_mlp_block(x, *mlp_w)
         same([out], [want])
+        # serving saves nothing and builds h in g's buffer: the same output
+        same([kernels.mlp_block(x, *mlp_w)], [want])
         assert sorted(saved) == ["g", "u", "xn"]  # h is recomputed, not kept
         same(kernels.mlp_block_backward(dout_mlp, x, *mlp_w, saved),
              ref_mlp_block_backward(dout_mlp, x, *mlp_w, ref_saved))
@@ -573,10 +575,10 @@ def test_build_contexts():
     assert np.all(ctx[:, -1] == cfg.bos_action_id)
 
 
-def test_dense_serving_loads_no_scipy():
-    # kernels.qdot imports scipy (about 28 MiB of RSS) when it first runs,
-    # so a process that serves no quantized model never loads it; run in a
-    # fresh interpreter, as this one may have run qdot already
+def test_serving_loads_no_scipy():
+    # numpy/BLAS is the one backend: serving a dense and a 4-bit model loads
+    # no scipy (whose import costs about 28 MiB of RSS); run in a fresh
+    # interpreter, as this one may have imported scipy for other tests
     code = """
 import importlib, pkgutil, sys
 import numpy as np
@@ -584,9 +586,12 @@ import rlrc
 for info in pkgutil.iter_modules(rlrc.__path__):
     importlib.import_module("rlrc." + info.name)
 from rlrc.model import ModelConfig, fast_logits_last, init_model
+from rlrc.quant import quantize_model
 m = init_model(ModelConfig(d_model=16, n_layers=2, n_heads_base=2, d_ff_base=24,
                            observation_vocab=12, action_vocab=6, max_seq_len=16))
-fast_logits_last(m, np.array([[1, 2, 3, m.config.bos_action_id]]))
+ctx = np.array([[1, 2, 3, m.config.bos_action_id]])
+fast_logits_last(m, ctx)
+fast_logits_last(quantize_model(m, 4, 16), ctx)
 print(sorted(n for n in sys.modules if n.split(".")[0] == "scipy"))
 """
     src = str(pathlib.Path(rlrc.__file__).parent.parent)

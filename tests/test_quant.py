@@ -209,6 +209,14 @@ def test_qmatmul_transient_buffer_one_tile(monkeypatch):
     qmatmul(qt, rng.standard_normal((5, k)).astype(np.float32))
     assert len(sizes) > 1 and sum(sizes) == k * n
     assert max(sizes) <= max(kernels._TILE_VALUES, n) and max(sizes) < k * n
+    # with more activation rows a tile may grow to the float64 output's own
+    # size, m * n values, and no further
+    m, k = 1024, 2100
+    sizes.clear()
+    qt = quantize_tensor(rng.standard_normal((k, n)).astype(np.float32), 4, 16)
+    qmatmul(qt, rng.standard_normal((m, k)).astype(np.float32))
+    assert len(sizes) > 1 and sum(sizes) == k * n
+    assert kernels._TILE_VALUES < max(sizes) <= m * n
 
 
 def test_quantize_model_shapes_and_idempotence():
