@@ -42,8 +42,8 @@ which ``quant`` owns: it asks ``QuantizedTensor.values`` for a tile of
 whole weight rows at a time as float32, widens it once, applies it with
 numpy's float64 GEMM, sums the tiles' products in float64 and rounds the
 sum to float32 once.  A tile holds up to max(32768, m * n) values for m
-activation rows and n weight columns, so a batch-1 decode takes one or two
-tiles per weight and a batch-64 decode one.
+activation rows and n weight columns: no more than fits in L2 cache once
+widened, or than the float64 output the call allocates anyway.
 """
 
 import numpy as np
@@ -390,9 +390,11 @@ def qdot(x, n, values):
     exact product.
     """
     m, k = x.shape
+    if m * n * k == 0:
+        return np.zeros((m, n), dtype=np.float32)
     # a C-ordered copy, so every layout of x gives the same GEMM operands
     x64 = np.ascontiguousarray(x, dtype=np.float64)
-    rows = max(1, max(_TILE_VALUES, m * n) // max(n, 1))
+    rows = max(1, max(_TILE_VALUES, m * n) // n)
     out = part = None
     for r0 in range(0, k, rows):
         r1 = min(k, r0 + rows)
@@ -402,6 +404,4 @@ def qdot(x, n, values):
         else:
             part = np.dot(x64[:, r0:r1], w64, out=part)
             out += part
-    if out is None:  # k == 0
-        return np.zeros((m, n), dtype=np.float32)
     return out.astype(np.float32)

@@ -14,13 +14,14 @@ through it.
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
 calls `qmatmul`, which decodes a tile of whole weight rows at a time,
 widens it to float64 and applies it with numpy's GEMM (``kernels.qdot``),
-so the dense matrix materializes only where it is no larger than the
-float64 product the call allocates anyway, or than one 32768-value tile.  A `QuantizedModel` is a `PolicyModel` whose decoder
-matrices are QuantizedTensors; its embeddings, norm gains and action head
-stay float32 Tensors.  It has no state of its own and runs on the one
-decoder, ``model.forward``, under ``no_grad``, as a dense model serves
-through ``model.fast_logits_last``; with grad enabled ``forward`` rejects
-it, since nothing trains quantized weights.
+so the dense matrix materializes only where it is no larger than one
+32768-value tile or than the float64 product the call allocates anyway.  A
+`QuantizedModel` is a `PolicyModel` whose decoder matrices are
+QuantizedTensors; its embeddings, norm gains and action head stay float32
+Tensors.  It has no state of its own and runs on the one decoder,
+``model.forward``, under ``no_grad``, as a dense model serves through
+``model.fast_logits_last``; with grad enabled ``forward`` rejects it,
+since nothing trains quantized weights.
 """
 
 from dataclasses import dataclass
