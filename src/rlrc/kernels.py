@@ -28,10 +28,10 @@ keeps only ``xn, u, g``: its backward recomputes the gated activation
 reaches the block, and ``tensor.backward`` frees each node's saved arrays
 as soon as its backward has run.  Elementwise chains run in place
 (``out=``, ``*=``) in the order of the plain expressions, so they round
-the same and allocate one temporary, not one per operation.  Without
-``saved`` (serving), the MLP builds its gated activation in the gate's
-buffer and computes the up projection last, so the up projection, the gate
-and the activation are never alive together.
+the same and allocate one temporary, not one per operation.  The MLP
+computes the gate first and, without ``saved`` (serving), frees it before
+the up projection, so the up projection, the gate and the activation are
+never alive together.
 
 The losses check their action ids (one per row, in [0, A)) and take their
 means over rows in float64; their backwards are the gradients of those
@@ -162,21 +162,15 @@ def mlp_block(x, gain, wup, wgate, wdown, saved=None):
     """Pre-norm gated MLP block (silu gate) with residual; returns new x."""
     b, s, d = x.shape
     xn = rms_rows(x.reshape(b * s, d), gain)
+    g = xn @ wgate
+    h = _one_plus_exp_neg(g)  # becomes h = u * (g / (1 + exp(-g))) in place
+    np.divide(g, h, out=h)
     if saved is None:
-        # h = u * (g / (1 + exp(-g))) built in g's buffer, u made last, so
-        # u, g and h are never alive together
-        h = xn @ wgate
-        t = _one_plus_exp_neg(h)
-        np.divide(h, t, out=h)
-        del t
+        del g  # serving: u, g and h are never alive together
         h *= xn @ wup
     else:
-        u = xn @ wup
-        g = xn @ wgate
-        h = _one_plus_exp_neg(g)  # becomes h = u * (g / (1 + exp(-g))) in place
-        np.divide(g, h, out=h)
-        h *= u
-        saved.update(xn=xn, u=u, g=g)
+        saved.update(xn=xn, g=g, u=xn @ wup)
+        h *= saved["u"]
     # np.dot calls BLAS even for an inner dimension of 1 (a one-channel
     # MLP), where @ takes a loop about 10x slower; a quantized wdown keeps @
     out = np.dot(h, wdown) if isinstance(wdown, np.ndarray) else h @ wdown

@@ -14,8 +14,8 @@ through it.
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
 calls `qmatmul`, which decodes a tile of whole weight rows at a time,
 widens it to float64 and applies it with numpy's GEMM (``kernels.qdot``),
-so the dense matrix materializes only where it is no larger than one
-32768-value tile or than the float64 product the call allocates anyway.  A
+so the dense matrix materializes only one tile at a time, no larger than
+the cap ``kernels`` sets or than the float64 output the call allocates.  A
 `QuantizedModel` is a `PolicyModel` whose decoder matrices are
 QuantizedTensors; its embeddings, norm gains and action head stay float32
 Tensors.  It has no state of its own and runs on the one decoder,
