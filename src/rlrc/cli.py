@@ -7,8 +7,16 @@ stage it writes (``<stage>.ckpt``, whose ``meta["stage"]`` it is), the
 parent stage whose checkpoint it reads (checked against that checkpoint's
 metadata) and the body that does the work.  The stage commands, `rlrc
 pipeline`, bench's default inputs and the manifest all read that table.
-Every command echoes the fully resolved config into the output directory,
-and the training stages write a JSONL metrics log.
+
+A run is its config: every command echoes the fully resolved config into
+the output directory as ``resolved_config.json`` and takes every setting
+from it.  No flag overrides a setting: the flags name input paths,
+modes and sweep's own axes, and ``--seed`` and ``--output-dir`` are
+applied before the echo.  The task split and the demonstrations are
+derived from the config by each command that needs them and rewritten to
+``suite.json`` and ``demos.jsonl`` as records, never read back.  The
+training stages write a JSONL metrics log, ``metrics_<stem>.jsonl`` after
+their checkpoint's stem.
 
 RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
 inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
@@ -79,25 +87,20 @@ def _load_ckpt_for(cfg, stage, parent, path):
 
 
 def _suite(cfg):
-    from .env import load_task_suite, make_task_suite, save_task_suite
+    """The config's IND/OOD task split, recorded in ``suite.json``."""
+    from .env import make_task_suite, save_task_suite
 
-    path = _p(cfg, "suite.json")
-    if os.path.exists(path):
-        return load_task_suite(path)
     suite = make_task_suite(cfg.seed)
-    save_task_suite(suite, path)
+    save_task_suite(suite, _p(cfg, "suite.json"))
     return suite
 
 
 def _demos(cfg):
-    from .env import generate_demos, load_demos
+    """The config's expert demonstrations, recorded in ``demos.jsonl``."""
+    from .env import generate_demos
 
-    path = _p(cfg, "demos.jsonl")
-    if not os.path.exists(path):
-        suite = _suite(cfg)
-        generate_demos(cfg.env, suite["IND"], cfg.demos.episodes_per_task,
-                       cfg.demos.seed, path)
-    return load_demos(path)
+    return generate_demos(cfg.env, _suite(cfg)["IND"], cfg.demos.episodes_per_task,
+                          cfg.demos.seed, _p(cfg, "demos.jsonl"))
 
 
 def cmd_gen_demos(cfg, args):
@@ -107,7 +110,7 @@ def cmd_gen_demos(cfg, args):
     print(f"demos: {len(demos)} episodes -> {_p(cfg, 'demos.jsonl')}")
 
 
-def _train(cfg, args, loaded):
+def _train(cfg, loaded, log_path):
     """SFT on the demos: of a new model for train-dense, of the pruned one
     for sft."""
     from .model import init_model
@@ -116,9 +119,7 @@ def _train(cfg, args, loaded):
     suite = _suite(cfg)
     demos = _demos(cfg)
     model = init_model(cfg.model) if loaded is None else loaded.model
-    log = "metrics_dense.jsonl" if loaded is None else "metrics_sft.jsonl"
-    model, rows = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"],
-                            log_path=_p(cfg, log))
+    model, rows = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"], log_path=log_path)
     return model, None, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
 
 
@@ -143,9 +144,8 @@ def _prune(cfg, model, demos, ratio, table=None):
     return table, plan, apply_prune(model, plan)
 
 
-def _prune_stage(cfg, args, loaded):
-    ratio = cfg.prune.ratio if args.ratio is None else args.ratio
-    _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg), ratio)
+def _prune_stage(cfg, loaded, log_path):
+    _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg), cfg.prune.ratio)
     with open(_p(cfg, "prune_plan.json"), "w", encoding="utf-8") as f:
         f.write(plan.to_json())
     return pruned, None, {"ratio": plan.achieved_ratio}, (
@@ -153,66 +153,69 @@ def _prune_stage(cfg, args, loaded):
         f"{plan.removed_params}/{plan.prunable_params} prunable params removed")
 
 
-def _rl(cfg, args, loaded):
+def _rl(cfg, loaded, log_path):
     from .training import train_ppo
 
     suite = _suite(cfg)
     # without a value head in the checkpoint, train_ppo initialises one
     model, vhead, rows = train_ppo(
         loaded.model, loaded.value_head, suite["IND"], cfg.ppo, cfg.env,
-        eval_tasks_ind=suite["IND"], eval_tasks_ood=suite["OOD"],
-        log_path=_p(cfg, "metrics_rl_cold.jsonl" if args.cold_start else "metrics_rl.jsonl"))
+        eval_tasks_ind=suite["IND"], eval_tasks_ood=suite["OOD"], log_path=log_path)
     best = rows[-1]
-    return model, vhead, {"cold_start": args.cold_start}, (
-        f"best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f}")
+    return model, vhead, {}, f"best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f}"
 
 
-def _quantize(cfg, args, loaded):
+def _quantize(cfg, loaded, log_path):
     from .quant import quantize_model
 
-    bits = args.bits or cfg.quant.bits
+    bits = cfg.quant.bits
     return (quantize_model(loaded.model, bits, cfg.quant.block_size), None, {"bits": bits},
             f"{bits}-bit")
 
 
 class Stage(NamedTuple):
     """One step of the recipe.  ``rlrc <command>`` loads the checkpoint of
-    ``parent`` (none for the first step), calls ``body(cfg, args, loaded)``
-    on it for (model, value head or None, extra meta, summary) and writes
-    ``<stage>.ckpt``.  ``options`` are the command's own flags.  A step
-    with a ``cold_parent`` also takes ``--cold-start``: it then reads that
-    stage instead and writes ``<stage>_cold.ckpt``."""
+    ``parent`` (none for the first step), calls ``body(cfg, loaded,
+    log_path)`` on it for (model, value head or None, extra meta, summary)
+    and writes ``<stage>.ckpt``.  Every setting a body uses comes from
+    ``cfg``, the echoed config; a training body logs its metric rows to
+    ``log_path``, ``metrics_<stem>.jsonl``.  A step with a ``cold_parent``
+    also takes ``--cold-start``: it then reads that stage instead, writes
+    ``<stage>_cold.ckpt`` and logs to ``metrics_<stage>_cold.jsonl``."""
     command: str
     stage: str
     parent: str
     body: object
-    options: tuple = ()
     cold_parent: str = None
 
 
 # the recipe, in the order it runs
 STAGES = (
     Stage("train-dense", "dense", None, _train),
-    Stage("prune", "pruned", "dense", _prune_stage, (("--ratio", {"type": float}),)),
+    Stage("prune", "pruned", "dense", _prune_stage),
     Stage("sft", "sft", "pruned", _train),
     Stage("rl", "rl", "sft", _rl, cold_parent="pruned"),
-    Stage("quantize", "quant", "rl", _quantize,
-          (("--bits", {"type": int, "choices": (4, 8)}),)),
+    Stage("quantize", "quant", "rl", _quantize),
 )
 
 
 def _run_stage(row, cfg, args):
-    """Run one row of `STAGES` and save its checkpoint."""
+    """Run one row of `STAGES` and save its checkpoint.  The meta records
+    the stage, the master seed, the parent's path and, for a step with a
+    cold start, whether it took one."""
     from .checkpoint import save_checkpoint
 
     command, parent, stem = row.command, row.parent, row.stage
-    if row.cold_parent and args.cold_start:
+    cold = row.cold_parent is not None and args.cold_start
+    if cold:
         command, parent, stem = f"{command} --cold-start", row.cold_parent, f"{stem}_cold"
     meta = {"stage": row.stage, "seed": cfg.seed}
     loaded = None
     if parent:
         loaded, meta["parent"] = _load_ckpt_for(cfg, command, parent, args.input)
-    model, value_head, extra, summary = row.body(cfg, args, loaded)
+    if row.cold_parent:
+        meta["cold_start"] = cold
+    model, value_head, extra, summary = row.body(cfg, loaded, _p(cfg, f"metrics_{stem}.jsonl"))
     path = _p(cfg, f"{stem}.ckpt")
     save_checkpoint(model, path, value_head=value_head, meta={**meta, **extra})
     print(f"{row.stage} checkpoint: {path} ({summary})")
@@ -232,10 +235,10 @@ def cmd_eval(cfg, args):
 
         policy = load_checkpoint(args.input).model
         name = os.path.splitext(os.path.basename(args.input))[0]
-    episodes = cfg.eval.episodes_per_task if args.episodes is None else args.episodes
     out = {}
     for split in ("IND", "OOD"):
-        r = evaluate(policy, suite[split], episodes, cfg.env, seed=cfg.eval.seed)
+        r = evaluate(policy, suite[split], cfg.eval.episodes_per_task, cfg.env,
+                     seed=cfg.eval.seed)
         out[split] = {"success_rate": r.success_rate, "mean_return": r.mean_return,
                       "mean_length": r.mean_length, "episodes": r.episodes}
         print(f"{name} {split}: SR={r.success_rate:.4f} return={r.mean_return:.3f} "
@@ -352,12 +355,9 @@ def build_parser():
             sp.add_argument("--input")
         if stage.cold_parent:
             sp.add_argument("--cold-start", action="store_true")
-        for flag, kwargs in stage.options:
-            sp.add_argument(flag, **kwargs)
     sp = sub.add_parser("eval")
     sp.add_argument("--input")
     sp.add_argument("--expert", action="store_true")
-    sp.add_argument("--episodes", type=int)
     sp = sub.add_parser("bench")
     sp.add_argument("--inputs", nargs="*")
     sub.add_parser("pipeline")

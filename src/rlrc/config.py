@@ -1,9 +1,10 @@
 """Pipeline configuration: one JSON file, strict keys, full echo.
 
-Unknown keys are rejected anywhere in the tree.  Every run writes the
-fully resolved configuration (defaults materialized, master seed
-propagated into stage seeds that were not set explicitly) next to its
-outputs, so two artifacts with equal resolved configs are comparable.
+Unknown keys and values of the wrong type are rejected anywhere in the
+tree.  Every run writes the fully resolved configuration (defaults
+materialized, master seed propagated into stage seeds that were not set
+explicitly) next to its outputs, so two artifacts with equal resolved
+configs are comparable.
 """
 
 import dataclasses
@@ -72,6 +73,23 @@ class EvalSection:
                  f"selection seed training.SELECTION_SEED = {SELECTION_SEED}", self.seed)
 
 
+def _check_types(cls, data):
+    """An ``int`` field holds an int, not a bool or float; a ``str`` field
+    a string; a ``list`` field a list of ints, or null where that is its
+    default."""
+    for f in dataclasses.fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if f.type is int:
+            _require(type(value) is int, f"{f.name} must be an int", value)
+        elif f.type is str:
+            _require(isinstance(value, str), f"{f.name} must be a string", value)
+        elif f.type is list and not (value is None and f.default is None):
+            _require(isinstance(value, list) and all(type(i) is int for i in value),
+                     f"{f.name} must be a list of ints", value)
+
+
 def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"section {path or 'root'} must be an object")
@@ -80,6 +98,7 @@ def _build(cls, data, path):
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section {path or 'root'}")
     try:
+        _check_types(cls, data)
         return cls(**data)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad values in section {path or 'root'}: {e}") from e
@@ -113,6 +132,10 @@ class PipelineConfig:
         unknown = set(raw) - set(cls._SECTIONS) - {"seed", "output_dir"}
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} in section root")
+        try:
+            _check_types(cls, raw)
+        except ValueError as e:
+            raise ConfigError(f"bad values in section root: {e}") from e
         seed = raw.get("seed", 0)
         kw = {"seed": seed, "output_dir": raw.get("output_dir", "runs/default")}
         for name, section_cls in cls._SECTIONS.items():

@@ -2,10 +2,11 @@
 
 25 (object type, plate id) task pairs split 16 in-distribution / 9
 out-of-distribution, sparse rewards {1.0 placed, 0.1 first grasp, 0
-otherwise}, a shortest-path scripted expert, JSONL demonstration files and
-a vectorized batch wrapper.  Every trajectory is a pure function of
-(task, episode seed, action sequence), and `state_key` names the part of
-a state that decides everything but the time limit.
+otherwise}, a shortest-path scripted expert whose demonstrations are
+written as JSONL records, and a vectorized batch wrapper.  Every
+trajectory is a pure function of (task, episode seed, action sequence),
+and `state_key` names the part of a state that decides everything but the
+time limit.
 """
 
 import json
@@ -42,10 +43,6 @@ class TaskSpec:
 
     def to_dict(self):
         return {"object": self.object_type, "plate": self.plate_id, "split": self.split}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["object"], d["plate"], d["split"])
 
 
 @dataclass
@@ -166,12 +163,6 @@ def make_task_suite(seed):
 def save_task_suite(suite, path):
     with open(path, "w", encoding="utf-8") as f:
         json.dump({k: [t.to_dict() for t in v] for k, v in suite.items()}, f, indent=2)
-
-
-def load_task_suite(path):
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    return {k: [TaskSpec.from_dict(d) for d in v] for k, v in raw.items()}
 
 
 def reset(config, task, episode_seed):
@@ -331,22 +322,6 @@ def generate_demos(config, tasks, episodes_per_task, seed, out_path):
                 "steps": [{"obs": o, "action": a} for o, a in d.steps],
                 "success": d.success,
             }) + "\n")
-    return demos
-
-
-def load_demos(path):
-    demos = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            demos.append(Demonstration(
-                task=TaskSpec.from_dict(raw["task"]), seed=raw["seed"],
-                steps=[(s["obs"], s["action"]) for s in raw["steps"]],
-                success=raw["success"],
-            ))
     return demos
 
 

@@ -11,7 +11,7 @@ from rlrc import bench, cli, pruning
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
-from rlrc.env import EnvConfig, TaskSpec, load_demos
+from rlrc.env import EnvConfig, TaskSpec
 from rlrc.model import ModelConfig, init_model
 
 
@@ -75,6 +75,35 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
         parent = stage
     with open(os.path.join(out, "bench_report.json")) as f:
         assert [r["variant"] for r in json.load(f)["rows"]] == chain
+    # the runner names each training stage's log after its checkpoint
+    for stem in ("dense", "sft", "rl"):
+        assert os.path.getsize(os.path.join(out, f"metrics_{stem}.jsonl")) > 0, stem
+    # the echo is what the stages ran with
+    with open(os.path.join(out, "resolved_config.json")) as f:
+        ratio = json.load(f)["prune"]["ratio"]
+    with open(os.path.join(out, "prune_plan.json")) as f:
+        assert json.load(f)["target_ratio"] == ratio
+
+
+def test_records_follow_the_config_in_a_reused_directory(tmp_path):
+    cfg_path, out = micro_config(tmp_path)
+    assert run(["--config", cfg_path, "gen-demos"]) == 0
+    cfg_path, out = micro_config(tmp_path, demos={"episodes_per_task": 3})
+    assert run(["--config", cfg_path, "gen-demos"]) == 0
+    with open(os.path.join(out, "demos.jsonl")) as f:
+        assert sum(1 for _ in f) == 16 * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["prune", "--ratio", "0.6"],
+    ["quantize", "--bits", "8"],
+    ["eval", "--expert", "--episodes", "1"],
+])
+def test_no_flag_overrides_a_config_setting(tmp_path, argv):
+    cfg_path, _ = micro_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        run(["--config", cfg_path] + argv)
+    assert info.value.code == 2
 
 
 def test_eval_expert_and_checkpoint(tmp_path):
@@ -84,13 +113,6 @@ def test_eval_expert_and_checkpoint(tmp_path):
         r = json.load(f)
     assert r["IND"]["success_rate"] == 1.0
     assert r["OOD"]["success_rate"] == 1.0
-
-
-def test_eval_zero_episodes_is_an_error_not_the_default(tmp_path, capsys):
-    cfg_path, out = micro_config(tmp_path)
-    assert run(["--config", cfg_path, "eval", "--expert", "--episodes", "0"]) == 1
-    assert "episodes_per_task=0" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(out, "eval_expert.json"))
 
 
 def test_stage_order_violation_rejected(tmp_path, capsys):
@@ -167,12 +189,29 @@ def test_unknown_config_key_rejected(tmp_path):
     ("env", "n_distractors", 5),
     ("env", "n_distractors", -1),
     ("env", "max_steps", 0),
+    ("demos", "episodes_per_task", 2.5),
+    ("sft", "max_steps", 2.5),
+    ("ppo", "horizon", 8.5),
+    ("model", "d_model", 128.0),
+    ("env", "width", 8.0),
+    ("env", "width", True),
+    ("eval", "seed", None),
+    ("prune", "exempt_layers", [0.5, 5]),
+    ("prune", "exempt_layers", [True]),
+    ("prune", "exempt_layers", 5),
 ])
 def test_section_values_checked_at_load(section, field, value):
     # rejected when the config loads, before any stage has run
     with pytest.raises(ConfigError, match=re.escape(f"bad values in section {section}: {field} ")
                        + ".*" + re.escape(f"got {value}")):
         PipelineConfig.from_dict({section: {field: value}})
+
+
+@pytest.mark.parametrize("field, value", [("seed", 2.5), ("seed", True), ("output_dir", 5)])
+def test_root_values_checked_at_load(field, value):
+    with pytest.raises(ConfigError, match=re.escape(f"bad values in section root: {field} ")
+                       + ".*" + re.escape(f"got {value}")):
+        PipelineConfig.from_dict({field: value})
 
 
 def test_grid_too_small_for_its_entities_named_at_load():
@@ -261,7 +300,7 @@ def test_sweep_report(tmp_path, monkeypatch):
     # the shared table prunes each ratio as a table scored afresh would
     cfg = PipelineConfig.from_file(cfg_path)
     dense = load_checkpoint(os.path.join(out, "dense.ckpt")).model
-    demos = load_demos(os.path.join(out, "demos.jsonl"))
+    demos = cli._demos(cfg)
     for r in (0.3, 0.5):
         _, _, fresh = cli._prune(cfg, dense, demos, r)
         swept = load_checkpoint(os.path.join(out, f"sweep_r{r:g}.ckpt")).model

@@ -9,8 +9,7 @@ from rlrc.env import (
     DOWN, GRASP, LEFT, N_ACTIONS, RELEASE, RIGHT, UP,
     REWARD_GRASPED, REWARD_PLACED, Demonstration, EnvConfig, EnvError, EnvState, ObjectState,
     SplitError, TaskSpec, VecEnv,
-    expert_policy, generate_demos, load_demos, load_task_suite,
-    make_task_suite, obs_tokens, reset, run_expert_episode,
+    expert_policy, generate_demos, make_task_suite, obs_tokens, reset, run_expert_episode,
     save_task_suite, state_key, step,
 )
 
@@ -46,7 +45,9 @@ def test_suite_file_roundtrip(tmp_path):
     suite = make_task_suite(1)
     p = tmp_path / "suite.json"
     save_task_suite(suite, p)
-    again = load_task_suite(p)
+    with open(p) as f:
+        again = {k: [TaskSpec(d["object"], d["plate"], d["split"]) for d in v]
+                 for k, v in json.load(f).items()}
     assert again == suite
 
 
@@ -171,10 +172,12 @@ def test_generate_demos_counts_and_roundtrip(tmp_path):
     demos = generate_demos(CFG, suite["IND"], 3, seed=0, out_path=path)
     assert len(demos) == 48
     assert all(d.success for d in demos)
-    again = load_demos(path)
+    with open(path) as f:
+        again = [json.loads(line) for line in f]
     assert len(again) == 48
-    assert again[0].steps == demos[0].steps
-    assert again[-1].task == demos[-1].task
+    assert [(s["obs"], s["action"]) for s in again[0]["steps"]] == demos[0].steps
+    assert again[-1]["task"] == demos[-1].task.to_dict()
+    assert [(r["seed"], r["success"]) for r in again] == [(d.seed, d.success) for d in demos]
 
 
 def test_generate_demos_rejects_ood(tmp_path):

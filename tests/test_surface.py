@@ -1,14 +1,17 @@
 """The package's surface holds nothing unused: every config field is read
 by the program, every public function and class has a user outside its
 own definition, and every defaulted parameter of a public function is
-passed by some call, in ``src/rlrc`` or in perfbench's program files."""
+passed by some call, in ``src/rlrc`` or in perfbench's program files.
+No command line flag is a setting: settings live in the config alone."""
 
+import argparse
 import ast
 import dataclasses
 import pathlib
 import re
 
 import rlrc
+from rlrc import cli
 from rlrc.config import PipelineConfig
 
 SRC = pathlib.Path(rlrc.__file__).parent
@@ -20,6 +23,24 @@ UNUSED_ALLOWED = {}
 UNPASSED_ALLOWED = {
     "cli.main(argv)": "test hook: tests drive the CLI in-process",
     "model.init_model(seed)": "test hook: tests seed the models they build",
+}
+
+_INPUT = "a path, recorded as the checkpoint meta's parent"
+# every flag of `rlrc`, each with the reason it is not a config setting
+FLAGS_ALLOWED = {
+    "--config": "names the config itself",
+    "--seed": "applied to the config before the echo, which records it",
+    "--output-dir": "applied to the config before the echo, which records it",
+    "prune --input": _INPUT,
+    "sft --input": _INPUT,
+    "rl --input": _INPUT,
+    "quantize --input": _INPUT,
+    "rl --cold-start": "a mode: recorded as meta cold_start and the _cold checkpoint stem",
+    "eval --input": "a path, which names the output eval_<stem>.json",
+    "eval --expert": "a mode, which names the output eval_expert.json",
+    "bench --inputs": "paths, each of which names its report row",
+    "sweep --ratios": "the sweep's own axis, recorded in its report's ratio column",
+    "sweep --quant": "the sweep's own axis, recorded in its report's quant column",
 }
 
 
@@ -113,3 +134,21 @@ def test_every_defaulted_parameter_is_passed():
                          if not any(passes(c, index, name) for c in calls.get(fn.name, ()))]
     assert sorted(set(unpassed) - set(UNPASSED_ALLOWED)) == []
     assert sorted(set(UNPASSED_ALLOWED) - set(unpassed)) == [], "stale exception"
+
+
+def parser_flags(parser, command=""):
+    """Every option of ``parser`` and of its subcommands, as "command --flag"."""
+    flags = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags += parser_flags(sub, f"{name} ")
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            flags.append(command + max(action.option_strings, key=len))
+    return flags
+
+
+def test_every_flag_is_a_path_or_a_mode():
+    flags = parser_flags(cli.build_parser())
+    assert sorted(set(flags) - set(FLAGS_ALLOWED)) == []
+    assert sorted(set(FLAGS_ALLOWED) - set(flags)) == [], "stale exception"
