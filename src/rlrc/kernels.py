@@ -15,9 +15,18 @@ attends from the last T positions over all S and returns those T rows, so
 the last layer computes keys and values for every position and the rest
 for the marker row only.
 The blocks keep the input dtype (float32 in use, float64 for gradient
-checks), with float64 accumulators in the rms statistics, and apply each
-weight as ``x @ W``, so a weight is either an array or a
-``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot`.
+checks) and apply each weight as ``x @ W``, so a weight is either an
+array or a ``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot`.
+
+The blocks' reductions avoid numpy's slow path, a reduction along a
+short contiguous axis.  Attention builds its scores keys-major, ``k @
+q^T`` of shape (B, H, S, T) for S keys and T queries: the softmax's max
+and sum reduce over axis -2, the keys, while numpy's inner loop runs
+along the contiguous queries, and the probabilities ``p`` it saves keep
+that layout; the context is ``p^T @ v``.  The rms statistics are row dot
+products (``np.vecdot``): the mean square of one float64 copy of the
+rows, so it accumulates in float64, and in the backward the row sums of
+the gain-scaled gradient times the input.
 
 Given a ``saved`` dict, a block also keeps the intermediates it computed
 anyway; its hand-written backward (`attn_block_backward`,
@@ -54,8 +63,10 @@ _EPS_NORM = 1e-6
 
 
 def _inv_rms(x2):
-    """1 / rms of each row (last axis), the mean square taken in float64."""
-    ms = np.add.reduce(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
+    """1 / rms of each row (last axis).  The mean square is a row dot
+    product (``np.vecdot``) of one float64 copy of the rows with itself."""
+    x64 = x2.astype(np.float64)
+    ms = np.vecdot(x64, x64)[..., None]
     ms /= x2.shape[-1]
     ms += _EPS_NORM
     np.sqrt(ms, out=ms)
@@ -80,7 +91,7 @@ def rms_rows_backward(g2, x2, gain, saved=None):
     t *= g2
     dgain = t.reshape(-1, x2.shape[-1]).sum(axis=0)
     gn = g2 * gain
-    gx = np.multiply(gn, x2, out=t).sum(axis=-1, keepdims=True)
+    gx = np.vecdot(gn, x2)[..., None]  # the row sums of gn * x2
     # gn * inv - x2 * inv**3 * (gx / D), in that order
     np.multiply(x2, inv ** 3, out=t)
     t *= gx / x2.shape[-1]
@@ -97,6 +108,10 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     those T.  Returns the new residual stream at those T positions,
     (B, T, D); ``model.forward`` passes T = S except in the last layer,
     where T = 1, the marker row.
+
+    The scores and probabilities are keys-major, (B, H, S, T): ``k @ q^T``
+    plus ``mask.T``, with the softmax's max and sum taken over axis -2,
+    the keys.  ``saved["p"]`` keeps that layout.
     """
     b, s, d = x.shape
     t = mask.shape[0]
@@ -105,13 +120,14 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores = np.matmul(k, q.transpose(0, 1, 3, 2))
     scores *= np.float32(1.0 / np.sqrt(head_dim))
-    scores += mask
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores += mask.T
+    scores -= scores.max(axis=-2, keepdims=True)
     p = np.exp(scores, out=scores)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
+    p /= p.sum(axis=-2, keepdims=True)
+    ctx = np.matmul(p.transpose(0, 1, 3, 2), v)
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
     if saved is not None:
         saved.update(xn=xn, xq=xq, q=q, k=k, v=v, p=p, ctx=ctx)
     out = (ctx @ wo).reshape(b, t, d)
@@ -123,24 +139,25 @@ def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, 
     """Gradients (dx, dgain, dwq, dwk, dwv, dwo) of `attn_block`.
 
     ``dout`` is (B, T, D), for the query rows; ``dx`` covers all S rows.
+    The score gradient is keys-major, (B, H, S, T), like the saved ``p``.
     """
     b, s, d = x.shape
     t = mask.shape[0]
     xn, xq, q, k, v, p, ctx = (saved[n] for n in ("xn", "xq", "q", "k", "v", "p", "ctx"))
     g2 = dout.reshape(b * t, d)
     dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
-    # dscores = p * (dp - sum(dp * p)) * scale, built in dp
-    dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2))
-    dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+    # dscores = p * (dp - sum over keys of dp * p) * scale, built in dp
+    dscores = np.matmul(v, dctx.transpose(0, 1, 3, 2))
+    dscores -= (dscores * p).sum(axis=-2, keepdims=True)
     dscores *= p
     dscores *= np.float32(1.0 / np.sqrt(head_dim))
 
     def rows(a):  # (B, H, R, hd) -> (B*R, H*hd)
         return a.transpose(0, 2, 1, 3).reshape(-1, n_heads * head_dim)
 
-    dq = rows(np.matmul(dscores, k))
-    dk = rows(np.matmul(dscores.transpose(0, 1, 3, 2), q))
-    dv = rows(np.matmul(p.transpose(0, 1, 3, 2), dctx))
+    dq = rows(np.matmul(dscores.transpose(0, 1, 3, 2), k))
+    dk = rows(np.matmul(dscores, q))
+    dv = rows(np.matmul(p, dctx))
     dxn = dk @ wk.T
     dxn.reshape(b, s, d)[:, s - t:] += (dq @ wq.T).reshape(b, t, d)
     dxn += dv @ wv.T

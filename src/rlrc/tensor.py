@@ -239,6 +239,9 @@ def adam_step(state):
     """One Adam update over ``state.params``; gradients must be populated.
 
     Parameters with ``grad is None`` raise; gradients are zeroed after use.
+    The moments are updated in place and the step is built in one buffer,
+    by the operations of the plain formula in its order; the gradient's
+    buffer holds the second-moment increment.
     """
     state.step_count += 1
     t = state.step_count
@@ -248,10 +251,16 @@ def adam_step(state):
     for i, p in enumerate(state.params):
         if p.grad is None:
             raise GradError(f"adam_step: parameter {i} has no gradient")
-        g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        mhat = state.m[i] / c1
-        vhat = state.v[i] / c2
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+        g, m, v = p.grad, state.m[i], state.v[i]
+        m *= b1
+        m += (1.0 - b1) * g
+        g *= g
+        g *= 1.0 - b2
+        v *= b2
+        v += g
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        step = m / c1
+        step *= lr
+        step /= np.sqrt(v / c2) + eps
+        p.data -= step
         p.grad = None

@@ -265,7 +265,8 @@ def test_env_and_model_vocabularies_cross_checked(raw, fields):
 def test_config_echo_written_next_to_outputs(tmp_path):
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "gen-demos"]) == 0
-    resolved = json.load(open(os.path.join(out, "resolved_config.json")))
+    with open(os.path.join(out, "resolved_config.json")) as f:
+        resolved = json.load(f)
     again = PipelineConfig.from_dict(resolved)
     assert again.to_dict() == resolved
 

@@ -313,7 +313,8 @@ def test_attn_block_query_rows_match_full_block():
 # order, so its results must be bit-identical to these.
 
 def ref_inv_rms(x2):
-    ms = np.mean(np.square(x2, dtype=np.float64), axis=-1, keepdims=True)
+    x64 = x2.astype(np.float64)
+    ms = np.vecdot(x64, x64)[..., None] / x2.shape[-1]
     return (1.0 / np.sqrt(ms + 1e-6)).astype(x2.dtype)
 
 
@@ -325,7 +326,7 @@ def ref_rms_rows_backward(g2, x2, gain):
     inv = ref_inv_rms(x2)
     dgain = (g2 * (x2 * inv)).sum(axis=0)
     gn = g2 * gain
-    gx = (gn * x2).sum(axis=-1, keepdims=True)
+    gx = np.vecdot(gn, x2)[..., None]
     return gn * inv - x2 * (inv ** 3) * (gx / x2.shape[-1]), dgain
 
 
@@ -337,12 +338,14 @@ def ref_attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask):
     q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(head_dim))
-    scores = scores + mask
-    scores -= scores.max(axis=-1, keepdims=True)
+    # keys-major scores and probabilities: (B, H, S, T)
+    scores = np.matmul(k, q.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(head_dim))
+    scores = scores + mask.T
+    scores -= scores.max(axis=-2, keepdims=True)
     p = np.exp(scores)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
+    p /= p.sum(axis=-2, keepdims=True)
+    ctx = np.matmul(p.transpose(0, 1, 3, 2), v)
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
     return x[:, s - t:] + (ctx @ wo).reshape(b, t, d), (xn, xq, q, k, v, p, ctx)
 
 
@@ -352,16 +355,16 @@ def ref_attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, ma
     xn, xq, q, k, v, p, ctx = saved
     g2 = dout.reshape(b * t, d)
     dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
-    dp = np.matmul(dctx, v.transpose(0, 1, 3, 2))
-    dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dp = np.matmul(v, dctx.transpose(0, 1, 3, 2))
+    dscores = p * (dp - (dp * p).sum(axis=-2, keepdims=True))
     dscores *= np.float32(1.0 / np.sqrt(head_dim))
 
     def rows(a):
         return a.transpose(0, 2, 1, 3).reshape(-1, n_heads * head_dim)
 
-    dq = rows(np.matmul(dscores, k))
-    dk = rows(np.matmul(dscores.transpose(0, 1, 3, 2), q))
-    dv = rows(np.matmul(p.transpose(0, 1, 3, 2), dctx))
+    dq = rows(np.matmul(dscores.transpose(0, 1, 3, 2), k))
+    dk = rows(np.matmul(dscores, q))
+    dv = rows(np.matmul(p, dctx))
     dxn = dk @ wk.T
     dxn.reshape(b, s, d)[:, s - t:] += (dq @ wq.T).reshape(b, t, d)
     dxn += dv @ wv.T

@@ -381,6 +381,27 @@ def test_adam_first_step_magnitude():
     assert abs(abs(float(p.data[0])) - 0.1) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_steps_equal_plain_formula(dtype):
+    # the in-place update rounds exactly as the formula written out
+    rng = np.random.default_rng(5)
+    p = T.Tensor(rng.standard_normal((4, 3)), dtype=dtype)
+    st_ = T.OptimizerState([p], lr=0.01)
+    lr, b1, b2, eps = st_.lr, st_.b1, st_.b2, st_.eps
+    w, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+    for t in range(1, 6):
+        g = rng.standard_normal(w.shape).astype(dtype)
+        p.grad = g.copy()
+        T.adam_step(st_)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        w = w - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert p.data.dtype == dtype
+        np.testing.assert_array_equal(st_.m[0], m)
+        np.testing.assert_array_equal(st_.v[0], v)
+        np.testing.assert_array_equal(p.data, w)
+
+
 def test_adam_step_counter_and_grad_clear():
     p = T.Tensor([0.0])
     st_ = T.OptimizerState([p])
