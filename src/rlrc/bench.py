@@ -28,12 +28,6 @@ THROUGHPUT_BATCH = 16
 WARMUP_ITERS = 10
 TIMED_ITERS = 50
 
-REPORT_COLUMNS = [
-    "variant", "total_params", "prunable_params", "weights_bytes",
-    "scales_bytes", "total_bytes", "latency_ms", "latency_cv", "unstable",
-    "throughput_sps", "throughput_batch", "ind_sr", "ood_sr",
-]
-
 
 def _cpu_model():
     try:
@@ -98,9 +92,10 @@ def variant_row(name, model, env_config, task, ind_sr, ood_sr, exempt_layers):
     }
 
 
-def write_report(prefix, header, rows, extra_columns=()):
-    """Emit <prefix>.csv and <prefix>.json with a fixed column order."""
-    columns = REPORT_COLUMNS + [c for c in extra_columns if c not in REPORT_COLUMNS]
+def write_report(prefix, header, rows):
+    """Emit <prefix>.csv and <prefix>.json; the columns are the first
+    row's keys, in order."""
+    columns = list(rows[0])
     csv_path = prefix + ".csv"
     json_path = prefix + ".json"
     with open(csv_path, "w", newline="", encoding="utf-8") as f:

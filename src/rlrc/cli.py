@@ -336,8 +336,7 @@ def cmd_sweep(cfg, args):
             rows.append(row)
             print(f"sweep {name}: mem={row['total_bytes']} "
                   f"thr={row['throughput_sps']:.1f} IND={row['ind_sr']:.3f}")
-    csv_path, _ = write_report(_p(cfg, "sweep_report"), report_header(), rows,
-                               extra_columns=("ratio", "quant"))
+    csv_path, _ = write_report(_p(cfg, "sweep_report"), report_header(), rows)
     print(f"sweep report: {csv_path}")
 
 

@@ -9,6 +9,7 @@ configs are comparable.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .env import N_ACTIONS, EnvConfig
@@ -74,15 +75,18 @@ class EvalSection:
 
 
 def _check_types(cls, data):
-    """An ``int`` field holds an int, not a bool or float; a ``str`` field
-    a string; a ``list`` field a list of ints, or null where that is its
-    default."""
+    """An ``int`` field holds an int, not a bool or float; a ``float`` field
+    a finite int or float, not a bool; a ``str`` field a string; a ``list``
+    field a list of ints, or null where that is its default."""
     for f in dataclasses.fields(cls):
         if f.name not in data:
             continue
         value = data[f.name]
         if f.type is int:
             _require(type(value) is int, f"{f.name} must be an int", value)
+        elif f.type is float:
+            _require(type(value) in (int, float) and math.isfinite(value),
+                     f"{f.name} must be a finite number", value)
         elif f.type is str:
             _require(isinstance(value, str), f"{f.name} must be a string", value)
         elif f.type is list and not (value is None and f.default is None):
@@ -186,10 +190,7 @@ class PipelineConfig:
         return PipelineConfig.from_dict(raw)
 
     def to_dict(self):
-        out = {"seed": self.seed, "output_dir": self.output_dir}
-        for name in self._SECTIONS:
-            out[name] = dataclasses.asdict(getattr(self, name))
-        return out
+        return dataclasses.asdict(self)
 
     def write_resolved(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -16,7 +16,7 @@ the last layer computes keys and values for every position and the rest
 for the marker row only.
 The blocks keep the input dtype (float32 in use, float64 for gradient
 checks) and apply each weight as ``x @ W``, so a weight is either an
-array or a ``quant.QuantizedTensor``, whose ``__rmatmul__`` calls `qdot`.
+array or a ``quant.QuantizedTensor``, which ``quant`` decodes and applies.
 
 The blocks' reductions avoid numpy's slow path, a reduction along a
 short contiguous axis.  Attention builds its scores keys-major, ``k @
@@ -45,14 +45,6 @@ never alive together.
 The losses check their action ids (one per row, in [0, A)) and take their
 means over rows in float64; their backwards are the gradients of those
 formulas, each row's share of a mean's gradient computed once.
-
-`qdot` applies a quantized weight without knowing its storage layout,
-which ``quant`` owns: it asks ``QuantizedTensor.values`` for a tile of
-whole weight rows at a time as float32, widens it once, applies it with
-numpy's float64 GEMM, sums the tiles' products in float64 and rounds the
-sum to float32 once.  A tile holds up to max(32768, m * n) values for m
-activation rows and n weight columns: no more than fits in L2 cache once
-widened, or than the float64 output the call allocates anyway.
 """
 
 import numpy as np
@@ -380,39 +372,3 @@ def ppo_objective_backward(g, logits, values, actions, old_logprobs, advantages,
     dlogits += (share * entropy_coef) * p * (log_p - (p * log_p).sum(axis=-1, keepdims=True))
     dvalues = (2 * share * value_coef) * err
     return dlogits.reshape(logits.shape), dvalues
-
-
-# weight values dequantized per tile (whole rows; one row if a row is longer),
-# unless the float64 output the call allocates anyway is larger: 256 KiB once
-# widened to float64, so a tile stays in L2 cache for its GEMM
-_TILE_VALUES = 32768
-
-
-def qdot(x, n, values):
-    """x @ W for a weight W of logical shape (x.shape[1], n) given by its
-    values: values(start, stop) returns the float32 weights of flat
-    elements start .. stop-1 of W's row-major flattening.
-
-    W is decoded a tile of whole rows at a time, and never whole unless it
-    fits in a tile: max(_TILE_VALUES, m * n) values for m rows of x.  Each
-    tile is widened to float64 and applied by numpy's GEMM to a float64
-    copy of x; the tiles' products are summed in float64 and the sum is
-    rounded to float32 once, so the result is within 1e-5 relative of the
-    exact product.
-    """
-    m, k = x.shape
-    if m * n * k == 0:
-        return np.zeros((m, n), dtype=np.float32)
-    # a C-ordered copy, so every layout of x gives the same GEMM operands
-    x64 = np.ascontiguousarray(x, dtype=np.float64)
-    rows = max(1, max(_TILE_VALUES, m * n) // n)
-    out = part = None
-    for r0 in range(0, k, rows):
-        r1 = min(k, r0 + rows)
-        w64 = values(r0 * n, r1 * n).astype(np.float64).reshape(r1 - r0, n)
-        if out is None:
-            out = np.dot(x64[:, r0:r1], w64)
-        else:
-            part = np.dot(x64[:, r0:r1], w64, out=part)
-            out += part
-    return out.astype(np.float32)

@@ -8,17 +8,17 @@ This module alone knows that storage layout.  `stored_sizes` gives the
 lengths of a weight's two arrays; a `QuantizedTensor` checks its arrays
 against them when built, and ``checkpoint`` sizes a file's arrays by them
 and stores the arrays as they are.  `QuantizedTensor.values` is the one
-place codes are decoded: `dequantize` and ``kernels.qdot`` read weights
-through it.
+place codes are decoded: `dequantize` and `qmatmul` read weights through
+it.
 
 A `QuantizedTensor` is a weight in another storage format: ``x @ qt``
-calls `qmatmul`, which decodes a tile of whole weight rows at a time,
-widens it to float64 and applies it with numpy's GEMM (``kernels.qdot``),
-so the dense matrix materializes only one tile at a time, no larger than
-the cap ``kernels`` sets or than the float64 output the call allocates.  A
-`QuantizedModel` is a `PolicyModel` whose decoder matrices are
-QuantizedTensors; its embeddings, norm gains and action head stay float32
-Tensors.  It has no state of its own and runs on the one decoder,
+calls `qmatmul`, the one function that applies it.  It decodes a tile of
+whole weight rows at a time, widens it to float64 and applies it with
+numpy's GEMM, so the dense matrix materializes only one tile at a time,
+no larger than the cap `_TILE_VALUES` or than the float64 output the call
+allocates.  A `QuantizedModel` is a `PolicyModel` whose decoder matrices
+are QuantizedTensors; its embeddings, norm gains and action head stay
+float32 Tensors.  It has no state of its own and runs on the one decoder,
 ``model.forward``, under ``no_grad``, as a dense model serves through
 ``model.fast_logits_last``; with grad enabled ``forward`` rejects it,
 since nothing trains quantized weights.
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .model import PolicyModel, fast_logits_last
 from .tensor import Tensor
 
@@ -155,12 +154,21 @@ def dequantize(qt):
     return qt.values(0, qt.size).reshape(qt.shape)
 
 
+# weight values dequantized per tile (whole rows; one row if a row is longer),
+# unless the float64 output the call allocates anyway is larger: 256 KiB once
+# widened to float64, so a tile stays in L2 cache for its GEMM
+_TILE_VALUES = 32768
+
+
 def qmatmul(qt, activations):
     """activations @ W for a quantized W of logical shape (k, n).
 
-    Dequantizes a tile of whole weight rows at a time and sums the tiles'
-    float64 GEMM products before rounding once, so the float32 result is
-    within 1e-5 relative (floor 1e-3) of the exact product of the
+    W is decoded a tile of whole rows at a time, and never whole unless it
+    fits in a tile: max(_TILE_VALUES, m * n) values for m activation rows.
+    Each tile is widened to float64 and applied by numpy's GEMM to one
+    C-ordered float64 copy of the activations; the tiles' products are
+    summed in float64 and the sum is rounded to float32 once, so the result
+    is within 1e-5 relative (floor 1e-3) of the exact product of the
     activations with ``dequantize(qt)``.
     """
     if len(qt.shape) != 2:
@@ -170,15 +178,31 @@ def qmatmul(qt, activations):
     if x.shape[-1] != k:
         raise QuantError(f"qmatmul shape mismatch: activations {x.shape} vs weight {qt.shape}")
     lead = x.shape[:-1]
-    x2 = np.ascontiguousarray(x.reshape(-1, k))
-    return kernels.qdot(x2, n, qt.values).reshape(*lead, n)
+    # C-ordered, so every layout of x gives the same GEMM operands
+    x64 = np.array(x, dtype=np.float64, order="C").reshape(-1, k)
+    m = x64.shape[0]
+    if m * n * k == 0:
+        return np.zeros((*lead, n), dtype=np.float32)
+    rows = max(1, max(_TILE_VALUES, m * n) // n)
+    out = part = None
+    for r0 in range(0, k, rows):
+        r1 = min(k, r0 + rows)
+        w64 = qt.values(r0 * n, r1 * n).astype(np.float64).reshape(r1 - r0, n)
+        if out is None:
+            out = np.dot(x64[:, r0:r1], w64)
+        else:
+            part = np.dot(x64[:, r0:r1], w64, out=part)
+            out += part
+    return out.astype(np.float32).reshape(*lead, n)
 
 
 class QuantizedModel(PolicyModel):
     """A PolicyModel whose decoder matrices are QuantizedTensors.
 
-    Inference only: greedy logits via ``logits_last``, the same decoder
-    under ``no_grad`` as a dense model.
+    Inference only: it serves through ``model.fast_logits_last``, the same
+    decoder under ``no_grad`` as a dense model.  `logits_last` calls that
+    function; nothing serves through it, and it stays while perfbench's
+    span tracer lists it as a target.
     """
 
     def logits_last(self, tokens):

@@ -199,6 +199,13 @@ def test_unknown_config_key_rejected(tmp_path):
     ("prune", "exempt_layers", [0.5, 5]),
     ("prune", "exempt_layers", [True]),
     ("prune", "exempt_layers", 5),
+    ("prune", "ratio", False),
+    ("sft", "lr", True),
+    ("ppo", "gamma", True),
+    ("ppo", "clip_eps", True),
+    ("sft", "lr", float("nan")),
+    ("ppo", "clip_eps", float("nan")),
+    ("ppo", "value_coef", float("inf")),
 ])
 def test_section_values_checked_at_load(section, field, value):
     # rejected when the config loads, before any stage has run
@@ -328,6 +335,8 @@ def test_bench_report_csv_columns(tmp_path):
     with open(os.path.join(out, "bench_report.json")) as f:
         row = json.load(f)["rows"][0]
     assert row["unstable"] == (row["latency_cv"] >= 0.15)
+    # the columns are the row's own keys, in order
+    assert header == list(row)
 
 
 def test_bench_row_times_batch_1_and_batch_16(monkeypatch):
