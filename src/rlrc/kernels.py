@@ -18,15 +18,16 @@ The blocks keep the input dtype (float32 in use, float64 for gradient
 checks) and apply each weight as ``x @ W``, so a weight is either an
 array or a ``quant.QuantizedTensor``, which ``quant`` decodes and applies.
 
-The blocks' reductions avoid numpy's slow path, a reduction along a
-short contiguous axis.  Attention builds its scores keys-major, ``k @
-q^T`` of shape (B, H, S, T) for S keys and T queries: the softmax's max
-and sum reduce over axis -2, the keys, while numpy's inner loop runs
-along the contiguous queries, and the probabilities ``p`` it saves keep
-that layout; the context is ``p^T @ v``.  The rms statistics are row dot
-products (``np.vecdot``): the mean square of one float64 copy of the
-rows, so it accumulates in float64, and in the backward the row sums of
-the gain-scaled gradient times the input.
+The blocks' reductions avoid numpy's slow path, a reduction whose inner
+loop runs along a short axis.  Attention builds its scores keys
+outermost, in one (S, B, H, T) buffer for S keys and T queries that ``k
+@ q^T`` fills through a (B, H, S, T) view: the softmax's max and sum
+reduce over axis 0, the keys, so numpy's inner loop runs along all B * H
+* T contiguous columns, and the probabilities ``p`` it saves keep that
+layout; the context is ``p^T @ v`` on a transposed view.  The rms
+statistics are row dot products (``np.vecdot``) in the rows' own dtype:
+the mean square of the rows, and in the backward the row sums of the
+gain-scaled gradient times the input.
 
 Given a ``saved`` dict, a block also keeps the intermediates it computed
 anyway; its hand-written backward (`attn_block_backward`,
@@ -55,14 +56,14 @@ _EPS_NORM = 1e-6
 
 
 def _inv_rms(x2):
-    """1 / rms of each row (last axis).  The mean square is a row dot
-    product (``np.vecdot``) of one float64 copy of the rows with itself."""
-    x64 = x2.astype(np.float64)
-    ms = np.vecdot(x64, x64)[..., None]
+    """1 / rms of each row (last axis), in x2's dtype.  The mean square is
+    a row dot product (``np.vecdot``) of the rows with themselves, with no
+    copy of the rows."""
+    ms = np.vecdot(x2, x2)[..., None]
     ms /= x2.shape[-1]
     ms += _EPS_NORM
     np.sqrt(ms, out=ms)
-    return np.divide(1.0, ms, out=ms).astype(x2.dtype)
+    return np.divide(1.0, ms, out=ms)
 
 
 def rms_rows(x2, gain, saved=None):
@@ -101,9 +102,10 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     (B, T, D); ``model.forward`` passes T = S except in the last layer,
     where T = 1, the marker row.
 
-    The scores and probabilities are keys-major, (B, H, S, T): ``k @ q^T``
-    plus ``mask.T``, with the softmax's max and sum taken over axis -2,
-    the keys.  ``saved["p"]`` keeps that layout.
+    The scores and probabilities are keys outermost, (S, B, H, T): ``k @
+    q^T`` written through a (B, H, S, T) view, plus ``mask.T``, with the
+    softmax's max and sum taken over axis 0, the keys.  ``saved["p"]``
+    keeps that layout.
     """
     b, s, d = x.shape
     t = mask.shape[0]
@@ -112,13 +114,14 @@ def attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, saved=None):
     q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
-    scores = np.matmul(k, q.transpose(0, 1, 3, 2))
-    scores *= np.float32(1.0 / np.sqrt(head_dim))
-    scores += mask.T
-    scores -= scores.max(axis=-2, keepdims=True)
+    scores = np.empty((s, b, n_heads, t), dtype=k.dtype)
+    np.matmul(k, q.transpose(0, 1, 3, 2), out=scores.transpose(1, 2, 0, 3))
+    scores *= x.dtype.type(1.0 / np.sqrt(head_dim))
+    scores += mask.T[:, None, None, :]
+    scores -= scores.max(axis=0)
     p = np.exp(scores, out=scores)
-    p /= p.sum(axis=-2, keepdims=True)
-    ctx = np.matmul(p.transpose(0, 1, 3, 2), v)
+    p /= p.sum(axis=0)
+    ctx = np.matmul(p.transpose(1, 2, 3, 0), v)
     ctx = ctx.transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
     if saved is not None:
         saved.update(xn=xn, xq=xq, q=q, k=k, v=v, p=p, ctx=ctx)
@@ -131,7 +134,8 @@ def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, 
     """Gradients (dx, dgain, dwq, dwk, dwv, dwo) of `attn_block`.
 
     ``dout`` is (B, T, D), for the query rows; ``dx`` covers all S rows.
-    The score gradient is keys-major, (B, H, S, T), like the saved ``p``.
+    The score gradient is keys outermost, (S, B, H, T), like the saved
+    ``p``, and reduces over axis 0.
     """
     b, s, d = x.shape
     t = mask.shape[0]
@@ -139,17 +143,18 @@ def attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, mask, 
     g2 = dout.reshape(b * t, d)
     dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     # dscores = p * (dp - sum over keys of dp * p) * scale, built in dp
-    dscores = np.matmul(v, dctx.transpose(0, 1, 3, 2))
-    dscores -= (dscores * p).sum(axis=-2, keepdims=True)
+    dscores = np.empty_like(p)
+    np.matmul(v, dctx.transpose(0, 1, 3, 2), out=dscores.transpose(1, 2, 0, 3))
+    dscores -= (dscores * p).sum(axis=0)
     dscores *= p
-    dscores *= np.float32(1.0 / np.sqrt(head_dim))
+    dscores *= x.dtype.type(1.0 / np.sqrt(head_dim))
 
     def rows(a):  # (B, H, R, hd) -> (B*R, H*hd)
         return a.transpose(0, 2, 1, 3).reshape(-1, n_heads * head_dim)
 
-    dq = rows(np.matmul(dscores.transpose(0, 1, 3, 2), k))
-    dk = rows(np.matmul(dscores, q))
-    dv = rows(np.matmul(p, dctx))
+    dq = rows(np.matmul(dscores.transpose(1, 2, 3, 0), k))
+    dk = rows(np.matmul(dscores.transpose(1, 2, 0, 3), q))
+    dv = rows(np.matmul(p.transpose(1, 2, 0, 3), dctx))
     dxn = dk @ wk.T
     dxn.reshape(b, s, d)[:, s - t:] += (dq @ wq.T).reshape(b, t, d)
     dxn += dv @ wv.T

@@ -313,9 +313,8 @@ def test_attn_block_query_rows_match_full_block():
 # order, so its results must be bit-identical to these.
 
 def ref_inv_rms(x2):
-    x64 = x2.astype(np.float64)
-    ms = np.vecdot(x64, x64)[..., None] / x2.shape[-1]
-    return (1.0 / np.sqrt(ms + 1e-6)).astype(x2.dtype)
+    ms = np.vecdot(x2, x2)[..., None] / x2.shape[-1]
+    return 1.0 / np.sqrt(ms + 1e-6)
 
 
 def ref_rms_rows(x2, gain):
@@ -338,13 +337,15 @@ def ref_attn_block(x, gain, wq, wk, wv, wo, n_heads, head_dim, mask):
     q = (xq @ wq).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
     k = (xn @ wk).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
     v = (xn @ wv).reshape(b, s, n_heads, head_dim).transpose(0, 2, 1, 3)
-    # keys-major scores and probabilities: (B, H, S, T)
-    scores = np.matmul(k, q.transpose(0, 1, 3, 2)) * np.float32(1.0 / np.sqrt(head_dim))
-    scores = scores + mask.T
-    scores -= scores.max(axis=-2, keepdims=True)
+    # scores and probabilities keys outermost: C-ordered (S, B, H, T), the
+    # kernel's layout, which its products on transposed views round by
+    scores = np.matmul(k, q.transpose(0, 1, 3, 2)).transpose(2, 0, 1, 3).copy()
+    scores = scores * x.dtype.type(1.0 / np.sqrt(head_dim))
+    scores = scores + mask.T[:, None, None, :]
+    scores -= scores.max(axis=0)
     p = np.exp(scores)
-    p /= p.sum(axis=-2, keepdims=True)
-    ctx = np.matmul(p.transpose(0, 1, 3, 2), v)
+    p /= p.sum(axis=0)
+    ctx = np.matmul(p.transpose(1, 2, 3, 0), v)
     ctx = ctx.transpose(0, 2, 1, 3).reshape(b * t, n_heads * head_dim)
     return x[:, s - t:] + (ctx @ wo).reshape(b, t, d), (xn, xq, q, k, v, p, ctx)
 
@@ -355,16 +356,17 @@ def ref_attn_block_backward(dout, x, gain, wq, wk, wv, wo, n_heads, head_dim, ma
     xn, xq, q, k, v, p, ctx = saved
     g2 = dout.reshape(b * t, d)
     dctx = (g2 @ wo.T).reshape(b, t, n_heads, head_dim).transpose(0, 2, 1, 3)
-    dp = np.matmul(v, dctx.transpose(0, 1, 3, 2))
-    dscores = p * (dp - (dp * p).sum(axis=-2, keepdims=True))
-    dscores *= np.float32(1.0 / np.sqrt(head_dim))
+    dp = np.matmul(v, dctx.transpose(0, 1, 3, 2)).transpose(2, 0, 1, 3).copy()
+    dscores = p * (dp - (dp * p).sum(axis=0))
+    dscores *= x.dtype.type(1.0 / np.sqrt(head_dim))
+    dscores = dscores.transpose(1, 2, 0, 3)  # (B, H, S, T)
 
     def rows(a):
         return a.transpose(0, 2, 1, 3).reshape(-1, n_heads * head_dim)
 
     dq = rows(np.matmul(dscores.transpose(0, 1, 3, 2), k))
     dk = rows(np.matmul(dscores, q))
-    dv = rows(np.matmul(p, dctx))
+    dv = rows(np.matmul(p.transpose(1, 2, 0, 3), dctx))
     dxn = dk @ wk.T
     dxn.reshape(b, s, d)[:, s - t:] += (dq @ wq.T).reshape(b, t, d)
     dxn += dv @ wv.T
@@ -459,6 +461,43 @@ def test_rms_rows_on_marker_rows_equals_2d(dtype):
     assert dx3.shape == (b, 1, d) and dgain3.shape == (d,)
     np.testing.assert_array_equal(dx3.reshape(b, d), dx2)
     np.testing.assert_array_equal(dgain3, dgain2)
+
+
+def test_rms_rows_float32_within_4_ulps_of_float64_formula():
+    # rows over 10^±5 of dynamic range: each row scaled by 10^U(-3,3), each
+    # entry by 10^U(-2,2); the statistics accumulate in float32
+    rng = np.random.default_rng(6)
+    n, d = 4096, 128
+    x = (rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+         * 10.0 ** rng.uniform(-2, 2, (n, d))).astype(np.float32)
+    got = kernels.rms_rows(x, np.ones(d, dtype=np.float32))
+    assert got.dtype == np.float32
+    x64 = x.astype(np.float64)
+    want = x64 / np.sqrt((x64 * x64).mean(axis=1, keepdims=True) + 1e-6)
+    assert (np.abs(got - want) <= 4 * 2.0 ** -23 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("rows", ["full", "marker"])
+def test_attn_block_probabilities_are_keys_outermost(rows):
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
+    m = init_model(cfg, seed=5)
+    rng = np.random.default_rng(7)
+    b, s = 3, 7
+    x = rng.standard_normal((b, s, cfg.d_model)).astype(np.float32)
+    mask = np.triu(np.full((s, s), -1e9, dtype=np.float32), k=1)
+    if rows == "marker":
+        mask = mask[-1:]
+    t = mask.shape[0]
+    for li, layer in enumerate(m.layers):
+        saved = {}
+        kernels.attn_block(x, *(p.data for p in (layer.attn_gain, layer.wq, layer.wk,
+                                                 layer.wv, layer.wo)),
+                           cfg.n_heads[li], cfg.head_dim, mask, saved=saved)
+        p = saved["p"]
+        assert p.shape == (s, b, cfg.n_heads[li], t)
+        np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-6)
+        for i in range(t):  # query i sits at position s - t + i
+            assert (p[s - t + i + 1:, :, :, i] == 0).all(), (li, i)
 
 
 def test_forward_gradients_match_finite_differences():
