@@ -16,6 +16,8 @@ so a crash never leaves a truncated checkpoint at the target path.
 Loading is strict: a missing, repeated or unexpected tensor name is an
 error that names the tensor, and a payload of another size than the
 header lays out one that names the file, raised before any allocation.
+The value head takes the ``value_head.*`` tensors and the model the rest,
+each constructor checking that it got exactly its own names.
 """
 
 import json
@@ -161,8 +163,7 @@ def load_checkpoint(path):
                                 else Tensor(data[0].reshape(shape)))
             except QuantError as e:
                 raise CheckpointError(f"quantized tensor {name} {e}") from e
-    value_head = None
-    if header["has_value_head"]:
-        value_head = ValueHead(*(params[name] for name in value_head_shapes(config.d_model)))
-    model = (QuantizedModel if quant else PolicyModel).from_params(config, params)
+    head = value_head_shapes(config.d_model) if header["has_value_head"] else {}
+    value_head = ValueHead({name: params.pop(name) for name in head}) if head else None
+    model = (QuantizedModel if quant else PolicyModel)(config, params)
     return LoadedCheckpoint(model, value_head, header["meta"])

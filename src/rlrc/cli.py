@@ -12,9 +12,9 @@ A run is its config: every command echoes the fully resolved config into
 the output directory as ``resolved_config.json`` and takes every setting
 from it.  No flag overrides a setting: the flags name input paths,
 modes and sweep's own axes, and ``--seed`` and ``--output-dir`` are
-applied before the echo.  The task split and the demonstrations are
-derived from the config by each command that needs them and rewritten to
-``suite.json`` and ``demos.jsonl`` as records, never read back.  The
+applied before the echo.  The task split (one for every seed) and the
+demonstrations are built by each command that needs them and rewritten
+to ``suite.json`` and ``demos.jsonl`` as records, never read back.  The
 training stages write a JSONL metrics log, ``metrics_<stem>.jsonl`` after
 their checkpoint's stem.
 
@@ -87,25 +87,27 @@ def _load_ckpt_for(cfg, stage, parent, path):
 
 
 def _suite(cfg):
-    """The config's IND/OOD task split, recorded in ``suite.json``."""
+    """The IND/OOD task split of seed 0, recorded in ``suite.json``: every
+    seed of a run trains and evaluates on the same tasks, as the paper's
+    fixed suites do."""
     from .env import make_task_suite, save_task_suite
 
-    suite = make_task_suite(cfg.seed)
+    suite = make_task_suite(0)
     save_task_suite(suite, _p(cfg, "suite.json"))
     return suite
 
 
-def _demos(cfg):
-    """The config's expert demonstrations, recorded in ``demos.jsonl``."""
+def _demos(cfg, suite):
+    """The config's expert demos of ``suite``'s IND tasks, in ``demos.jsonl``."""
     from .env import generate_demos
 
-    return generate_demos(cfg.env, _suite(cfg)["IND"], cfg.demos.episodes_per_task,
+    return generate_demos(cfg.env, suite["IND"], cfg.demos.episodes_per_task,
                           cfg.demos.seed, _p(cfg, "demos.jsonl"))
 
 
 def cmd_gen_demos(cfg, args):
     suite = _suite(cfg)
-    demos = _demos(cfg)
+    demos = _demos(cfg, suite)
     print(f"suite: {len(suite['IND'])} IND / {len(suite['OOD'])} OOD tasks")
     print(f"demos: {len(demos)} episodes -> {_p(cfg, 'demos.jsonl')}")
 
@@ -117,7 +119,7 @@ def _train(cfg, loaded, log_path):
     from .training import train_sft
 
     suite = _suite(cfg)
-    demos = _demos(cfg)
+    demos = _demos(cfg, suite)
     model = init_model(cfg.model) if loaded is None else loaded.model
     model, rows = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"], log_path=log_path)
     return model, None, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
@@ -145,7 +147,7 @@ def _prune(cfg, model, demos, ratio, table=None):
 
 
 def _prune_stage(cfg, loaded, log_path):
-    _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg), cfg.prune.ratio)
+    _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg, _suite(cfg)), cfg.prune.ratio)
     with open(_p(cfg, "prune_plan.json"), "w", encoding="utf-8") as f:
         f.write(plan.to_json())
     return pruned, None, {"ratio": plan.achieved_ratio}, (
@@ -310,7 +312,7 @@ def cmd_sweep(cfg, args):
         if q not in ("none", "4", "8"):
             raise CliError(f"quant modes are none|4|8, got {q!r}")
     suite = _suite(cfg)
-    demos = _demos(cfg)
+    demos = _demos(cfg, suite)
     dense_path = _p(cfg, "dense.ckpt")
     if not os.path.exists(dense_path):
         _run_stage(STAGES[0], cfg, args)

@@ -5,12 +5,13 @@ marker].  The action is read at the marker, the last position, whose
 final-block hidden state also feeds the value head; the decoder computes
 its output there only.
 
-A model is its config plus named parameters (`named_params`), and
-`PolicyModel.from_params` builds one from such a dict.  A parameter is a
-`Tensor`, or, for a decoder matrix of a `quant.QuantizedModel`, a
-`quant.QuantizedTensor`: the storage format belongs to the weight, not
-to the model, and each model holds its own copy of its config.
-`param_shapes` gives every parameter's shape from the config alone.
+A model is its own copy of its config plus one {name: parameter} dict,
+`PolicyModel(config, params)`, which must hold exactly the names
+`param_shapes` gives from the config alone, and holds them in that order
+(`named_params`); a missing or unexpected name is an error that names
+it.  A parameter is a `Tensor`, or, for a decoder matrix of a
+`quant.QuantizedModel`, a `quant.QuantizedTensor`: the storage format
+belongs to the weight, not to the model.
 
 `forward` is the one decoder, a chain of `tensor.fused` nodes over
 rlrc.kernels, each with its hand-written backward: the token plus position
@@ -105,90 +106,66 @@ class ModelConfig:
         return cls(**d)
 
 
-class DecoderLayer:
-    """Weights of one pre-norm decoder block."""
+# the parameters of one decoder layer, in `named_params` order
+LAYER_PARAMS = ("wq", "wk", "wv", "wo", "attn_gain", "wup", "wgate", "wdown", "mlp_gain")
 
-    __slots__ = ("wq", "wk", "wv", "wo", "attn_gain", "wup", "wgate", "wdown", "mlp_gain")
 
-    def __init__(self, wq, wk, wv, wo, attn_gain, wup, wgate, wdown, mlp_gain):
-        self.wq, self.wk, self.wv, self.wo = wq, wk, wv, wo
-        self.attn_gain = attn_gain
-        self.wup, self.wgate, self.wdown = wup, wgate, wdown
-        self.mlp_gain = mlp_gain
-
-    def named_params(self, prefix):
-        for name in self.__slots__:
-            yield f"{prefix}.{name}", getattr(self, name)
+def _checked(params, names):
+    """``params`` reordered as ``names``, which it must hold exactly."""
+    missing = [name for name in names if name not in params]
+    unexpected = [name for name in params if name not in names]
+    if missing or unexpected:
+        raise ValueError(f"parameters missing {missing}, unexpected {unexpected}")
+    return {name: params[name] for name in names}
 
 
 class PolicyModel:
-    """Token transformer with a prunable interior and an action head."""
+    """Token transformer with a prunable interior and an action head: its
+    own copy of ``config`` and a {name: parameter} dict holding exactly
+    `param_shapes`' names, in that order."""
 
-    def __init__(self, config, tok_emb, pos_emb, layers, final_gain, w_act):
-        self.config = config
-        self.tok_emb = tok_emb
-        self.pos_emb = pos_emb
-        self.layers = layers
-        self.final_gain = final_gain
-        self.w_act = w_act
+    def __init__(self, config, params):
+        self.config = ModelConfig.from_dict(config.to_dict())
+        self._params = _checked(params, param_shapes(self.config))
 
     def named_params(self):
-        yield "tok_emb", self.tok_emb
-        yield "pos_emb", self.pos_emb
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_params(f"layers.{i}")
-        yield "final_gain", self.final_gain
-        yield "w_act", self.w_act
+        return self._params.items()
 
     def params(self):
-        return [p for _, p in self.named_params()]
+        return list(self._params.values())
 
     def num_params(self):
         return sum(p.size for p in self.params())
 
-    @classmethod
-    def from_params(cls, config, params):
-        """Build a model from a {name: parameter} dict keyed as `named_params`,
-        on its own copy of ``config``."""
-        config = ModelConfig.from_dict(config.to_dict())
-        layers = [
-            DecoderLayer(*(params[f"layers.{i}.{name}"] for name in DecoderLayer.__slots__))
-            for i in range(config.n_layers)
-        ]
-        return cls(config, params["tok_emb"], params["pos_emb"], layers,
-                   params["final_gain"], params["w_act"])
-
     def copy(self):
         """A model with its own copy of every Tensor; quantized matrices,
         which nothing updates in place, are shared."""
-        return type(self).from_params(
-            self.config, {name: Tensor(p.data.copy()) if isinstance(p, Tensor) else p
-                          for name, p in self.named_params()})
+        return type(self)(self.config, {name: Tensor(p.data.copy()) if isinstance(p, Tensor)
+                                        else p for name, p in self.named_params()})
 
 
 class ValueHead:
-    """Two-layer perceptron d_model -> 64 -> 1 with silu, for the critic."""
+    """Two-layer perceptron d_model -> 64 -> 1 with silu, for the critic;
+    a {name: parameter} dict holding exactly `value_head_shapes`' names."""
 
-    def __init__(self, w1, b1, w2, b2):
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+    def __init__(self, params):
+        # the names do not depend on the width
+        self._params = _checked(params, value_head_shapes(0))
 
     def named_params(self):
-        yield "value_head.w1", self.w1
-        yield "value_head.b1", self.b1
-        yield "value_head.w2", self.w2
-        yield "value_head.b2", self.b2
+        return self._params.items()
 
     def params(self):
-        return [p for _, p in self.named_params()]
+        return list(self._params.values())
 
     def copy(self):
-        return ValueHead(*(Tensor(p.data.copy()) for p in self.params()))
+        return ValueHead({name: Tensor(p.data.copy()) for name, p in self.named_params()})
 
     def apply(self, hidden):
         """One value per row of ``hidden``, its leading axes flattened:
         (B, 1, d_model) -> (B,); one `kernels.value_mlp` node."""
         return fused(kernels.value_mlp, kernels.value_mlp_backward,
-                     (hidden, self.w1, self.b1, self.w2, self.b2))
+                     (hidden, *self._params.values()))
 
 
 def param_shapes(config):
@@ -199,7 +176,7 @@ def param_shapes(config):
     for li, (h, f) in enumerate(zip(config.n_heads, config.d_ff)):
         a = h * hd
         layer = ((d, a), (d, a), (d, a), (a, d), (d,), (d, f), (d, f), (f, d), (d,))
-        for name, shape in zip(DecoderLayer.__slots__, layer):
+        for name, shape in zip(LAYER_PARAMS, layer):
             shapes[f"layers.{li}.{name}"] = shape
     shapes["final_gain"] = (d,)
     shapes["w_act"] = (d, config.action_vocab)
@@ -249,13 +226,13 @@ def _init_params(shapes, rng):
 def init_value_head(d_model, seed=0):
     """Deterministic scaled-normal init; biases start at zero."""
     params = _init_params(value_head_shapes(d_model), np.random.default_rng(seed))
-    return ValueHead(*params.values())
+    return ValueHead(params)
 
 
 def init_model(config, seed=None):
     """Deterministic scaled-normal init; gains start at one."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    return PolicyModel.from_params(config, _init_params(param_shapes(config), rng))
+    return PolicyModel(config, _init_params(param_shapes(config), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +287,21 @@ def _decode(model, tokens):
     """`forward` of checked (B, S) tokens: ((B, 1, A), (B, 1, D))."""
     cfg = model.config
     s = tokens.shape[1]
-    x = fused(kernels.embed, kernels.embed_backward, (model.tok_emb, model.pos_emb), tokens)
+    tok_emb, pos_emb, *layers, final_gain, w_act = model._params.values()
+    x = fused(kernels.embed, kernels.embed_backward, (tok_emb, pos_emb), tokens)
     mask = np.triu(np.full((s, s), -1e9, dtype=x.data.dtype), k=1)
-    last = len(model.layers) - 1
-    for li, layer in enumerate(model.layers):
+    n = len(LAYER_PARAMS)
+    last = cfg.n_layers - 1
+    for li in range(cfg.n_layers):
+        wq, wk, wv, wo, attn_gain, wup, wgate, wdown, mlp_gain = layers[li * n:(li + 1) * n]
         # the last layer's queries are the marker row's: x becomes (B, 1, D)
         x = fused(kernels.attn_block, kernels.attn_block_backward,
-                  (x, layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo),
+                  (x, attn_gain, wq, wk, wv, wo),
                   cfg.n_heads[li], cfg.head_dim, mask[-1:] if li == last else mask)
         x = fused(kernels.mlp_block, kernels.mlp_block_backward,
-                  (x, layer.mlp_gain, layer.wup, layer.wgate, layer.wdown))
-    hidden = fused(kernels.rms_rows, kernels.rms_rows_backward, (x, model.final_gain))
-    return fused(kernels.linear, kernels.linear_backward, (hidden, model.w_act)), hidden
+                  (x, mlp_gain, wup, wgate, wdown))
+    hidden = fused(kernels.rms_rows, kernels.rms_rows_backward, (x, final_gain))
+    return fused(kernels.linear, kernels.linear_backward, (hidden, w_act)), hidden
 
 
 def fast_logits_last(model, tokens):

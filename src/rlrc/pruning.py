@@ -6,7 +6,7 @@ counts change.
 
 A group's ``members`` are the one statement of its geometry: Taylor
 scores sum over them, `apply_prune` deletes exactly them from the named
-parameters (and rebuilds the model with `PolicyModel.from_params`), and
+parameters (and builds the smaller `PolicyModel` from what is left), and
 `param_counts` sums group sizes.  A new group kind is taught to
 `build_dependency_groups` alone.
 """
@@ -233,17 +233,16 @@ def apply_prune(model, plan):
     group's members delete, and each layer's ``n_heads`` / ``d_ff`` shrinks
     by its number of planned groups of that kind.
     """
-    cfg = model.config
-    params = dict(model.named_params())
+    arrays = {name: p.data for name, p in model.named_params()}
     exempt = set(plan.exempt_layers)
     groups = {g.key: g for g in plan.groups}.values()  # a repeated group counts once
     deleted = {}  # (name, axis) -> indices the members delete
-    new_cfg = ModelConfig.from_dict(cfg.to_dict())
+    new_cfg = ModelConfig.from_dict(model.config.to_dict())
     for g in groups:
         if g.layer in exempt:
             raise PruningError(f"plan contains exempt-layer group {g.key}")
         for name, axis, start, stop in g.members:
-            size = params[name].data.shape[axis]
+            size = arrays[name].shape[axis]
             if stop > size:
                 raise PruningError(f"stale plan: group {g.key} deletes {name}[{start}:{stop}] "
                                    f"on axis {axis} of size {size}")
@@ -253,12 +252,10 @@ def apply_prune(model, plan):
         for li, width in enumerate(getattr(new_cfg, attr)):
             if width < 1:
                 raise PruningError(f"plan would empty layer {li} of {kind} groups")
-    arrays = {name: p.data for name, p in params.items()}
     for (name, axis), gone in deleted.items():
         keep = [i for i in range(arrays[name].shape[axis]) if i not in gone]
         arrays[name] = np.take(arrays[name], keep, axis=axis)
-    return PolicyModel.from_params(
-        new_cfg, {name: Tensor(a.copy()) for name, a in arrays.items()})
+    return PolicyModel(new_cfg, {name: Tensor(a.copy()) for name, a in arrays.items()})
 
 
 def param_counts(model, exempt_layers=None):

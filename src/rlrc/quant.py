@@ -34,12 +34,10 @@ from .tensor import Tensor
 Q_MAX = {4: 7, 8: 127}
 DEFAULT_BLOCK = 64
 
-QUANT_MATRICES = ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown")
-
 
 def is_quantized(name):
-    """Whether `quantize_model` quantizes the parameter ``name``: a decoder matrix."""
-    return name.rsplit(".", 1)[-1] in QUANT_MATRICES
+    """Whether `quantize_model` quantizes ``name``: a decoder layer's matrix, not a gain."""
+    return name.startswith("layers.") and not name.endswith("_gain")
 
 
 class QuantError(ValueError):
@@ -222,7 +220,7 @@ def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
                else Tensor(p.data.copy()))
         for name, p in model.named_params()
     }
-    return QuantizedModel.from_params(model.config, params)
+    return QuantizedModel(model.config, params)
 
 
 def dequantize_model(qm):
@@ -231,7 +229,7 @@ def dequantize_model(qm):
         name: Tensor(dequantize(p) if isinstance(p, QuantizedTensor) else p.data.copy())
         for name, p in qm.named_params()
     }
-    return PolicyModel.from_params(qm.config, params)
+    return PolicyModel(qm.config, params)
 
 
 def memory_bytes(m):

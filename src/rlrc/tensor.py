@@ -220,16 +220,16 @@ def backward_in_chunks(loss_fn, n, rows):
 # optimizer
 # ---------------------------------------------------------------------------
 
+# Adam's standard moment decays and epsilon
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class OptimizerState:
-    """Adam moments for a fixed parameter list.
+    """Adam moments for a fixed parameter list, with bias correction."""
 
-    Standard defaults (b1=0.9, b2=0.999, eps=1e-8) with bias correction.
-    """
-
-    def __init__(self, params, lr=3e-4, b1=0.9, b2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.b1, self.b2, self.eps = b1, b2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -245,7 +245,7 @@ def adam_step(state):
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2, eps, lr = state.b1, state.b2, state.eps, state.lr
+    b1, b2, eps, lr = ADAM_B1, ADAM_B2, ADAM_EPS, state.lr
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for i, p in enumerate(state.params):

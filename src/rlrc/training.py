@@ -444,7 +444,7 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
 
 
 def train_ppo(model, value_head, tasks, config, env_config,
-              eval_tasks_ind=None, eval_tasks_ood=None, log_path=None):
+              eval_tasks_ind, eval_tasks_ood, log_path=None):
     """Clipped-surrogate PPO on IND tasks with a shared-backbone critic.
 
     Iterates collect -> GAE -> epochs x minibatches of

@@ -59,7 +59,7 @@ def test_pruned_widths_restored(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.model.config.n_heads == [2, 1, 2]
     assert loaded.model.config.d_ff == [24, 7, 24]
-    assert loaded.model.layers[1].wup.data.shape == (16, 7)
+    assert dict(loaded.model.named_params())["layers.1.wup"].data.shape == (16, 7)
 
 
 def test_value_head_roundtrip(tmp_path):
@@ -71,6 +71,24 @@ def test_value_head_roundtrip(tmp_path):
     assert loaded.value_head is not None
     for (n, a), (_, b) in zip(vh.named_params(), loaded.value_head.named_params()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+
+
+@pytest.mark.parametrize("bits", [None, 4])
+def test_value_head_and_model_load_disjoint_tensors(tmp_path, bits):
+    # the head takes the value_head.* tensors and the model the rest; each
+    # constructor refuses a name that is not its own
+    m = tiny_model(seed=4)
+    if bits:
+        m = quantize_model(m, bits, 16)
+    save_checkpoint(m, tmp_path / "v.ckpt", value_head=init_value_head(m.config.d_model))
+    loaded = load_checkpoint(tmp_path / "v.ckpt")
+    model_names = [n for n, _ in loaded.model.named_params()]
+    head_names = [n for n, _ in loaded.value_head.named_params()]
+    assert model_names == list(model_module.param_shapes(m.config))
+    assert head_names == list(model_module.value_head_shapes(m.config.d_model))
+    assert isinstance(loaded.model, QuantizedModel) == bool(bits)
+    held = {id(p) for p in loaded.model.params()}
+    assert not held & {id(p) for p in loaded.value_head.params()}
 
 
 @pytest.mark.parametrize("bits", [4, 8])
@@ -256,7 +274,7 @@ def test_load_rejects_repeated_tensor(tmp_path, monkeypatch):
     # no tensor over, so it is rejected by name
     m = tiny_model()
     full = type(m).named_params
-    altered = Tensor(m.tok_emb.data + 1.0)
+    altered = Tensor(dict(m.named_params())["tok_emb"].data + 1.0)
     monkeypatch.setattr(type(m), "named_params",
                         lambda self: iter([*full(self), ("tok_emb", altered)]))
     save_checkpoint(m, tmp_path / "x.ckpt")
@@ -269,7 +287,7 @@ def test_load_rejects_mismatched_quantized_tensor(tmp_path):
     # arrays of another length than the header lays out change the
     # payload's byte count
     qm = quantize_model(tiny_model(), 4, 16)
-    wup = qm.layers[0].wup
+    wup = dict(qm.named_params())["layers.0.wup"]
     longer = np.append(wup.packed, wup.packed[:2])
     for field, value, what in (("packed", wup.packed[:-1], "truncated"),
                                ("scales", wup.scales[:-1], "truncated"),
@@ -296,14 +314,15 @@ def test_save_rejects_what_the_header_would_misstate(tmp_path):
     # the file holds one bits and block size and the config's shapes, so a
     # tensor that differs from them is refused by name, leaving no file
     qm = quantize_model(tiny_model(), 4, 16)
-    wup = qm.layers[0].wup
+    wup = dict(qm.named_params())["layers.0.wup"]
     for field, value in (("shape", (24, 16)), ("bits", 8), ("block_size", 32)):
         good = getattr(wup, field)
         setattr(wup, field, value)
         with pytest.raises(CheckpointError, match="cannot save tensor layers.0.wup"):
             save_checkpoint(qm, tmp_path / "q.ckpt")
         setattr(wup, field, good)
-    qm.layers[1].wdown = Tensor(np.zeros((24, 16), np.float32))
+    qm = type(qm)(qm.config, {**dict(qm.named_params()),
+                              "layers.1.wdown": Tensor(np.zeros((24, 16), np.float32))})
     with pytest.raises(CheckpointError, match="cannot save tensor layers.1.wdown"):
         save_checkpoint(qm, tmp_path / "q.ckpt")
     assert list(tmp_path.iterdir()) == []

@@ -7,11 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rlrc import bench, cli, pruning
+from rlrc import bench, cli, env, pruning
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
-from rlrc.env import EnvConfig, TaskSpec
+from rlrc.env import EnvConfig, TaskSpec, make_task_suite
 from rlrc.model import ModelConfig, init_model
 
 
@@ -256,6 +256,24 @@ def test_seed_override_keeps_explicit_stage_seeds(tmp_path):
         assert resolved[name]["seed"] == 3, name
 
 
+def test_task_split_is_the_same_for_every_seed(tmp_path, monkeypatch):
+    # each seed of a multi-seed table trains and evaluates on one split,
+    # which gen-demos builds once
+    calls = []
+    monkeypatch.setattr(env, "make_task_suite",
+                        lambda seed: calls.append(seed) or make_task_suite(seed))
+    suites = []
+    for seed in ("0", "3"):
+        (tmp_path / seed).mkdir()
+        cfg_path, out = micro_config(tmp_path / seed)
+        assert run(["--config", cfg_path, "--seed", seed, "gen-demos"]) == 0
+        with open(os.path.join(out, "suite.json")) as f:
+            suites.append(f.read())
+    assert calls == [0, 0]
+    assert suites[0] == suites[1]
+    assert make_task_suite(3) != make_task_suite(0)
+
+
 @pytest.mark.parametrize("raw, fields", [
     ({"env": {"width": 12, "height": 12}}, ("env.obs_vocab", "model.observation_vocab")),
     ({"env": {"n_distractors": 4}, "model": {"max_seq_len": 16}},
@@ -308,7 +326,7 @@ def test_sweep_report(tmp_path, monkeypatch):
     # the shared table prunes each ratio as a table scored afresh would
     cfg = PipelineConfig.from_file(cfg_path)
     dense = load_checkpoint(os.path.join(out, "dense.ckpt")).model
-    demos = cli._demos(cfg)
+    demos = cli._demos(cfg, cli._suite(cfg))
     for r in (0.3, 0.5):
         _, _, fresh = cli._prune(cfg, dense, demos, r)
         swept = load_checkpoint(os.path.join(out, f"sweep_r{r:g}.ckpt")).model

@@ -18,8 +18,10 @@ from rlrc.model import (
     chunk_rows,
     forward,
     greedy_actions,
+    ValueHead,
     init_model,
     init_value_head,
+    param_shapes,
 )
 from rlrc.tensor import GradError, ShapeError, Tensor, backward, fused, no_grad
 
@@ -44,6 +46,12 @@ def tiny_config(**kw):
     return ModelConfig(**base)
 
 
+def layer_weights(m, li, *names):
+    """The arrays of layer ``li``'s parameters ``names``, in that order."""
+    params = dict(m.named_params())
+    return [params[f"layers.{li}.{name}"].data for name in names]
+
+
 def ctx_for(cfg, length=5, seed=0):
     """A (1, length + 1) batch: random observation tokens, then the marker."""
     rng = np.random.default_rng(seed)
@@ -66,6 +74,35 @@ def test_models_hold_their_own_config():
     c = m.copy()
     assert c.config == m.config and c.config is not m.config
     assert c.config.d_ff is not m.config.d_ff
+
+
+def test_constructors_name_a_missing_or_unexpected_parameter():
+    cfg = tiny_config()
+    params = dict(init_model(cfg).named_params())
+    head = dict(init_value_head(cfg.d_model).named_params())
+    without_wk = {n: p for n, p in params.items() if n != "layers.1.wk"}
+    renumbered = {n.replace("layers.1.", "layers.2."): p for n, p in params.items()}
+    for build, what in (
+            (lambda: PolicyModel(cfg, without_wk), "missing ['layers.1.wk'], unexpected []"),
+            (lambda: PolicyModel(cfg, {**params, **head}),
+             f"missing [], unexpected {list(head)}"),
+            (lambda: PolicyModel(cfg, renumbered),
+             f"missing {[n for n in params if n.startswith('layers.1.')]}, "
+             f"unexpected {[n for n in renumbered if n.startswith('layers.2.')]}"),
+            (lambda: ValueHead({**head, "tok_emb": params["tok_emb"]}),
+             "missing [], unexpected ['tok_emb']"),
+            (lambda: ValueHead({n: p for n, p in head.items() if n != "value_head.b2"}),
+             "missing ['value_head.b2'], unexpected []")):
+        with pytest.raises(ValueError, match=re.escape(what)):
+            build()
+
+
+def test_parameters_are_held_in_param_shapes_order():
+    cfg = tiny_config()
+    params = dict(reversed(list(init_model(cfg).named_params())))
+    m = PolicyModel(cfg, params)
+    assert [n for n, _ in m.named_params()] == list(param_shapes(cfg))
+    assert all(p is params[n] for n, p in m.named_params())
 
 
 def test_init_values_pinned():
@@ -294,8 +331,8 @@ def test_attn_block_query_rows_match_full_block():
         assert got.shape == want.shape and got.dtype == np.float32
         return np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
-    for li, layer in enumerate(m.layers):
-        weights = [p.data for p in (layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo)]
+    for li in range(cfg.n_layers):
+        weights = layer_weights(m, li, "attn_gain", "wq", "wk", "wv", "wo")
         args = (cfg.n_heads[li], cfg.head_dim)
         saved_full, saved_row = {}, {}
         full = kernels.attn_block(x, *weights, *args, mask, saved=saved_full)
@@ -420,9 +457,9 @@ def test_kernels_bit_identical_to_plain_expressions(dtype, rows):
             assert a.dtype == w.dtype == dtype
             np.testing.assert_array_equal(a, w)
 
-    for li, layer in enumerate(m.layers):
-        attn_w = [p.data.astype(dtype) for p in
-                  (layer.attn_gain, layer.wq, layer.wk, layer.wv, layer.wo)]
+    for li in range(cfg.n_layers):
+        attn_w = [a.astype(dtype) for a in
+                  layer_weights(m, li, "attn_gain", "wq", "wk", "wv", "wo")]
         args = (cfg.n_heads[li], cfg.head_dim, mask)
         saved = {}
         out = kernels.attn_block(x, *attn_w, *args, saved=saved)
@@ -431,8 +468,8 @@ def test_kernels_bit_identical_to_plain_expressions(dtype, rows):
         same(kernels.attn_block_backward(dout_attn, x, *attn_w, *args, saved),
              ref_attn_block_backward(dout_attn, x, *attn_w, *args, ref_saved))
 
-        mlp_w = [p.data.astype(dtype) for p in
-                 (layer.mlp_gain, layer.wup, layer.wgate, layer.wdown)]
+        mlp_w = [a.astype(dtype) for a in
+                 layer_weights(m, li, "mlp_gain", "wup", "wgate", "wdown")]
         assert mlp_w[1].shape[1] == cfg.d_ff[li]
         saved = {}
         out = kernels.mlp_block(x, *mlp_w, saved=saved)
@@ -488,10 +525,9 @@ def test_attn_block_probabilities_are_keys_outermost(rows):
     if rows == "marker":
         mask = mask[-1:]
     t = mask.shape[0]
-    for li, layer in enumerate(m.layers):
+    for li in range(cfg.n_layers):
         saved = {}
-        kernels.attn_block(x, *(p.data for p in (layer.attn_gain, layer.wq, layer.wk,
-                                                 layer.wv, layer.wo)),
+        kernels.attn_block(x, *layer_weights(m, li, "attn_gain", "wq", "wk", "wv", "wo"),
                            cfg.n_heads[li], cfg.head_dim, mask, saved=saved)
         p = saved["p"]
         assert p.shape == (s, b, cfg.n_heads[li], t)
@@ -504,7 +540,7 @@ def test_forward_gradients_match_finite_differences():
     # 2 layers, 2 heads, the second layer pruned to 1 head; float64 end to end
     cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8)
     m32 = init_model(cfg, seed=2)
-    m = PolicyModel.from_params(cfg, {
+    m = PolicyModel(cfg, {
         name: Tensor(p.data.astype(np.float64), dtype=np.float64)
         for name, p in m32.named_params()})
     rng = np.random.default_rng(0)
@@ -564,7 +600,7 @@ def test_greedy_sampling_deterministic():
 def test_action_logprob_uniform_closed_form():
     cfg = tiny_config()
     m = init_model(cfg)
-    m.w_act.data[:] = 0.0  # uniform over the 6 actions
+    dict(m.named_params())["w_act"].data[:] = 0.0  # uniform over the 6 actions
     lps = logprobs(m, ctx_for(cfg))
     np.testing.assert_allclose(lps, np.log(1.0 / 6.0), atol=1e-6)
 
@@ -604,7 +640,7 @@ def test_value_is_differentiable_into_backbone():
     vh = init_value_head(cfg.d_model, seed=1)
     _, v = batch_logprob_value(m, vh, ctx_for(cfg))
     backward(dot(v, np.ones(v.shape)))
-    grad = m.layers[0].wq.grad
+    grad = dict(m.named_params())["layers.0.wq"].grad
     assert all(p.grad is not None for p in vh.params())
     assert grad is not None and np.abs(grad).sum() > 0
 

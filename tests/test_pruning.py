@@ -98,10 +98,10 @@ def test_taylor_zero_weight_group_scores_zero():
     m = tiny_model()
     groups = build_dependency_groups(m)
     g = next(g for g in groups if g.kind == KIND_MLP and g.layer == 1 and g.index == 2)
-    layer = m.layers[1]
-    layer.wup.data[:, 2] = 0
-    layer.wgate.data[:, 2] = 0
-    layer.wdown.data[2, :] = 0
+    params = dict(m.named_params())
+    params["layers.1.wup"].data[:, 2] = 0
+    params["layers.1.wgate"].data[:, 2] = 0
+    params["layers.1.wdown"].data[2, :] = 0
     obs, acts = calib_batch(32)
     table = taylor_importance(m, obs, acts)
     assert table.scores[g.key] == 0.0
@@ -400,15 +400,16 @@ def test_apply_zero_groups_exact_equivalence():
     victims = [g for g in groups if g.layer == 1 and
                ((g.kind == KIND_MLP and g.index in (1, 5)) or
                 (g.kind == KIND_ATTN and g.index == 0))]
-    layer = m.layers[1]
+    layer = {name.split(".")[-1]: p.data for name, p in m.named_params()
+             if name.startswith("layers.1.")}
     hd = m.config.head_dim
-    layer.wup.data[:, [1, 5]] = 0
-    layer.wgate.data[:, [1, 5]] = 0
-    layer.wdown.data[[1, 5], :] = 0
-    layer.wq.data[:, :hd] = 0
-    layer.wk.data[:, :hd] = 0
-    layer.wv.data[:, :hd] = 0
-    layer.wo.data[:hd, :] = 0
+    layer["wup"][:, [1, 5]] = 0
+    layer["wgate"][:, [1, 5]] = 0
+    layer["wdown"][[1, 5], :] = 0
+    layer["wq"][:, :hd] = 0
+    layer["wk"][:, :hd] = 0
+    layer["wv"][:, :hd] = 0
+    layer["wo"][:hd, :] = 0
     pruned = apply_prune(m, _plan_for(m, victims, exempt=(0, 2)))
     rng = np.random.default_rng(0)
     for _ in range(5):

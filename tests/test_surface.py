@@ -1,7 +1,8 @@
 """The package's surface holds nothing unused: every config field is read
 by the program, every public function and class has a user outside its
 own definition, and every defaulted parameter of a public function is
-passed by some call, in ``src/rlrc`` or in perfbench's program files.
+passed by some call, in ``src/rlrc`` or in perfbench's program files;
+a public class's ``__init__`` counts as a public function.
 No command line flag is a setting: settings live in the config alone."""
 
 import argparse
@@ -126,12 +127,19 @@ def test_every_defaulted_parameter_is_passed():
                 values.add(getattr(node, "id", getattr(node, "attr", None)))
     unpassed = []
     for own in sorted(SRC.glob("*.py")):
-        for fn in ast.parse(own.read_text()).body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") \
-                    or fn.name in values:
+        for node in ast.parse(own.read_text()).body:
+            # a class's calls pass its __init__ every argument but self
+            fn, skip = node, 0
+            if isinstance(node, ast.ClassDef):
+                fn, skip = next((f for f in node.body if isinstance(f, ast.FunctionDef)
+                                 and f.name == "__init__"), None), 1
+            if not isinstance(fn, ast.FunctionDef) or node.name.startswith("_") \
+                    or node.name in values:
                 continue
-            unpassed += [f"{own.stem}.{fn.name}({name})" for index, name in defaulted_params(fn)
-                         if not any(passes(c, index, name) for c in calls.get(fn.name, ()))]
+            unpassed += [f"{own.stem}.{node.name}({name})"
+                         for index, name in defaulted_params(fn)
+                         if not any(passes(c, None if index is None else index - skip, name)
+                                    for c in calls.get(node.name, ()))]
     assert sorted(set(unpassed) - set(UNPASSED_ALLOWED)) == []
     assert sorted(set(UNPASSED_ALLOWED) - set(unpassed)) == [], "stale exception"
 

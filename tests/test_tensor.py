@@ -341,8 +341,8 @@ def test_ppo_objective_through_the_shared_backbone_matches_finite_differences():
         return {name: T.Tensor(p.data.astype(np.float64), dtype=np.float64)
                 for name, p in named}
 
-    m = PolicyModel.from_params(cfg, float64(init_model(cfg, seed=2).named_params()))
-    vh = ValueHead(*float64(init_value_head(cfg.d_model, seed=4).named_params()).values())
+    m = PolicyModel(cfg, float64(init_model(cfg, seed=2).named_params()))
+    vh = ValueHead(float64(init_value_head(cfg.d_model, seed=4).named_params()))
     rng = np.random.default_rng(1)
     ctx = np.concatenate([rng.integers(0, 12, (8, 4)), np.full((8, 1), cfg.bos_action_id)], 1)
     with T.no_grad():
@@ -387,7 +387,7 @@ def test_adam_steps_equal_plain_formula(dtype):
     rng = np.random.default_rng(5)
     p = T.Tensor(rng.standard_normal((4, 3)), dtype=dtype)
     st_ = T.OptimizerState([p], lr=0.01)
-    lr, b1, b2, eps = st_.lr, st_.b1, st_.b2, st_.eps
+    lr, b1, b2, eps = st_.lr, T.ADAM_B1, T.ADAM_B2, T.ADAM_EPS
     w, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
     for t in range(1, 6):
         g = rng.standard_normal(w.shape).astype(dtype)
@@ -404,7 +404,7 @@ def test_adam_steps_equal_plain_formula(dtype):
 
 def test_adam_step_counter_and_grad_clear():
     p = T.Tensor([0.0])
-    st_ = T.OptimizerState([p])
+    st_ = T.OptimizerState([p], lr=0.1)
     for i in range(3):
         p.grad = np.ones(1, dtype=np.float32)
         T.adam_step(st_)
@@ -415,4 +415,4 @@ def test_adam_step_counter_and_grad_clear():
 def test_adam_missing_grad_rejected():
     p = T.Tensor([0.0])
     with pytest.raises(T.GradError):
-        T.adam_step(T.OptimizerState([p]))
+        T.adam_step(T.OptimizerState([p], lr=0.1))

@@ -52,7 +52,7 @@ def make_demos(tmpdir, n_per_task=2, tasks=4, seed=0):
 
 def test_sft_loss_uniform_closed_form(tmp_path):
     m = tiny_model()
-    m.w_act.data[:] = 0.0
+    dict(m.named_params())["w_act"].data[:] = 0.0
     demos = make_demos(tmp_path)
     obs, acts = demo_arrays(demos)
     loss = float(sft_loss(m, obs[:32], acts[:32]).data)
@@ -609,7 +609,7 @@ def test_train_ppo_zero_lr_keeps_params():
     m = tiny_model(seed=8)
     before = {n: p.data.copy() for n, p in m.named_params()}
     out, _, _ = train_ppo(m, None, suite["IND"][:4], micro_ppo_config(lr=0.0), ENV,
-                          eval_tasks_ind=suite["IND"][:2])
+                          eval_tasks_ind=suite["IND"][:2], eval_tasks_ood=[])
     for n, p in out.named_params():
         np.testing.assert_array_equal(p.data, before[n], err_msg=n)
 
@@ -621,7 +621,7 @@ def test_train_ppo_early_stops_after_patience_evals():
         cfg = micro_ppo_config(lr=0.0, total_env_steps=80, eval_interval_steps=16,
                                early_stop_patience=patience)
         _, _, rows = train_ppo(tiny_model(seed=8), None, suite["IND"][:4], cfg, ENV,
-                               eval_tasks_ind=suite["IND"][:1])
+                               eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=[])
         assert [r["step"] for r in rows if r["phase"] == "ppo"] == evals
 
 
@@ -638,7 +638,7 @@ def test_training_rows_record_the_chunk_rows_used(tmp_path, monkeypatch):
     _, sft_rows = train_sft(m, make_demos(tmp_path), SftConfig(
         max_steps=2, eval_interval=2, eval_episodes=1, batch_size=8), ENV, suite["IND"][:1])
     _, _, ppo_rows = train_ppo(m, None, suite["IND"][:4], micro_ppo_config(), ENV,
-                               eval_tasks_ind=suite["IND"][:1])
+                               eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=[])
     rows = model_chunk_rows(m)
     assert used and set(used) == {rows}
     evals = [r for r in sft_rows + ppo_rows if r["phase"] in ("sft", "ppo")]
@@ -650,7 +650,8 @@ def test_training_rows_record_the_chunk_rows_used(tmp_path, monkeypatch):
 def test_train_ppo_refuses_ood_tasks():
     suite = make_task_suite(0)
     with pytest.raises(TrainingError):
-        train_ppo(tiny_model(), None, suite["OOD"][:1], micro_ppo_config(), ENV)
+        train_ppo(tiny_model(), None, suite["OOD"][:1], micro_ppo_config(), ENV,
+                  suite["IND"][:1], suite["OOD"][:1])
 
 
 def test_train_ppo_refuses_no_ind_eval_tasks(monkeypatch):
@@ -673,7 +674,7 @@ def test_train_ppo_deterministic():
         m = tiny_model(seed=9)
         out, _, rows = train_ppo(m, None, suite["IND"][:4],
                                  micro_ppo_config(total_env_steps=32, lr=1e-3), ENV,
-                                 eval_tasks_ind=suite["IND"][:2])
+                                 eval_tasks_ind=suite["IND"][:2], eval_tasks_ood=[])
         outs.append(np.concatenate([p.data.reshape(-1) for p in out.params()]))
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -715,7 +716,7 @@ def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
     suite = make_task_suite(0)
     cfg = micro_ppo_config(lr=1e-3, total_env_steps=48, eval_interval_steps=16)
     out, out_vh, rows = train_ppo(m, vh, suite["IND"][:4], cfg, ENV,
-                                  eval_tasks_ind=suite["IND"][:1])
+                                  eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=[])
     assert len(seen) == 3
     # the last row names the chosen evaluation, not the last one
     assert [r["ind_sr"] for r in rows if r["phase"] == "ppo"] == [1.0, 0.5, 1.0 / 3]
