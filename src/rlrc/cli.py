@@ -12,11 +12,12 @@ A run is its config: every command echoes the fully resolved config into
 the output directory as ``resolved_config.json`` and takes every setting
 from it.  No flag overrides a setting: the flags name input paths,
 modes and sweep's own axes, and ``--seed`` and ``--output-dir`` are
-applied before the echo.  The task split (one for every seed) and the
-demonstrations are built by each command that needs them and rewritten
-to ``suite.json`` and ``demos.jsonl`` as records, never read back.  The
-training stages write a JSONL metrics log, ``metrics_<stem>.jsonl`` after
-their checkpoint's stem.
+written into the config's JSON before it is resolved and echoed.  The
+task split (one for every seed) and the demonstrations are built by each
+command that needs them and rewritten to ``suite.json`` and
+``demos.jsonl`` as records, never read back.  The training stages write
+a JSONL metrics log, ``metrics_<stem>.jsonl`` after their checkpoint's
+stem.
 
 RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
 inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
@@ -47,13 +48,20 @@ def _setup_threads():
 
 
 def _load_config(args):
+    """Resolve the ``--config`` JSON (or ``{}``) once, with ``--seed`` and
+    ``--output-dir`` written into it as if the file held them: stage seeds
+    the file leaves unset follow the master seed, and pinned ones stay."""
     from .config import PipelineConfig
 
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig.default()
-    if args.seed is not None:
-        cfg = cfg.override_seed(args.seed)
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
+    raw = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as f:
+            raw = json.load(f)
+    if isinstance(raw, dict):  # from_dict names any other root
+        for key, value in (("seed", args.seed), ("output_dir", args.output_dir)):
+            if value is not None:
+                raw[key] = value
+    cfg = PipelineConfig.from_dict(raw)
     os.makedirs(cfg.output_dir, exist_ok=True)
     cfg.write_resolved(os.path.join(cfg.output_dir, "resolved_config.json"))
     return cfg

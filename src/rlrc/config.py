@@ -150,15 +150,6 @@ class PipelineConfig:
             kw[name] = _build(section_cls, data, name)
         return cls(**kw)
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
-
-    @classmethod
-    def default(cls, seed=0):
-        return cls.from_dict({"seed": seed})
-
     def __post_init__(self):
         env, model, exempt = self.env, self.model, self.prune.exempt_layers
         for bad, msg in (
@@ -175,19 +166,6 @@ class PipelineConfig:
         ):
             if bad:
                 raise ConfigError(f"sections disagree: {msg}")
-
-    def override_seed(self, seed):
-        """Re-resolve with a new master seed (CLI --seed).
-
-        A stage seed equal to the old master seed followed it, and follows
-        the new one; any other stage seed was set explicitly and is kept.
-        """
-        raw = self.to_dict()
-        for name in self._SEEDED:
-            if raw[name]["seed"] == self.seed:
-                raw[name]["seed"] = None
-        raw["seed"] = seed
-        return PipelineConfig.from_dict(raw)
 
     def to_dict(self):
         return dataclasses.asdict(self)

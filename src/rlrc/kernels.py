@@ -274,7 +274,8 @@ def value_mlp_backward(g, x, w1, b1, w2, b2, saved):
     """Gradients (dx, dw1, db1, dw2, db2) of `value_mlp`."""
     h, sig, s = saved["h"], saved["sig"], saved["s"]
     g2 = g.reshape(-1, 1)
-    dh = (g2 @ w2.T) * (sig * (1.0 + h * (1.0 - sig)))
+    # np.dot, not @, for the inner dimension of 1 (see mlp_block)
+    dh = np.dot(g2, w2.T) * (sig * (1.0 + h * (1.0 - sig)))
     dx = (dh @ w1.T).reshape(x.shape)
     return dx, x.reshape(-1, x.shape[-1]).T @ dh, dh.sum(axis=0), s.T @ g2, g2.sum(axis=0)
 

@@ -162,20 +162,16 @@ def test_stage_parents_required_not_guessed(tmp_path, capsys):
         assert f.read() == warm_log
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"seeed": 3}))
+def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
-        PipelineConfig.from_file(path)
-    path.write_text(json.dumps({"sft": {"max_stepz": 1}}))
+        PipelineConfig.from_dict({"seeed": 3})
     with pytest.raises(ConfigError, match="unknown key"):
-        PipelineConfig.from_file(path)
+        PipelineConfig.from_dict({"sft": {"max_stepz": 1}})
     # a section that is not an object is named, not read as pairs or a string
     for raw in ({"model": [["d_model", 64]]}, {"model": 5}, {"model": "ab"}, {"sft": None}):
         section = next(iter(raw))
-        path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=f"section {section} must be an object"):
-            PipelineConfig.from_file(path)
+            PipelineConfig.from_dict(raw)
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -256,6 +252,31 @@ def test_seed_override_keeps_explicit_stage_seeds(tmp_path):
         assert resolved[name]["seed"] == 3, name
 
 
+def test_seed_flag_keeps_a_stage_seed_pinned_to_the_files_master_seed(tmp_path):
+    # --seed acts as the same seed written in the file: a stage seed the
+    # file pins stays, even when it equals the file's master seed
+    cfg_path, out = micro_config(tmp_path, seed=3, prune={"ratio": 0.3, "seed": 3},
+                                 sft={"max_steps": 40, "seed": 11})
+    assert run(["--config", cfg_path, "--seed", "5", "gen-demos"]) == 0
+    with open(os.path.join(out, "resolved_config.json")) as f:
+        resolved = json.load(f)
+    assert resolved["seed"] == 5
+    assert resolved["prune"]["seed"] == 3
+    assert resolved["sft"]["seed"] == 11
+    for name in ("model", "demos", "ppo"):
+        assert resolved[name]["seed"] == 5, name
+
+
+@pytest.mark.parametrize("root", [[1, 2], 7])
+def test_flags_on_a_config_root_that_is_not_an_object(tmp_path, capsys, root):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(root))
+    assert run(["--config", str(path), "--seed", "5", "--output-dir",
+                str(tmp_path / "run"), "gen-demos"]) == 1
+    assert "error: config root must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_task_split_is_the_same_for_every_seed(tmp_path, monkeypatch):
     # each seed of a multi-seed table trains and evaluates on one split,
     # which gen-demos builds once
@@ -324,7 +345,8 @@ def test_sweep_report(tmp_path, monkeypatch):
     for r in (0.0, 0.3, 0.5):
         assert by[(r, "4")]["total_bytes"] < by[(r, "none")]["total_bytes"]
     # the shared table prunes each ratio as a table scored afresh would
-    cfg = PipelineConfig.from_file(cfg_path)
+    with open(cfg_path) as f:
+        cfg = PipelineConfig.from_dict(json.load(f))
     dense = load_checkpoint(os.path.join(out, "dense.ckpt")).model
     demos = cli._demos(cfg, cli._suite(cfg))
     for r in (0.3, 0.5):

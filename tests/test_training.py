@@ -773,7 +773,7 @@ def test_trainers_never_select_on_the_reported_episodes(tmp_path, monkeypatch):
     train_ppo(model, None, suite["IND"][:2], micro_ppo_config(), ENV,
               eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=suite["OOD"][:1])
     assert len(seeds) == 4 and set(seeds) == {training.SELECTION_SEED}
-    assert PipelineConfig.default().eval.seed not in seeds
+    assert PipelineConfig.from_dict({}).eval.seed not in seeds
     # a report at the selection seed would read the episodes that chose the weights
     with pytest.raises(ConfigError, match=re.escape(
             f"bad values in section eval: seed must differ from the trainers' selection "
