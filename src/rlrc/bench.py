@@ -4,8 +4,9 @@ Every row times greedy action decodes at two fixed batch sizes, each
 with 10 untimed warm-up decodes and then 50 timed ones.  Latency is the
 median wall time of one decode at batch 1; throughput is decodes per
 second at batch 16.  Throughput here always means greedy env-action
-decodes per second.  Memory numbers come from quant.memory_bytes and
-reconcile exactly with serialized checkpoints.
+decodes per second.  Memory numbers come from quant.memory_bytes:
+``total_bytes`` is exactly the payload of the variant's checkpoint,
+which holds the policy alone.
 """
 
 import csv

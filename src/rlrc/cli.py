@@ -130,7 +130,7 @@ def _train(cfg, loaded, log_path):
     demos = _demos(cfg, suite)
     model = init_model(cfg.model) if loaded is None else loaded.model
     model, rows = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"], log_path=log_path)
-    return model, None, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
+    return model, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
 
 
 def _prune(cfg, model, demos, ratio, table=None):
@@ -158,7 +158,7 @@ def _prune_stage(cfg, loaded, log_path):
     _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg, _suite(cfg)), cfg.prune.ratio)
     with open(_p(cfg, "prune_plan.json"), "w", encoding="utf-8") as f:
         f.write(plan.to_json())
-    return pruned, None, {"ratio": plan.achieved_ratio}, (
+    return pruned, {"ratio": plan.achieved_ratio}, (
         f"achieved ratio {plan.achieved_ratio:.4f}, "
         f"{plan.removed_params}/{plan.prunable_params} prunable params removed")
 
@@ -167,31 +167,32 @@ def _rl(cfg, loaded, log_path):
     from .training import train_ppo
 
     suite = _suite(cfg)
-    # without a value head in the checkpoint, train_ppo initialises one
-    model, vhead, rows = train_ppo(
-        loaded.model, loaded.value_head, suite["IND"], cfg.ppo, cfg.env,
+    # a checkpoint holds no critic: train_ppo starts a fresh one
+    model, _, rows = train_ppo(
+        loaded.model, None, suite["IND"], cfg.ppo, cfg.env,
         eval_tasks_ind=suite["IND"], eval_tasks_ood=suite["OOD"], log_path=log_path)
     best = rows[-1]
-    return model, vhead, {}, f"best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f}"
+    return model, {}, f"best IND SR {best['ind_sr']:.3f}, OOD SR {best['ood_sr']:.3f}"
 
 
 def _quantize(cfg, loaded, log_path):
     from .quant import quantize_model
 
     bits = cfg.quant.bits
-    return (quantize_model(loaded.model, bits, cfg.quant.block_size), None, {"bits": bits},
-            f"{bits}-bit")
+    return quantize_model(loaded.model, bits, cfg.quant.block_size), {}, f"{bits}-bit"
 
 
 class Stage(NamedTuple):
     """One step of the recipe.  ``rlrc <command>`` loads the checkpoint of
     ``parent`` (none for the first step), calls ``body(cfg, loaded,
-    log_path)`` on it for (model, value head or None, extra meta, summary)
-    and writes ``<stage>.ckpt``.  Every setting a body uses comes from
-    ``cfg``, the echoed config; a training body logs its metric rows to
-    ``log_path``, ``metrics_<stem>.jsonl``.  A step with a ``cold_parent``
-    also takes ``--cold-start``: it then reads that stage instead, writes
-    ``<stage>_cold.ckpt`` and logs to ``metrics_<stage>_cold.jsonl``."""
+    log_path)`` on it for (model, extra meta, summary) and writes
+    ``<stage>.ckpt``, which holds that model alone: its payload is exactly
+    ``quant.memory_bytes(model)["total_bytes"]``.  Every setting a body
+    uses comes from ``cfg``, the echoed config; a training body logs its
+    metric rows to ``log_path``, ``metrics_<stem>.jsonl``.  A step with a
+    ``cold_parent`` also takes ``--cold-start``: it then reads that stage
+    instead, writes ``<stage>_cold.ckpt`` and logs to
+    ``metrics_<stage>_cold.jsonl``."""
     command: str
     stage: str
     parent: str
@@ -225,9 +226,9 @@ def _run_stage(row, cfg, args):
         loaded, meta["parent"] = _load_ckpt_for(cfg, command, parent, args.input)
     if row.cold_parent:
         meta["cold_start"] = cold
-    model, value_head, extra, summary = row.body(cfg, loaded, _p(cfg, f"metrics_{stem}.jsonl"))
+    model, extra, summary = row.body(cfg, loaded, _p(cfg, f"metrics_{stem}.jsonl"))
     path = _p(cfg, f"{stem}.ckpt")
-    save_checkpoint(model, path, value_head=value_head, meta={**meta, **extra})
+    save_checkpoint(model, path, meta={**meta, **extra})
     print(f"{row.stage} checkpoint: {path} ({summary})")
 
 
@@ -308,7 +309,7 @@ def cmd_pipeline(cfg, args):
 
 def cmd_sweep(cfg, args):
     from .bench import report_header, write_report
-    from .checkpoint import load_checkpoint, save_checkpoint
+    from .checkpoint import save_checkpoint
     from .quant import quantize_model
     from .training import train_sft
 
@@ -321,10 +322,10 @@ def cmd_sweep(cfg, args):
             raise CliError(f"quant modes are none|4|8, got {q!r}")
     suite = _suite(cfg)
     demos = _demos(cfg, suite)
-    dense_path = _p(cfg, "dense.ckpt")
-    if not os.path.exists(dense_path):
+    if not os.path.exists(_p(cfg, "dense.ckpt")):
         _run_stage(STAGES[0], cfg, args)
-    dense = load_checkpoint(dense_path).model
+    loaded, dense_path = _load_ckpt_for(cfg, "sweep", "dense", None)
+    dense = loaded.model
     table = None  # every ratio prunes the same dense model: score it once
     rows = []
     for ratio in ratios:
@@ -335,7 +336,7 @@ def cmd_sweep(cfg, args):
             model, _ = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"])
         save_checkpoint(model, _p(cfg, f"sweep_r{ratio:g}.ckpt"),
                         meta={"stage": "sft" if ratio else "dense", "seed": cfg.seed,
-                              "ratio": ratio})
+                              "parent": dense_path, "ratio": ratio})
         for q in quants:
             variant = model if q == "none" else quantize_model(model, int(q),
                                                                cfg.quant.block_size)

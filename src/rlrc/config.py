@@ -75,15 +75,18 @@ class EvalSection:
 
 
 def _check_types(cls, data):
-    """An ``int`` field holds an int, not a bool or float; a ``float`` field
-    a finite int or float, not a bool; a ``str`` field a string; a ``list``
-    field a list of ints, or null where that is its default."""
+    """An ``int`` field holds an int, not a bool or float, and a ``seed``
+    one >= 0; a ``float`` field a finite int or float, not a bool; a
+    ``str`` field a string; a ``list`` field a list of ints, or null where
+    that is its default."""
     for f in dataclasses.fields(cls):
         if f.name not in data:
             continue
         value = data[f.name]
         if f.type is int:
             _require(type(value) is int, f"{f.name} must be an int", value)
+            if f.name == "seed":
+                _require(value >= 0, "seed must be >= 0", value)
         elif f.type is float:
             _require(type(value) in (int, float) and math.isfinite(value),
                      f"{f.name} must be a finite number", value)

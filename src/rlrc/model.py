@@ -41,7 +41,7 @@ row count: `chunk_rows` gives the rows that fit one budget at the model's
 widths, so a dense model's chunks hold half the rows of a 90%-pruned one's.
 """
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -98,13 +98,6 @@ class ModelConfig:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown ModelConfig key(s) {sorted(unknown)}")
-        return cls(**d)
-
 
 # the parameters of one decoder layer, in `named_params` order
 LAYER_PARAMS = ("wq", "wk", "wv", "wo", "attn_gain", "wup", "wgate", "wdown", "mlp_gain")
@@ -125,7 +118,7 @@ class PolicyModel:
     `param_shapes`' names, in that order."""
 
     def __init__(self, config, params):
-        self.config = ModelConfig.from_dict(config.to_dict())
+        self.config = ModelConfig(**config.to_dict())
         self._params = _checked(params, param_shapes(self.config))
 
     def named_params(self):

@@ -237,7 +237,7 @@ def apply_prune(model, plan):
     exempt = set(plan.exempt_layers)
     groups = {g.key: g for g in plan.groups}.values()  # a repeated group counts once
     deleted = {}  # (name, axis) -> indices the members delete
-    new_cfg = ModelConfig.from_dict(model.config.to_dict())
+    new_cfg = ModelConfig(**model.config.to_dict())
     for g in groups:
         if g.layer in exempt:
             raise PruningError(f"plan contains exempt-layer group {g.key}")

@@ -237,8 +237,8 @@ def memory_bytes(m):
 
     4 bytes per float32 parameter; a quantized matrix counts its packed
     code bytes, plus 4 bytes per block scale under ``scales_bytes``.
-    ``total_bytes`` is the size of a checkpoint's payload, the bytes after
-    its header.
+    ``total_bytes`` is exactly the size of the model's checkpoint payload,
+    the bytes after its header: a checkpoint holds the policy alone.
     """
     w = s = 0
     for _, p in m.named_params():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -11,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from rlrc import checkpoint, model as model_module
 from rlrc.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from rlrc.model import (ModelConfig, PolicyModel, fast_logits_last, forward, init_model,
-                        init_value_head)
-from rlrc.quant import QuantizedModel, QuantizedTensor, quantize_model
+from rlrc.model import ModelConfig, PolicyModel, fast_logits_last, forward, init_model
+from rlrc.quant import QuantizedModel, QuantizedTensor, memory_bytes, quantize_model
 from rlrc.tensor import Tensor
 
 
@@ -62,35 +62,6 @@ def test_pruned_widths_restored(tmp_path):
     assert dict(loaded.model.named_params())["layers.1.wup"].data.shape == (16, 7)
 
 
-def test_value_head_roundtrip(tmp_path):
-    m = tiny_model()
-    vh = init_value_head(m.config.d_model, seed=3)
-    path = tmp_path / "v.ckpt"
-    save_checkpoint(m, path, value_head=vh, meta={"stage": "rl"})
-    loaded = load_checkpoint(path)
-    assert loaded.value_head is not None
-    for (n, a), (_, b) in zip(vh.named_params(), loaded.value_head.named_params()):
-        np.testing.assert_array_equal(a.data, b.data, err_msg=n)
-
-
-@pytest.mark.parametrize("bits", [None, 4])
-def test_value_head_and_model_load_disjoint_tensors(tmp_path, bits):
-    # the head takes the value_head.* tensors and the model the rest; each
-    # constructor refuses a name that is not its own
-    m = tiny_model(seed=4)
-    if bits:
-        m = quantize_model(m, bits, 16)
-    save_checkpoint(m, tmp_path / "v.ckpt", value_head=init_value_head(m.config.d_model))
-    loaded = load_checkpoint(tmp_path / "v.ckpt")
-    model_names = [n for n, _ in loaded.model.named_params()]
-    head_names = [n for n, _ in loaded.value_head.named_params()]
-    assert model_names == list(model_module.param_shapes(m.config))
-    assert head_names == list(model_module.value_head_shapes(m.config.d_model))
-    assert isinstance(loaded.model, QuantizedModel) == bool(bits)
-    held = {id(p) for p in loaded.model.params()}
-    assert not held & {id(p) for p in loaded.value_head.params()}
-
-
 @pytest.mark.parametrize("bits", [4, 8])
 def test_quantized_roundtrip(tmp_path, bits):
     m = tiny_model(seed=2)
@@ -111,21 +82,17 @@ def test_quantized_roundtrip(tmp_path, bits):
 
 def test_load_builds_no_random_model(tmp_path, monkeypatch):
     m = tiny_model(seed=4, n_heads=[2, 1], d_ff=[24, 5])
-    vh = init_value_head(m.config.d_model, seed=5)
     dense, quant = tmp_path / "d.ckpt", tmp_path / "q.ckpt"
-    save_checkpoint(m, dense, value_head=vh)
+    save_checkpoint(m, dense)
     save_checkpoint(quantize_model(m, 4, 16), quant)
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint initialised a model")
 
-    for name in ("init_model", "init_value_head"):
-        monkeypatch.setattr(model_module, name, refuse)
-        monkeypatch.setattr(checkpoint, name, refuse, raising=False)
+    monkeypatch.setattr(model_module, "init_model", refuse)
+    monkeypatch.setattr(checkpoint, "init_model", refuse, raising=False)
     loaded = load_checkpoint(dense)
     for (name, a), (_, b) in zip(m.named_params(), loaded.model.named_params()):
-        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
-    for (name, a), (_, b) in zip(vh.named_params(), loaded.value_head.named_params()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     assert isinstance(load_checkpoint(quant).model, QuantizedModel)
 
@@ -156,15 +123,16 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_version_mismatch_rejected(tmp_path):
-    # version 1 wrote a record per tensor; 99 was never written
+    # version 1 wrote a record per tensor, version 2 a value head after the
+    # model's arrays; 99 was never written
     m = tiny_model()
     path = tmp_path / "m.ckpt"
-    for version in (1, 99):
+    for version in (1, 2, 99):
         save_checkpoint(m, path)
         raw = bytearray(path.read_bytes())
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=f"version {version} "):
+        with pytest.raises(CheckpointError, match=f"version {version} in .*m.ckpt"):
             load_checkpoint(path)
 
 
@@ -218,12 +186,45 @@ def test_corrupt_header_rejected(tmp_path):
     for key in ("n_experts", "instruction_vocab"):
         save_checkpoint(m, path)
         rewrite_header(path, lambda h: h["config"].update({key: 2}))
-        with pytest.raises(CheckpointError, match=f"unknown ModelConfig key.*'{key}'"):
+        with pytest.raises(CheckpointError, match=f"unknown key.*'{key}'"):
             load_checkpoint(path)
     # a config no model has, whose position table would have a negative size
     save_checkpoint(m, path)
     rewrite_header(path, lambda h: h["config"].update(max_seq_len=-1))
-    with pytest.raises(CheckpointError, match="corrupt checkpoint header: .*max_seq_len=-1"):
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header in .*m.ckpt.*: "
+                                              ".*max_seq_len=-1"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda h: h.pop("meta"), re.escape("header keys ['config', 'quant', 'tensors']")),
+    (lambda h: h.update(meta=[1]), re.escape("meta must be an object, got [1]")),
+    (lambda h: h.update(has_value_head=False), "header keys .*'has_value_head'"),
+    (lambda h: h.update(tensors="tok_emb"), "tensors must be a list"),
+], ids=["no-meta", "list-meta", "value-head-flag", "string-tensors"])
+def test_header_keys_and_meta_checked(tmp_path, edit, what):
+    # the header holds exactly its four keys, and meta is an object: the
+    # loader fails on the header, naming the file, before reading an array
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path, meta={"stage": "dense"})
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint header in .*m.ckpt.*: {what}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("d_model", 16.0, "d_model must be an int, got 16.0"),
+    ("n_heads", [2.0, 2], "n_heads must be a list of ints, got [2.0, 2]"),
+    ("seed", 1.5, "seed must be an int, got 1.5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("d_ff", None, "d_ff must be a list of ints, got None"),
+])
+def test_header_config_read_by_the_config_rules(tmp_path, field, value, what):
+    # the header's config is checked as a run's model section is
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    rewrite_header(path, lambda h: h["config"].update({field: value}))
+    with pytest.raises(CheckpointError, match=re.escape(f"bad values in section model: {what}")):
         load_checkpoint(path)
 
 
@@ -250,37 +251,28 @@ def test_save_is_atomic(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
-def test_load_rejects_unknown_tensor(tmp_path):
+def _swap(names, i, j):
+    names[i], names[j] = names[j], names[i]
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda names: names.insert(3, "layers.9.wq"),
+     "tensor 3 is 'layers.9.wq', its config lays out 'layers.0.wk'"),
+    (lambda names: names.remove("layers.1.wk"),
+     "tensor 12 is 'layers.1.wv', its config lays out 'layers.1.wk'"),
+    # a repeated name would replace the first and leave no tensor over
+    (lambda names: names.append("tok_emb"), "tensor 22 is 'tok_emb', its config lays out None"),
+    (lambda names: _swap(names, 1, 2), "tensor 1 is 'layers.0.wq', its config lays out 'pos_emb'"),
+], ids=["unknown", "missing", "repeated", "reordered"])
+def test_load_rejects_a_tensor_list_its_config_does_not_lay_out(tmp_path, edit, want):
+    # one rule: the header's names equal param_shapes' in order, and the
+    # error names the first position that differs
     for m in (tiny_model(), quantize_model(tiny_model(), 4, 16)):
         save_checkpoint(m, tmp_path / "x.ckpt")
-        rewrite_header(tmp_path / "x.ckpt", lambda h: h["tensors"].insert(3, "layers.9.wq"))
-        with pytest.raises(CheckpointError, match="unexpected tensor layers.9.wq"):
+        rewrite_header(tmp_path / "x.ckpt", lambda h: edit(h["tensors"]))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint header in .*x.ckpt.*: "
+                                                  + re.escape(want)):
             load_checkpoint(tmp_path / "x.ckpt")
-
-
-def test_load_rejects_missing_tensor(tmp_path, monkeypatch):
-    for m in (tiny_model(), quantize_model(tiny_model(), 4, 16)):
-        full = type(m).named_params
-        monkeypatch.setattr(type(m), "named_params",
-                            lambda self: (e for e in full(self) if e[0] != "layers.1.wk"))
-        save_checkpoint(m, tmp_path / "x.ckpt")
-        monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="missing tensor layers.1.wk"):
-            load_checkpoint(tmp_path / "x.ckpt")
-
-
-def test_load_rejects_repeated_tensor(tmp_path, monkeypatch):
-    # a second entry of one name would replace the first and still leave
-    # no tensor over, so it is rejected by name
-    m = tiny_model()
-    full = type(m).named_params
-    altered = Tensor(dict(m.named_params())["tok_emb"].data + 1.0)
-    monkeypatch.setattr(type(m), "named_params",
-                        lambda self: iter([*full(self), ("tok_emb", altered)]))
-    save_checkpoint(m, tmp_path / "x.ckpt")
-    monkeypatch.undo()
-    with pytest.raises(CheckpointError, match="repeats tensor tok_emb"):
-        load_checkpoint(tmp_path / "x.ckpt")
 
 
 def test_load_rejects_mismatched_quantized_tensor(tmp_path):
@@ -306,7 +298,8 @@ def test_load_rejects_unknown_bits(tmp_path):
                         ({"bits": 4, "block_size": 0}, "block_size must be >= 1, got 0"),
                         ({"bits": 4, "block_size": 16.0}, "block_size 16.0 is not an int")):
         rewrite_header(tmp_path / "q.ckpt", lambda h: h.update(quant=quant))
-        with pytest.raises(CheckpointError, match=f"corrupt checkpoint header: .*{what}"):
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint header in .*q.ckpt.*: "
+                                                  f".*{what}"):
             load_checkpoint(tmp_path / "q.ckpt")
 
 
@@ -340,7 +333,7 @@ def _params(model):
 @st.composite
 def saved_models(draw):
     """A small model of random pruned widths, dense or quantized at a
-    random block size, with or without a value head."""
+    random block size."""
     heads_base = draw(st.integers(1, 3))
     n_layers = draw(st.integers(1, 3))
     layer_ints = lambda hi: st.lists(st.integers(1, hi), min_size=n_layers, max_size=n_layers)
@@ -353,17 +346,15 @@ def saved_models(draw):
     bits = draw(st.sampled_from([None, 4, 8]))
     if bits:
         model = quantize_model(model, bits, draw(st.integers(1, 40)))
-    value_head = init_value_head(cfg.d_model, seed=1) if draw(st.booleans()) else None
-    return model, value_head
+    return model
 
 
 @settings(max_examples=50, deadline=None)
 @given(saved_models(), st.data())
-def test_roundtrip_and_damage_property(saved, data):
-    model, value_head = saved
+def test_roundtrip_and_damage_property(model, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.ckpt")
-        save_checkpoint(model, path, value_head=value_head, meta={"k": 1})
+        save_checkpoint(model, path, meta={"k": 1})
         loaded = load_checkpoint(path)
         assert type(loaded.model) is type(model)
         assert loaded.model.config == model.config and loaded.meta == {"k": 1}
@@ -371,13 +362,12 @@ def test_roundtrip_and_damage_property(saved, data):
             assert fa == fb, name
             for x, y in zip(a, b, strict=True):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-        assert (loaded.value_head is None) == (value_head is None)
-        if value_head is not None:
-            for p, q in zip(value_head.params(), loaded.value_head.params(), strict=True):
-                assert p.data.tobytes() == q.data.tobytes()
 
         with open(path, "rb") as f:
             raw = f.read()
+        # the payload is the model's arrays alone
+        assert len(raw) - 12 - struct.unpack("<I", raw[8:12])[0] == \
+            memory_bytes(model)["total_bytes"]
         cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
         extra = data.draw(st.binary(min_size=1, max_size=64), label="extra")
         for damaged in (raw[:cut], raw + extra):

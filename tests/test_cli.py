@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,8 @@ from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
 from rlrc.env import EnvConfig, TaskSpec, make_task_suite
 from rlrc.model import ModelConfig, init_model
+from rlrc.quant import memory_bytes
+from test_quant import weight_payload_bytes
 
 
 def micro_config(tmp_path, **over):
@@ -69,9 +72,12 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
         assert json.load(f)["checkpoints"] == {s: f"{s}.ckpt" for s in chain}
     parent = None
     for stage in chain:
-        meta = load_checkpoint(os.path.join(out, f"{stage}.ckpt")).meta
-        assert meta["stage"] == stage
-        assert meta.get("parent") == (parent and os.path.join(out, f"{parent}.ckpt"))
+        loaded = load_checkpoint(os.path.join(out, f"{stage}.ckpt"))
+        assert loaded.meta["stage"] == stage
+        assert loaded.meta.get("parent") == (parent and os.path.join(out, f"{parent}.ckpt"))
+        # a checkpoint holds the policy alone: its payload is the model's bytes
+        assert weight_payload_bytes(tmp_path / "run" / f"{stage}.ckpt") == \
+            memory_bytes(loaded.model)["total_bytes"], stage
         parent = stage
     with open(os.path.join(out, "bench_report.json")) as f:
         assert [r["variant"] for r in json.load(f)["rows"]] == chain
@@ -202,6 +208,7 @@ def test_unknown_config_key_rejected():
     ("sft", "lr", float("nan")),
     ("ppo", "clip_eps", float("nan")),
     ("ppo", "value_coef", float("inf")),
+    *((section, "seed", -3) for section in ("model", "demos", "prune", "sft", "ppo", "eval")),
 ])
 def test_section_values_checked_at_load(section, field, value):
     # rejected when the config loads, before any stage has run
@@ -210,11 +217,20 @@ def test_section_values_checked_at_load(section, field, value):
         PipelineConfig.from_dict({section: {field: value}})
 
 
-@pytest.mark.parametrize("field, value", [("seed", 2.5), ("seed", True), ("output_dir", 5)])
+@pytest.mark.parametrize("field, value", [("seed", 2.5), ("seed", True), ("seed", -1),
+                                          ("output_dir", 5)])
 def test_root_values_checked_at_load(field, value):
     with pytest.raises(ConfigError, match=re.escape(f"bad values in section root: {field} ")
                        + ".*" + re.escape(f"got {value}")):
         PipelineConfig.from_dict({field: value})
+
+
+def test_negative_seed_flag_rejected_before_the_echo(tmp_path, capsys):
+    # numpy would refuse it only once a stage draws from it, naming no field
+    cfg_path, out = micro_config(tmp_path)
+    assert run(["--config", cfg_path, "--seed", "-1", "gen-demos"]) == 1
+    assert "bad values in section root: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_grid_too_small_for_its_entities_named_at_load():
@@ -355,8 +371,26 @@ def test_sweep_report(tmp_path, monkeypatch):
         assert (swept.config.n_heads, swept.config.d_ff) == \
             (fresh.config.n_heads, fresh.config.d_ff)
         assert by[(r, "none")]["total_params"] == fresh.num_params()
+    # every ratio records the dense checkpoint it was cut from
+    for r in (0.0, 0.3, 0.5):
+        meta = load_checkpoint(os.path.join(out, f"sweep_r{r:g}.ckpt")).meta
+        assert meta["parent"] == os.path.join(out, "dense.ckpt"), r
     # throughput columns present for the crossover inspection
     assert all("throughput_sps" in r for r in report["rows"])
+
+
+def test_sweep_checks_its_parent_stage(tmp_path, capsys):
+    # sweep prunes the dense model: a pruned one in dense.ckpt's place is
+    # refused as every stage command refuses it
+    cfg_path, out = micro_config(tmp_path)
+    for cmd in (["gen-demos"], ["train-dense"], ["prune"]):
+        assert run(["--config", cfg_path] + cmd) == 0, cmd
+    shutil.copy(os.path.join(out, "pruned.ckpt"), os.path.join(out, "dense.ckpt"))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "sweep", "--ratios", "0,0.5", "--quant", "none"]) == 1
+    err = capsys.readouterr().err
+    assert "stage-order violation: sweep expects a checkpoint from dense, got 'pruned'" in err
+    assert not os.path.exists(os.path.join(out, "sweep_r0.ckpt"))
 
 
 def test_bench_report_csv_columns(tmp_path):

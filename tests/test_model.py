@@ -167,8 +167,6 @@ def test_invalid_dims_rejected():
         ModelConfig(d_model=0)
     with pytest.raises(ValueError):
         ModelConfig(d_model=10, n_heads_base=4)
-    with pytest.raises(ValueError, match="unknown ModelConfig key.*'n_experts'"):
-        ModelConfig.from_dict({**ModelConfig().to_dict(), "n_experts": 2})
 
 
 def test_forward_shapes():
