@@ -149,7 +149,8 @@ def _prune(cfg, model, demos, ratio, table=None):
         rng = np.random.default_rng(cfg.prune.seed)
         idx = rng.choice(obs.shape[0], size=min(cfg.prune.calib_batch, obs.shape[0]),
                          replace=False)
-        table = taylor_importance(model, obs[idx], acts[idx], seed=cfg.prune.seed)
+        table = taylor_importance(model, obs[idx], acts[idx], seed=cfg.prune.seed,
+                                  exempt_layers=cfg.prune.exempt_layers)
     plan = select_prune_groups(model, table, ratio, cfg.prune.exempt_layers)
     return table, plan, apply_prune(model, plan)
 

@@ -42,8 +42,10 @@ class DemoSection:
 class PruneSection:
     ratio: float = 0.9
     exempt_layers: list = None  # None -> first and last
-    # rows scored by taylor_importance; scored a chunk at a time, the rows
-    # sized to the model's widths, so the batch size does not set peak memory
+    # rows scored by taylor_importance, which differentiates only the
+    # layers outside exempt_layers and those above them; scored a chunk at
+    # a time, the rows sized to the model's widths, so the batch size does
+    # not set peak memory
     calib_batch: int = 256
     seed: int = None
 

@@ -24,9 +24,10 @@ row only, and so do the output norm and the action head.  Tokens are
 always a (B, S) batch, and `_check_tokens` is the one check of their
 shape and ids.  The value head is one `kernels.value_mlp` node, whose
 gradients flow into the shared backbone.  SFT, the PPO update
-(`batch_logprob_value`) and Taylor scoring record the nodes; under
-`no_grad` the same call runs the kernels and records nothing, which is
-how `fast_logits_last` serves.  A quantized weight
+(`batch_logprob_value`) and Taylor scoring record the nodes (Taylor
+scoring from its first scored layer up, the rest of its parameters being
+constants); under `no_grad` the same call runs the kernels and records
+nothing, which is how `fast_logits_last` serves.  A quantized weight
 implements ``x @ W`` for the kernels, so a quantized model serves through
 `forward` under `no_grad` and is rejected, by parameter name, with grad
 enabled.

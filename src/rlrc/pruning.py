@@ -9,6 +9,11 @@ scores sum over them, `apply_prune` deletes exactly them from the named
 parameters (and builds the smaller `PolicyModel` from what is left), and
 `param_counts` sums group sizes.  A new group kind is taught to
 `build_dependency_groups` alone.
+
+Scoring, selection and counting share one exemption rule (`_exempt_set`,
+the first and last layers by default): an exempt layer's groups are
+neither scored, nor selected, nor counted as prunable, and a table scored
+with other exemptions than a selection's is refused by the group it lacks.
 """
 
 import json
@@ -128,19 +133,30 @@ def _member_view(arr, member):
     return arr[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
-    """First-order Taylor scores: I(g) = sum over g of |w * dL/dw|.
+def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
+                      exempt_layers=None):
+    """First-order Taylor scores: I(g) = sum over g of |w * dL/dw|, for the
+    groups outside the exempt layers (`_exempt_set`, the rule of
+    `select_prune_groups`: the first and last layers by default).
 
-    L is the SFT loss, the mean over all calibration rows.  Its gradient is
+    L is the SFT loss, the mean over all calibration rows.  It is
+    differentiated through a second `PolicyModel` over ``model``'s arrays,
+    in which only the member matrices of the scored groups require grad:
+    every other parameter is a constant (`tensor.Tensor`), so the
+    embeddings and the layers below the first scored one run unrecorded,
+    and nothing selection does not read receives a gradient (a recorded
+    block's backward still computes its constants' gradients, and drops
+    them).  The gradient is
     accumulated a chunk of rows at a time (`tensor.backward_in_chunks`),
     the rows sized to the model's widths (`model.chunk_rows`), so peak
     memory is one chunk's graph, independent of the batch size, and about
     the same for a dense model as for a pruned one.  The saliency
-    |w * dL/dw| is formed in float64 one parameter at a time, and each
-    group member's slice sum is added to its group's score in member
-    order.  Scores cover every group (exemptions apply at selection time),
-    and ``loss`` is the mean over all rows.  Parameter gradients are
-    cleared afterwards.
+    |w * dL/dw| is formed in float64 once per scored matrix; a one-index
+    member (an MLP channel's column or row) reads one reduction of it per
+    matrix, a wider member (a head's slice) its own sum, and each is added
+    to its group's score in member order.  The table holds the scored
+    groups alone, and ``loss`` is the mean over all rows.  ``model`` and its
+    parameters' gradients are left untouched.
     """
     from .training import sft_loss  # local import; training pulls in env
 
@@ -149,29 +165,38 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None):
         raise PruningError("empty calibration batch")
     actions = np.asarray(calibration_actions)
     n = obs.shape[0]
-    for p in model.params():
-        p.grad = None
-    loss, = backward_in_chunks(
-        lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]),
-                                     "calibration loss"),),
-        n, chunk_rows(model.config, obs.shape[1] + 1))
-    groups = build_dependency_groups(model)
-    scores = {g.key: 0.0 for g in groups}
+    exempt = _exempt_set(model.config, exempt_layers)
+    groups = [g for g in build_dependency_groups(model) if g.layer not in exempt]
+    if not groups:
+        raise PruningError(f"no groups to score outside the exempt layers {sorted(exempt)}")
     members = {}  # param name -> (group key, member) in member order
     for g in groups:
         for member in g.members:
             members.setdefault(member[0], []).append((g.key, member))
+    scoring = PolicyModel(model.config, {name: Tensor(p.data, requires_grad=name in members)
+                                         for name, p in model.named_params()})
+    loss, = backward_in_chunks(
+        lambda r0, r1: (check_finite(sft_loss(scoring, obs[r0:r1], actions[r0:r1]),
+                                     "calibration loss"),),
+        n, chunk_rows(model.config, obs.shape[1] + 1))
+    scores = {g.key: 0.0 for g in groups}
     # parameters come in member order (wq wk wv wo, then wup wgate wdown)
-    for name, p in model.named_params():
-        if name not in members or p.grad is None:
+    for name, p in scoring.named_params():
+        if name not in members:
             continue
         saliency = p.data.astype(np.float64)
         saliency *= p.grad
         np.abs(saliency, out=saliency)
+        sums = {}  # axis -> the saliency summed per index along it
         for key, member in members[name]:
-            scores[key] += float(np.sum(_member_view(saliency, member)))
-    for p in model.params():
-        p.grad = None
+            _, axis, start, stop = member
+            if stop - start > 1:
+                scores[key] += float(np.sum(_member_view(saliency, member)))
+                continue
+            if axis not in sums:
+                sums[axis] = np.ascontiguousarray(np.moveaxis(saliency, axis, 0)) \
+                    .reshape(saliency.shape[axis], -1).sum(axis=1)
+            scores[key] += float(sums[axis][start])
     return ImportanceTable(scores=scores, batch_size=n, seed=seed, loss=loss)
 
 
@@ -194,7 +219,9 @@ def select_prune_groups(model, table, target_ratio, exempt_layers=None):
         raise PruningError("no prunable parameters outside the exempt layers")
     for g in candidates:
         if g.key not in table.scores:
-            raise PruningError(f"importance table missing group {g.key}")
+            scored = sorted({key[1] for key in table.scores})
+            raise PruningError(f"importance table missing group {g.key} of layer {g.layer}; "
+                               f"the table scored layers {scored}")
         s = table.scores[g.key]
         if not np.isfinite(s) or s < 0:
             raise PruningError(f"bad importance score for {g.key}: {s}")

@@ -13,9 +13,16 @@ its callers size the chunks by the activation values a row saves
 (`model.chunk_rows`), so one chunk's graph is about the same size whatever
 the model's widths.  `adam_step` updates the parameters.
 
-`no_grad` is the one switch of recording: with grad enabled a node with
-a Tensor input is recorded and each Tensor input gets its gradient.
-Losses are checked where they are built (`check_finite`).
+`no_grad` is the one global switch of recording.  With grad enabled, a
+node is recorded when some input requires grad, and only those inputs
+receive gradients.  A Tensor requires grad unless it is built as a
+constant (``requires_grad=False``, over the same array, no copy), and a
+node that is not recorded with grad enabled outputs a constant, so a
+graph starts at its first input that requires grad: Taylor scoring makes
+every parameter outside the scored layers a constant, and the layers
+below them run unrecorded.  Under `no_grad` nothing is recorded and every
+output is a leaf.  Losses are checked where they are built
+(`check_finite`).
 """
 
 import numpy as np
@@ -37,14 +44,17 @@ class Tensor:
     """N-d array with optional gradient buffer and parent links for backward.
 
     ``data`` is row-major (C order) float32 unless explicitly built as
-    float64.  ``grad`` is allocated lazily with the same shape.
+    float64.  ``grad`` is allocated lazily with the same shape.  A constant
+    (``requires_grad=False``) is never recorded as a node's input and
+    never receives a gradient.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_bw", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "_spent")
 
-    def __init__(self, data, dtype=np.float32):
+    def __init__(self, data, dtype=np.float32, requires_grad=True):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
+        self.requires_grad = requires_grad
         self._parents = ()
         self._bw = None
         self._spent = False
@@ -109,26 +119,30 @@ def fused(fn, fn_backward, inputs, *args):
     ``inputs`` are the operands that can carry gradients; a Tensor is
     passed as its data, anything else (a quantized weight) as itself.
     ``args`` pass through unchanged (ids, masks, coefficients).  Under
-    `no_grad`, or with no Tensor input, fn runs as-is and nothing is
-    recorded.  Otherwise fn also gets ``saved={}`` to keep the
+    `no_grad` fn runs as-is, nothing is recorded and the output is a leaf;
+    with grad enabled but no input that requires grad, the same, and the
+    output is a constant.  Otherwise fn also gets ``saved={}`` to keep the
     intermediates it computes anyway, and ``fn_backward(g, *arrays, *args,
-    saved)`` returns one gradient per input, which each Tensor input
-    receives.  This is the only constructor of a graph node.
+    saved)`` returns one gradient per input, which each input that
+    requires grad receives.  This is the only constructor of a graph node.
     """
     arrays = [t.data if isinstance(t, Tensor) else t for t in inputs]
-    if not (_GRAD_ENABLED and any(isinstance(t, Tensor) for t in inputs)):
+    # under no_grad the inputs are not looked at: serving pays no check
+    parents = _GRAD_ENABLED and tuple(
+        t for t in inputs if isinstance(t, Tensor) and t.requires_grad)
+    if not parents:
         out = fn(*arrays, *args)
-        return Tensor(out, dtype=out.dtype)
+        return Tensor(out, dtype=out.dtype, requires_grad=not _GRAD_ENABLED)
     saved = {}
     out = fn(*arrays, *args, saved=saved)
 
     def bw(g):
         for t, gt in zip(inputs, fn_backward(g, *arrays, *args, saved)):
-            if isinstance(t, Tensor):
+            if isinstance(t, Tensor) and t.requires_grad:
                 t._accum(gt)
 
     node = Tensor(out, dtype=out.dtype)
-    node._parents = tuple(t for t in inputs if isinstance(t, Tensor))
+    node._parents = parents
     node._bw = bw
     return node
 

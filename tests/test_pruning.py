@@ -152,11 +152,23 @@ def one_pass_importance(model, obs, acts):
     return ImportanceTable(scores, obs.shape[0], None, float(loss.data))
 
 
-@pytest.mark.parametrize("make_model", [
-    lambda: tiny_model(seed=6, n_layers=4, d_ff=64, heads=4),
-    lambda: init_model(ModelConfig(seed=6)),
-], ids=["tiny", "default"])
-def test_chunked_importance_matches_one_pass(make_model):
+def tiny_scored_model():
+    return tiny_model(seed=6, n_layers=4, d_ff=64, heads=4)
+
+
+def default_scored_model():
+    return init_model(ModelConfig(seed=6))
+
+
+MODELS = pytest.mark.parametrize("make_model", [tiny_scored_model, default_scored_model],
+                                 ids=["tiny", "default"])
+
+
+@pytest.mark.parametrize("make_model, exempt", [
+    (tiny_scored_model, None), (default_scored_model, None),
+    (tiny_scored_model, []), (default_scored_model, []),
+], ids=["tiny", "default", "tiny-none-exempt", "default-none-exempt"])
+def test_chunked_importance_matches_one_pass(make_model, exempt):
     # two full chunks and a partial one, at the model's own chunk rows
     m = make_model()
     rows = model_chunk_rows(m)
@@ -164,10 +176,12 @@ def test_chunked_importance_matches_one_pass(make_model):
     obs, acts = calib_batch(n)
     assert obs.shape[0] == n and n % rows != 0
     ref = one_pass_importance(m, obs, acts)
-    table = taylor_importance(m, obs, acts)
+    table = taylor_importance(m, obs, acts, exempt_layers=exempt)
     assert table.batch_size == n
     assert table.loss == pytest.approx(ref.loss, rel=1e-6)
-    keys = sorted(ref.scores)
+    keys = sorted(table.scores)
+    if exempt == []:
+        assert keys == sorted(ref.scores)
     np.testing.assert_allclose([table.scores[k] for k in keys],
                                [ref.scores[k] for k in keys], rtol=1e-5, atol=0)
     plan = select_prune_groups(m, table, 0.9)
@@ -175,6 +189,82 @@ def test_chunked_importance_matches_one_pass(make_model):
     assert {g.key for g in plan.groups} == {g.key for g in ref_plan.groups}
     cfg, ref_cfg = apply_prune(m, plan).config, apply_prune(m, ref_plan).config
     assert (cfg.n_heads, cfg.d_ff) == (ref_cfg.n_heads, ref_cfg.d_ff)
+
+
+def _count_gradients(monkeypatch, model):
+    """Count `kernels.embed_backward` calls, and record the names of
+    ``model``'s parameters whose arrays receive a gradient, for the rest of
+    the test: (calls, names), both filled in as they happen."""
+    from rlrc import kernels
+    from rlrc.tensor import Tensor
+
+    calls, fed = [], set()
+    real_embed_backward, real_accum = kernels.embed_backward, Tensor._accum
+    arrays = {name: p.data for name, p in model.named_params()}
+
+    def counted_embed_backward(*args):
+        calls.append(1)
+        return real_embed_backward(*args)
+
+    def recorded_accum(self, g):
+        fed.update(name for name, a in arrays.items() if self.data is a)
+        return real_accum(self, g)
+
+    monkeypatch.setattr(kernels, "embed_backward", counted_embed_backward)
+    monkeypatch.setattr(Tensor, "_accum", recorded_accum)
+    return calls, fed
+
+
+@MODELS
+def test_importance_differentiates_only_the_scored_layers(make_model, monkeypatch):
+    m = make_model()
+    obs, acts = calib_batch(2 * model_chunk_rows(m) + 3)
+    groups = build_dependency_groups(m)
+    exempt = default_exempt_layers(m.config)
+    scored = {g.key for g in groups if g.layer not in exempt}
+    members = {member[0] for g in groups if g.key in scored for member in g.members}
+    calls, fed = _count_gradients(monkeypatch, m)
+    table = taylor_importance(m, obs, acts)
+    # nothing below the first scored layer is differentiated: no embedding
+    # backward, and no gradient for an exempt layer, the embeddings, a gain
+    # or the action head
+    assert calls == [] and fed == members
+    fed.clear()
+    every = taylor_importance(m, obs, acts, exempt_layers=[])
+    assert fed == {member[0] for g in groups for member in g.members}
+    # the table holds exactly the non-exempt groups, and their scores and
+    # the loss are those of scoring every group, bit for bit
+    assert set(table.scores) == scored
+    assert {k: every.scores[k] for k in table.scores} == table.scores
+    assert table.loss == every.loss
+    assert all(p.grad is None for p in m.params())
+    # the counter does see a full SFT backward's embedding node
+    backward(sft_loss(m, obs[:1], acts[:1]))
+    assert len(calls) == 1
+
+
+@MODELS
+def test_importance_peak_memory_below_scoring_every_layer(make_model):
+    m = make_model()
+    obs, acts = calib_batch(64)
+    taylor_importance(m, obs[:8], acts[:8])  # warm up one-time allocations
+    peaks = []
+    for exempt in (None, []):
+        tracemalloc.start()
+        try:
+            taylor_importance(m, obs, acts, exempt_layers=exempt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1], f"peaks {peaks} for default and no exemptions"
+
+
+def test_importance_with_every_layer_exempt_rejected():
+    m = tiny_model(n_layers=2)
+    obs, acts = calib_batch(8)
+    with pytest.raises(PruningError, match=re.escape(
+            "no groups to score outside the exempt layers [0, 1]")):
+        taylor_importance(m, obs, acts)
 
 
 def test_importance_peak_memory_independent_of_batch():
@@ -197,8 +287,8 @@ def test_importance_peak_memory_independent_of_batch():
 def test_importance_peak_memory_on_the_dense_default_model():
     # a dense row saves twice the activations of a 90%-pruned row, so the
     # dense model is scored in chunks of half the rows: one chunk's graph
-    # (about 10 MiB) plus the float32 gradients (6 MiB), not a 32-row
-    # chunk's 22 MiB graph
+    # (under 10 MiB) plus the float32 gradients of the scored layers
+    # (4 MiB), not a 32-row chunk's 22 MiB graph
     m = init_model(ModelConfig(seed=6))
     obs, acts = calib_batch(64)
     taylor_importance(m, obs[:8], acts[:8])  # warm up one-time allocations
@@ -264,6 +354,17 @@ def test_select_unreachable_ratio():
     table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
     with pytest.raises(PruningError, match="unreachable|no prunable"):
         select_prune_groups(m, table, 0.5, exempt_layers={0, 1})
+
+
+def test_select_refuses_a_table_scored_with_other_exemptions():
+    m = tiny_model(n_layers=6)
+    obs, acts = calib_batch(16)
+    table = taylor_importance(m, obs, acts)  # layers 0 and 5 exempt
+    assert select_prune_groups(m, table, 0.3).exempt_layers == [0, 5]
+    with pytest.raises(PruningError, match=re.escape(
+            "importance table missing group ('attn_head', 5, 0) of layer 5; "
+            "the table scored layers [1, 2, 3, 4]")):
+        select_prune_groups(m, table, 0.3, exempt_layers=[0])
 
 
 def test_select_deterministic_tiebreak():
@@ -474,7 +575,8 @@ def test_taylor_brute_force_spearman(tmp_path):
                      env_cfg, suite["IND"][:2])
     obs, acts = demo_arrays(demos)
     obs, acts = obs[:128], acts[:128]
-    table = taylor_importance(m, obs, acts)
+    # both layers of a 2-layer model are exempt by default
+    table = taylor_importance(m, obs, acts, exempt_layers=[])
     base = float(sft_loss(m, obs, acts).data)
     groups = build_dependency_groups(m)
     deltas = []

@@ -235,6 +235,50 @@ def test_no_grad_blocks_graph():
     np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
 
+def test_constant_input_gets_no_gradient():
+    x = T.Tensor(np.ones((1, 2)))
+    c = T.Tensor(np.full((2, 2), 3.0), requires_grad=False)
+    T.backward(dot(node(kernels.linear, (x, c)), np.ones((1, 2))))
+    assert c.grad is None
+    np.testing.assert_array_equal(x.grad, np.full((1, 2), 6.0))
+
+
+def test_node_of_constants_and_arrays_is_not_recorded():
+    c = T.Tensor(np.ones((2, 2)), requires_grad=False)
+    out = node(kernels.linear, (np.ones((1, 2)), c))
+    # its output is a constant, so a node built on it alone is not recorded
+    assert not out.requires_grad
+    loss = dot(out, np.ones((1, 2)))
+    assert not loss.requires_grad
+    with pytest.raises(T.GradError, match="empty tape"):
+        T.backward(loss)
+    # under no_grad the same node's output is a leaf, as any other
+    with T.no_grad():
+        assert node(kernels.linear, (np.ones((1, 2)), c)).requires_grad
+
+
+def test_recorded_node_feeds_only_its_parameters():
+    rng = np.random.default_rng(0)
+    x, w, c, r = (rng.standard_normal(shape) for shape in ((3, 4), (4, 5), (3, 5), (3, 5)))
+
+    def loss(x, w, c):
+        """sum(r * (x @ w + c)): a linear node, then a node adding c."""
+        return dot(T.fused(lambda a, b, saved=None: a + b, lambda g, a, b, saved: (g, g),
+                           (node(kernels.linear, (x, w)), c)), r)
+
+    # a constant activation feeds the parameter's node and a constant is
+    # added to its output: only the parameter is fed, and it receives
+    # exactly the gradient it gets when every input requires grad
+    const = [T.Tensor(a, dtype=np.float64, requires_grad=False) for a in (x, c)]
+    p = T.Tensor(w, dtype=np.float64)
+    T.backward(loss(const[0], p, const[1]))
+    assert all(t.grad is None for t in const)
+    every = [T.Tensor(a, dtype=np.float64) for a in (x, w, c)]
+    T.backward(loss(*every))
+    np.testing.assert_array_equal(p.grad, every[1].grad)
+    assert all(t.grad is not None for t in every)
+
+
 def test_determinism_same_seed_bit_identical():
     outs = []
     for _ in range(2):
