@@ -6,7 +6,8 @@ otherwise}, a shortest-path scripted expert whose demonstrations are
 written as JSONL records, and a vectorized batch wrapper.  Every
 trajectory is a pure function of (task, episode seed, action sequence),
 and `state_key` names the part of a state that decides everything but the
-time limit.
+time limit.  An episode ends placed (``success``) or cut by the time limit
+(``done`` and not ``success``); its state alone says which.
 """
 
 import json
@@ -124,7 +125,6 @@ class StepResult:
     obs: np.ndarray
     reward: float
     done: bool
-    info: dict
 
 
 @dataclass
@@ -252,21 +252,11 @@ def step(state, action):
             state.holding = None
             if idx == 0 and obj.x == state.plate_x and obj.y == state.plate_y:
                 reward = REWARD_PLACED
-                state.done = True
                 state.success = True
 
     state.t += 1
-    truncated = False
-    if not state.done and state.t >= c.max_steps:
-        state.done = True
-        truncated = True
-
-    return StepResult(
-        obs=obs_tokens(state),
-        reward=reward,
-        done=state.done,
-        info={"truncated": truncated},
-    )
+    state.done = state.success or state.t >= c.max_steps
+    return StepResult(obs=obs_tokens(state), reward=reward, done=state.done)
 
 
 def _step_toward(gx, gy, tx, ty):
@@ -328,8 +318,10 @@ def generate_demos(config, tasks, episodes_per_task, seed, out_path):
 class VecEnv:
     """N independent envs stepped in index order.
 
-    A finished slot immediately starts a new episode; its terminal
-    observation is passed out via info["final_obs"].
+    A finished slot immediately starts a new episode.  `vec_step` returns
+    (observations, rewards, dones, cut), where ``cut`` maps each slot whose
+    episode the time limit cut to that episode's final observation, in slot
+    order; a placed episode is not in it.
     """
 
     def __init__(self, config, tasks, n, seed):
@@ -361,17 +353,14 @@ class VecEnv:
         obs_out = np.empty((self.n, self.config.obs_len), dtype=np.int64)
         rewards = np.zeros(self.n, dtype=np.float64)
         dones = np.zeros(self.n, dtype=bool)
-        infos = [None] * self.n
-        for i in range(self.n):
-            if self.states[i].done:
+        cut = {}
+        for i, state in enumerate(self.states):
+            if state.done:
                 raise EnvError(f"internal: slot {i} left in done state")
-            res = step(self.states[i], actions[i])
+            res = step(state, actions[i])
             rewards[i] = res.reward
             dones[i] = res.done
-            infos[i] = res.info
-            if res.done:
-                infos[i]["final_obs"] = res.obs
-                obs_out[i] = self._fresh(i)
-            else:
-                obs_out[i] = res.obs
-        return obs_out, rewards, dones, infos
+            if res.done and not state.success:
+                cut[i] = res.obs
+            obs_out[i] = self._fresh(i) if res.done else res.obs
+        return obs_out, rewards, dones, cut

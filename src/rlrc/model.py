@@ -223,9 +223,9 @@ def init_value_head(d_model, seed=0):
     return ValueHead(params)
 
 
-def init_model(config, seed=None):
-    """Deterministic scaled-normal init; gains start at one."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def init_model(config):
+    """Deterministic scaled-normal init at ``config.seed``; gains start at one."""
+    rng = np.random.default_rng(config.seed)
     return PolicyModel(config, _init_params(param_shapes(config), rng))
 
 

@@ -7,17 +7,17 @@ it too.  Evaluation is batched greedy rollout over a deterministic,
 non-empty (task, seed) grid and is the single scorer of every stage.  It
 stops an episode once its state repeats: with a deterministic policy the
 episode would loop until it timed out, earning nothing, so it is scored as
-that time-out without decoding the loop.  The metric rows logged at each
-evaluation record its wall seconds as ``eval_s``.
+that time-out without decoding the loop.
 
-Both trainers select their best weights by one rule (`_Best`): an
-evaluation that beats every earlier score keeps copies of the trained
-objects, training stops after ``patience`` evaluations in a row that do
-not, and the trainer returns the copies and logs that evaluation's
-success rates again as its last metric row.  Both score IND success at
-`SELECTION_SEED`, whose episodes are not those reported on (`eval.seed`
-must differ); PPO logs OOD success too but never selects on it.  Both
-need IND eval tasks.
+Both trainers evaluate, log and select their best weights in one step
+(`_Best`): it scores the policy at `SELECTION_SEED`, whose episodes are not
+those reported on (`eval.seed` must differ), logs the metric row with each
+grid's success rate and the evaluation's wall seconds as ``eval_s``, and
+keeps copies of the trained objects when IND success beats every earlier
+score.  Training stops after ``patience`` evaluations in a row that do not,
+and the trainer returns the copies and logs that evaluation's success rates
+again as its last metric row.  PPO logs OOD success too but never selects
+on it.  Both need IND eval tasks.
 
 Every loss, rollout and value here reads the policy at the marker, the
 last context position, which is the one position `model.forward` computes.
@@ -77,8 +77,9 @@ class SftConfig:
     patience: int = 1_000_000
 
     def __post_init__(self):
-        if min(self.lr, self.batch_size, self.max_steps, self.eval_interval) <= 0:
-            raise ValueError("SftConfig values must be positive")
+        for name in ("lr", "batch_size", "max_steps", "eval_interval"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("eval_episodes", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -253,47 +254,55 @@ def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
 # SFT
 # ---------------------------------------------------------------------------
 
-class MetricsLogger:
-    """Metric rows in memory and, given a path, as JSON lines in a file the
-    logger starts afresh, so a rerun never mixes its rows with an old run's."""
+class _Best:
+    """The trainers' one evaluate-log-select step.  Metric rows are kept in
+    ``rows`` and, given a path, written as JSON lines to a file started
+    afresh, so a rerun never mixes its rows with an old run's.  ``grids``
+    names the task grids each evaluation scores; IND success (``ind``)
+    alone selects."""
 
-    def __init__(self, path=None):
-        self.path = path
+    def __init__(self, patience, env_config, episodes, log_path, **grids):
+        self.patience, self.env_config, self.episodes = patience, env_config, episodes
+        self.path, self.grids = log_path, grids
         self.rows = []
+        self.best = None  # the metric row of the best evaluation
+        self.stall = 0  # evaluations since the best
         self._t0 = time.perf_counter()
-        if path:
-            open(path, "w", encoding="utf-8").close()
+        if log_path:
+            open(log_path, "w", encoding="utf-8").close()
 
-    def log(self, **row):
-        row.setdefault("wallclock", time.perf_counter() - self._t0)
+    def _log(self, **row):
+        row["wallclock"] = time.perf_counter() - self._t0
         self.rows.append(row)
         if self.path:
             with open(self.path, "a", encoding="utf-8") as f:
                 f.write(json.dumps(row) + "\n")
         return row
 
-
-class _Best:
-    """Best-weights selection, the one rule of both trainers: an evaluation
-    whose score beats every earlier one keeps copies of the trained objects
-    (`PolicyModel.copy`, `ValueHead.copy`), its score and its metric row."""
-
-    def __init__(self, patience):
-        self.patience = patience
-        self.score = -np.inf
-        self.row = None
-        self.stall = 0  # evaluations since the best
-        self.copies = ()
-
-    def update(self, score, row, *trained):
-        """Record an evaluation of ``trained``, logged as ``row``; True once
-        ``patience`` evaluations in a row have not beaten the best."""
-        if score > self.score:
-            self.score, self.row, self.stall = score, row, 0
+    def evaluate(self, trained, **row):
+        """Score ``trained[0]`` at `SELECTION_SEED` on each grid (an empty
+        one scores 0.0), log ``row`` with ``<name>_sr`` and ``eval_s``, and
+        keep copies of ``trained`` (`PolicyModel.copy`, `ValueHead.copy`)
+        when IND success beats every earlier evaluation's; True once
+        ``patience`` evaluations in a row have not."""
+        t0 = time.perf_counter()
+        for name, grid in self.grids.items():
+            row[f"{name}_sr"] = evaluate(trained[0], grid, self.episodes, self.env_config,
+                                         seed=SELECTION_SEED).success_rate if grid else 0.0
+        row = self._log(**row, eval_s=time.perf_counter() - t0)
+        if self.best is None or row["ind_sr"] > self.best["ind_sr"]:
+            self.best, self.stall = row, 0
             self.copies = tuple(t.copy() for t in trained)
         else:
             self.stall += 1
         return self.stall >= self.patience
+
+    def finish(self, phase):
+        """Log the best evaluation's step and success rates as ``phase``;
+        returns (*copies, rows)."""
+        self._log(step=self.best["step"], phase=phase,
+                  **{f"{name}_sr": self.best[f"{name}_sr"] for name in self.grids})
+        return (*self.copies, self.rows)
 
 
 def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
@@ -311,27 +320,21 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
     obs_all, act_all = demo_arrays(demos)
     rng = np.random.default_rng(config.seed)
     opt = OptimizerState(model.params(), lr=config.lr)
-    logger = MetricsLogger(log_path)
-    best = _Best(config.patience)
+    best = _Best(config.patience, env_config, config.eval_episodes, log_path, ind=eval_tasks)
     m = obs_all.shape[0]
     rows = chunk_rows(model.config, obs_all.shape[1] + 1)
     for it in range(1, config.max_steps + 1):
         idx = rng.integers(0, m, size=config.batch_size)
         obs, act = obs_all[idx], act_all[idx]
         loss, = backward_in_chunks(
-            lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], act[r0:r1]), "sft loss"),),
+            lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], act[r0:r1]),
+                                         f"sft loss at step {it}"),),
             config.batch_size, rows)
         adam_step(opt)
         if it % config.eval_interval == 0 or it == config.max_steps:
-            t0 = time.perf_counter()
-            sr = evaluate(model, eval_tasks, config.eval_episodes, env_config,
-                          seed=SELECTION_SEED).success_rate
-            row = logger.log(step=it, phase="sft", loss=loss, ind_sr=sr, chunk_rows=rows,
-                             eval_s=time.perf_counter() - t0)
-            if best.update(sr, row, model):
+            if best.evaluate((model,), step=it, phase="sft", loss=loss, chunk_rows=rows):
                 break
-    logger.log(step=best.row["step"], phase="sft_best", ind_sr=best.row["ind_sr"])
-    return best.copies[0], logger.rows
+    return best.finish("sft_best")
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +385,12 @@ def collect_rollouts(model, value_head, vec_env, horizon, rng, obs=None):
         buf.actions[:, t] = acts
         buf.logprobs[:, t] = lp_rows[np.arange(n), acts]
         buf.values[:, t] = vals.data
-        obs, rewards, dones, infos = vec_env.vec_step(acts)
+        obs, rewards, dones, cut = vec_env.vec_step(acts)
         buf.rewards[:, t] = rewards
-        buf.dones[:, t] = dones.astype(np.float64)
-        trunc_rows = [i for i, inf in enumerate(infos) if inf.get("truncated")]
-        if trunc_rows:
-            finals = np.stack([infos[i]["final_obs"] for i in trunc_rows])
-            tv = _values_at_marker(model, value_head, finals)
-            for j, i in enumerate(trunc_rows):
-                buf.trunc_values[i, t] = tv[j]
+        buf.dones[:, t] = dones
+        if cut:  # a time-limit cut bootstraps from the critic at its final observation
+            buf.trunc_values[list(cut), t] = _values_at_marker(model, value_head,
+                                                               np.stack(list(cut.values())))
     buf.next_values = _values_at_marker(model, value_head, obs)
     return buf, obs
 
@@ -469,10 +469,10 @@ def train_ppo(model, value_head, tasks, config, env_config,
     rng_update = np.random.default_rng([config.seed, 202])
     vec = VecEnv(env_config, tasks, config.n_envs, seed=config.seed)
     obs = None
-    logger = MetricsLogger(log_path)
+    best = _Best(config.early_stop_patience, env_config, config.eval_episodes, log_path,
+                 ind=eval_tasks_ind, ood=eval_tasks_ood)
     env_steps = 0
     next_eval = 0
-    best = _Best(config.early_stop_patience)
     nh = config.n_envs * config.horizon
     while env_steps < config.total_env_steps:
         buf, obs = collect_rollouts(model, value_head, vec, config.horizon, rng_collect, obs)
@@ -480,7 +480,7 @@ def train_ppo(model, value_head, tasks, config, env_config,
         adv, ret = compute_gae(buf, config.gamma, config.lam)
         flat_ctx = build_contexts(model.config, buf.obs.reshape(nh, -1))
         flat_act = buf.actions.reshape(nh)
-        flat_old = buf.logprobs.reshape(nh).astype(np.float32)
+        flat_old = buf.logprobs.reshape(nh)
         flat_adv = adv.reshape(nh)
         flat_adv = (flat_adv - flat_adv.mean()) / (flat_adv.std() + 1e-8)
         flat_adv = flat_adv.astype(np.float32)
@@ -497,15 +497,7 @@ def train_ppo(model, value_head, tasks, config, env_config,
                 adam_step(opt)
         if env_steps >= next_eval or env_steps >= config.total_env_steps:
             next_eval = env_steps + config.eval_interval_steps
-            t0 = time.perf_counter()
-            ind, ood = (evaluate(model, grid, config.eval_episodes, env_config,
-                                 seed=SELECTION_SEED).success_rate
-                        if grid else 0.0 for grid in (eval_tasks_ind, eval_tasks_ood))
-            row = logger.log(step=env_steps, phase="ppo", ind_sr=ind, ood_sr=ood,
-                             mean_reward=float(buf.rewards.mean()),
-                             eval_s=time.perf_counter() - t0, **loss_row)
-            if best.update(ind, row, model, value_head):
+            if best.evaluate((model, value_head), step=env_steps, phase="ppo",
+                             mean_reward=float(buf.rewards.mean()), **loss_row):
                 break
-    logger.log(step=best.row["step"], phase="ppo_best", ind_sr=best.row["ind_sr"],
-               ood_sr=best.row["ood_sr"])
-    return (*best.copies, logger.rows)
+    return best.finish("ppo_best")

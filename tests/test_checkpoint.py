@@ -52,8 +52,8 @@ def test_roundtrip_bit_identical(tmp_path):
 def test_pruned_widths_restored(tmp_path):
     cfg = ModelConfig(d_model=16, n_layers=3, n_heads_base=2, d_ff_base=24,
                       observation_vocab=12, action_vocab=6, max_seq_len=16,
-                      n_heads=[2, 1, 2], d_ff=[24, 7, 24])
-    m = init_model(cfg, seed=0)
+                      n_heads=[2, 1, 2], d_ff=[24, 7, 24], seed=0)
+    m = init_model(cfg)
     path = tmp_path / "p.ckpt"
     save_checkpoint(m, path)
     loaded = load_checkpoint(path)
@@ -341,8 +341,9 @@ def saved_models(draw):
                       n_heads_base=heads_base, d_ff_base=8,
                       observation_vocab=draw(st.integers(1, 6)),
                       action_vocab=draw(st.integers(1, 4)), max_seq_len=draw(st.integers(1, 5)),
-                      n_heads=draw(layer_ints(heads_base)), d_ff=draw(layer_ints(8)))
-    model = init_model(cfg, seed=draw(st.integers(0, 99)))
+                      n_heads=draw(layer_ints(heads_base)), d_ff=draw(layer_ints(8)),
+                      seed=draw(st.integers(0, 99)))
+    model = init_model(cfg)
     bits = draw(st.sampled_from([None, 4, 8]))
     if bits:
         model = quantize_model(model, bits, draw(st.integers(1, 40)))

@@ -130,8 +130,10 @@ def test_truncation_at_max_steps():
     state, _ = reset(cfg, TaskSpec(0, 0, "IND"), 3)
     last = None
     for _ in range(5):
+        assert last is None or not last.done
         last = step(state, RIGHT if state.gripper_x == 0 else LEFT)
-    assert last.done and last.info["truncated"]
+    # done and not placed: the time limit cut it
+    assert last.done and state.done and state.t == cfg.max_steps
     assert not state.success
 
 
@@ -246,17 +248,37 @@ def test_vec_env_restart_emits_final_obs():
     vec = VecEnv(CFG, suite["IND"][:1], 2, seed=1)
     vec.vec_reset()
     for _ in range(200):
-        obs, r, dones, infos = vec.vec_step(
+        obs, r, dones, cut = vec.vec_step(
             np.array([expert_policy(s) for s in vec.states]))
         if dones.any():
             i = int(np.flatnonzero(dones)[0])
-            assert "final_obs" in infos[i]
             assert r[i] == REWARD_PLACED  # the expert's episode ended placed
+            assert cut == {}  # so it needs no final observation
             # returned obs row is the fresh episode, not the terminal one
-            assert not vec.states[i].done
+            assert not vec.states[i].done and vec.states[i].t == 0
+            np.testing.assert_array_equal(obs[i], obs_tokens(vec.states[i]))
             break
     else:
         pytest.fail("no episode finished")
+
+
+def test_vec_step_returns_only_time_limit_cuts_under_their_slot():
+    # slot 0 follows the expert, which places within the time limit; slot 1
+    # only moves up, so the limit cuts each of its episodes
+    vec = VecEnv(CFG, make_task_suite(0)["IND"], 2, seed=4)
+    vec.vec_reset()
+    placed = cuts = 0
+    for _ in range(3 * CFG.max_steps):
+        slot1 = copy.deepcopy(vec.states[1])
+        final1 = step(slot1, UP).obs
+        _, _, dones, cut = vec.vec_step(np.array([expert_policy(vec.states[0]), UP]))
+        assert set(cut) == ({1} if dones[1] else set())
+        if dones[1]:
+            assert slot1.t == CFG.max_steps and not slot1.success
+            np.testing.assert_array_equal(cut[1], final1)
+            cuts += 1
+        placed += int(dones[0])
+    assert placed >= 3 and cuts == 3
 
 
 def test_episode_return_bounded():

@@ -60,8 +60,8 @@ def ctx_for(cfg, length=5, seed=0):
 
 
 def test_init_deterministic():
-    cfg = tiny_config()
-    a, b = init_model(cfg, seed=3), init_model(cfg, seed=3)
+    cfg = tiny_config(seed=3)
+    a, b = init_model(cfg), init_model(cfg)
     for (na, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data, err_msg=na)
 
@@ -108,8 +108,8 @@ def test_parameters_are_held_in_param_shapes_order():
 def test_init_values_pinned():
     # perfbench's models are init_model outputs: a fixed seed keeps its values
     h = hashlib.sha256()
-    cfg = ModelConfig(n_heads=[4, 3, 1, 1, 2, 4], d_ff=[512, 5, 1, 1, 9, 512])
-    for _, p in init_model(cfg, seed=11).named_params():
+    cfg = ModelConfig(n_heads=[4, 3, 1, 1, 2, 4], d_ff=[512, 5, 1, 1, 9, 512], seed=11)
+    for _, p in init_model(cfg).named_params():
         h.update(p.data.tobytes())
     for _, p in init_value_head(128, seed=3).named_params():
         h.update(p.data.tobytes())
@@ -118,7 +118,7 @@ def test_init_values_pinned():
 
 def test_init_different_seeds_differ():
     cfg = tiny_config()
-    a, b = init_model(cfg, seed=0), init_model(cfg, seed=1)
+    a, b = init_model(tiny_config(seed=0)), init_model(tiny_config(seed=1))
     ctx = ctx_for(cfg)
     la, _ = forward(a, ctx)
     lb, _ = forward(b, ctx)
@@ -198,8 +198,8 @@ def test_forward_rejects_overlong_and_bad_ids():
 
 
 def test_forward_same_with_and_without_grad():
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
-    m = init_model(cfg, seed=5)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7], seed=5)
+    m = init_model(cfg)
     ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(4)])
     logits, hidden = forward(m, ctx)
     with no_grad():
@@ -228,8 +228,8 @@ def attn_block_rows(monkeypatch):
 def test_no_grad_forward_decodes_large_batches_in_slices(monkeypatch):
     # 150 contexts: two full 64-row slices and a partial one; layer 1 has one
     # MLP channel, so it runs the inner-dimension-1 products too
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
-    m = init_model(cfg, seed=5)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1], seed=5)
+    m = init_model(cfg)
     ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(150)])
     rows = attn_block_rows(monkeypatch)
     with no_grad():
@@ -245,8 +245,8 @@ def test_no_grad_forward_decodes_large_batches_in_slices(monkeypatch):
 
 
 def test_grad_forward_is_one_graph_over_all_rows(monkeypatch):
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
-    m = init_model(cfg, seed=5)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1], seed=5)
+    m = init_model(cfg)
     ctx = np.concatenate([ctx_for(cfg, 6, seed=i) for i in range(150)])
     rows = attn_block_rows(monkeypatch)
     logits, hidden = forward(m, ctx)
@@ -291,8 +291,8 @@ def reference_logits(m, tokens):
 
 
 def test_forward_matches_float64_reference():
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
-    m = init_model(cfg, seed=3)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7], seed=3)
+    m = init_model(cfg)
     ctx = np.concatenate([ctx_for(cfg, 9, seed=i) for i in range(3)])
     logits, _ = forward(m, ctx)
     assert logits.data.shape == (3, 1, cfg.action_vocab)
@@ -302,8 +302,8 @@ def test_forward_matches_float64_reference():
 def test_causality_prefixes_match_reference():
     # the output for a prefix is the full sequence's reference row at its end:
     # no position reads a later one
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
-    m = init_model(cfg, seed=1)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7], seed=1)
+    m = init_model(cfg)
     ctx = ctx_for(cfg, 8)
     ref = reference_logits(m, ctx)[0]
     for j in range(1, ctx.shape[1] + 1):
@@ -315,8 +315,8 @@ def test_causality_prefixes_match_reference():
 def test_attn_block_query_rows_match_full_block():
     # float32: a 1-row mask gives the full block's last row, and its backward
     # the full backward of a gradient that is zero off the last row
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
-    m = init_model(cfg, seed=4)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7], seed=4)
+    m = init_model(cfg)
     rng = np.random.default_rng(1)
     b, s, d = 3, 7, cfg.d_model
     x = rng.standard_normal((b, s, d)).astype(np.float32)
@@ -437,8 +437,8 @@ def ref_mlp_block_backward(dout, x, gain, wup, wgate, wdown, saved):
 @pytest.mark.parametrize("rows", ["full", "marker"])
 def test_kernels_bit_identical_to_plain_expressions(dtype, rows):
     # layer 1 is pruned to one head and one MLP channel
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1])
-    m = init_model(cfg, seed=8)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 1], seed=8)
+    m = init_model(cfg)
     rng = np.random.default_rng(2)
     b, s, d = 3, 7, cfg.d_model
     x = rng.standard_normal((b, s, d)).astype(dtype)
@@ -514,8 +514,8 @@ def test_rms_rows_float32_within_4_ulps_of_float64_formula():
 
 @pytest.mark.parametrize("rows", ["full", "marker"])
 def test_attn_block_probabilities_are_keys_outermost(rows):
-    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7])
-    m = init_model(cfg, seed=5)
+    cfg = tiny_config(n_heads=[2, 1], d_ff=[24, 7], seed=5)
+    m = init_model(cfg)
     rng = np.random.default_rng(7)
     b, s = 3, 7
     x = rng.standard_normal((b, s, cfg.d_model)).astype(np.float32)
@@ -536,8 +536,8 @@ def test_attn_block_probabilities_are_keys_outermost(rows):
 
 def test_forward_gradients_match_finite_differences():
     # 2 layers, 2 heads, the second layer pruned to 1 head; float64 end to end
-    cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8)
-    m32 = init_model(cfg, seed=2)
+    cfg = tiny_config(d_model=8, n_heads=[2, 1], d_ff=[6, 3], max_seq_len=8, seed=2)
+    m32 = init_model(cfg)
     m = PolicyModel(cfg, {
         name: Tensor(p.data.astype(np.float64), dtype=np.float64)
         for name, p in m32.named_params()})

@@ -23,7 +23,6 @@ UNUSED_ALLOWED = {}
 # defaulted parameters no program call passes, each with the reason it stays
 UNPASSED_ALLOWED = {
     "cli.main(argv)": "test hook: tests drive the CLI in-process",
-    "model.init_model(seed)": "test hook: tests seed the models they build",
 }
 
 _INPUT = "a path, recorded as the checkpoint meta's parent"

@@ -12,7 +12,7 @@ from rlrc.model import (
     init_value_head,
 )
 from rlrc.config import ConfigError, PipelineConfig
-from rlrc.tensor import backward, backward_in_chunks, fused, no_grad
+from rlrc.tensor import NonFiniteError, adam_step, backward, backward_in_chunks, fused, no_grad
 from rlrc import kernels, training
 from rlrc.training import (
     EvalResult,
@@ -131,6 +131,24 @@ def test_train_sft_early_stops(tmp_path, monkeypatch):
                         lambda *args, **kw: EvalResult(0.5, 0.0, 1.0, 1))
     assert sft_eval_steps(tmp_path, patience=1) == [2, 4]
     assert sft_eval_steps(tmp_path) == list(range(2, 21, 2))
+
+
+def test_train_sft_non_finite_loss_names_its_step(tmp_path, monkeypatch):
+    m = tiny_model()
+    steps = []
+
+    def poisoning(opt):
+        adam_step(opt)
+        steps.append(len(steps) + 1)
+        if len(steps) == 2:  # the weights step 3 reads hold a NaN
+            dict(m.named_params())["w_act"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(training, "adam_step", poisoning)
+    cfg = SftConfig(max_steps=10, eval_interval=10, eval_episodes=1, batch_size=8)
+    suite = make_task_suite(0)
+    with pytest.raises(NonFiniteError, match="sft loss at step 3 contains NaN"):
+        train_sft(m, make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
+    assert steps == [1, 2]
 
 
 def test_train_sft_empty_dataset_rejected():
@@ -329,18 +347,17 @@ def test_collect_truncation_bootstraps_are_the_final_obs_values():
     model = tiny_model(seed=2)
     vhead = init_value_head(model.config.d_model, seed=2)
     vec = VecEnv(EnvConfig(max_steps=5), suite["IND"], 4, seed=2)
-    infos = []  # each step's infos
+    cuts = []  # each step's {slot: final observation} of time-limit cuts
     vec_step = vec.vec_step
 
     def recording(actions):
         out = vec_step(actions)
-        infos.append(out[3])
+        cuts.append(out[3])
         return out
 
     vec.vec_step = recording
     buf, _ = collect_rollouts(model, vhead, vec, 16, np.random.default_rng(2))
-    finals = {(i, t): info["final_obs"] for t, step_infos in enumerate(infos)
-              for i, info in enumerate(step_infos) if info.get("truncated")}
+    finals = {(i, t): final for t, cut in enumerate(cuts) for i, final in cut.items()}
     assert finals  # episodes of 5 steps truncate inside the 16-step horizon
     assert set(zip(*np.nonzero(buf.trunc_values))) == set(finals)
     for t in range(16):
@@ -729,6 +746,43 @@ def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
     assert any(np.any(p.data != last.data) for p, last in zip(params, trained))
 
 
+def test_train_ppo_logs_an_empty_ood_grid_as_zero():
+    suite = make_task_suite(0)
+    cfg = micro_ppo_config(total_env_steps=32, eval_interval_steps=16)
+    # evaluate refuses an empty grid, so the OOD score is never read from it
+    _, _, rows = train_ppo(tiny_model(seed=8), None, suite["IND"][:4], cfg, ENV,
+                           eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=[])
+    assert [(r["phase"], r["ood_sr"]) for r in rows] == \
+        [("ppo", 0.0), ("ppo", 0.0), ("ppo_best", 0.0)]
+
+
+def test_best_rows_repeat_the_best_evaluations_step_and_success_rates(tmp_path, monkeypatch):
+    # the second of three evaluations scores best on IND, the third on OOD
+    scores = {"IND": [0.25, 0.75, 0.5], "OOD": [0.5, 0.0, 1.0]}
+    calls = {"IND": 0, "OOD": 0}
+
+    def scored(model, tasks, *args, **kw):
+        calls[tasks[0].split] += 1
+        return EvalResult(scores[tasks[0].split][calls[tasks[0].split] - 1], 0.0, 1.0, 1)
+
+    monkeypatch.setattr(training, "evaluate", scored)
+    suite = make_task_suite(0)
+    log = tmp_path / "ppo.jsonl"
+    _, _, rows = train_ppo(tiny_model(seed=8), None, suite["IND"][:4],
+                           micro_ppo_config(total_env_steps=48, eval_interval_steps=16), ENV,
+                           eval_tasks_ind=suite["IND"][:1], eval_tasks_ood=suite["OOD"][:1],
+                           log_path=log)
+    assert [json.loads(line) for line in log.read_text().splitlines()] == rows
+    assert {k: v for k, v in rows[-1].items() if k != "wallclock"} == \
+        {"step": 32, "phase": "ppo_best", "ind_sr": 0.75, "ood_sr": 0.0}
+    calls["IND"] = 0
+    cfg = SftConfig(max_steps=6, eval_interval=2, eval_episodes=1, batch_size=8)
+    _, rows = train_sft(tiny_model(seed=4), make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
+    assert [r["ind_sr"] for r in rows if r["phase"] == "sft"] == scores["IND"]
+    assert {k: v for k, v in rows[-1].items() if k != "wallclock"} == \
+        {"step": 4, "phase": "sft_best", "ind_sr": 0.75}
+
+
 def test_train_ppo_selects_on_ind_success_alone(monkeypatch):
     # the second evaluation has the higher IND + OOD sum, the first the higher IND
     scores = {"IND": [0.5, 0.25], "OOD": [0.0, 1.0]}
@@ -801,6 +855,14 @@ def test_ppo_config_rejects_more_minibatches_than_rows():
     assert PpoConfig(n_envs=2, horizon=8, minibatches=16, lr=0.0).minibatches == 16
     with pytest.raises(ConfigError, match="bad values in section ppo: minibatches=32"):
         PipelineConfig.from_dict({"ppo": {"n_envs": 2, "horizon": 8, "minibatches": 32}})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", -1e-4), ("batch_size", 0), ("max_steps", -1), ("eval_interval", 0),
+])
+def test_sft_config_names_a_non_positive_field(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+        SftConfig(**{field: value})
 
 
 def test_sft_config_rejects_no_eval_episodes():
