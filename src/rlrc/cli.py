@@ -56,7 +56,10 @@ def _load_config(args):
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except json.JSONDecodeError as e:
+                raise CliError(f"config {args.config} is not JSON: {e}") from e
     if isinstance(raw, dict):  # from_dict names any other root
         for key, value in (("seed", args.seed), ("output_dir", args.output_dir)):
             if value is not None:
@@ -234,11 +237,12 @@ def _run_stage(row, cfg, args):
 
 
 def cmd_eval(cfg, args):
-    from .training import ExpertPolicyWrapper, evaluate
+    from .env import expert_actions
+    from .training import evaluate
 
     suite = _suite(cfg)
     if args.expert:
-        policy = ExpertPolicyWrapper()
+        policy = expert_actions
         name = "expert"
     else:
         if not args.input:

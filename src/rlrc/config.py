@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .env import N_ACTIONS, EnvConfig
 from .model import ModelConfig
+from .pruning import default_exempt_layers
 from .quant import Q_MAX
 from .training import SELECTION_SEED, PpoConfig, SftConfig
 
@@ -41,7 +42,7 @@ class DemoSection:
 @dataclass
 class PruneSection:
     ratio: float = 0.9
-    exempt_layers: list = None  # None -> first and last
+    exempt_layers: list = None  # None -> first and last, resolved by PipelineConfig
     # rows scored by taylor_importance, which differentiates only the
     # layers outside exempt_layers and those above them; scored a chunk at
     # a time, the rows sized to the model's widths, so the batch size does
@@ -171,6 +172,8 @@ class PipelineConfig:
         ):
             if bad:
                 raise ConfigError(f"sections disagree: {msg}")
+        if exempt is None:
+            self.prune.exempt_layers = sorted(default_exempt_layers(model))
 
     def to_dict(self):
         return dataclasses.asdict(self)

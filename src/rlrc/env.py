@@ -8,10 +8,15 @@ trajectory is a pure function of (task, episode seed, action sequence),
 and `state_key` names the part of a state that decides everything but the
 time limit.  An episode ends placed (``success``) or cut by the time limit
 (``done`` and not ``success``); its state alone says which.
+
+`run_episodes` is the one loop over whole episodes from (task, seed)
+starts, the expert's demonstrations' and ``training.evaluate``'s; `VecEnv`,
+PPO's stream of episodes, is the only other caller of `step`.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,32 +72,29 @@ class EnvConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
     # token alphabet: coordinates, object types, plate ids, holding flag, and
-    # a null token no observation writes, kept so obs_vocab stays the same
-    @property
-    def coord_vocab(self):
+    # a null token no observation writes, kept so obs_vocab stays the same;
+    # computed once, as every observation reads it and no config is changed
+    @cached_property
+    def type_base(self):  # after the coordinates 0 .. max(width, height) - 1
         return max(self.width, self.height)
 
-    @property
-    def type_base(self):
-        return self.coord_vocab
-
-    @property
+    @cached_property
     def plate_base(self):
         return self.type_base + N_OBJECT_TYPES
 
-    @property
+    @cached_property
     def hold_base(self):
         return self.plate_base + N_PLATES
 
-    @property
+    @cached_property
     def null_token(self):
         return self.hold_base + 2
 
-    @property
+    @cached_property
     def obs_vocab(self):
         return self.null_token + 1
 
-    @property
+    @cached_property
     def obs_len(self):
         return 9 + 3 * self.n_distractors
 
@@ -128,11 +130,14 @@ class StepResult:
 
 
 @dataclass
-class Demonstration:
+class Episode:
+    """One episode `run_episodes` ran: a demonstration or an evaluation."""
     task: TaskSpec
     seed: int
     steps: list  # (obs token list, action id)
-    success: bool
+    success: bool = False
+    ret: float = 0.0  # the summed reward
+    length: int = 0  # steps taken, or max_steps for a cut loop
 
 
 def make_task_suite(seed):
@@ -189,17 +194,18 @@ def reset(config, task, episode_seed):
 def obs_tokens(state):
     """Fixed-layout symbolic observation (instruction slots first)."""
     c = state.config
+    type_base, plate_base, hold_base = c.type_base, c.plate_base, c.hold_base
     toks = [
-        c.type_base + state.task.object_type,
-        c.plate_base + state.task.plate_id,
+        type_base + state.task.object_type,
+        plate_base + state.task.plate_id,
         state.gripper_x, state.gripper_y,
         state.objects[0].x, state.objects[0].y,
         state.plate_x, state.plate_y,
-        c.hold_base + (0 if state.holding is None else 1),
+        hold_base + (0 if state.holding is None else 1),
     ]
     # reset places exactly n_distractors distractors and step keeps them
     for o in state.objects[1:]:
-        toks.extend([c.type_base + o.obj_type, o.x, o.y])
+        toks.extend([type_base + o.obj_type, o.x, o.y])
     return np.array(toks, dtype=np.int64)
 
 
@@ -213,8 +219,10 @@ def state_key(state):
     long as neither reaches ``max_steps``.  A field `step` writes must join
     the key.
     """
-    return (state.gripper_x, state.gripper_y, state.holding, state.target_grasped_once,
-            tuple((o.x, o.y) for o in state.objects))
+    key = [state.gripper_x, state.gripper_y, state.holding, state.target_grasped_once]
+    for o in state.objects:
+        key += (o.x, o.y)
+    return tuple(key)
 
 
 def step(state, action):
@@ -284,16 +292,48 @@ def expert_policy(state):
     return _step_toward(state.gripper_x, state.gripper_y, target.x, target.y)
 
 
-def run_expert_episode(config, task, episode_seed):
-    """Roll the expert to termination; returns a Demonstration."""
-    state, obs = reset(config, task, episode_seed)
-    steps = []
-    while not state.done:
-        a = expert_policy(state)
-        steps.append((obs.tolist(), int(a)))
-        res = step(state, a)
-        obs = res.obs
-    return Demonstration(task=task, seed=int(episode_seed), steps=steps, success=state.success)
+def expert_actions(obs_batch, states):
+    """`expert_policy` of each state: the expert as a `run_episodes` policy."""
+    return np.array([expert_policy(s) for s in states], dtype=np.int64)
+
+
+def run_episodes(act, config, starts):
+    """Run an episode from each (task, episode seed) start to its end;
+    returns an `Episode` per start, in start order.
+
+    ``act(obs_batch, states)`` gives a deterministic action per state, and
+    each step asks it only about the episodes still running.  An episode ends
+    placed, at the time limit, or at its first repeated `state_key`, the
+    reset state included: from there it would repeat one loop until the time
+    limit, and a loop earns nothing, since a placement ends the episode and
+    the only other reward, the target's first grasp, sets
+    ``target_grasped_once``, part of the key.  It is scored as that time-out:
+    a failure of ``max_steps`` steps with the return it has.
+    """
+    resets = [reset(config, task, seed) for task, seed in starts]
+    states = [state for state, _ in resets]
+    obs = np.array([o for _, o in resets])
+    episodes = [Episode(task, int(seed), []) for task, seed in starts]
+    seen = [{state_key(s)} for s in states]  # each episode's visited states
+    live = list(range(len(states)))  # the episodes still running
+    while live:
+        actions = np.asarray(act(obs[live], [states[i] for i in live]), dtype=np.int64)
+        running = []
+        for i, a in zip(live, actions.tolist()):
+            ep, state = episodes[i], states[i]
+            ep.steps.append((obs[i].tolist(), a))
+            res = step(state, a)
+            obs[i] = res.obs
+            ep.ret += res.reward
+            if res.done:
+                ep.success, ep.length = state.success, len(ep.steps)
+            elif (key := state_key(state)) in seen[i]:  # a loop: it can only time out
+                ep.length = config.max_steps
+            else:
+                seen[i].add(key)
+                running.append(i)
+        live = running
+    return episodes
 
 
 def generate_demos(config, tasks, episodes_per_task, seed, out_path):
@@ -301,10 +341,9 @@ def generate_demos(config, tasks, episodes_per_task, seed, out_path):
     for t in tasks:
         if t.split != "IND":
             raise SplitError(f"demo generation refused for non-IND task {t}")
-    demos = []
-    for task in tasks:
-        for e in range(episodes_per_task):
-            demos.append(run_expert_episode(config, task, 1000 * seed + e))
+    # one task's episodes at a time: the runner's memory grows with the episodes it runs
+    demos = [d for task in tasks for d in run_episodes(
+        expert_actions, config, [(task, 1000 * seed + e) for e in range(episodes_per_task)])]
     with open(out_path, "w", encoding="utf-8") as f:
         for d in demos:
             f.write(json.dumps({

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, PolicyModel, chunk_rows
-from .tensor import Tensor, backward_in_chunks, check_finite
+from .model import ModelConfig, PolicyModel
+from .tensor import Tensor
 
 KIND_ATTN = "attn_head"
 KIND_MLP = "mlp_channel"
@@ -146,11 +146,10 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
     embeddings and the layers below the first scored one run unrecorded,
     and nothing selection does not read receives a gradient (a recorded
     block's backward still computes its constants' gradients, and drops
-    them).  The gradient is
-    accumulated a chunk of rows at a time (`tensor.backward_in_chunks`),
-    the rows sized to the model's widths (`model.chunk_rows`), so peak
-    memory is one chunk's graph, independent of the batch size, and about
-    the same for a dense model as for a pruned one.  The saliency
+    them).  The gradient is accumulated a chunk of rows at a time
+    (`training.sft_backward`), the rows sized to the model's widths, so
+    peak memory is one chunk's graph, independent of the batch size, and
+    about the same for a dense model as for a pruned one.  The saliency
     |w * dL/dw| is formed in float64 once per scored matrix; a one-index
     member (an MLP channel's column or row) reads one reduction of it per
     matrix, a wider member (a head's slice) its own sum, and each is added
@@ -158,7 +157,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
     groups alone, and ``loss`` is the mean over all rows.  ``model`` and its
     parameters' gradients are left untouched.
     """
-    from .training import sft_loss  # local import; training pulls in env
+    from .training import sft_backward  # local import; training pulls in env
 
     obs = np.asarray(calibration_obs)
     if obs.size == 0:
@@ -175,10 +174,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
             members.setdefault(member[0], []).append((g.key, member))
     scoring = PolicyModel(model.config, {name: Tensor(p.data, requires_grad=name in members)
                                          for name, p in model.named_params()})
-    loss, = backward_in_chunks(
-        lambda r0, r1: (check_finite(sft_loss(scoring, obs[r0:r1], actions[r0:r1]),
-                                     "calibration loss"),),
-        n, chunk_rows(model.config, obs.shape[1] + 1))
+    loss, _ = sft_backward(scoring, obs, actions, "calibration loss")
     scores = {g.key: 0.0 for g in groups}
     # parameters come in member order (wq wk wv wo, then wup wgate wdown)
     for name, p in scoring.named_params():

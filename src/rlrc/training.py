@@ -3,11 +3,9 @@
 SFT minimizes mean negative log-likelihood of expert actions; PPO runs
 clipped-surrogate updates with GAE over sparse-reward rollouts from the
 vectorized env; the critic shares the transformer backbone and trains
-it too.  Evaluation is batched greedy rollout over a deterministic,
-non-empty (task, seed) grid and is the single scorer of every stage.  It
-stops an episode once its state repeats: with a deterministic policy the
-episode would loop until it timed out, earning nothing, so it is scored as
-that time-out without decoding the loop.
+it too.  Evaluation runs a deterministic policy over a non-empty (task,
+seed) grid through `env.run_episodes` and is the single scorer of every
+stage.
 
 Both trainers evaluate, log and select their best weights in one step
 (`_Best`): it scores the policy at `SELECTION_SEED`, whose episodes are not
@@ -46,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .env import VecEnv, expert_policy, reset, state_key, step as env_step
+from .env import VecEnv, run_episodes
+from .env import step as env_step  # never called here; perfbench's tracer test reads the name
 from .model import (PolicyModel, batch_logprob_value, build_contexts, chunk_rows, forward,
                     greedy_actions, init_value_head)
 from .tensor import OptimizerState, adam_step, backward_in_chunks, check_finite, fused, no_grad
@@ -141,13 +140,9 @@ class TrajectoryBuffer:
 
 def demo_arrays(demos):
     """Flatten demonstrations to (obs, action) step arrays."""
-    obs = []
-    acts = []
-    for d in demos:
-        for o, a in d.steps:
-            obs.append(o)
-            acts.append(a)
-    return np.asarray(obs, dtype=np.int64), np.asarray(acts, dtype=np.int64)
+    steps = [s for d in demos for s in d.steps]
+    return (np.asarray([o for o, _ in steps], dtype=np.int64),
+            np.asarray([a for _, a in steps], dtype=np.int64))
 
 
 def sft_loss(model, obs_batch, action_batch):
@@ -159,6 +154,17 @@ def sft_loss(model, obs_batch, action_batch):
     actions = np.asarray(action_batch, dtype=np.int64).reshape(-1)
     logits, _ = forward(model, build_contexts(model.config, obs))
     return fused(kernels.nll, kernels.nll_backward, (logits,), actions)
+
+
+def sft_backward(model, obs, actions, what):
+    """Accumulate the gradients of the mean `sft_loss` of an (n, obs_len)
+    batch, `model.chunk_rows` rows at a time; returns (the mean loss, the rows
+    per chunk).  A non-finite chunk loss raises NonFiniteError naming ``what``."""
+    rows = chunk_rows(model.config, obs.shape[1] + 1)
+    loss, = backward_in_chunks(
+        lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]), what),),
+        len(obs), rows)
+    return loss, rows
 
 
 # ---------------------------------------------------------------------------
@@ -183,70 +189,22 @@ class ModelPolicy:
         return greedy_actions(self.model, build_contexts(self.model.config, obs_batch))
 
 
-class ExpertPolicyWrapper:
-    """Scripted expert driven through the evaluation harness."""
-
-    def act(self, obs_batch, states):
-        return np.array([expert_policy(s) for s in states], dtype=np.int64)
-
-
 def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
-    """Deterministic greedy rollouts over a (task, episode-seed) grid.
-
-    ``policy.act`` must be a deterministic function of each episode's
-    state; greedy `ModelPolicy` and `ExpertPolicyWrapper` are.  Each step
-    decodes only the episodes still running, and an episode stops running
-    once its `env.state_key` repeats one it has already visited, the reset
-    state included.  From there it would repeat the same loop until the
-    time limit, and a loop earns nothing: a success ends the episode, and
-    the only other reward, the first grasp of the target, sets
-    ``target_grasped_once``, which is part of the key.  Such an episode
-    counts as a failure of ``max_steps`` steps with the return it has.
-    An empty grid raises TrainingError."""
+    """The means of deterministic episodes (`env.run_episodes`) over a
+    (task, episode-seed) grid.  ``policy`` is a `PolicyModel`, decoded
+    greedily by `ModelPolicy`, or a deterministic ``act(obs_batch, states)``
+    such as `env.expert_actions`.  An empty grid raises TrainingError."""
     if not tasks or episodes_per_task < 1:
         raise TrainingError(f"evaluate needs at least one (task, episode): got "
                             f"{len(tasks)} tasks and episodes_per_task={episodes_per_task}")
-    if isinstance(policy, PolicyModel):
-        policy = ModelPolicy(policy)
-    states = []
-    obs_rows = []
-    for task in tasks:
-        for e in range(episodes_per_task):
-            s, o = reset(env_config, task, 100_000 * seed + e)
-            states.append(s)
-            obs_rows.append(o)
-    n = len(states)
-    obs = np.stack(obs_rows)
-    returns = np.zeros(n)
-    lengths = np.zeros(n, dtype=np.int64)
-    successes = np.zeros(n, dtype=bool)
-    seen = [{state_key(s)} for s in states]  # each episode's visited states
-    live = np.arange(n)  # the episodes still running
-    for _ in range(env_config.max_steps):
-        if not live.size:
-            break
-        actions = policy.act(obs[live], [states[i] for i in live])
-        done = np.zeros(live.size, dtype=bool)
-        for j, i in enumerate(live):
-            res = env_step(states[i], int(actions[j]))
-            obs[i] = res.obs
-            returns[i] += res.reward
-            lengths[i] += 1
-            if res.done:
-                done[j] = True
-                successes[i] = states[i].success
-                continue
-            key = state_key(states[i])
-            if key in seen[i]:  # a loop: it can only time out
-                done[j] = True
-                lengths[i] = env_config.max_steps
-            seen[i].add(key)
-        live = live[~done]
+    act = ModelPolicy(policy).act if isinstance(policy, PolicyModel) else policy
+    episodes = run_episodes(act, env_config, [(task, 100_000 * seed + e) for task in tasks
+                                              for e in range(episodes_per_task)])
     return EvalResult(
-        success_rate=float(successes.mean()),
-        mean_return=float(returns.mean()),
-        mean_length=float(lengths.mean()),
-        episodes=n,
+        success_rate=float(np.mean([e.success for e in episodes])),
+        mean_return=float(np.mean([e.ret for e in episodes])),
+        mean_length=float(np.mean([e.length for e in episodes])),
+        episodes=len(episodes),
     )
 
 
@@ -322,14 +280,9 @@ def train_sft(model, demos, config, env_config, eval_tasks, log_path=None):
     opt = OptimizerState(model.params(), lr=config.lr)
     best = _Best(config.patience, env_config, config.eval_episodes, log_path, ind=eval_tasks)
     m = obs_all.shape[0]
-    rows = chunk_rows(model.config, obs_all.shape[1] + 1)
     for it in range(1, config.max_steps + 1):
         idx = rng.integers(0, m, size=config.batch_size)
-        obs, act = obs_all[idx], act_all[idx]
-        loss, = backward_in_chunks(
-            lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], act[r0:r1]),
-                                         f"sft loss at step {it}"),),
-            config.batch_size, rows)
+        loss, rows = sft_backward(model, obs_all[idx], act_all[idx], f"sft loss at step {it}")
         adam_step(opt)
         if it % config.eval_interval == 0 or it == config.max_steps:
             if best.evaluate((model,), step=it, phase="sft", loss=loss, chunk_rows=rows):

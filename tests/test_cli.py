@@ -293,6 +293,17 @@ def test_flags_on_a_config_root_that_is_not_an_object(tmp_path, capsys, root):
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_a_config_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"seed": 0, }')
+    assert run(["--config", str(path), "--output-dir", str(tmp_path / "run"),
+                "gen-demos"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config {path} is not JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 13 (char 12)\n")
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_task_split_is_the_same_for_every_seed(tmp_path, monkeypatch):
     # each seed of a multi-seed table trains and evaluates on one split,
     # which gen-demos builds once
@@ -331,6 +342,9 @@ def test_config_echo_written_next_to_outputs(tmp_path):
         resolved = json.load(f)
     again = PipelineConfig.from_dict(resolved)
     assert again.to_dict() == resolved
+    # the layers pruning keeps whole are named, not left to a null default
+    n_layers = resolved["model"]["n_layers"]
+    assert resolved["prune"]["exempt_layers"] == [0, n_layers - 1]
 
 
 def test_sweep_report(tmp_path, monkeypatch):

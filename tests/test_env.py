@@ -7,10 +7,10 @@ import pytest
 
 from rlrc.env import (
     DOWN, GRASP, LEFT, N_ACTIONS, RELEASE, RIGHT, UP,
-    REWARD_GRASPED, REWARD_PLACED, Demonstration, EnvConfig, EnvError, EnvState, ObjectState,
+    REWARD_GRASPED, REWARD_PLACED, EnvConfig, EnvError, EnvState, ObjectState,
     SplitError, TaskSpec, VecEnv,
-    expert_policy, generate_demos, make_task_suite, obs_tokens, reset, run_expert_episode,
-    save_task_suite, state_key, step,
+    expert_actions, expert_policy, generate_demos, make_task_suite, obs_tokens, reset,
+    run_episodes, save_task_suite, state_key, step,
 )
 
 CFG = EnvConfig()
@@ -149,13 +149,11 @@ def test_holding_moves_object():
 def test_expert_full_sweep():
     # 25 tasks x 20 seeds: always succeeds within the path-length bound
     bound = 2 * (CFG.width + CFG.height) + 2
-    for o in range(5):
-        for p in range(5):
-            task = TaskSpec(o, p, "IND")
-            for seed in range(20):
-                demo = run_expert_episode(CFG, task, seed)
-                assert demo.success
-                assert len(demo.steps) <= bound
+    starts = [(TaskSpec(o, p, "IND"), seed)
+              for o in range(5) for p in range(5) for seed in range(20)]
+    for demo in run_episodes(expert_actions, CFG, starts):
+        assert demo.success
+        assert len(demo.steps) <= bound
 
 
 def test_expert_never_releases_off_plate():
@@ -190,13 +188,44 @@ def test_generate_demos_rejects_ood(tmp_path):
 
 def test_demo_replay_reproduces_observations():
     suite = make_task_suite(0)
-    demo = run_expert_episode(CFG, suite["IND"][0], 123)
+    demo, = run_episodes(expert_actions, CFG, [(suite["IND"][0], 123)])
     state, obs = reset(CFG, demo.task, demo.seed)
     for rec_obs, action in demo.steps:
         np.testing.assert_array_equal(np.asarray(rec_obs), obs)
         res = step(state, action)
         obs = res.obs
     assert state.success
+
+
+def test_run_episodes_cuts_a_loop_at_its_first_repeated_state():
+    # UP walks the gripper to the top wall; one more UP leaves the state unchanged
+    suite = make_task_suite(0)
+    starts = [(suite["IND"][i], 10 + i) for i in range(6)]
+    rows = []
+
+    def up(obs_batch, states):
+        assert len(obs_batch) == len(states) and not any(s.done for s in states)
+        rows.append(len(states))
+        return np.full(len(states), UP)
+
+    episodes = run_episodes(up, CFG, starts)
+    for ep, (task, seed) in zip(episodes, starts):
+        state, obs = reset(CFG, task, seed)
+        assert (ep.task, ep.seed) == (task, seed)
+        assert ep.steps[0][0] == obs.tolist()
+        assert [a for _, a in ep.steps] == [UP] * (state.gripper_y + 1)
+        assert (ep.success, ep.ret, ep.length) == (False, 0.0, CFG.max_steps)
+    # each step asks only for the episodes still running
+    assert rows[0] == len(starts) and sum(rows) == sum(len(ep.steps) for ep in episodes)
+    assert rows == sorted(rows, reverse=True)
+
+
+def test_run_episodes_ends_at_the_time_limit():
+    cfg = EnvConfig(max_steps=4)
+    episodes = run_episodes(expert_actions, cfg, [(t, 0) for t in make_task_suite(0)["IND"]])
+    assert all(ep.length == len(ep.steps) <= 4 for ep in episodes)
+    assert {ep.length for ep in episodes if not ep.success} == {4}
+    assert run_episodes(expert_actions, cfg, []) == []
 
 
 def test_vec_env_matches_scalar_env():
@@ -283,13 +312,14 @@ def test_vec_step_returns_only_time_limit_cuts_under_their_slot():
 
 def test_episode_return_bounded():
     suite = make_task_suite(0)
-    for seed in range(10):
-        demo = run_expert_episode(CFG, suite["IND"][seed % 16], seed)
+    starts = [(suite["IND"][seed % 16], seed) for seed in range(10)]
+    for demo in run_episodes(expert_actions, CFG, starts):
         state, _ = reset(CFG, demo.task, demo.seed)
         total = 0.0
         for _, a in demo.steps:
             total += step(state, a).reward
         assert total <= 1.1 + 1e-9
+        assert demo.ret == total and demo.length == len(demo.steps)
 
 
 # -- state_key ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from rlrc.env import EnvConfig, generate_demos, make_task_suite
+from rlrc.env import EnvConfig, expert_actions, generate_demos, make_task_suite, run_episodes
 from rlrc.model import ModelConfig, chunk_rows, forward, init_model
 from rlrc.pruning import (
     KIND_ATTN, KIND_MLP,
@@ -31,11 +31,10 @@ def calib_batch(n=64, seed=0):
     suite = make_task_suite(0)
     cfg = EnvConfig()
     demos = []
-    from rlrc.env import run_expert_episode
-
     i = steps = 0
     while i < 8 or steps < n:
-        demos.append(run_expert_episode(cfg, suite["IND"][i % len(suite["IND"])], seed + i))
+        task = suite["IND"][i % len(suite["IND"])]
+        demos += run_episodes(expert_actions, cfg, [(task, seed + i)])
         steps += len(demos[-1].steps)
         i += 1
     obs, acts = demo_arrays(demos)

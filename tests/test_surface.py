@@ -3,7 +3,9 @@ by the program, every public function and class has a user outside its
 own definition, and every defaulted parameter of a public function is
 passed by some call, in ``src/rlrc`` or in perfbench's program files;
 a public class's ``__init__`` counts as a public function.
-No command line flag is a setting: settings live in the config alone."""
+No command line flag is a setting: settings live in the config alone.
+Episodes have one loop: among program files, `env.step` is called by
+`env.run_episodes` and by `env.VecEnv`, PPO's stream of episodes, alone."""
 
 import argparse
 import ast
@@ -159,3 +161,50 @@ def test_every_flag_is_a_path_or_a_mode():
     flags = parser_flags(cli.build_parser())
     assert sorted(set(flags) - set(FLAGS_ALLOWED)) == []
     assert sorted(set(FLAGS_ALLOWED) - set(flags)) == [], "stale exception"
+
+
+# the callers of env.step: the one loop over whole episodes, and PPO's stream
+STEP_CALLERS = {"env.run_episodes", "env.VecEnv.vec_step"}
+
+
+def step_callers(source, stem):
+    """The functions of a module that call `env.step`, as "<stem>.<qualified
+    name>": by the name a ``from ... import`` binds it or the env module to,
+    or, in ``env`` itself, by its own name."""
+    tree = ast.parse(source)
+    steps = {"step"} if stem == "env" else set()
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if a.name == "step" and (node.module or "").rsplit(".", 1)[-1] == "env":
+                    steps.add(a.asname or a.name)
+                elif a.name == "env":
+                    modules.add(a.asname or a.name)
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id in steps or \
+                        isinstance(f, ast.Attribute) and f.attr == "step" and \
+                        isinstance(f.value, ast.Name) and f.value.id in modules:
+                    found.add(".".join((stem, *scope)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_episodes_step_through_one_loop():
+    forked = "from . import env as e\nfrom .env import step as s\n" \
+             "def loop(x):\n    s(x)\nclass C:\n    def f(self, x):\n        e.step(x)\n"
+    assert step_callers(forked, "m") == {"m.loop", "m.C.f"}
+    found = set()
+    for path in program_files():
+        found |= step_callers(path.read_text(), path.stem)
+    assert found == STEP_CALLERS

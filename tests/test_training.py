@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlrc.env import EnvConfig, VecEnv, generate_demos, make_task_suite
+from rlrc.env import EnvConfig, VecEnv, expert_actions, generate_demos, make_task_suite
 from rlrc.model import (
     ModelConfig, batch_logprob_value, build_contexts, chunk_rows, forward, init_model,
     init_value_head,
@@ -16,7 +16,6 @@ from rlrc.tensor import NonFiniteError, adam_step, backward, backward_in_chunks,
 from rlrc import kernels, training
 from rlrc.training import (
     EvalResult,
-    ExpertPolicyWrapper,
     ModelPolicy,
     PpoConfig,
     SftConfig,
@@ -505,7 +504,7 @@ def test_ppo_backward_rejects_out_of_range_actions():
 
 # -- evaluate ------------------------------------------------------------------
 
-class RowCountingExpert(ExpertPolicyWrapper):
+class RowCountingExpert:
     """The expert, recording how many episodes each step decodes."""
 
     def __init__(self):
@@ -514,10 +513,10 @@ class RowCountingExpert(ExpertPolicyWrapper):
     def act(self, obs_batch, states):
         assert len(obs_batch) == len(states) and not any(s.done for s in states)
         self.rows.append(len(states))
-        return super().act(obs_batch, states)
+        return expert_actions(obs_batch, states)
 
 
-def evaluate_every_row(policy, tasks, episodes_per_task, env_config, seed=7):
+def evaluate_every_row(act, tasks, episodes_per_task, env_config, seed=7):
     """Reference: decode every episode at every step, finished ones too."""
     from rlrc.env import reset, step
 
@@ -534,7 +533,7 @@ def evaluate_every_row(policy, tasks, episodes_per_task, env_config, seed=7):
     for _ in range(env_config.max_steps):
         if not active.any():
             break
-        actions = policy.act(obs, states)
+        actions = act(obs, states)
         for i in np.flatnonzero(active):
             res = step(states[i], int(actions[i]))
             obs[i] = res.obs
@@ -550,8 +549,8 @@ def evaluate_every_row(policy, tasks, episodes_per_task, env_config, seed=7):
 def test_evaluate_decodes_only_running_episodes(split):
     suite = make_task_suite(0)
     policy = RowCountingExpert()
-    r = evaluate(policy, suite[split], 3, ENV, seed=3)
-    sr, ret, length = evaluate_every_row(ExpertPolicyWrapper(), suite[split], 3, ENV, seed=3)
+    r = evaluate(policy.act, suite[split], 3, ENV, seed=3)
+    sr, ret, length = evaluate_every_row(expert_actions, suite[split], 3, ENV, seed=3)
     assert (r.success_rate, r.mean_return, r.mean_length) == (sr, ret, length)
     # the expert's episodes end at different steps, so later steps shrink
     assert policy.rows[0] == r.episodes > policy.rows[-1]
@@ -563,7 +562,7 @@ def test_evaluate_rejects_an_empty_grid():
     for tasks, episodes in (([], 2), (suite["IND"][:2], 0)):
         with pytest.raises(TrainingError, match=f"got {len(tasks)} tasks and "
                                                 f"episodes_per_task={episodes}"):
-            evaluate(ExpertPolicyWrapper(), tasks, episodes, ENV)
+            evaluate(expert_actions, tasks, episodes, ENV)
 
 
 class RowCountingModelPolicy(ModelPolicy):
@@ -583,8 +582,8 @@ def test_evaluate_model_matches_every_row_reference():
     m = tiny_model(seed=7)  # untrained: its greedy episodes loop
     for split in ("IND", "OOD"):
         policy = RowCountingModelPolicy(m)
-        r = evaluate(policy, suite[split], 2, ENV)
-        sr, ret, length = evaluate_every_row(ModelPolicy(m), suite[split], 2, ENV)
+        r = evaluate(policy.act, suite[split], 2, ENV)
+        sr, ret, length = evaluate_every_row(ModelPolicy(m).act, suite[split], 2, ENV)
         assert r == EvalResult(sr, ret, length, 2 * len(suite[split]))
         # a looping episode stops at its first repeated state, scored as a time-out
         assert sum(policy.rows) < r.mean_length * r.episodes
@@ -592,7 +591,7 @@ def test_evaluate_model_matches_every_row_reference():
 def test_evaluate_expert_perfect_on_both_splits():
     suite = make_task_suite(0)
     for split in ("IND", "OOD"):
-        r = evaluate(ExpertPolicyWrapper(), suite[split], 3, ENV)
+        r = evaluate(expert_actions, suite[split], 3, ENV)
         assert r.success_rate == 1.0
         assert r.mean_return == pytest.approx(1.1)
 
