@@ -1,23 +1,23 @@
 """Command line pipeline driver.
 
 Subcommands: gen-demos, then the recipe's stages train-dense, prune, sft,
-rl and quantize, then eval, bench, pipeline and sweep.  `STAGES` is the
-one statement of the recipe's order: each row names a stage command, the
-stage it writes (``<stage>.ckpt``, whose ``meta["stage"]`` it is), the
-parent stage whose checkpoint it reads (checked against that checkpoint's
-metadata) and the body that does the work.  The stage commands, `rlrc
-pipeline`, bench's default inputs and the manifest all read that table.
+rl and quantize, then eval, bench and pipeline.  `STAGES` is the one
+statement of the recipe's order; the stage commands, `rlrc pipeline`,
+bench's default inputs and the manifest all read it.  A stage reads its
+recipe parent's checkpoint, or with ``--input`` any earlier stage's, which
+makes the rows the recipe skips a step in: ``rl --input pruned.ckpt`` (PPO
+with no SFT) writes ``rl_pruned.ckpt``.
 
 A run is its config: every command echoes the fully resolved config into
-the output directory as ``resolved_config.json`` and takes every setting
-from it.  No flag overrides a setting: the flags name input paths,
-modes and sweep's own axes, and ``--seed`` and ``--output-dir`` are
-written into the config's JSON before it is resolved and echoed.  The
-task split (one for every seed) and the demonstrations are built by each
-command that needs them and rewritten to ``suite.json`` and
-``demos.jsonl`` as records, never read back.  The training stages write
-a JSONL metrics log, ``metrics_<stem>.jsonl`` after their checkpoint's
-stem.
+the output directory as ``resolved_config.json``, whose SHA-256 each stage
+checkpoint records, and takes every setting from it.  No flag overrides a
+setting: the flags name input paths and modes, and ``--seed`` and
+``--output-dir`` are written into the config's JSON before it is resolved
+and echoed; a prune-ratio sweep is one config per ratio.  The task split
+(one for every seed) and the demonstrations are built by each command that
+needs them and rewritten to ``suite.json`` and ``demos.jsonl`` as records,
+never read back.  The training stages write a JSONL metrics log,
+``metrics_<stem>.jsonl`` after their checkpoint's stem.
 
 RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
 inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
@@ -74,27 +74,12 @@ def _p(cfg, name):
     return os.path.join(cfg.output_dir, name)
 
 
-def _load_ckpt_for(cfg, stage, parent, path):
-    """Load the input of the command ``stage``: ``path``, else the
-    ``parent`` stage's checkpoint in the output directory.  Either must
-    come from the parent stage."""
-    from .checkpoint import load_checkpoint
+def _config_sha256(cfg):
+    """The SHA-256 of the bytes of this run's ``resolved_config.json``."""
+    import hashlib
 
-    if path is None:
-        path = _p(cfg, f"{parent}.ckpt")
-        if not os.path.exists(path):
-            raise CliError(f"missing input checkpoint for {stage}: expected "
-                           f"{parent}.ckpt in {cfg.output_dir}")
-    if not os.path.exists(path):
-        raise CliError(f"checkpoint not found: {path}")
-    loaded = load_checkpoint(path)
-    got = loaded.meta.get("stage")
-    if got != parent:
-        raise CliError(
-            f"stage-order violation: {stage} expects a checkpoint from "
-            f"{parent}, got {got!r} ({path})"
-        )
-    return loaded, path
+    with open(_p(cfg, "resolved_config.json"), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _suite(cfg):
@@ -124,8 +109,7 @@ def cmd_gen_demos(cfg, args):
 
 
 def _train(cfg, loaded, log_path):
-    """SFT on the demos: of a new model for train-dense, of the pruned one
-    for sft."""
+    """SFT on the demos: of a new model for train-dense, of its input for sft."""
     from .model import init_model
     from .training import train_sft
 
@@ -136,33 +120,25 @@ def _train(cfg, loaded, log_path):
     return model, {}, f"best IND SR {rows[-1].get('ind_sr'):.3f}"
 
 
-def _prune(cfg, model, demos, ratio, table=None):
-    """Remove the lowest-importance groups of ``model`` up to ``ratio``.
-
-    Unless ``table`` is given, scores ``model`` on ``cfg.prune.calib_batch``
-    demo steps drawn with ``cfg.prune.seed``.  Returns (table, plan, pruned).
-    """
+def _prune_stage(cfg, loaded, log_path):
+    """Score the model on ``cfg.prune.calib_batch`` demo steps drawn with
+    ``cfg.prune.seed``, remove its lowest-importance groups up to
+    ``cfg.prune.ratio`` and record the plan in ``prune_plan.json``."""
     import numpy as np
 
     from .pruning import apply_prune, select_prune_groups, taylor_importance
     from .training import demo_arrays
 
-    if table is None:
-        obs, acts = demo_arrays(demos)
-        rng = np.random.default_rng(cfg.prune.seed)
-        idx = rng.choice(obs.shape[0], size=min(cfg.prune.calib_batch, obs.shape[0]),
-                         replace=False)
-        table = taylor_importance(model, obs[idx], acts[idx], seed=cfg.prune.seed,
-                                  exempt_layers=cfg.prune.exempt_layers)
-    plan = select_prune_groups(model, table, ratio, cfg.prune.exempt_layers)
-    return table, plan, apply_prune(model, plan)
-
-
-def _prune_stage(cfg, loaded, log_path):
-    _, plan, pruned = _prune(cfg, loaded.model, _demos(cfg, _suite(cfg)), cfg.prune.ratio)
+    model, c = loaded.model, cfg.prune
+    obs, acts = demo_arrays(_demos(cfg, _suite(cfg)))
+    idx = np.random.default_rng(c.seed).choice(
+        obs.shape[0], size=min(c.calib_batch, obs.shape[0]), replace=False)
+    table = taylor_importance(model, obs[idx], acts[idx], seed=c.seed,
+                              exempt_layers=c.exempt_layers)
+    plan = select_prune_groups(model, table, c.ratio, c.exempt_layers)
     with open(_p(cfg, "prune_plan.json"), "w", encoding="utf-8") as f:
         f.write(plan.to_json())
-    return pruned, {"ratio": plan.achieved_ratio}, (
+    return apply_prune(model, plan), {"ratio": plan.achieved_ratio}, (
         f"achieved ratio {plan.achieved_ratio:.4f}, "
         f"{plan.removed_params}/{plan.prunable_params} prunable params removed")
 
@@ -187,21 +163,19 @@ def _quantize(cfg, loaded, log_path):
 
 
 class Stage(NamedTuple):
-    """One step of the recipe.  ``rlrc <command>`` loads the checkpoint of
-    ``parent`` (none for the first step), calls ``body(cfg, loaded,
-    log_path)`` on it for (model, extra meta, summary) and writes
-    ``<stage>.ckpt``, which holds that model alone: its payload is exactly
-    ``quant.memory_bytes(model)["total_bytes"]``.  Every setting a body
-    uses comes from ``cfg``, the echoed config; a training body logs its
-    metric rows to ``log_path``, ``metrics_<stem>.jsonl``.  A step with a
-    ``cold_parent`` also takes ``--cold-start``: it then reads that stage
-    instead, writes ``<stage>_cold.ckpt`` and logs to
-    ``metrics_<stage>_cold.jsonl``."""
+    """One step of the recipe.  ``rlrc <command>`` loads a checkpoint of an
+    earlier stage (none for the first step): ``<parent>.ckpt`` in the output
+    directory, or ``--input``.  It calls ``body(cfg, loaded, log_path)`` for
+    (model, extra meta, summary) and writes that model alone, whose payload
+    is exactly ``quant.memory_bytes(model)["total_bytes"]``, to
+    ``<stage>.ckpt`` from the recipe's parent and to ``<stage>_<input
+    stage>.ckpt`` from another stage.  Every setting a body uses comes from
+    ``cfg``, the echoed config; a training body logs its metric rows to
+    ``log_path``, ``metrics_<stem>.jsonl`` after the output's stem."""
     command: str
     stage: str
     parent: str
     body: object
-    cold_parent: str = None
 
 
 # the recipe, in the order it runs
@@ -209,27 +183,46 @@ STAGES = (
     Stage("train-dense", "dense", None, _train),
     Stage("prune", "pruned", "dense", _prune_stage),
     Stage("sft", "sft", "pruned", _train),
-    Stage("rl", "rl", "sft", _rl, cold_parent="pruned"),
+    Stage("rl", "rl", "sft", _rl),
     Stage("quantize", "quant", "rl", _quantize),
 )
 
 
+def _load_input(row, cfg, path):
+    """Load the input of ``row``'s command: ``path``, else the recipe
+    parent's checkpoint in the output directory.  Either must come from a
+    stage before ``row``; returns (loaded, path)."""
+    from .checkpoint import load_checkpoint
+
+    if path is None:
+        path = _p(cfg, f"{row.parent}.ckpt")
+        if not os.path.exists(path):
+            raise CliError(f"missing input checkpoint for {row.command}: expected "
+                           f"{row.parent}.ckpt in {cfg.output_dir}")
+    if not os.path.exists(path):
+        raise CliError(f"checkpoint not found: {path}")
+    loaded = load_checkpoint(path)
+    earlier = [s.stage for s in STAGES[:STAGES.index(row)]]
+    got = loaded.meta.get("stage")
+    if got not in earlier:
+        raise CliError(f"stage-order violation: {row.command} takes a checkpoint from "
+                       f"{', '.join(earlier)}; got {got!r} ({path})")
+    return loaded, path
+
+
 def _run_stage(row, cfg, args):
     """Run one row of `STAGES` and save its checkpoint.  The meta records
-    the stage, the master seed, the parent's path and, for a step with a
-    cold start, whether it took one."""
+    the stage, the master seed, the echoed config's SHA-256 and, for a step
+    with an input, that checkpoint's path and stage."""
     from .checkpoint import save_checkpoint
 
-    command, parent, stem = row.command, row.parent, row.stage
-    cold = row.cold_parent is not None and args.cold_start
-    if cold:
-        command, parent, stem = f"{command} --cold-start", row.cold_parent, f"{stem}_cold"
-    meta = {"stage": row.stage, "seed": cfg.seed}
-    loaded = None
-    if parent:
-        loaded, meta["parent"] = _load_ckpt_for(cfg, command, parent, args.input)
-    if row.cold_parent:
-        meta["cold_start"] = cold
+    meta = {"stage": row.stage, "seed": cfg.seed, "config_sha256": _config_sha256(cfg)}
+    loaded, stem = None, row.stage
+    if row.parent:
+        loaded, meta["parent"] = _load_input(row, cfg, args.input)
+        meta["parent_stage"] = loaded.meta["stage"]
+        if meta["parent_stage"] != row.parent:
+            stem = f"{row.stage}_{meta['parent_stage']}"
     model, extra, summary = row.body(cfg, loaded, _p(cfg, f"metrics_{stem}.jsonl"))
     path = _p(cfg, f"{stem}.ckpt")
     save_checkpoint(model, path, meta={**meta, **extra})
@@ -263,19 +256,10 @@ def cmd_eval(cfg, args):
         json.dump(out, f, indent=2)
 
 
-def _bench_variant(cfg, name, model, suite):
-    from .bench import variant_row
-    from .training import evaluate
-
-    ind, ood = (evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
-                         seed=cfg.eval.seed).success_rate for split in ("IND", "OOD"))
-    return variant_row(name, model, cfg.env, suite["IND"][0], ind, ood,
-                       cfg.prune.exempt_layers)
-
-
 def cmd_bench(cfg, args):
-    from .bench import report_header, write_report
+    from .bench import report_header, variant_row, write_report
     from .checkpoint import load_checkpoint
+    from .training import evaluate
 
     suite = _suite(cfg)
     inputs = args.inputs or [
@@ -285,9 +269,12 @@ def cmd_bench(cfg, args):
         raise CliError("bench found no checkpoints; pass --inputs")
     rows = []
     for path in inputs:
-        loaded = load_checkpoint(path)
+        model = load_checkpoint(path).model
         name = os.path.splitext(os.path.basename(path))[0]
-        rows.append(_bench_variant(cfg, name, loaded.model, suite))
+        ind, ood = (evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
+                             seed=cfg.eval.seed).success_rate for split in ("IND", "OOD"))
+        rows.append(variant_row(name, model, cfg.env, suite["IND"][0], ind, ood,
+                                cfg.prune.exempt_layers))
         print(f"benched {name}: {rows[-1]['latency_ms']:.3f} ms, "
               f"{rows[-1]['throughput_sps']:.1f} decodes/s")
     csv_path, _ = write_report(_p(cfg, "bench_report"), report_header(), rows)
@@ -304,56 +291,13 @@ def cmd_pipeline(cfg, args):
         "checkpoints": {s.stage: f"{s.stage}.ckpt" for s in STAGES},
         "reports": ["bench_report.csv", "bench_report.json"],
         "config": "resolved_config.json",
+        "config_sha256": _config_sha256(cfg),
         "suite": "suite.json",
         "demos": "demos.jsonl",
     }
     with open(_p(cfg, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
     print(f"pipeline complete: {cfg.output_dir}")
-
-
-def cmd_sweep(cfg, args):
-    from .bench import report_header, write_report
-    from .checkpoint import save_checkpoint
-    from .quant import quantize_model
-    from .training import train_sft
-
-    ratios = [float(r) for r in args.ratios.split(",")]
-    if any(not 0.0 <= r < 1.0 for r in ratios):
-        raise CliError(f"ratios must lie in [0, 1): {ratios}")
-    quants = [q.strip() for q in args.quant.split(",")]
-    for q in quants:
-        if q not in ("none", "4", "8"):
-            raise CliError(f"quant modes are none|4|8, got {q!r}")
-    suite = _suite(cfg)
-    demos = _demos(cfg, suite)
-    if not os.path.exists(_p(cfg, "dense.ckpt")):
-        _run_stage(STAGES[0], cfg, args)
-    loaded, dense_path = _load_ckpt_for(cfg, "sweep", "dense", None)
-    dense = loaded.model
-    table = None  # every ratio prunes the same dense model: score it once
-    rows = []
-    for ratio in ratios:
-        if ratio == 0.0:
-            model = dense.copy()
-        else:
-            table, _, model = _prune(cfg, dense, demos, ratio, table)
-            model, _ = train_sft(model, demos, cfg.sft, cfg.env, suite["IND"])
-        save_checkpoint(model, _p(cfg, f"sweep_r{ratio:g}.ckpt"),
-                        meta={"stage": "sft" if ratio else "dense", "seed": cfg.seed,
-                              "parent": dense_path, "ratio": ratio})
-        for q in quants:
-            variant = model if q == "none" else quantize_model(model, int(q),
-                                                               cfg.quant.block_size)
-            name = f"ratio{ratio:g}_{'fp32' if q == 'none' else q + 'bit'}"
-            row = _bench_variant(cfg, name, variant, suite)
-            row["ratio"] = ratio
-            row["quant"] = q
-            rows.append(row)
-            print(f"sweep {name}: mem={row['total_bytes']} "
-                  f"thr={row['throughput_sps']:.1f} IND={row['ind_sr']:.3f}")
-    csv_path, _ = write_report(_p(cfg, "sweep_report"), report_header(), rows)
-    print(f"sweep report: {csv_path}")
 
 
 def build_parser():
@@ -368,17 +312,12 @@ def build_parser():
         sp = sub.add_parser(stage.command)
         if stage.parent:
             sp.add_argument("--input")
-        if stage.cold_parent:
-            sp.add_argument("--cold-start", action="store_true")
     sp = sub.add_parser("eval")
     sp.add_argument("--input")
     sp.add_argument("--expert", action="store_true")
     sp = sub.add_parser("bench")
     sp.add_argument("--inputs", nargs="*")
     sub.add_parser("pipeline")
-    sp = sub.add_parser("sweep")
-    sp.add_argument("--ratios", default="0,0.5,0.9")
-    sp.add_argument("--quant", default="none,4")
     return p
 
 
@@ -388,7 +327,6 @@ _COMMANDS = {
     "eval": cmd_eval,
     "bench": cmd_bench,
     "pipeline": cmd_pipeline,
-    "sweep": cmd_sweep,
 }
 
 

@@ -146,8 +146,8 @@ class PipelineConfig:
             _check_types(cls, raw)
         except ValueError as e:
             raise ConfigError(f"bad values in section root: {e}") from e
-        seed = raw.get("seed", 0)
-        kw = {"seed": seed, "output_dir": raw.get("output_dir", "runs/default")}
+        seed = raw.get("seed", cls.seed)
+        kw = {"seed": seed, "output_dir": raw.get("output_dir", cls.output_dir)}
         for name, section_cls in cls._SECTIONS.items():
             data = raw.get(name, {})
             # a section that is not an object reaches _build unchanged, to be named there

@@ -301,14 +301,15 @@ def run_episodes(act, config, starts):
     """Run an episode from each (task, episode seed) start to its end;
     returns an `Episode` per start, in start order.
 
-    ``act(obs_batch, states)`` gives a deterministic action per state, and
-    each step asks it only about the episodes still running.  An episode ends
-    placed, at the time limit, or at its first repeated `state_key`, the
-    reset state included: from there it would repeat one loop until the time
-    limit, and a loop earns nothing, since a placement ends the episode and
-    the only other reward, the target's first grasp, sets
-    ``target_grasped_once``, part of the key.  It is scored as that time-out:
-    a failure of ``max_steps`` steps with the return it has.
+    ``act(obs_batch, states)`` gives one deterministic action per state (any
+    other count raises EnvError), and each step asks it only about the
+    episodes still running.  An episode ends placed, at the time limit, or
+    at its first repeated `state_key`, the reset state included: from there
+    it would repeat one loop until the time limit, and a loop earns nothing,
+    since a placement ends the episode and the only other reward, the
+    target's first grasp, sets ``target_grasped_once``, part of the key.  It
+    is scored as that time-out: a failure of ``max_steps`` steps with the
+    return it has.
     """
     resets = [reset(config, task, seed) for task, seed in starts]
     states = [state for state, _ in resets]
@@ -318,6 +319,8 @@ def run_episodes(act, config, starts):
     live = list(range(len(states)))  # the episodes still running
     while live:
         actions = np.asarray(act(obs[live], [states[i] for i in live]), dtype=np.int64)
+        if actions.shape != (len(live),):
+            raise EnvError(f"expected {len(live)} actions, got shape {actions.shape}")
         running = []
         for i, a in zip(live, actions.tolist()):
             ep, state = episodes[i], states[i]

@@ -339,14 +339,17 @@ def ppo_objective(logits, values, actions, old_logprobs, advantages, returns,
     returns)^2); entropy = mean(-sum p log p).  ``logits`` are (..., A),
     one row per action; ``values`` one per row; every float array of one
     dtype.  Each term is a float64 mean; the terms are written to the
-    ``terms`` dict as floats (``surrogate``, ``value_loss``, ``entropy``).
+    ``terms`` dict as floats (``surrogate``, ``value_loss``, ``entropy``),
+    with ``approx_kl`` = mean((r - 1) - log r) and ``clip_fraction``, the
+    share of rows with |r - 1| > clip_eps, which the loss does not use.
     """
     lg = _check_ids(actions, logits)
     n = lg.shape[0]
     parts = {}
     log_p = log_softmax(lg, parts)
     p = parts["p"]
-    ratio = np.exp(log_p[np.arange(n), actions] - old_logprobs)
+    log_ratio = log_p[np.arange(n), actions] - old_logprobs
+    ratio = np.exp(log_ratio)
     unclipped = ratio * advantages
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
     surrogate = np.mean(np.minimum(unclipped, clipped), dtype=np.float64)
@@ -354,7 +357,9 @@ def ppo_objective(logits, values, actions, old_logprobs, advantages, returns,
     value_loss = np.mean(err * err, dtype=np.float64)
     entropy = -np.mean(np.sum(p * log_p, axis=1, dtype=np.float64))
     terms.update(surrogate=float(surrogate), value_loss=float(value_loss),
-                 entropy=float(entropy))
+                 entropy=float(entropy),
+                 approx_kl=float(np.mean((ratio - 1.0) - log_ratio, dtype=np.float64)),
+                 clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_eps)))
     if saved is not None:
         saved.update(log_p=log_p, p=p, ratio=ratio, err=err,
                      take_unclipped=unclipped <= clipped)

@@ -217,7 +217,7 @@ def _init_params(shapes, rng):
     return params
 
 
-def init_value_head(d_model, seed=0):
+def init_value_head(d_model, seed):
     """Deterministic scaled-normal init; biases start at zero."""
     params = _init_params(value_head_shapes(d_model), np.random.default_rng(seed))
     return ValueHead(params)

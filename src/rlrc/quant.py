@@ -1,6 +1,7 @@
 """Post-training blockwise symmetric quantization (4 or 8 bit).
 
-Per block of 64 weights (default): scale s = max|w| / q_max, codes
+Per block of ``block_size`` weights (the config's ``quant`` section sets
+it and ``bits``): scale s = max|w| / q_max, codes
 round-half-away-from-zero(w / s) clamped to [-q_max, q_max]; an all-zero
 block gets s = 1.  4-bit codes pack two per byte.
 
@@ -32,7 +33,6 @@ from .model import PolicyModel, fast_logits_last
 from .tensor import Tensor
 
 Q_MAX = {4: 7, 8: 127}
-DEFAULT_BLOCK = 64
 
 
 def is_quantized(name):
@@ -129,7 +129,7 @@ def pack4(codes):
     return (lo | (hi << 4)).astype(np.uint8)
 
 
-def quantize_tensor(weights, bits=4, block_size=DEFAULT_BLOCK):
+def quantize_tensor(weights, bits, block_size):
     w = np.asarray(weights, dtype=np.float32)
     n = w.size
     n_blocks, _ = stored_sizes(bits, block_size, n)
@@ -212,7 +212,7 @@ class QuantizedModel(PolicyModel):
                 yield name, p
 
 
-def quantize_model(model, bits=4, block_size=DEFAULT_BLOCK):
+def quantize_model(model, bits, block_size):
     """Quantize every decoder-layer matrix; keep the rest float32."""
     params = {
         name: (quantize_tensor(p.data, bits, block_size)

@@ -189,7 +189,7 @@ class ModelPolicy:
         return greedy_actions(self.model, build_contexts(self.model.config, obs_batch))
 
 
-def evaluate(policy, tasks, episodes_per_task, env_config, seed=7):
+def evaluate(policy, tasks, episodes_per_task, env_config, seed):
     """The means of deterministic episodes (`env.run_episodes`) over a
     (task, episode-seed) grid.  ``policy`` is a `PolicyModel`, decoded
     greedily by `ModelPolicy`, or a deterministic ``act(obs_batch, states)``
@@ -375,10 +375,13 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
     rows per chunk, and peak memory is one chunk's graph whatever the
     minibatch size.  A chunk is `model.batch_logprob_value` followed by one
     ``kernels.ppo_objective`` node, which also reports the chunk's three
-    terms.  Returns the row-weighted means of the terms and ``chunk_rows``,
-    the rows per chunk; a chunk whose loss is not finite raises
-    TrainingError naming ``env_steps`` and the chunk's terms.
+    terms and its two diagnostics, ``approx_kl`` and ``clip_fraction``.
+    Returns the row-weighted means of those five and ``chunk_rows``, the
+    rows per chunk; a chunk whose loss is not finite raises TrainingError
+    naming ``env_steps`` and the chunk's terms.
     """
+    names = ("surrogate", "value_loss", "entropy", "approx_kl", "clip_fraction")
+
     def chunk_loss(r0, r1):
         logits, values = batch_logprob_value(model, value_head, contexts[r0:r1])
         terms = {}
@@ -389,11 +392,11 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
             raise TrainingError(
                 f"ppo diverged at env_steps={env_steps}: "
                 + ", ".join(f"{k}={v}" for k, v in terms.items()))
-        return total, terms["surrogate"], terms["value_loss"], terms["entropy"]
+        return (total, *(terms[k] for k in names))
 
     rows = chunk_rows(model.config, contexts.shape[1])
-    _, surr, vloss, entropy = backward_in_chunks(chunk_loss, len(actions), rows)
-    return {"surrogate": surr, "value_loss": vloss, "entropy": entropy, "chunk_rows": rows}
+    _, *means = backward_in_chunks(chunk_loss, len(actions), rows)
+    return {**dict(zip(names, means)), "chunk_rows": rows}
 
 
 def train_ppo(model, value_head, tasks, config, env_config,
@@ -404,7 +407,11 @@ def train_ppo(model, value_head, tasks, config, env_config,
     -surrogate + c_v * value_error^2 - c_e * entropy, evaluates IND/OOD at
     intervals, and returns the best checkpoint by IND success.  With
     ``value_head=None`` the critic starts from
-    ``init_value_head(d_model, seed=config.seed)``.
+    ``init_value_head(d_model, seed=config.seed)``.  A metric row also holds
+    the last minibatch's `ppo_backward` terms and ``grad_norm`` before its
+    Adam step, and the iteration's ``adv_mean`` and ``adv_std`` before
+    normalization and ``explained_variance``, 1 - var(returns - values) /
+    var(returns), left out when the returns do not vary.
     Trains ``model`` and ``value_head`` themselves, in place, so they end
     with the last update's weights; returns copies holding the best
     weights, then the metric rows.  A non-IND training task or no IND eval
@@ -435,8 +442,8 @@ def train_ppo(model, value_head, tasks, config, env_config,
         flat_act = buf.actions.reshape(nh)
         flat_old = buf.logprobs.reshape(nh)
         flat_adv = adv.reshape(nh)
-        flat_adv = (flat_adv - flat_adv.mean()) / (flat_adv.std() + 1e-8)
-        flat_adv = flat_adv.astype(np.float32)
+        adv_mean, adv_std = flat_adv.mean(), flat_adv.std()
+        flat_adv = ((flat_adv - adv_mean) / (adv_std + 1e-8)).astype(np.float32)
         flat_ret = ret.reshape(nh).astype(np.float32)
         mb_size = nh // config.minibatches
         loss_row = {}
@@ -447,10 +454,15 @@ def train_ppo(model, value_head, tasks, config, env_config,
                 loss_row = ppo_backward(model, value_head, flat_ctx[sel], flat_act[sel],
                                         flat_old[sel], flat_adv[sel], flat_ret[sel],
                                         config, env_steps)
+                loss_row["grad_norm"] = float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                                          for p in opt.params)))
                 adam_step(opt)
         if env_steps >= next_eval or env_steps >= config.total_env_steps:
             next_eval = env_steps + config.eval_interval_steps
-            if best.evaluate((model, value_head), step=env_steps, phase="ppo",
-                             mean_reward=float(buf.rewards.mean()), **loss_row):
+            row = dict(step=env_steps, phase="ppo", mean_reward=float(buf.rewards.mean()),
+                       **loss_row, adv_mean=float(adv_mean), adv_std=float(adv_std))
+            if ret.var() > 0:  # else undefined: left out rather than logged as NaN
+                row["explained_variance"] = float(1.0 - (ret - buf.values).var() / ret.var())
+            if best.evaluate((model, value_head), **row):
                 break
     return best.finish("ppo_best")

@@ -1,20 +1,20 @@
 import csv
+import hashlib
 import json
 import os
 import re
-import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rlrc import bench, cli, env, pruning
+from rlrc import bench, cli, env
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
 from rlrc.config import ConfigError, PipelineConfig
 from rlrc.env import EnvConfig, TaskSpec, make_task_suite
 from rlrc.model import ModelConfig, init_model
-from rlrc.quant import memory_bytes
+from rlrc.quant import QuantizedTensor, memory_bytes, quantize_model
 from test_quant import weight_payload_bytes
 
 
@@ -68,13 +68,19 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "pipeline"]) == 0
     chain = ["dense", "pruned", "sft", "rl", "quant"]
+    with open(os.path.join(out, "resolved_config.json"), "rb") as f:
+        echo = hashlib.sha256(f.read()).hexdigest()
     with open(os.path.join(out, "manifest.json")) as f:
-        assert json.load(f)["checkpoints"] == {s: f"{s}.ckpt" for s in chain}
+        manifest = json.load(f)
+    assert manifest["checkpoints"] == {s: f"{s}.ckpt" for s in chain}
+    assert manifest["config_sha256"] == echo
     parent = None
     for stage in chain:
         loaded = load_checkpoint(os.path.join(out, f"{stage}.ckpt"))
         assert loaded.meta["stage"] == stage
         assert loaded.meta.get("parent") == (parent and os.path.join(out, f"{parent}.ckpt"))
+        assert loaded.meta.get("parent_stage") == parent
+        assert loaded.meta["config_sha256"] == echo
         # a checkpoint holds the policy alone: its payload is the model's bytes
         assert weight_payload_bytes(tmp_path / "run" / f"{stage}.ckpt") == \
             memory_bytes(loaded.model)["total_bytes"], stage
@@ -153,19 +159,65 @@ def test_stage_parents_required_not_guessed(tmp_path, capsys):
     # quantize takes only the RL model
     assert run(["--config", cfg_path, "quantize"]) == 1
     assert "rl.ckpt" in capsys.readouterr().err
-    # a cold start is asked for, and reads the pruned model
+    # PPO from the pruned model, skipping SFT, is asked for by its input
     assert run(["--config", cfg_path, "sft"]) == 0
     assert run(["--config", cfg_path, "rl"]) == 0
     with open(os.path.join(out, "metrics_rl.jsonl"), "rb") as f:
-        warm_log = f.read()
-    assert run(["--config", cfg_path, "rl", "--cold-start"]) == 0
-    meta = load_checkpoint(os.path.join(out, "rl_cold.ckpt")).meta
-    assert meta["cold_start"] is True
+        recipe_log = f.read()
+    rl_bytes = (tmp_path / "run" / "rl.ckpt").read_bytes()
+    assert run(["--config", cfg_path, "rl", "--input", os.path.join(out, "pruned.ckpt")]) == 0
+    meta = load_checkpoint(os.path.join(out, "rl_pruned.ckpt")).meta
+    assert (meta["stage"], meta["parent_stage"]) == ("rl", "pruned")
     assert meta["parent"] == os.path.join(out, "pruned.ckpt")
-    # it logs under its own checkpoint stem, leaving the warm-start log as it was
-    assert os.path.getsize(os.path.join(out, "metrics_rl_cold.jsonl")) > 0
+    # it logs under its own checkpoint stem, leaving the recipe's log and
+    # checkpoint as they were
+    assert os.path.getsize(os.path.join(out, "metrics_rl_pruned.jsonl")) > 0
     with open(os.path.join(out, "metrics_rl.jsonl"), "rb") as f:
-        assert f.read() == warm_log
+        assert f.read() == recipe_log
+    assert (tmp_path / "run" / "rl.ckpt").read_bytes() == rl_bytes
+
+
+def test_quantize_takes_any_earlier_stage(tmp_path, capsys):
+    cfg_path, out = micro_config(tmp_path)
+    for cmd in (["gen-demos"], ["train-dense"], ["prune"], ["sft"], ["rl"], ["quantize"]):
+        assert run(["--config", cfg_path] + cmd) == 0, cmd
+    quant_bytes = (tmp_path / "run" / "quant.ckpt").read_bytes()
+    dense_path = os.path.join(out, "dense.ckpt")
+    # the dense model at 4 bits: a row the recipe does not make
+    assert run(["--config", cfg_path, "quantize", "--input", dense_path]) == 0
+    loaded = load_checkpoint(os.path.join(out, "quant_dense.ckpt"))
+    assert (loaded.meta["stage"], loaded.meta["parent_stage"], loaded.meta["parent"]) == \
+        ("quant", "dense", dense_path)
+    want = quantize_model(load_checkpoint(dense_path).model, 4, 16)
+    assert [n for n, _ in loaded.model.named_params()] == [n for n, _ in want.named_params()]
+    for (name, got), (_, ref) in zip(loaded.model.named_params(), want.named_params()):
+        if isinstance(ref, QuantizedTensor):
+            assert np.array_equal(got.scales, ref.scales), name
+            assert np.array_equal(got.packed, ref.packed), name
+        else:
+            assert np.array_equal(got.data, ref.data), name
+    assert (tmp_path / "run" / "quant.ckpt").read_bytes() == quant_bytes
+    # a stage's own output, or a later one's, is refused, naming the stages allowed
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "quantize", "--input",
+                os.path.join(out, "quant.ckpt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage-order violation: quantize takes a checkpoint from dense, pruned, "
+        f"sft, rl; got 'quant' ({os.path.join(out, 'quant.ckpt')})\n")
+    assert not os.path.exists(os.path.join(out, "quant_quant.ckpt"))
+
+
+def test_checkpoint_records_the_config_it_was_made_with(tmp_path):
+    hashes = []
+    for lr in (3e-4, 1e-3):
+        cfg_path, out = micro_config(tmp_path, sft={"max_steps": 4, "eval_interval": 4,
+                                                    "eval_episodes": 1, "lr": lr})
+        assert run(["--config", cfg_path, "train-dense"]) == 0
+        with open(os.path.join(out, "resolved_config.json"), "rb") as f:
+            echo = hashlib.sha256(f.read()).hexdigest()
+        hashes.append(load_checkpoint(os.path.join(out, "dense.ckpt")).meta["config_sha256"])
+        assert hashes[-1] == echo
+    assert hashes[0] != hashes[1]
 
 
 def test_unknown_config_key_rejected():
@@ -345,66 +397,6 @@ def test_config_echo_written_next_to_outputs(tmp_path):
     # the layers pruning keeps whole are named, not left to a null default
     n_layers = resolved["model"]["n_layers"]
     assert resolved["prune"]["exempt_layers"] == [0, n_layers - 1]
-
-
-def test_sweep_report(tmp_path, monkeypatch):
-    cfg_path, out = micro_config(tmp_path)
-    assert run(["--config", cfg_path, "gen-demos"]) == 0
-    assert run(["--config", cfg_path, "train-dense"]) == 0
-    calls = []
-    real_importance = pruning.taylor_importance
-
-    def counted_importance(*args, **kwargs):
-        calls.append(1)
-        return real_importance(*args, **kwargs)
-
-    monkeypatch.setattr(pruning, "taylor_importance", counted_importance)
-    assert run(["--config", cfg_path, "sweep", "--ratios", "0,0.3,0.5",
-                "--quant", "none,4"]) == 0
-    # every non-zero ratio prunes the same dense model: one importance table
-    assert len(calls) == 1
-    with open(os.path.join(out, "sweep_report.json")) as f:
-        report = json.load(f)
-    assert len(report["rows"]) == 6
-    by = {(r["ratio"], r["quant"]): r for r in report["rows"]}
-    # memory strictly decreasing in ratio at fixed quant mode
-    for q in ("none", "4"):
-        assert by[(0.5, q)]["total_bytes"] < by[(0.3, q)]["total_bytes"] \
-            < by[(0.0, q)]["total_bytes"]
-    # 4-bit memory below full precision at every ratio
-    for r in (0.0, 0.3, 0.5):
-        assert by[(r, "4")]["total_bytes"] < by[(r, "none")]["total_bytes"]
-    # the shared table prunes each ratio as a table scored afresh would
-    with open(cfg_path) as f:
-        cfg = PipelineConfig.from_dict(json.load(f))
-    dense = load_checkpoint(os.path.join(out, "dense.ckpt")).model
-    demos = cli._demos(cfg, cli._suite(cfg))
-    for r in (0.3, 0.5):
-        _, _, fresh = cli._prune(cfg, dense, demos, r)
-        swept = load_checkpoint(os.path.join(out, f"sweep_r{r:g}.ckpt")).model
-        assert (swept.config.n_heads, swept.config.d_ff) == \
-            (fresh.config.n_heads, fresh.config.d_ff)
-        assert by[(r, "none")]["total_params"] == fresh.num_params()
-    # every ratio records the dense checkpoint it was cut from
-    for r in (0.0, 0.3, 0.5):
-        meta = load_checkpoint(os.path.join(out, f"sweep_r{r:g}.ckpt")).meta
-        assert meta["parent"] == os.path.join(out, "dense.ckpt"), r
-    # throughput columns present for the crossover inspection
-    assert all("throughput_sps" in r for r in report["rows"])
-
-
-def test_sweep_checks_its_parent_stage(tmp_path, capsys):
-    # sweep prunes the dense model: a pruned one in dense.ckpt's place is
-    # refused as every stage command refuses it
-    cfg_path, out = micro_config(tmp_path)
-    for cmd in (["gen-demos"], ["train-dense"], ["prune"]):
-        assert run(["--config", cfg_path] + cmd) == 0, cmd
-    shutil.copy(os.path.join(out, "pruned.ckpt"), os.path.join(out, "dense.ckpt"))
-    capsys.readouterr()
-    assert run(["--config", cfg_path, "sweep", "--ratios", "0,0.5", "--quant", "none"]) == 1
-    err = capsys.readouterr().err
-    assert "stage-order violation: sweep expects a checkpoint from dense, got 'pruned'" in err
-    assert not os.path.exists(os.path.join(out, "sweep_r0.ckpt"))
 
 
 def test_bench_report_csv_columns(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,15 @@ def test_run_episodes_ends_at_the_time_limit():
     assert all(ep.length == len(ep.steps) <= 4 for ep in episodes)
     assert {ep.length for ep in episodes if not ep.success} == {4}
     assert run_episodes(expert_actions, cfg, []) == []
+
+
+def test_run_episodes_refuses_a_wrong_number_of_actions():
+    # an episode left without an action would otherwise end unscored and uncounted
+    starts = [(t, 0) for t in make_task_suite(0)["IND"][:4]]
+    for bad in (lambda obs, states: expert_actions(obs, states)[:-1],
+                lambda obs, states: expert_actions(obs, states)[:, None]):
+        with pytest.raises(EnvError, match=re.escape("expected 4 actions, got shape (")):
+            run_episodes(bad, CFG, starts)
 
 
 def test_vec_env_matches_scalar_env():

@@ -79,7 +79,7 @@ def test_models_hold_their_own_config():
 def test_constructors_name_a_missing_or_unexpected_parameter():
     cfg = tiny_config()
     params = dict(init_model(cfg).named_params())
-    head = dict(init_value_head(cfg.d_model).named_params())
+    head = dict(init_value_head(cfg.d_model, seed=0).named_params())
     without_wk = {n: p for n, p in params.items() if n != "layers.1.wk"}
     renumbered = {n.replace("layers.1.", "layers.2."): p for n, p in params.items()}
     for build, what in (
@@ -581,7 +581,7 @@ def test_forward_gradients_match_finite_differences():
 
 def logprobs(m, ctx):
     """(B, A) action log-probs at the marker, on the PPO update's path."""
-    logits, _ = batch_logprob_value(m, init_value_head(m.config.d_model), ctx)
+    logits, _ = batch_logprob_value(m, init_value_head(m.config.d_model, seed=0), ctx)
     return kernels.log_softmax(logits.data[:, -1, :])
 
 
@@ -614,7 +614,7 @@ def test_action_logprob_is_valid_probability():
 def test_action_logprob_rejects_bad_token():
     cfg = tiny_config()
     m = init_model(cfg)
-    logits, values = batch_logprob_value(m, init_value_head(cfg.d_model), ctx_for(cfg))
+    logits, values = batch_logprob_value(m, init_value_head(cfg.d_model, seed=0), ctx_for(cfg))
     zero = np.zeros(1, dtype=np.float32)
     for bad in (cfg.action_vocab, -1):
         with pytest.raises(IndexError, match="action id out of range"):

@@ -60,14 +60,14 @@ def test_round_half_away_from_zero():
 
 def test_rejects_non_finite():
     with pytest.raises(QuantError):
-        quantize_tensor(np.array([1.0, np.nan]), 4)
+        quantize_tensor(np.array([1.0, np.nan]), 4, 64)
     with pytest.raises(QuantError):
-        quantize_tensor(np.array([np.inf]), 8)
+        quantize_tensor(np.array([np.inf]), 8, 64)
 
 
 def test_rejects_bad_bits_and_block():
     with pytest.raises(QuantError):
-        quantize_tensor(np.ones(4), 3)
+        quantize_tensor(np.ones(4), 3, 64)
     with pytest.raises(QuantError):
         quantize_tensor(np.ones(4), 4, 0)
 

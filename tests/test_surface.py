@@ -27,7 +27,7 @@ UNPASSED_ALLOWED = {
     "cli.main(argv)": "test hook: tests drive the CLI in-process",
 }
 
-_INPUT = "a path, recorded as the checkpoint meta's parent"
+_INPUT = "a path, recorded as the meta's parent; its stage names the output's stem"
 # every flag of `rlrc`, each with the reason it is not a config setting
 FLAGS_ALLOWED = {
     "--config": "names the config itself",
@@ -37,12 +37,9 @@ FLAGS_ALLOWED = {
     "sft --input": _INPUT,
     "rl --input": _INPUT,
     "quantize --input": _INPUT,
-    "rl --cold-start": "a mode: recorded as meta cold_start and the _cold checkpoint stem",
     "eval --input": "a path, which names the output eval_<stem>.json",
     "eval --expert": "a mode, which names the output eval_expert.json",
     "bench --inputs": "paths, each of which names its report row",
-    "sweep --ratios": "the sweep's own axis, recorded in its report's ratio column",
-    "sweep --quant": "the sweep's own axis, recorded in its report's quant column",
 }
 
 
