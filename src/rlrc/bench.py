@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from . import HEAP_PIN
 from .cli import BLAS_THREAD_VARS
 from .env import reset
 from .model import build_contexts, greedy_actions
@@ -49,6 +50,7 @@ def report_header():
         "latency_definition": f"median wall ms of one greedy decode at batch {LATENCY_BATCH}",
         # the thread counts BLAS was started with, after RLRC_THREADS applied
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
+        "heap_pin": HEAP_PIN,  # glibc's heap settings applied at import, or why none were
     }
 
 

@@ -17,7 +17,9 @@ and echoed; a prune-ratio sweep is one config per ratio.  The task split
 (one for every seed) and the demonstrations are built by each command that
 needs them and rewritten to ``suite.json`` and ``demos.jsonl`` as records,
 never read back.  The training stages write a JSONL metrics log,
-``metrics_<stem>.jsonl`` after their checkpoint's stem.
+``metrics_<stem>.jsonl`` after their checkpoint's stem.  ``bench`` writes
+``bench_report.csv``/``.json`` over the recipe's checkpoints, and over named
+``--inputs`` a report named after their stems, ``bench_report_dense_sft``.
 
 RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
 inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
@@ -267,17 +269,19 @@ def cmd_bench(cfg, args):
     ]
     if not inputs:
         raise CliError("bench found no checkpoints; pass --inputs")
+    names = [os.path.splitext(os.path.basename(path))[0] for path in inputs]
     rows = []
-    for path in inputs:
+    for path, name in zip(inputs, names):
         model = load_checkpoint(path).model
-        name = os.path.splitext(os.path.basename(path))[0]
         ind, ood = (evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
                              seed=cfg.eval.seed).success_rate for split in ("IND", "OOD"))
         rows.append(variant_row(name, model, cfg.env, suite["IND"][0], ind, ood,
                                 cfg.prune.exempt_layers))
         print(f"benched {name}: {rows[-1]['latency_ms']:.3f} ms, "
               f"{rows[-1]['throughput_sps']:.1f} decodes/s")
-    csv_path, _ = write_report(_p(cfg, "bench_report"), report_header(), rows)
+    # named inputs get a report of their own, so the pipeline's is never overwritten
+    report = "_".join(["bench_report", *names]) if args.inputs else "bench_report"
+    csv_path, _ = write_report(_p(cfg, report), report_header(), rows)
     print(f"report: {csv_path}")
 
 

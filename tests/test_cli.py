@@ -3,11 +3,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import rlrc
 from rlrc import bench, cli, env
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
@@ -87,6 +90,13 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
         parent = stage
     with open(os.path.join(out, "bench_report.json")) as f:
         assert [r["variant"] for r in json.load(f)["rows"]] == chain
+    # benching named inputs writes a report named by them, not over the pipeline's
+    reports = [tmp_path / "run" / f"bench_report.{ext}" for ext in ("csv", "json")]
+    before = [p.read_bytes() for p in reports]
+    assert run(["--config", cfg_path, "bench", "--inputs", os.path.join(out, "dense.ckpt")]) == 0
+    assert [p.read_bytes() for p in reports] == before
+    with open(os.path.join(out, "bench_report_dense.json")) as f:
+        assert [r["variant"] for r in json.load(f)["rows"]] == ["dense"]
     # the runner names each training stage's log after its checkpoint
     for stem in ("dense", "sft", "rl"):
         assert os.path.getsize(os.path.join(out, f"metrics_{stem}.jsonl")) > 0, stem
@@ -405,14 +415,14 @@ def test_bench_report_csv_columns(tmp_path):
         assert run(["--config", cfg_path] + cmd) == 0
     assert run(["--config", cfg_path, "bench",
                 "--inputs", os.path.join(out, "dense.ckpt")]) == 0
-    with open(os.path.join(out, "bench_report.csv")) as f:
+    with open(os.path.join(out, "bench_report_dense.csv")) as f:
         lines = [l for l in f if not l.startswith("#")]
     header = next(csv.reader(lines))
     assert header[:6] == ["variant", "total_params", "prunable_params",
                           "weights_bytes", "scales_bytes", "total_bytes"]
     # the instability flag of the batch-1 timing reaches the report
     assert "unstable" in header
-    with open(os.path.join(out, "bench_report.json")) as f:
+    with open(os.path.join(out, "bench_report_dense.json")) as f:
         row = json.load(f)["rows"][0]
     assert row["unstable"] == (row["latency_cv"] >= 0.15)
     # the columns are the row's own keys, in order
@@ -455,3 +465,25 @@ def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):
     header = bench.report_header()
     assert header["OPENBLAS_NUM_THREADS"] == "4"
     assert header["OMP_NUM_THREADS"] == "unset"
+    # the heap settings the import applied are part of the environment
+    assert header["heap_pin"] == rlrc.HEAP_PIN
+
+
+def test_importing_rlrc_loads_no_numpy():
+    # RLRC_THREADS reaches BLAS only if it is set before numpy loads, so the
+    # package's own import, its heap pin included, must not load numpy
+    src = os.path.dirname(os.path.dirname(rlrc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, rlrc; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_heap_pin_says_why_it_pinned_nothing(monkeypatch):
+    monkeypatch.setattr(rlrc.ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert rlrc._pin_heap() == "not pinned: no glibc mallopt"
+    refusing = SimpleNamespace(gnu_get_libc_version=None, mallopt=lambda param, value: 0)
+    monkeypatch.setattr(rlrc.ctypes, "CDLL", lambda name: refusing)
+    assert rlrc._pin_heap() == "not pinned: mallopt(M_MMAP_THRESHOLD, 33554432) refused"
