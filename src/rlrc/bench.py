@@ -1,5 +1,8 @@
 """Measurement harness: latency, throughput, memory and success-rate rows.
 
+A report is one JSON file: its ``header`` (the environment it ran in),
+``columns`` and ``rows``, one per checkpoint, whose ``ind_sr``/``ood_sr``
+are its greedy success on the config's eval grid, the only score it gets.
 Every row times greedy action decodes at two fixed batch sizes, each
 with 10 untimed warm-up decodes and then 50 timed ones.  Latency is the
 median wall time of one decode at batch 1; throughput is decodes per
@@ -9,7 +12,6 @@ decodes per second.  Memory numbers come from quant.memory_bytes:
 which holds the policy alone.
 """
 
-import csv
 import json
 import os
 import platform
@@ -95,20 +97,8 @@ def variant_row(name, model, env_config, task, ind_sr, ood_sr, exempt_layers):
     }
 
 
-def write_report(prefix, header, rows):
-    """Emit <prefix>.csv and <prefix>.json; the columns are the first
-    row's keys, in order."""
-    columns = list(rows[0])
-    csv_path = prefix + ".csv"
-    json_path = prefix + ".json"
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        for k, v in header.items():
-            f.write(f"# {k}: {v}\n")
-        w = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
-        w.writeheader()
-        for r in rows:
-            w.writerow(r)
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump({"header": header, "columns": columns, "rows": rows}, f, indent=2)
-    return csv_path, json_path
-
+def write_report(path, header, rows):
+    """Write the report to ``path`` as JSON: ``header``, the columns (the
+    first row's keys, in order) and ``rows``."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"header": header, "columns": list(rows[0]), "rows": rows}, f, indent=2)

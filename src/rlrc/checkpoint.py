@@ -16,7 +16,8 @@ Saving writes a temp file next to the target and renames it into place,
 so a crash never leaves a truncated checkpoint at the target path.
 Loading is strict, and a wrong version, header or payload size is an
 error that names the file: the config is read by the rules of a run's
-``model`` section, the tensor names must equal ``param_shapes``' in
+``model`` section, the quant format, both keys required, by its
+``quant`` section's, the tensor names must equal ``param_shapes``' in
 order (the first position that differs is named), and a payload of
 another size than the header lays out is refused before any allocation.
 """
@@ -30,7 +31,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .config import _build
+from .config import QuantSection, _build
 from .model import ModelConfig, PolicyModel, param_shapes
 from .quant import QuantError, QuantizedModel, QuantizedTensor, is_quantized, stored_sizes
 from .tensor import Tensor
@@ -38,6 +39,7 @@ from .tensor import Tensor
 MAGIC = b"RLRC"
 VERSION = 3
 HEADER_KEYS = ["config", "meta", "quant", "tensors"]
+QUANT_KEYS = ["bits", "block_size"]
 
 
 class CheckpointError(IOError):
@@ -117,14 +119,16 @@ def _layout(header):
     for i, (got, want) in enumerate(zip_longest(header["tensors"], shapes)):
         if got != want:
             raise ValueError(f"tensor {i} is {got!r}, its config lays out {want!r}")
-    quant = header["quant"] and (header["quant"]["bits"], header["quant"]["block_size"])
-    if quant and not isinstance(quant[1], int):
-        raise TypeError(f"quant block_size {quant[1]!r} is not an int")
+    quant = header["quant"]
+    if quant is not None:
+        if sorted(quant) != QUANT_KEYS:
+            raise ValueError(f"quant keys {sorted(quant)}, expected {QUANT_KEYS}")
+        section = _build(QuantSection, quant, "quant")
+        quant = (section.bits, section.block_size)
     layout = []
     for name, shape in shapes.items():
         n = math.prod(shape)
         if quant and is_quantized(name):
-            # a QuantError (a ValueError) here names unusable bits or block size
             arrays = tuple(zip(("<f4", np.uint8), stored_sizes(*quant, n)))
         else:
             arrays = (("<f4", n),)

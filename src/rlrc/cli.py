@@ -1,7 +1,7 @@
 """Command line pipeline driver.
 
 Subcommands: gen-demos, then the recipe's stages train-dense, prune, sft,
-rl and quantize, then eval, bench and pipeline.  `STAGES` is the one
+rl and quantize, then bench and pipeline.  `STAGES` is the one
 statement of the recipe's order; the stage commands, `rlrc pipeline`,
 bench's default inputs and the manifest all read it.  A stage reads its
 recipe parent's checkpoint, or with ``--input`` any earlier stage's, which
@@ -17,13 +17,13 @@ and echoed; a prune-ratio sweep is one config per ratio.  The task split
 (one for every seed) and the demonstrations are built by each command that
 needs them and rewritten to ``suite.json`` and ``demos.jsonl`` as records,
 never read back.  The training stages write a JSONL metrics log,
-``metrics_<stem>.jsonl`` after their checkpoint's stem.  ``bench`` writes
-``bench_report.csv``/``.json`` over the recipe's checkpoints, and over named
-``--inputs`` a report named after their stems, ``bench_report_dense_sft``.
+``metrics_<stem>.jsonl`` after their checkpoint's stem.  ``bench`` alone
+scores checkpoints: one ``bench_report.json`` over the recipe's, and over
+named ``--inputs`` one named after their stems, ``bench_report_dense_sft.json``.
 
-RLRC_THREADS, when set, sets the math-kernel thread count, overriding any
-inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must be honored before numpy
-loads, so the heavy imports happen inside main().
+RLRC_THREADS, when set, must be a positive integer and sets the math-kernel
+thread count, overriding any inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must
+be honored before numpy loads, so the heavy imports happen inside main().
 """
 
 import argparse
@@ -45,6 +45,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def _setup_threads():
     n = os.environ.get("RLRC_THREADS")
     if n:
+        if not (n.isascii() and n.isdigit() and int(n) > 0):
+            raise CliError(f"RLRC_THREADS must be a positive integer, got {n!r}")
         for var in BLAS_THREAD_VARS:
             os.environ[var] = n
 
@@ -198,11 +200,8 @@ def _load_input(row, cfg, path):
 
     if path is None:
         path = _p(cfg, f"{row.parent}.ckpt")
-        if not os.path.exists(path):
-            raise CliError(f"missing input checkpoint for {row.command}: expected "
-                           f"{row.parent}.ckpt in {cfg.output_dir}")
     if not os.path.exists(path):
-        raise CliError(f"checkpoint not found: {path}")
+        raise CliError(f"missing input checkpoint for {row.command}: {path}")
     loaded = load_checkpoint(path)
     earlier = [s.stage for s in STAGES[:STAGES.index(row)]]
     got = loaded.meta.get("stage")
@@ -231,33 +230,6 @@ def _run_stage(row, cfg, args):
     print(f"{row.stage} checkpoint: {path} ({summary})")
 
 
-def cmd_eval(cfg, args):
-    from .env import expert_actions
-    from .training import evaluate
-
-    suite = _suite(cfg)
-    if args.expert:
-        policy = expert_actions
-        name = "expert"
-    else:
-        if not args.input:
-            raise CliError("eval needs --input CHECKPOINT or --expert")
-        from .checkpoint import load_checkpoint
-
-        policy = load_checkpoint(args.input).model
-        name = os.path.splitext(os.path.basename(args.input))[0]
-    out = {}
-    for split in ("IND", "OOD"):
-        r = evaluate(policy, suite[split], cfg.eval.episodes_per_task, cfg.env,
-                     seed=cfg.eval.seed)
-        out[split] = {"success_rate": r.success_rate, "mean_return": r.mean_return,
-                      "mean_length": r.mean_length, "episodes": r.episodes}
-        print(f"{name} {split}: SR={r.success_rate:.4f} return={r.mean_return:.3f} "
-              f"len={r.mean_length:.1f} ({r.episodes} episodes)")
-    with open(_p(cfg, f"eval_{name}.json"), "w", encoding="utf-8") as f:
-        json.dump(out, f, indent=2)
-
-
 def cmd_bench(cfg, args):
     from .bench import report_header, variant_row, write_report
     from .checkpoint import load_checkpoint
@@ -281,8 +253,9 @@ def cmd_bench(cfg, args):
               f"{rows[-1]['throughput_sps']:.1f} decodes/s")
     # named inputs get a report of their own, so the pipeline's is never overwritten
     report = "_".join(["bench_report", *names]) if args.inputs else "bench_report"
-    csv_path, _ = write_report(_p(cfg, report), report_header(), rows)
-    print(f"report: {csv_path}")
+    path = _p(cfg, report + ".json")
+    write_report(path, report_header(), rows)
+    print(f"report: {path}")
 
 
 def cmd_pipeline(cfg, args):
@@ -293,7 +266,7 @@ def cmd_pipeline(cfg, args):
         _COMMANDS[command](cfg, parser.parse_args([command]))
     manifest = {
         "checkpoints": {s.stage: f"{s.stage}.ckpt" for s in STAGES},
-        "reports": ["bench_report.csv", "bench_report.json"],
+        "reports": ["bench_report.json"],
         "config": "resolved_config.json",
         "config_sha256": _config_sha256(cfg),
         "suite": "suite.json",
@@ -316,9 +289,6 @@ def build_parser():
         sp = sub.add_parser(stage.command)
         if stage.parent:
             sp.add_argument("--input")
-    sp = sub.add_parser("eval")
-    sp.add_argument("--input")
-    sp.add_argument("--expert", action="store_true")
     sp = sub.add_parser("bench")
     sp.add_argument("--inputs", nargs="*")
     sub.add_parser("pipeline")
@@ -328,16 +298,15 @@ def build_parser():
 _COMMANDS = {
     "gen-demos": cmd_gen_demos,
     **{s.command: functools.partial(_run_stage, s) for s in STAGES},
-    "eval": cmd_eval,
     "bench": cmd_bench,
     "pipeline": cmd_pipeline,
 }
 
 
 def main(argv=None):
-    _setup_threads()
     args = build_parser().parse_args(argv)
     try:
+        _setup_threads()
         cfg = _load_config(args)
         _COMMANDS[args.command](cfg, args)
     except Exception as e:  # uniform nonzero exit with diagnostic

@@ -88,10 +88,10 @@ class SftConfig:
 class PpoConfig:
     """PPO recovery: each iteration collects ``n_envs x horizon`` env steps,
     then makes ``epochs x minibatches`` Adam steps on minibatches of
-    ``n_envs * horizon // minibatches`` rows; the value loss trains the
-    shared backbone too.  A minibatch's gradient is accumulated a chunk of
-    rows at a time, the rows sized to the model's widths, so the minibatch
-    size does not set peak memory."""
+    ``n_envs * horizon / minibatches`` rows, which takes each row once an
+    epoch; the value loss trains the shared backbone too.  A minibatch's
+    gradient is accumulated a chunk of rows at a time, the rows sized to
+    the model's widths, so the minibatch size does not set peak memory."""
     gamma: float = 0.99
     lam: float = 0.95
     clip_eps: float = 0.2
@@ -120,9 +120,10 @@ class PpoConfig:
             raise ValueError(f"clip_eps must be positive, got {self.clip_eps}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.minibatches > self.n_envs * self.horizon:
-            raise ValueError(f"minibatches={self.minibatches} exceeds the n_envs * horizon = "
-                             f"{self.n_envs * self.horizon} rows of an iteration")
+        rows = self.n_envs * self.horizon
+        if rows % self.minibatches:
+            raise ValueError(f"minibatches={self.minibatches} exceeds or does not divide the "
+                             f"n_envs * horizon = {rows} rows of an iteration")
 
 
 @dataclass

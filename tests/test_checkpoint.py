@@ -293,10 +293,20 @@ def test_load_rejects_mismatched_quantized_tensor(tmp_path):
 
 
 def test_load_rejects_unknown_bits(tmp_path):
+    # the quant format is read by the rules of a run's quant section, and
+    # both its keys, nothing else, are required
     save_checkpoint(quantize_model(tiny_model(), 4, 16), tmp_path / "q.ckpt")
     for quant, what in (({"bits": 5, "block_size": 16}, "bits must be one of .*got 5"),
                         ({"bits": 4, "block_size": 0}, "block_size must be >= 1, got 0"),
-                        ({"bits": 4, "block_size": 16.0}, "block_size 16.0 is not an int")):
+                        ({"bits": 4, "block_size": 16.0},
+                         re.escape("bad values in section quant: block_size must be an int, "
+                                   "got 16.0")),
+                        ({"bits": 4.0, "block_size": 16},
+                         re.escape("bad values in section quant: bits must be an int, got 4.0")),
+                        ({"bits": 4, "block_size": 16, "junk": 1},
+                         re.escape("quant keys ['bits', 'block_size', 'junk'], expected "
+                                   "['bits', 'block_size']")),
+                        ({}, re.escape("quant keys [], expected ['bits', 'block_size']"))):
         rewrite_header(tmp_path / "q.ckpt", lambda h: h.update(quant=quant))
         with pytest.raises(CheckpointError, match=f"corrupt checkpoint header in .*q.ckpt.*: "
                                                   f".*{what}"):

@@ -1,10 +1,10 @@
-import csv
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +18,7 @@ from rlrc.config import ConfigError, PipelineConfig
 from rlrc.env import EnvConfig, TaskSpec, make_task_suite
 from rlrc.model import ModelConfig, init_model
 from rlrc.quant import QuantizedTensor, memory_bytes, quantize_model
+from rlrc.training import evaluate
 from test_quant import weight_payload_bytes
 
 
@@ -53,8 +54,10 @@ def test_full_stage_chain(tmp_path):
         assert run(["--config", cfg_path] + cmd) == 0, cmd
     for name in ("suite.json", "demos.jsonl", "dense.ckpt", "pruned.ckpt",
                  "sft.ckpt", "rl.ckpt", "quant.ckpt", "prune_plan.json",
-                 "bench_report.csv", "bench_report.json", "resolved_config.json"):
+                 "bench_report.json", "resolved_config.json"):
         assert os.path.exists(os.path.join(out, name)), name
+    # the report is one JSON file
+    assert not os.path.exists(os.path.join(out, "bench_report.csv"))
     with open(os.path.join(out, "bench_report.json")) as f:
         report = json.load(f)
     assert len(report["rows"]) == 5
@@ -76,6 +79,7 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
     with open(os.path.join(out, "manifest.json")) as f:
         manifest = json.load(f)
     assert manifest["checkpoints"] == {s: f"{s}.ckpt" for s in chain}
+    assert manifest["reports"] == ["bench_report.json"]
     assert manifest["config_sha256"] == echo
     parent = None
     for stage in chain:
@@ -91,10 +95,10 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
     with open(os.path.join(out, "bench_report.json")) as f:
         assert [r["variant"] for r in json.load(f)["rows"]] == chain
     # benching named inputs writes a report named by them, not over the pipeline's
-    reports = [tmp_path / "run" / f"bench_report.{ext}" for ext in ("csv", "json")]
-    before = [p.read_bytes() for p in reports]
+    report = tmp_path / "run" / "bench_report.json"
+    before = report.read_bytes()
     assert run(["--config", cfg_path, "bench", "--inputs", os.path.join(out, "dense.ckpt")]) == 0
-    assert [p.read_bytes() for p in reports] == before
+    assert report.read_bytes() == before
     with open(os.path.join(out, "bench_report_dense.json")) as f:
         assert [r["variant"] for r in json.load(f)["rows"]] == ["dense"]
     # the runner names each training stage's log after its checkpoint
@@ -119,22 +123,13 @@ def test_records_follow_the_config_in_a_reused_directory(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["prune", "--ratio", "0.6"],
     ["quantize", "--bits", "8"],
-    ["eval", "--expert", "--episodes", "1"],
+    ["bench", "--episodes", "1"],
 ])
 def test_no_flag_overrides_a_config_setting(tmp_path, argv):
     cfg_path, _ = micro_config(tmp_path)
     with pytest.raises(SystemExit) as info:
         run(["--config", cfg_path] + argv)
     assert info.value.code == 2
-
-
-def test_eval_expert_and_checkpoint(tmp_path):
-    cfg_path, out = micro_config(tmp_path)
-    assert run(["--config", cfg_path, "eval", "--expert"]) == 0
-    with open(os.path.join(out, "eval_expert.json")) as f:
-        r = json.load(f)
-    assert r["IND"]["success_rate"] == 1.0
-    assert r["OOD"]["success_rate"] == 1.0
 
 
 def test_stage_order_violation_rejected(tmp_path, capsys):
@@ -154,6 +149,14 @@ def test_missing_input_nonzero_exit(tmp_path, capsys):
     rc = run(["--config", cfg_path, "sft"])
     assert rc == 1
     assert "missing input checkpoint" in capsys.readouterr().err
+
+
+def test_missing_named_input_is_named(tmp_path, capsys):
+    # an --input that does not exist gets the message of a missing default parent
+    cfg_path, out = micro_config(tmp_path)
+    missing = os.path.join(out, "nope.ckpt")
+    assert run(["--config", cfg_path, "sft", "--input", missing]) == 1
+    assert capsys.readouterr().err == f"error: missing input checkpoint for sft: {missing}\n"
 
 
 def test_stage_parents_required_not_guessed(tmp_path, capsys):
@@ -409,24 +412,47 @@ def test_config_echo_written_next_to_outputs(tmp_path):
     assert resolved["prune"]["exempt_layers"] == [0, n_layers - 1]
 
 
-def test_bench_report_csv_columns(tmp_path):
+def test_bench_report_columns(tmp_path):
     cfg_path, out = micro_config(tmp_path)
     for cmd in (["gen-demos"], ["train-dense"]):
         assert run(["--config", cfg_path] + cmd) == 0
     assert run(["--config", cfg_path, "bench",
                 "--inputs", os.path.join(out, "dense.ckpt")]) == 0
-    with open(os.path.join(out, "bench_report_dense.csv")) as f:
-        lines = [l for l in f if not l.startswith("#")]
-    header = next(csv.reader(lines))
-    assert header[:6] == ["variant", "total_params", "prunable_params",
-                          "weights_bytes", "scales_bytes", "total_bytes"]
-    # the instability flag of the batch-1 timing reaches the report
-    assert "unstable" in header
     with open(os.path.join(out, "bench_report_dense.json")) as f:
-        row = json.load(f)["rows"][0]
+        report = json.load(f)
+    columns, row = report["columns"], report["rows"][0]
+    assert columns[:6] == ["variant", "total_params", "prunable_params",
+                           "weights_bytes", "scales_bytes", "total_bytes"]
+    # the instability flag of the batch-1 timing reaches the report
+    assert "unstable" in columns
     assert row["unstable"] == (row["latency_cv"] >= 0.15)
     # the columns are the row's own keys, in order
-    assert header == list(row)
+    assert columns == list(row)
+
+
+def test_bench_scores_a_checkpoint_as_evaluate_does(tmp_path):
+    # bench is the one command that scores a checkpoint: its row's success
+    # rates are evaluate's on the config's eval grid.  A wider model on a 3x3
+    # grid with no distractors succeeds on some episodes, so the rates compared
+    # are not all zero
+    cfg_path, out = micro_config(
+        tmp_path, model={"d_model": 32, "n_layers": 3, "n_heads_base": 2, "d_ff_base": 16,
+                         "observation_vocab": 21, "action_vocab": 6, "max_seq_len": 18},
+        env={"width": 3, "height": 3, "n_distractors": 0},
+        sft={"max_steps": 200, "eval_interval": 200, "eval_episodes": 1, "batch_size": 16},
+        demos={"episodes_per_task": 8}, eval={"episodes_per_task": 2, "seed": 3})
+    for cmd in (["gen-demos"], ["train-dense"]):
+        assert run(["--config", cfg_path] + cmd) == 0
+    dense = os.path.join(out, "dense.ckpt")
+    assert run(["--config", cfg_path, "bench", "--inputs", dense]) == 0
+    with open(os.path.join(out, "bench_report_dense.json")) as f:
+        row = json.load(f)["rows"][0]
+    env_config = PipelineConfig.from_dict(json.loads(Path(cfg_path).read_text())).env
+    model, suite = load_checkpoint(dense).model, make_task_suite(0)
+    want = [evaluate(model, suite[split], 2, env_config, seed=3).success_rate
+            for split in ("IND", "OOD")]
+    assert [row["ind_sr"], row["ood_sr"]] == want
+    assert min(want) > 0
 
 
 def test_bench_row_times_batch_1_and_batch_16(monkeypatch):
@@ -467,6 +493,20 @@ def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):
     assert header["OMP_NUM_THREADS"] == "unset"
     # the heap settings the import applied are part of the environment
     assert header["heap_pin"] == rlrc.HEAP_PIN
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_rlrc_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, value):
+    # BLAS would run its own default count while the report named the bad
+    # value, so the command refuses it before it writes anything
+    monkeypatch.setenv("RLRC_THREADS", value)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    cfg_path, out = micro_config(tmp_path)
+    assert run(["--config", cfg_path, "gen-demos"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: RLRC_THREADS must be a positive integer, got {value!r}\n"
+    assert not os.path.exists(out)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
 
 def test_importing_rlrc_loads_no_numpy():

@@ -4,6 +4,7 @@ own definition, and every defaulted parameter of a public function is
 passed by some call, in ``src/rlrc`` or in perfbench's program files;
 a public class's ``__init__`` counts as a public function.
 No command line flag is a setting: settings live in the config alone.
+Every subcommand states why it exists.
 Episodes have one loop: among program files, `env.step` is called by
 `env.run_episodes` and by `env.VecEnv`, PPO's stream of episodes, alone."""
 
@@ -37,9 +38,20 @@ FLAGS_ALLOWED = {
     "sft --input": _INPUT,
     "rl --input": _INPUT,
     "quantize --input": _INPUT,
-    "eval --input": "a path, which names the output eval_<stem>.json",
-    "eval --expert": "a mode, which names the output eval_expert.json",
     "bench --inputs": "paths, each of which names its report row",
+}
+
+_STAGE = "a stage of the recipe, in cli.STAGES"
+# every subcommand of `rlrc`, each with the reason it exists
+COMMANDS_ALLOWED = {
+    "gen-demos": "writes the task split and the expert demos, the records every stage uses",
+    "train-dense": _STAGE,
+    "prune": _STAGE,
+    "sft": _STAGE,
+    "rl": _STAGE,
+    "quantize": _STAGE,
+    "bench": "the one command that scores checkpoints: success, bytes and decode speed",
+    "pipeline": "runs gen-demos, every stage and bench in order, then writes the manifest",
 }
 
 
@@ -158,6 +170,14 @@ def test_every_flag_is_a_path_or_a_mode():
     flags = parser_flags(cli.build_parser())
     assert sorted(set(flags) - set(FLAGS_ALLOWED)) == []
     assert sorted(set(FLAGS_ALLOWED) - set(flags)) == [], "stale exception"
+
+
+def test_every_command_has_a_reason():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    commands = list(subparsers.choices)
+    assert sorted(set(commands) - set(COMMANDS_ALLOWED)) == []
+    assert sorted(set(COMMANDS_ALLOWED) - set(commands)) == [], "stale exception"
 
 
 # the callers of env.step: the one loop over whole episodes, and PPO's stream

@@ -890,6 +890,10 @@ def test_ppo_config_rejects_bad_values(field, value):
 def test_ppo_config_rejects_more_minibatches_than_rows():
     with pytest.raises(ValueError, match="minibatches=32 exceeds .* = 16 rows"):
         PpoConfig(n_envs=2, horizon=8, minibatches=32)
+    # every collected row is trained on: 80 rows in minibatches of 26 would leave 2 out
+    with pytest.raises(ValueError, match="minibatches=3 exceeds or does not divide the "
+                                         r"n_envs \* horizon = 80 rows"):
+        PpoConfig(n_envs=16, horizon=5, minibatches=3)
     assert PpoConfig(n_envs=2, horizon=8, minibatches=16, lr=0.0).minibatches == 16
     with pytest.raises(ConfigError, match="bad values in section ppo: minibatches=32"):
         PipelineConfig.from_dict({"ppo": {"n_envs": 2, "horizon": 8, "minibatches": 32}})
