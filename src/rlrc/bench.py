@@ -1,15 +1,15 @@
 """Measurement harness: latency, throughput, memory and success-rate rows.
 
-A report is one JSON file: its ``header`` (the environment it ran in),
-``columns`` and ``rows``, one per checkpoint, whose ``ind_sr``/``ood_sr``
-are its greedy success on the config's eval grid, the only score it gets.
+A report is one JSON file: its ``header`` (the environment it ran in and
+its eval grid), ``columns`` and ``rows``, one per checkpoint, whose
+``ind_sr``/``ood_sr`` are its greedy success on that grid, the only score
+it gets; `cli.cmd_bench` adds the checkpoint's path and meta to its row.
 Every row times greedy action decodes at two fixed batch sizes, each
 with 10 untimed warm-up decodes and then 50 timed ones.  Latency is the
-median wall time of one decode at batch 1; throughput is decodes per
-second at batch 16.  Throughput here always means greedy env-action
-decodes per second.  Memory numbers come from quant.memory_bytes:
-``total_bytes`` is exactly the payload of the variant's checkpoint,
-which holds the policy alone.
+median wall time of one decode at batch 1; throughput is greedy
+env-action decodes per second at batch 16.  Memory numbers come from
+quant.memory_bytes: ``total_bytes`` is exactly the payload of the
+variant's checkpoint, which holds the policy alone.
 """
 
 import json
@@ -44,7 +44,8 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
-def report_header():
+def report_header(eval_config, config_sha256):
+    """The environment, and the eval grid: its episodes per task, seed and config hash."""
     return {
         "cpu": _cpu_model(),
         "platform": platform.platform(),
@@ -53,6 +54,9 @@ def report_header():
         # the thread counts BLAS was started with, after RLRC_THREADS applied
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
         "heap_pin": HEAP_PIN,  # glibc's heap settings applied at import, or why none were
+        "eval_episodes_per_task": eval_config.episodes_per_task,
+        "eval_seed": eval_config.seed,
+        "config_sha256": config_sha256,
     }
 
 

@@ -18,8 +18,8 @@ and echoed; a prune-ratio sweep is one config per ratio.  The task split
 needs them and rewritten to ``suite.json`` and ``demos.jsonl`` as records,
 never read back.  The training stages write a JSONL metrics log,
 ``metrics_<stem>.jsonl`` after their checkpoint's stem.  ``bench`` alone
-scores checkpoints: one ``bench_report.json`` over the recipe's, and over
-named ``--inputs`` one named after their stems, ``bench_report_dense_sft.json``.
+scores checkpoints, a row naming its checkpoint and meta, in one
+``bench_report.json`` over the recipe's or one named by a hash of ``--inputs``.
 
 RLRC_THREADS, when set, must be a positive integer and sets the math-kernel
 thread count, overriding any inherited OPENBLAS/OMP/MKL_NUM_THREADS; it must
@@ -28,6 +28,7 @@ be honored before numpy loads, so the heavy imports happen inside main().
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -80,8 +81,6 @@ def _p(cfg, name):
 
 def _config_sha256(cfg):
     """The SHA-256 of the bytes of this run's ``resolved_config.json``."""
-    import hashlib
-
     with open(_p(cfg, "resolved_config.json"), "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
 
@@ -230,6 +229,13 @@ def _run_stage(row, cfg, args):
     print(f"{row.stage} checkpoint: {path} ({summary})")
 
 
+def _report_name(inputs):
+    """``bench_report.json`` over the recipe's checkpoints; over named ``inputs``,
+    ``bench_report_<first 12 hex of the SHA-256 of their newline-joined paths>.json``."""
+    digest = hashlib.sha256("\n".join(inputs or ()).encode()).hexdigest()
+    return f"bench_report_{digest[:12]}.json" if inputs else "bench_report.json"
+
+
 def cmd_bench(cfg, args):
     from .bench import report_header, variant_row, write_report
     from .checkpoint import load_checkpoint
@@ -241,20 +247,19 @@ def cmd_bench(cfg, args):
     ]
     if not inputs:
         raise CliError("bench found no checkpoints; pass --inputs")
-    names = [os.path.splitext(os.path.basename(path))[0] for path in inputs]
     rows = []
-    for path, name in zip(inputs, names):
-        model = load_checkpoint(path).model
-        ind, ood = (evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
-                             seed=cfg.eval.seed).success_rate for split in ("IND", "OOD"))
-        rows.append(variant_row(name, model, cfg.env, suite["IND"][0], ind, ood,
-                                cfg.prune.exempt_layers))
+    for path in inputs:
+        name = os.path.splitext(os.path.basename(path))[0]
+        model, meta = load_checkpoint(path)
+        ind, ood = (float(evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
+                                   seed=cfg.eval.seed).mean()) for split in ("IND", "OOD"))
+        row = variant_row(name, model, cfg.env, suite["IND"][0], ind, ood, cfg.prune.exempt_layers)
+        rows.append({**row, "checkpoint": path, **{
+            k: meta.get(k) for k in ("stage", "parent_stage", "seed", "config_sha256")}})
         print(f"benched {name}: {rows[-1]['latency_ms']:.3f} ms, "
               f"{rows[-1]['throughput_sps']:.1f} decodes/s")
-    # named inputs get a report of their own, so the pipeline's is never overwritten
-    report = "_".join(["bench_report", *names]) if args.inputs else "bench_report"
-    path = _p(cfg, report + ".json")
-    write_report(path, report_header(), rows)
+    path = _p(cfg, _report_name(args.inputs))
+    write_report(path, report_header(cfg.eval, _config_sha256(cfg)), rows)
     print(f"report: {path}")
 
 

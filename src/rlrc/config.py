@@ -12,11 +12,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .env import N_ACTIONS, EnvConfig
+from .env import DEMO_SEED_STRIDE, N_ACTIONS, EnvConfig
 from .model import ModelConfig
 from .pruning import default_exempt_layers
 from .quant import Q_MAX
-from .training import SELECTION_SEED, PpoConfig, SftConfig
+from .training import EVAL_SEED_STRIDE, SELECTION_SEED, PpoConfig, SftConfig
 
 
 class ConfigError(ValueError):
@@ -157,7 +157,11 @@ class PipelineConfig:
         return cls(**kw)
 
     def __post_init__(self):
-        env, model, exempt = self.env, self.model, self.prune.exempt_layers
+        env, model, exempt, demos = self.env, self.model, self.prune.exempt_layers, self.demos
+        first = DEMO_SEED_STRIDE * demos.seed  # the first demo's episode seed, every task
+        selection = max(self.sft.eval_episodes, self.ppo.eval_episodes)
+        grids = (("eval.seed", self.eval.seed, self.eval.episodes_per_task),
+                 ("training.SELECTION_SEED", SELECTION_SEED, selection))
         for bad, msg in (
             (env.obs_vocab > model.observation_vocab,
              f"env.obs_vocab {env.obs_vocab} exceeds model.observation_vocab "
@@ -169,6 +173,10 @@ class PipelineConfig:
              f"model.action_vocab {model.action_vocab} != env.N_ACTIONS {N_ACTIONS}"),
             (any(not 0 <= li < model.n_layers for li in exempt or ()),
              f"prune.exempt_layers {exempt} outside [0, model.n_layers = {model.n_layers})"),
+            *((max(first, EVAL_SEED_STRIDE * seed) <
+               min(first + demos.episodes_per_task, EVAL_SEED_STRIDE * seed + episodes),
+               f"demos.seed {demos.seed} demonstrates episodes that the grid of {name} "
+               f"{seed} scores") for name, seed, episodes in grids),
         ):
             if bad:
                 raise ConfigError(f"sections disagree: {msg}")

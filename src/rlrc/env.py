@@ -32,6 +32,9 @@ N_ACTIONS = 6
 REWARD_PLACED = 1.0
 REWARD_GRASPED = 0.1
 
+# the demos of seed s start episode e of each task at episode seed DEMO_SEED_STRIDE * s + e
+DEMO_SEED_STRIDE = 1000
+
 
 class EnvError(RuntimeError):
     pass
@@ -131,13 +134,11 @@ class StepResult:
 
 @dataclass
 class Episode:
-    """One episode `run_episodes` ran: a demonstration or an evaluation."""
+    """One episode `run_episodes` ran, a demonstration or an evaluation, and its outcome."""
     task: TaskSpec
     seed: int
     steps: list  # (obs token list, action id)
     success: bool = False
-    ret: float = 0.0  # the summed reward
-    length: int = 0  # steps taken, or max_steps for a cut loop
 
 
 def make_task_suite(seed):
@@ -308,9 +309,7 @@ def run_episodes(act, config, starts):
     it would repeat one loop until the time limit, and a loop earns nothing,
     since a placement ends the episode and the only other reward, the
     target's first grasp, sets ``target_grasped_once``, part of the key.  It
-    is scored as that time-out: a failure of ``max_steps`` steps with the
-    return it has.
-    """
+    is scored as that time-out: unsuccessful."""
     resets = [reset(config, task, seed) for task, seed in starts]
     states = [state for state, _ in resets]
     obs = np.array([o for _, o in resets])
@@ -327,12 +326,9 @@ def run_episodes(act, config, starts):
             ep.steps.append((obs[i].tolist(), a))
             res = step(state, a)
             obs[i] = res.obs
-            ep.ret += res.reward
             if res.done:
-                ep.success, ep.length = state.success, len(ep.steps)
-            elif (key := state_key(state)) in seen[i]:  # a loop: it can only time out
-                ep.length = config.max_steps
-            else:
+                ep.success = state.success
+            elif (key := state_key(state)) not in seen[i]:  # else a loop: it can only time out
                 seen[i].add(key)
                 running.append(i)
         live = running
@@ -346,7 +342,8 @@ def generate_demos(config, tasks, episodes_per_task, seed, out_path):
             raise SplitError(f"demo generation refused for non-IND task {t}")
     # one task's episodes at a time: the runner's memory grows with the episodes it runs
     demos = [d for task in tasks for d in run_episodes(
-        expert_actions, config, [(task, 1000 * seed + e) for e in range(episodes_per_task)])]
+        expert_actions, config, [(task, DEMO_SEED_STRIDE * seed + e)
+                                 for e in range(episodes_per_task)])]
     with open(out_path, "w", encoding="utf-8") as f:
         for d in demos:
             f.write(json.dumps({

@@ -56,9 +56,7 @@ class DependencyGroup:
 @dataclass
 class ImportanceTable:
     scores: dict  # (kind, layer, index) -> float
-    batch_size: int
     seed: object
-    loss: float
 
 
 @dataclass
@@ -154,8 +152,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
     member (an MLP channel's column or row) reads one reduction of it per
     matrix, a wider member (a head's slice) its own sum, and each is added
     to its group's score in member order.  The table holds the scored
-    groups alone, and ``loss`` is the mean over all rows.  ``model`` and its
-    parameters' gradients are left untouched.
+    groups alone; ``model`` and its parameters' gradients are left untouched.
     """
     from .training import sft_backward  # local import; training pulls in env
 
@@ -163,7 +160,6 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
     if obs.size == 0:
         raise PruningError("empty calibration batch")
     actions = np.asarray(calibration_actions)
-    n = obs.shape[0]
     exempt = _exempt_set(model.config, exempt_layers)
     groups = [g for g in build_dependency_groups(model) if g.layer not in exempt]
     if not groups:
@@ -174,7 +170,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
             members.setdefault(member[0], []).append((g.key, member))
     scoring = PolicyModel(model.config, {name: Tensor(p.data, requires_grad=name in members)
                                          for name, p in model.named_params()})
-    loss, _ = sft_backward(scoring, obs, actions, "calibration loss")
+    sft_backward(scoring, obs, actions, "calibration loss")
     scores = {g.key: 0.0 for g in groups}
     # parameters come in member order (wq wk wv wo, then wup wgate wdown)
     for name, p in scoring.named_params():
@@ -193,7 +189,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
                 sums[axis] = np.ascontiguousarray(np.moveaxis(saliency, axis, 0)) \
                     .reshape(saliency.shape[axis], -1).sum(axis=1)
             scores[key] += float(sums[axis][start])
-    return ImportanceTable(scores=scores, batch_size=n, seed=seed, loss=loss)
+    return ImportanceTable(scores=scores, seed=seed)
 
 
 def select_prune_groups(model, table, target_ratio, exempt_layers=None):

@@ -4,13 +4,13 @@ SFT minimizes mean negative log-likelihood of expert actions; PPO runs
 clipped-surrogate updates with GAE over sparse-reward rollouts from the
 vectorized env; the critic shares the transformer backbone and trains
 it too.  Evaluation runs a deterministic policy over a non-empty (task,
-seed) grid through `env.run_episodes` and is the single scorer of every
-stage.
+seed) grid through `env.run_episodes`, returns each episode's success,
+and is the single scorer of every stage.
 
 Both trainers evaluate, log and select their best weights in one step
 (`_Best`): it scores the policy at `SELECTION_SEED`, whose episodes are not
 those reported on (`eval.seed` must differ), logs the metric row with each
-grid's success rate and the evaluation's wall seconds as ``eval_s``, and
+grid's success rate (the mean) and the evaluation's seconds as ``eval_s``, and
 keeps copies of the trained objects when IND success beats every earlier
 score.  Training stops after ``patience`` evaluations in a row that do not,
 and the trainer returns the copies and logs that evaluation's success rates
@@ -57,6 +57,8 @@ class TrainingError(RuntimeError):
 
 # the evaluation seed the trainers select their weights at
 SELECTION_SEED = 1234
+# the grid of seed s starts episode e of each task at episode seed EVAL_SEED_STRIDE * s + e
+EVAL_SEED_STRIDE = 100_000
 
 
 @dataclass
@@ -172,14 +174,6 @@ def sft_backward(model, obs, actions, what):
 # evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalResult:
-    success_rate: float
-    mean_return: float
-    mean_length: float
-    episodes: int
-
-
 class ModelPolicy:
     """Greedy action decoder: `model.greedy_actions`, the decoder under no_grad."""
 
@@ -191,22 +185,17 @@ class ModelPolicy:
 
 
 def evaluate(policy, tasks, episodes_per_task, env_config, seed):
-    """The means of deterministic episodes (`env.run_episodes`) over a
-    (task, episode-seed) grid.  ``policy`` is a `PolicyModel`, decoded
-    greedily by `ModelPolicy`, or a deterministic ``act(obs_batch, states)``
-    such as `env.expert_actions`.  An empty grid raises TrainingError."""
+    """A bool array of each episode's success on the (task, episode seed)
+    grid of ``seed``, in grid order (task-major), run by `env.run_episodes`.
+    ``policy`` is a `PolicyModel`, decoded greedily by `ModelPolicy`, or a
+    deterministic ``act(obs_batch, states)``; an empty grid raises TrainingError."""
     if not tasks or episodes_per_task < 1:
         raise TrainingError(f"evaluate needs at least one (task, episode): got "
                             f"{len(tasks)} tasks and episodes_per_task={episodes_per_task}")
     act = ModelPolicy(policy).act if isinstance(policy, PolicyModel) else policy
-    episodes = run_episodes(act, env_config, [(task, 100_000 * seed + e) for task in tasks
-                                              for e in range(episodes_per_task)])
-    return EvalResult(
-        success_rate=float(np.mean([e.success for e in episodes])),
-        mean_return=float(np.mean([e.ret for e in episodes])),
-        mean_length=float(np.mean([e.length for e in episodes])),
-        episodes=len(episodes),
-    )
+    episodes = run_episodes(act, env_config, [(task, EVAL_SEED_STRIDE * seed + e)
+                                              for task in tasks for e in range(episodes_per_task)])
+    return np.array([e.success for e in episodes])
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +228,15 @@ class _Best:
         return row
 
     def evaluate(self, trained, **row):
-        """Score ``trained[0]`` at `SELECTION_SEED` on each grid (an empty
-        one scores 0.0), log ``row`` with ``<name>_sr`` and ``eval_s``, and
+        """Score ``trained[0]`` at `SELECTION_SEED` on each grid (its mean
+        success; an empty one scores 0.0), log ``row`` with ``<name>_sr`` and ``eval_s``, and
         keep copies of ``trained`` (`PolicyModel.copy`, `ValueHead.copy`)
         when IND success beats every earlier evaluation's; True once
         ``patience`` evaluations in a row have not."""
         t0 = time.perf_counter()
         for name, grid in self.grids.items():
-            row[f"{name}_sr"] = evaluate(trained[0], grid, self.episodes, self.env_config,
-                                         seed=SELECTION_SEED).success_rate if grid else 0.0
+            row[f"{name}_sr"] = float(evaluate(trained[0], grid, self.episodes, self.env_config,
+                                               seed=SELECTION_SEED).mean()) if grid else 0.0
         row = self._log(**row, eval_s=time.perf_counter() - t0)
         if self.best is None or row["ind_sr"] > self.best["ind_sr"]:
             self.best, self.stall = row, 0

@@ -1,7 +1,17 @@
+"""The command line.  ``test_pipeline_outputs_match_the_golden_record``
+pins every output of the micro config's `rlrc pipeline` run that holds no
+path to ``tests/golden_micro.json``.  A change that means to alter those
+outputs regenerates the file from its own tree with
+
+    PYTHONPATH=src python tests/test_cli.py
+
+and names the fields that moved."""
+
 import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +21,12 @@ import numpy as np
 import pytest
 
 import rlrc
-from rlrc import bench, cli, env
+from rlrc import bench, cli, env, training
 from rlrc.checkpoint import load_checkpoint
 from rlrc.cli import main
-from rlrc.config import ConfigError, PipelineConfig
+from rlrc.config import ConfigError, EvalSection, PipelineConfig
 from rlrc.env import EnvConfig, TaskSpec, make_task_suite
-from rlrc.model import ModelConfig, init_model
+from rlrc.model import ModelConfig, build_contexts, greedy_actions, init_model
 from rlrc.quant import QuantizedTensor, memory_bytes, quantize_model
 from rlrc.training import evaluate
 from test_quant import weight_payload_bytes
@@ -70,19 +80,31 @@ def test_full_stage_chain(tmp_path):
     assert rows["quant"]["prunable_params"] == rows["rl"]["prunable_params"]
 
 
-def test_pipeline_runs_every_stage_in_order(tmp_path):
+CHAIN = ["dense", "pruned", "sft", "rl", "quant"]
+
+
+@pytest.fixture(scope="module")
+def micro_run(tmp_path_factory):
+    """One `rlrc pipeline` run of the micro config, read by every test that
+    looks at its outputs: (the config's directory, the config, the output
+    directory)."""
+    tmp_path = tmp_path_factory.mktemp("micro")
     cfg_path, out = micro_config(tmp_path)
     assert run(["--config", cfg_path, "pipeline"]) == 0
-    chain = ["dense", "pruned", "sft", "rl", "quant"]
+    return tmp_path, cfg_path, out
+
+
+def test_pipeline_runs_every_stage_in_order(micro_run):
+    tmp_path, cfg_path, out = micro_run
     with open(os.path.join(out, "resolved_config.json"), "rb") as f:
         echo = hashlib.sha256(f.read()).hexdigest()
     with open(os.path.join(out, "manifest.json")) as f:
         manifest = json.load(f)
-    assert manifest["checkpoints"] == {s: f"{s}.ckpt" for s in chain}
+    assert manifest["checkpoints"] == {s: f"{s}.ckpt" for s in CHAIN}
     assert manifest["reports"] == ["bench_report.json"]
     assert manifest["config_sha256"] == echo
     parent = None
-    for stage in chain:
+    for stage in CHAIN:
         loaded = load_checkpoint(os.path.join(out, f"{stage}.ckpt"))
         assert loaded.meta["stage"] == stage
         assert loaded.meta.get("parent") == (parent and os.path.join(out, f"{parent}.ckpt"))
@@ -93,13 +115,14 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
             memory_bytes(loaded.model)["total_bytes"], stage
         parent = stage
     with open(os.path.join(out, "bench_report.json")) as f:
-        assert [r["variant"] for r in json.load(f)["rows"]] == chain
+        assert [r["variant"] for r in json.load(f)["rows"]] == CHAIN
     # benching named inputs writes a report named by them, not over the pipeline's
     report = tmp_path / "run" / "bench_report.json"
     before = report.read_bytes()
-    assert run(["--config", cfg_path, "bench", "--inputs", os.path.join(out, "dense.ckpt")]) == 0
+    dense = os.path.join(out, "dense.ckpt")
+    assert run(["--config", cfg_path, "bench", "--inputs", dense]) == 0
     assert report.read_bytes() == before
-    with open(os.path.join(out, "bench_report_dense.json")) as f:
+    with open(os.path.join(out, cli._report_name([dense]))) as f:
         assert [r["variant"] for r in json.load(f)["rows"]] == ["dense"]
     # the runner names each training stage's log after its checkpoint
     for stem in ("dense", "sft", "rl"):
@@ -109,6 +132,117 @@ def test_pipeline_runs_every_stage_in_order(tmp_path):
         ratio = json.load(f)["prune"]["ratio"]
     with open(os.path.join(out, "prune_plan.json")) as f:
         assert json.load(f)["target_ratio"] == ratio
+
+
+GOLDEN = Path(__file__).with_name("golden_micro.json")
+RECORDS = ("prune_plan.json", "suite.json", "demos.jsonl")
+BENCH_FIELDS = ("ind_sr", "ood_sr", "total_params", "prunable_params", "weights_bytes",
+                "scales_bytes", "total_bytes")
+GREEDY_ROWS = 64
+
+
+def numeric_build():
+    """The numpy version and BLAS build that bit-identity is stated for."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas_version": blas.get("version"),
+            "openblas_configuration": blas.get("openblas configuration")}
+
+
+def pipeline_outputs(out):
+    """What a micro pipeline run in ``out`` wrote that holds no path: the
+    records' bytes; each stage checkpoint's payload SHA-256, header
+    ``config``, ``quant`` and ``tensors``, and its greedy actions on
+    `GREEDY_ROWS` demo contexts spread over the demos; each bench row's
+    success, params and bytes; and the metric rows less their timings."""
+    out = Path(out)
+    got = {"records": {name: (out / name).read_text() for name in RECORDS}}
+    obs = np.array([step["obs"] for line in got["records"]["demos.jsonl"].splitlines()
+                    for step in json.loads(line)["steps"]])
+    obs = obs[np.linspace(0, len(obs) - 1, GREEDY_ROWS).round().astype(int)]
+    got["checkpoints"] = {}
+    for stage in CHAIN:
+        raw = (out / f"{stage}.ckpt").read_bytes()
+        end = 12 + struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12:end])
+        model = load_checkpoint(out / f"{stage}.ckpt").model
+        got["checkpoints"][stage] = {
+            "payload_sha256": hashlib.sha256(raw[end:]).hexdigest(),
+            **{key: header[key] for key in ("config", "quant", "tensors")},
+            "greedy_actions": greedy_actions(model, build_contexts(model.config, obs)).tolist(),
+        }
+    rows = json.loads((out / "bench_report.json").read_text())["rows"]
+    got["bench"] = {r["variant"]: {k: r[k] for k in BENCH_FIELDS} for r in rows}
+    got["metrics"] = {stem: [{k: v for k, v in json.loads(line).items()
+                              if k not in ("wallclock", "eval_s")}
+                             for line in (out / f"metrics_{stem}.jsonl").read_text().splitlines()]
+                      for stem in ("dense", "sft", "rl")}
+    return got
+
+
+def blas_stable(outputs):
+    """The outputs another BLAS build must reproduce too: the records (the
+    prune plan less its float scores), the greedy actions and the bench
+    rows' success rates and counts."""
+    records = outputs["records"]
+    plan = json.loads(records["prune_plan.json"])
+    for group in plan["groups"]:
+        del group["score"]
+    return {"plan": plan, "suite.json": records["suite.json"],
+            "demos.jsonl": records["demos.jsonl"],
+            "greedy_actions": {s: c["greedy_actions"] for s, c in outputs["checkpoints"].items()},
+            "bench": outputs["bench"]}
+
+
+def first_difference(want, got, where=""):
+    """The path of the first field where ``got`` differs from ``want``, or None."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            if key not in want or key not in got:
+                return f"{where}.{key} (present on one side only)"
+            found = first_difference(want[key], got[key], f"{where}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        for i, (w, g) in enumerate(zip(want, got)):
+            found = first_difference(w, g, f"{where}[{i}]")
+            if found:
+                return found
+        return None if len(want) == len(got) else f"{where} (length {len(got)}, not {len(want)})"
+    return None if type(want) is type(got) and want == got else where
+
+
+def test_first_difference_names_the_field():
+    want = {"a": [1, {"b": 2.0}], "c": "x"}
+    assert first_difference(want, json.loads(json.dumps(want))) is None
+    assert first_difference(want, {"a": [1, {"b": 2.5}], "c": "y"}) == ".a[1].b"
+    assert first_difference(want, {"a": [1, {"b": 2}], "c": "x"}) == ".a[1].b"
+    assert first_difference(want, {"a": [1], "c": "x"}) == ".a (length 1, not 2)"
+    assert first_difference(want, {"a": [1, {"b": 2.0}]}) == ".c (present on one side only)"
+
+
+def golden_difference(golden, got, build):
+    """The first field of ``got`` that differs from the golden record: of
+    every field on the record's numpy/BLAS ``build``, of the BLAS-stable
+    ones on another, which it says."""
+    want = golden["outputs"]
+    if golden["build"] != build:
+        print(f"numpy/BLAS build {build} is not the golden record's "
+              f"{golden['build']}: comparing the BLAS-stable fields only")
+        want, got = blas_stable(want), blas_stable(got)
+    return first_difference(want, got)
+
+
+def test_pipeline_outputs_match_the_golden_record(micro_run):
+    # pipeline outputs are bit-identical per seed on one numpy and BLAS build
+    golden = json.loads(GOLDEN.read_text())
+    got = pipeline_outputs(micro_run[2])
+    where = golden_difference(golden, got, numeric_build())
+    assert where is None, f"pipeline output {where} differs from {GOLDEN.name}"
+    # another build compares the fields BLAS does not round, and still sees an action move
+    assert golden_difference(golden, got, {"numpy": "another"}) is None
+    got["checkpoints"]["quant"]["greedy_actions"][5] += 1
+    assert golden_difference(golden, got, {"numpy": "another"}) == ".greedy_actions.quant[5]"
 
 
 def test_records_follow_the_config_in_a_reused_directory(tmp_path):
@@ -387,6 +521,27 @@ def test_task_split_is_the_same_for_every_seed(tmp_path, monkeypatch):
     assert make_task_suite(3) != make_task_suite(0)
 
 
+@pytest.mark.parametrize("raw, grid", [
+    ({"seed": 700}, "eval.seed 7"),
+    ({"demos": {"seed": 700}}, "eval.seed 7"),
+    ({"seed": 123400}, "training.SELECTION_SEED 1234"),
+])
+def test_demos_never_start_on_a_scored_episode(raw, grid):
+    # demo seed 700 starts each IND task's demos at episode seeds 700000 ..,
+    # the first episodes of eval seed 7's grid: the bench would score the
+    # policy on the episodes it was trained on
+    assert env.DEMO_SEED_STRIDE * 700 == training.EVAL_SEED_STRIDE * 7
+    seed = raw.get("seed", raw.get("demos", {}).get("seed"))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"sections disagree: demos.seed {seed} demonstrates episodes that the grid of "
+            f"{grid} scores")):
+        PipelineConfig.from_dict(raw)
+    # a seed whose demos end before the grid starts, or start after it ends, is accepted
+    for near in (699, 701, 123399, 123401):
+        assert PipelineConfig.from_dict({"seed": near}).demos.seed == near
+    assert PipelineConfig.from_dict({}).demos.seed == 0
+
+
 @pytest.mark.parametrize("raw, fields", [
     ({"env": {"width": 12, "height": 12}}, ("env.obs_vocab", "model.observation_vocab")),
     ({"env": {"n_distractors": 4}, "model": {"max_seq_len": 16}},
@@ -416,9 +571,9 @@ def test_bench_report_columns(tmp_path):
     cfg_path, out = micro_config(tmp_path)
     for cmd in (["gen-demos"], ["train-dense"]):
         assert run(["--config", cfg_path] + cmd) == 0
-    assert run(["--config", cfg_path, "bench",
-                "--inputs", os.path.join(out, "dense.ckpt")]) == 0
-    with open(os.path.join(out, "bench_report_dense.json")) as f:
+    dense = os.path.join(out, "dense.ckpt")
+    assert run(["--config", cfg_path, "bench", "--inputs", dense]) == 0
+    with open(os.path.join(out, cli._report_name([dense]))) as f:
         report = json.load(f)
     columns, row = report["columns"], report["rows"][0]
     assert columns[:6] == ["variant", "total_params", "prunable_params",
@@ -445,14 +600,54 @@ def test_bench_scores_a_checkpoint_as_evaluate_does(tmp_path):
         assert run(["--config", cfg_path] + cmd) == 0
     dense = os.path.join(out, "dense.ckpt")
     assert run(["--config", cfg_path, "bench", "--inputs", dense]) == 0
-    with open(os.path.join(out, "bench_report_dense.json")) as f:
+    with open(os.path.join(out, cli._report_name([dense]))) as f:
         row = json.load(f)["rows"][0]
     env_config = PipelineConfig.from_dict(json.loads(Path(cfg_path).read_text())).env
     model, suite = load_checkpoint(dense).model, make_task_suite(0)
-    want = [evaluate(model, suite[split], 2, env_config, seed=3).success_rate
+    want = [float(evaluate(model, suite[split], 2, env_config, seed=3).mean())
             for split in ("IND", "OOD")]
     assert [row["ind_sr"], row["ood_sr"]] == want
     assert min(want) > 0
+
+
+def test_bench_rows_name_their_checkpoints_and_the_header_its_grid(micro_run, tmp_path, capsys):
+    # two checkpoints of one stage from two runs: the rows tell them apart
+    first = os.path.join(micro_run[2], "dense.ckpt")
+    cfg_path, out = micro_config(tmp_path, eval={"episodes_per_task": 2, "seed": 5})
+    assert run(["--config", cfg_path, "--seed", "1", "train-dense"]) == 0
+    second = os.path.join(out, "dense.ckpt")
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "bench", "--inputs", first, second]) == 0
+    path = os.path.join(out, cli._report_name([first, second]))
+    assert capsys.readouterr().out.splitlines()[-1] == f"report: {path}"
+    with open(path) as f:
+        report = json.load(f)
+    rows = report["rows"]
+    assert [r["variant"] for r in rows] == ["dense", "dense"]
+    assert [r["checkpoint"] for r in rows] == [first, second]
+    for row, ckpt in zip(rows, (first, second)):
+        meta = load_checkpoint(ckpt).meta
+        assert {k: row[k] for k in ("stage", "parent_stage", "seed", "config_sha256")} == \
+            {"stage": "dense", "parent_stage": None, "seed": meta["seed"],
+             "config_sha256": meta["config_sha256"]}
+    assert [r["seed"] for r in rows] == [0, 1]
+    # the header names the grid the rows were scored on
+    with open(os.path.join(out, "resolved_config.json"), "rb") as f:
+        echo = hashlib.sha256(f.read()).hexdigest()
+    assert {k: report["header"][k] for k in ("eval_episodes_per_task", "eval_seed",
+                                             "config_sha256")} == \
+        {"eval_episodes_per_task": 2, "eval_seed": 5, "config_sha256": echo}
+
+
+def test_a_report_over_many_inputs_has_a_short_name():
+    inputs = [f"runs/seed_{i}/quant_dense.ckpt" for i in range(30)]
+    digest = hashlib.sha256("\n".join(inputs).encode()).hexdigest()
+    name = cli._report_name(inputs)
+    assert name == f"bench_report_{digest[:12]}.json"
+    assert len(name.encode()) < 255
+    assert cli._report_name(inputs[::-1]) != name
+    # the recipe's report keeps its name
+    assert cli._report_name(None) == cli._report_name([]) == "bench_report.json"
 
 
 def test_bench_row_times_batch_1_and_batch_16(monkeypatch):
@@ -480,7 +675,7 @@ def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
     cli._setup_threads()
-    header = bench.report_header()
+    header = bench.report_header(EvalSection(), "0" * 64)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert os.environ[var] == "1" and header[var] == "1", var
     # without the cap, the inherited counts stand and the header names them
@@ -488,7 +683,7 @@ def test_rlrc_threads_wins_and_header_reports_effective_threads(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     monkeypatch.delenv("OMP_NUM_THREADS")
     cli._setup_threads()
-    header = bench.report_header()
+    header = bench.report_header(EvalSection(), "0" * 64)
     assert header["OPENBLAS_NUM_THREADS"] == "4"
     assert header["OMP_NUM_THREADS"] == "unset"
     # the heap settings the import applied are part of the environment
@@ -527,3 +722,13 @@ def test_heap_pin_says_why_it_pinned_nothing(monkeypatch):
     refusing = SimpleNamespace(gnu_get_libc_version=None, mallopt=lambda param, value: 0)
     monkeypatch.setattr(rlrc.ctypes, "CDLL", lambda name: refusing)
     assert rlrc._pin_heap() == "not pinned: mallopt(M_MMAP_THRESHOLD, 33554432) refused"
+
+
+if __name__ == "__main__":  # regenerate the golden record from this tree
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = micro_config(Path(tmp))
+        assert run(["--config", cfg_path, "pipeline"]) == 0
+        GOLDEN.write_text(json.dumps({"build": numeric_build(), "outputs": pipeline_outputs(out)},
+                                     indent=1) + "\n")

@@ -215,7 +215,7 @@ def test_run_episodes_cuts_a_loop_at_its_first_repeated_state():
         assert (ep.task, ep.seed) == (task, seed)
         assert ep.steps[0][0] == obs.tolist()
         assert [a for _, a in ep.steps] == [UP] * (state.gripper_y + 1)
-        assert (ep.success, ep.ret, ep.length) == (False, 0.0, CFG.max_steps)
+        assert not ep.success
     # each step asks only for the episodes still running
     assert rows[0] == len(starts) and sum(rows) == sum(len(ep.steps) for ep in episodes)
     assert rows == sorted(rows, reverse=True)
@@ -224,8 +224,8 @@ def test_run_episodes_cuts_a_loop_at_its_first_repeated_state():
 def test_run_episodes_ends_at_the_time_limit():
     cfg = EnvConfig(max_steps=4)
     episodes = run_episodes(expert_actions, cfg, [(t, 0) for t in make_task_suite(0)["IND"]])
-    assert all(ep.length == len(ep.steps) <= 4 for ep in episodes)
-    assert {ep.length for ep in episodes if not ep.success} == {4}
+    assert all(len(ep.steps) <= 4 for ep in episodes)
+    assert {len(ep.steps) for ep in episodes if not ep.success} == {4}
     assert run_episodes(expert_actions, cfg, []) == []
 
 
@@ -329,7 +329,8 @@ def test_episode_return_bounded():
         for _, a in demo.steps:
             total += step(state, a).reward
         assert total <= 1.1 + 1e-9
-        assert demo.ret == total and demo.length == len(demo.steps)
+        # the recorded episode is its replay: it ends there, placed as recorded
+        assert state.done and state.success == demo.success
 
 
 # -- state_key ----------------------------------------------------------------

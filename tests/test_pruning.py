@@ -148,7 +148,7 @@ def one_pass_importance(model, obs, acts):
         scores[g.key] = acc
     for p in model.params():
         p.grad = None
-    return ImportanceTable(scores, obs.shape[0], None, float(loss.data))
+    return ImportanceTable(scores, None)
 
 
 def tiny_scored_model():
@@ -176,8 +176,6 @@ def test_chunked_importance_matches_one_pass(make_model, exempt):
     assert obs.shape[0] == n and n % rows != 0
     ref = one_pass_importance(m, obs, acts)
     table = taylor_importance(m, obs, acts, exempt_layers=exempt)
-    assert table.batch_size == n
-    assert table.loss == pytest.approx(ref.loss, rel=1e-6)
     keys = sorted(table.scores)
     if exempt == []:
         assert keys == sorted(ref.scores)
@@ -231,11 +229,10 @@ def test_importance_differentiates_only_the_scored_layers(make_model, monkeypatc
     fed.clear()
     every = taylor_importance(m, obs, acts, exempt_layers=[])
     assert fed == {member[0] for g in groups for member in g.members}
-    # the table holds exactly the non-exempt groups, and their scores and
-    # the loss are those of scoring every group, bit for bit
+    # the table holds exactly the non-exempt groups, and their scores are
+    # those of scoring every group, bit for bit
     assert set(table.scores) == scored
     assert {k: every.scores[k] for k in table.scores} == table.scores
-    assert table.loss == every.loss
     assert all(p.grad is None for p in m.params())
     # the counter does see a full SFT backward's embedding node
     backward(sft_loss(m, obs[:1], acts[:1]))
@@ -308,7 +305,7 @@ def test_select_minimum_scores_first():
     scores[mlp1[0].key] = 0.1
     scores[mlp1[1].key] = 0.5
     scores[mlp1[2].key] = 0.3
-    table = ImportanceTable(scores, 1, 0, 0.0)
+    table = ImportanceTable(scores, 0)
     prunable = sum(g.size for g in groups if g.layer == 1)
     plan = select_prune_groups(m, table, mlp1[0].size / prunable, exempt_layers={0, 2})
     assert [g.key for g in plan.groups] == [mlp1[0].key]
@@ -316,7 +313,7 @@ def test_select_minimum_scores_first():
 
 def test_select_zero_ratio_empty_plan():
     m = tiny_model()
-    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
+    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 0)
     plan = select_prune_groups(m, table, 0.0)
     assert plan.groups == []
     assert plan.achieved_ratio == 0.0
@@ -324,7 +321,7 @@ def test_select_zero_ratio_empty_plan():
 
 def test_select_rejects_bad_ratio():
     m = tiny_model()
-    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
+    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 0)
     with pytest.raises(PruningError):
         select_prune_groups(m, table, 1.0)
     with pytest.raises(PruningError):
@@ -333,7 +330,7 @@ def test_select_rejects_bad_ratio():
 
 def test_select_rejects_out_of_range_exempt_layers():
     m = tiny_model()  # 3 layers
-    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
+    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 0)
     for exempt in ([7], [0, -1]):
         with pytest.raises(PruningError, match=re.escape(
                 f"exempt layer {exempt[-1]} outside [0, n_layers=3)")):
@@ -350,7 +347,7 @@ def test_param_counts_rejects_out_of_range_exempt_layers():
 
 def test_select_unreachable_ratio():
     m = tiny_model(n_layers=2)
-    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
+    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 0)
     with pytest.raises(PruningError, match="unreachable|no prunable"):
         select_prune_groups(m, table, 0.5, exempt_layers={0, 1})
 
@@ -368,7 +365,7 @@ def test_select_refuses_a_table_scored_with_other_exemptions():
 
 def test_select_deterministic_tiebreak():
     m = tiny_model()
-    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 1, 0, 0.0)
+    table = ImportanceTable({g.key: 1.0 for g in build_dependency_groups(m)}, 0)
     p1 = select_prune_groups(m, table, 0.3)
     p2 = select_prune_groups(m, table, 0.3)
     assert [g.key for g in p1.groups] == [g.key for g in p2.groups]
@@ -378,8 +375,7 @@ def test_select_scale_invariance():
     m = tiny_model(seed=5)
     obs, acts = calib_batch(32)
     table = taylor_importance(m, obs, acts)
-    scaled = ImportanceTable({k: 7.5 * v for k, v in table.scores.items()},
-                             table.batch_size, table.seed, table.loss)
+    scaled = ImportanceTable({k: 7.5 * v for k, v in table.scores.items()}, table.seed)
     p1 = select_prune_groups(m, table, 0.4)
     p2 = select_prune_groups(m, scaled, 0.4)
     assert [g.key for g in p1.groups] == [g.key for g in p2.groups]

@@ -1,5 +1,6 @@
 """The package's surface holds nothing unused: every config field is read
-by the program, every public function and class has a user outside its
+by the program, and so is every field of a record (a dataclass or a
+`NamedTuple`), every public function and class has a user outside its
 own definition, and every defaulted parameter of a public function is
 passed by some call, in ``src/rlrc`` or in perfbench's program files;
 a public class's ``__init__`` counts as a public function.
@@ -66,6 +67,31 @@ def test_every_config_field_is_read():
               for cls in (PipelineConfig, *PipelineConfig._SECTIONS.values())
               for f in dataclasses.fields(cls)
               if not re.search(rf"\.{f.name}\b", text)]
+    assert unread == []
+
+
+def record_fields(source):
+    """(class, field) of each annotated field of every dataclass and
+    `NamedTuple` class a module defines."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and (
+                any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                or any(ast.unparse(b) == "NamedTuple" for b in node.bases)):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_every_record_field_is_read():
+    sample = "@dataclass(frozen=True)\nclass A:\n    x: int\n    y = 1\n" \
+             "class B(NamedTuple):\n    z: str\nclass C:\n    w: int\n"
+    assert list(record_fields(sample)) == [("A", "x"), ("B", "z")]
+    # by name: a field counts as read where any program file loads ``.<field>``
+    reads = {node.attr for path in program_files()
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{own.stem}.{cls}.{name}" for own in sorted(SRC.glob("*.py"))
+              for cls, name in record_fields(own.read_text()) if name not in reads]
     assert unread == []
 
 

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlrc.env import EnvConfig, VecEnv, expert_actions, generate_demos, make_task_suite
+from rlrc.env import (EnvConfig, VecEnv, expert_actions, generate_demos, make_task_suite,
+                      run_episodes)
 from rlrc.model import (
     ModelConfig, batch_logprob_value, build_contexts, chunk_rows, forward, init_model,
     init_value_head,
@@ -15,7 +16,7 @@ from rlrc.config import ConfigError, PipelineConfig
 from rlrc.tensor import NonFiniteError, adam_step, backward, backward_in_chunks, fused, no_grad
 from rlrc import kernels, training
 from rlrc.training import (
-    EvalResult,
+    EVAL_SEED_STRIDE,
     ModelPolicy,
     PpoConfig,
     SftConfig,
@@ -39,6 +40,14 @@ def tiny_model(seed=0):
                       observation_vocab=ENV.obs_vocab, action_vocab=6,
                       max_seq_len=ENV.obs_len + 2, seed=seed)
     return init_model(cfg)
+
+
+def successes(rate, n=12):
+    """A success vector of ``n`` episodes whose mean is ``rate``: what a
+    faked `evaluate` returns."""
+    k = round(rate * n)
+    assert k / n == rate
+    return np.arange(n) < k
 
 
 def make_demos(tmpdir, n_per_task=2, tasks=4, seed=0):
@@ -127,7 +136,7 @@ def test_train_sft_early_stops(tmp_path, monkeypatch):
     # SftConfig refuses lr=0, so the eval score is held fixed instead: the
     # second eval cannot improve on the first
     monkeypatch.setattr(training, "evaluate",
-                        lambda *args, **kw: EvalResult(0.5, 0.0, 1.0, 1))
+                        lambda *args, **kw: successes(0.5))
     assert sft_eval_steps(tmp_path, patience=1) == [2, 4]
     assert sft_eval_steps(tmp_path) == list(range(2, 21, 2))
 
@@ -520,7 +529,8 @@ class RowCountingExpert:
 
 
 def evaluate_every_row(act, tasks, episodes_per_task, env_config, seed=7):
-    """Reference: decode every episode at every step, finished ones too."""
+    """Reference: decode every episode at every step, finished ones too;
+    returns each episode's success and length, in grid order."""
     from rlrc.env import reset, step
 
     states, obs = [], []
@@ -531,7 +541,7 @@ def evaluate_every_row(act, tasks, episodes_per_task, env_config, seed=7):
             obs.append(o)
     obs = np.stack(obs)
     n = len(states)
-    returns, lengths = np.zeros(n), np.zeros(n, dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
     successes, active = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     for _ in range(env_config.max_steps):
         if not active.any():
@@ -540,24 +550,40 @@ def evaluate_every_row(act, tasks, episodes_per_task, env_config, seed=7):
         for i in np.flatnonzero(active):
             res = step(states[i], int(actions[i]))
             obs[i] = res.obs
-            returns[i] += res.reward
             lengths[i] += 1
             if res.done:
                 active[i] = False
                 successes[i] = states[i].success
-    return successes.mean(), returns.mean(), lengths.mean()
+    return successes, lengths
+
+
+def assert_successes(got, want):
+    """``got`` is a bool vector equal to ``want`` element by element."""
+    assert isinstance(got, np.ndarray) and got.dtype == bool
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("split", ["IND", "OOD"])
 def test_evaluate_decodes_only_running_episodes(split):
     suite = make_task_suite(0)
     policy = RowCountingExpert()
-    r = evaluate(policy.act, suite[split], 3, ENV, seed=3)
-    sr, ret, length = evaluate_every_row(expert_actions, suite[split], 3, ENV, seed=3)
-    assert (r.success_rate, r.mean_return, r.mean_length) == (sr, ret, length)
+    got = evaluate(policy.act, suite[split], 3, ENV, seed=3)
+    want, lengths = evaluate_every_row(expert_actions, suite[split], 3, ENV, seed=3)
+    assert_successes(got, want)
     # the expert's episodes end at different steps, so later steps shrink
-    assert policy.rows[0] == r.episodes > policy.rows[-1]
-    assert sum(policy.rows) == r.mean_length * r.episodes
+    assert policy.rows[0] == len(got) > policy.rows[-1]
+    assert sum(policy.rows) == lengths.sum()
+
+
+def test_evaluate_returns_each_episodes_success_in_grid_order():
+    # in 6 steps the expert places only some targets, so a reordering shows
+    cfg = EnvConfig(max_steps=6)
+    tasks = make_task_suite(0)["IND"][:5]
+    got = evaluate(expert_actions, tasks, 3, cfg, seed=3)
+    want = [run_episodes(expert_actions, cfg, [(task, EVAL_SEED_STRIDE * 3 + e)])[0].success
+            for task in tasks for e in range(3)]
+    assert_successes(got, want)
+    assert 0 < got.sum() < len(got)
 
 
 def test_evaluate_rejects_an_empty_grid():
@@ -585,33 +611,29 @@ def test_evaluate_model_matches_every_row_reference():
     m = tiny_model(seed=7)  # untrained: its greedy episodes loop
     for split in ("IND", "OOD"):
         policy = RowCountingModelPolicy(m)
-        r = evaluate(policy.act, suite[split], 2, ENV, seed=7)
-        sr, ret, length = evaluate_every_row(ModelPolicy(m).act, suite[split], 2, ENV)
-        assert r == EvalResult(sr, ret, length, 2 * len(suite[split]))
+        got = evaluate(policy.act, suite[split], 2, ENV, seed=7)
+        want, lengths = evaluate_every_row(ModelPolicy(m).act, suite[split], 2, ENV)
+        assert_successes(got, want)
         # a looping episode stops at its first repeated state, scored as a time-out
-        assert sum(policy.rows) < r.mean_length * r.episodes
+        assert sum(policy.rows) < lengths.sum()
 
 def test_evaluate_expert_perfect_on_both_splits():
     suite = make_task_suite(0)
     for split in ("IND", "OOD"):
-        r = evaluate(expert_actions, suite[split], 3, ENV, seed=7)
-        assert r.success_rate == 1.0
-        assert r.mean_return == pytest.approx(1.1)
+        assert_successes(evaluate(expert_actions, suite[split], 3, ENV, seed=7),
+                         [True] * 3 * len(suite[split]))
 
 
 def test_evaluate_untrained_model_floor():
     suite = make_task_suite(0)
-    r = evaluate(tiny_model(seed=6), suite["IND"], 3, ENV, seed=7)
-    assert 0.0 <= r.success_rate <= 0.25
+    assert evaluate(tiny_model(seed=6), suite["IND"], 3, ENV, seed=7).mean() <= 0.25
 
 
 def test_evaluate_deterministic():
     suite = make_task_suite(0)
     m = tiny_model(seed=7)
-    a = evaluate(m, suite["IND"], 2, ENV, seed=7)
-    b = evaluate(m, suite["IND"], 2, ENV, seed=7)
-    assert a.success_rate == b.success_rate
-    assert a.mean_return == b.mean_return
+    assert_successes(evaluate(m, suite["IND"], 2, ENV, seed=7),
+                     evaluate(m, suite["IND"], 2, ENV, seed=7))
 
 
 # -- ppo trainer ----------------------------------------------------------------
@@ -740,7 +762,7 @@ def test_train_sft_returns_the_best_evals_weights(tmp_path, monkeypatch):
 
     def scored(model, *args, **kw):
         seen.append([p.data.copy() for p in model.params()])
-        return EvalResult(1.0 / len(seen), 0.0, 1.0, 1)
+        return successes(1.0 / len(seen))
 
     monkeypatch.setattr(training, "evaluate", scored)
     suite = make_task_suite(0)
@@ -765,7 +787,7 @@ def test_train_ppo_returns_the_best_evals_weights(monkeypatch):
 
     def scored(model, *args, **kw):
         seen.append([p.data.copy() for p in model.params() + vh.params()])
-        return EvalResult(1.0 / len(seen), 0.0, 1.0, 1)
+        return successes(1.0 / len(seen))
 
     monkeypatch.setattr(training, "evaluate", scored)
     suite = make_task_suite(0)
@@ -801,7 +823,7 @@ def test_best_rows_repeat_the_best_evaluations_step_and_success_rates(tmp_path, 
 
     def scored(model, tasks, *args, **kw):
         calls[tasks[0].split] += 1
-        return EvalResult(scores[tasks[0].split][calls[tasks[0].split] - 1], 0.0, 1.0, 1)
+        return successes(scores[tasks[0].split][calls[tasks[0].split] - 1])
 
     monkeypatch.setattr(training, "evaluate", scored)
     suite = make_task_suite(0)
@@ -831,7 +853,7 @@ def test_train_ppo_selects_on_ind_success_alone(monkeypatch):
     def scored(model, tasks, *args, **kw):
         if tasks[0].split == "IND":
             seen.append([p.data.copy() for p in model.params() + vh.params()])
-        return EvalResult(scores[tasks[0].split][len(seen) - 1], 0.0, 1.0, 1)
+        return successes(scores[tasks[0].split][len(seen) - 1])
 
     monkeypatch.setattr(training, "evaluate", scored)
     suite = make_task_suite(0)
