@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import QuantSection, _build
 from .model import ModelConfig, PolicyModel, param_shapes
-from .quant import QuantError, QuantizedModel, QuantizedTensor, is_quantized, stored_sizes
+from .quant import QuantizedModel, QuantizedTensor, is_quantized, stored_sizes
 from .tensor import Tensor
 
 MAGIC = b"RLRC"
@@ -161,10 +161,7 @@ def load_checkpoint(path):
         params = {}
         for name, shape, arrays in layout:
             data = [_read_array(f, n, dtype) for dtype, n in arrays]
-            try:
-                params[name] = (QuantizedTensor(*quant, shape, *data) if len(data) == 2
-                                else Tensor(data[0].reshape(shape)))
-            except QuantError as e:
-                raise CheckpointError(f"quantized tensor {name} {e}") from e
+            params[name] = (QuantizedTensor(*quant, shape, *data) if len(data) == 2
+                            else Tensor(data[0].reshape(shape)))
     model = (QuantizedModel if quant else PolicyModel)(config, params)
     return LoadedCheckpoint(model, header["meta"])

@@ -8,11 +8,12 @@ configs are comparable.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
-from .env import DEMO_SEED_STRIDE, N_ACTIONS, EnvConfig
+from .env import DEMO_SEED_STRIDE, N_ACTIONS, EnvConfig, grid_seeds
 from .model import ModelConfig
 from .pruning import default_exempt_layers
 from .quant import Q_MAX
@@ -32,7 +33,7 @@ def _require(ok, rule, value):
 @dataclass
 class DemoSection:
     episodes_per_task: int = 50
-    seed: int = None
+    seed: int = 0
 
     def __post_init__(self):
         _require(self.episodes_per_task >= 1, "episodes_per_task must be >= 1",
@@ -48,7 +49,7 @@ class PruneSection:
     # a time, the rows sized to the model's widths, so the batch size does
     # not set peak memory
     calib_batch: int = 256
-    seed: int = None
+    seed: int = 0
 
     def __post_init__(self):
         _require(0.0 <= self.ratio < 1.0, "ratio must be in [0, 1)", self.ratio)
@@ -73,8 +74,6 @@ class EvalSection:
     def __post_init__(self):
         _require(self.episodes_per_task >= 1, "episodes_per_task must be >= 1",
                  self.episodes_per_task)
-        _require(self.seed != SELECTION_SEED, "seed must differ from the trainers' "
-                 f"selection seed training.SELECTION_SEED = {SELECTION_SEED}", self.seed)
 
 
 def _check_types(cls, data):
@@ -157,11 +156,14 @@ class PipelineConfig:
         return cls(**kw)
 
     def __post_init__(self):
-        env, model, exempt, demos = self.env, self.model, self.prune.exempt_layers, self.demos
-        first = DEMO_SEED_STRIDE * demos.seed  # the first demo's episode seed, every task
-        selection = max(self.sft.eval_episodes, self.ppo.eval_episodes)
-        grids = (("eval.seed", self.eval.seed, self.eval.episodes_per_task),
-                 ("training.SELECTION_SEED", SELECTION_SEED, selection))
+        """Refuses sections that disagree, and any two of the run's episode grids,
+        the demos', the reported one and the trainers' selection one, that share a seed."""
+        env, model, exempt = self.env, self.model, self.prune.exempt_layers
+        d, e, sft, ppo = self.demos, self.eval, self.sft, self.ppo
+        grids = {f"demos.seed {d.seed}": grid_seeds(DEMO_SEED_STRIDE, d.seed, d.episodes_per_task),
+                 f"eval.seed {e.seed}": grid_seeds(EVAL_SEED_STRIDE, e.seed, e.episodes_per_task),
+                 f"training.SELECTION_SEED {SELECTION_SEED}": grid_seeds(
+                     EVAL_SEED_STRIDE, SELECTION_SEED, max(sft.eval_episodes, ppo.eval_episodes))}
         for bad, msg in (
             (env.obs_vocab > model.observation_vocab,
              f"env.obs_vocab {env.obs_vocab} exceeds model.observation_vocab "
@@ -173,10 +175,9 @@ class PipelineConfig:
              f"model.action_vocab {model.action_vocab} != env.N_ACTIONS {N_ACTIONS}"),
             (any(not 0 <= li < model.n_layers for li in exempt or ()),
              f"prune.exempt_layers {exempt} outside [0, model.n_layers = {model.n_layers})"),
-            *((max(first, EVAL_SEED_STRIDE * seed) <
-               min(first + demos.episodes_per_task, EVAL_SEED_STRIDE * seed + episodes),
-               f"demos.seed {demos.seed} demonstrates episodes that the grid of {name} "
-               f"{seed} scores") for name, seed, episodes in grids),
+            *((max(a.start, b.start) < min(a.stop, b.stop),
+               f"the episode grids of {x} and {y} share episode seeds")
+              for (x, a), (y, b) in itertools.combinations(grids.items(), 2)),
         ):
             if bad:
                 raise ConfigError(f"sections disagree: {msg}")

@@ -6,12 +6,15 @@ otherwise}, a shortest-path scripted expert whose demonstrations are
 written as JSONL records, and a vectorized batch wrapper.  Every
 trajectory is a pure function of (task, episode seed, action sequence),
 and `state_key` names the part of a state that decides everything but the
-time limit.  An episode ends placed (``success``) or cut by the time limit
-(``done`` and not ``success``); its state alone says which.
+time limit.  `step` returns (observation, reward), and an episode's state
+alone says whether it ended placed (``success``) or cut by the time
+limit (``done`` and not ``success``).
 
 `run_episodes` is the one loop over whole episodes from (task, seed)
 starts, the expert's demonstrations' and ``training.evaluate``'s; `VecEnv`,
-PPO's stream of episodes, is the only other caller of `step`.
+PPO's stream of episodes, is the only other caller of `step`.  A grid of
+such starts takes its episode seeds from `grid_seeds`, the one place a
+seed stride is applied.
 """
 
 import json
@@ -32,7 +35,7 @@ N_ACTIONS = 6
 REWARD_PLACED = 1.0
 REWARD_GRASPED = 0.1
 
-# the demos of seed s start episode e of each task at episode seed DEMO_SEED_STRIDE * s + e
+# the stride of the demos' grid of episode seeds (`grid_seeds`)
 DEMO_SEED_STRIDE = 1000
 
 
@@ -123,13 +126,6 @@ class EnvState:
     done: bool = False
     success: bool = False
     target_grasped_once: bool = False
-
-
-@dataclass
-class StepResult:
-    obs: np.ndarray
-    reward: float
-    done: bool
 
 
 @dataclass
@@ -227,7 +223,8 @@ def state_key(state):
 
 
 def step(state, action):
-    """Advance one action; mutates ``state`` and returns a StepResult."""
+    """Advance one action; mutates ``state``, whose ``done`` and ``success``
+    say whether and how the episode ended, and returns (observation, reward)."""
     if state.done:
         raise EnvError("step called on a finished episode")
     if not 0 <= int(action) < N_ACTIONS:
@@ -265,7 +262,7 @@ def step(state, action):
 
     state.t += 1
     state.done = state.success or state.t >= c.max_steps
-    return StepResult(obs=obs_tokens(state), reward=reward, done=state.done)
+    return obs_tokens(state), reward
 
 
 def _step_toward(gx, gy, tx, ty):
@@ -324,9 +321,8 @@ def run_episodes(act, config, starts):
         for i, a in zip(live, actions.tolist()):
             ep, state = episodes[i], states[i]
             ep.steps.append((obs[i].tolist(), a))
-            res = step(state, a)
-            obs[i] = res.obs
-            if res.done:
+            obs[i], _ = step(state, a)
+            if state.done:
                 ep.success = state.success
             elif (key := state_key(state)) not in seen[i]:  # else a loop: it can only time out
                 seen[i].add(key)
@@ -335,15 +331,20 @@ def run_episodes(act, config, starts):
     return episodes
 
 
+def grid_seeds(stride, seed, episodes):
+    """The episode seeds each task runs on the grid of ``seed``, from ``stride * seed`` on."""
+    return range(stride * seed, stride * seed + episodes)
+
+
 def generate_demos(config, tasks, episodes_per_task, seed, out_path):
     """Expert demonstrations for IND tasks only, one JSON line per episode."""
     for t in tasks:
         if t.split != "IND":
             raise SplitError(f"demo generation refused for non-IND task {t}")
     # one task's episodes at a time: the runner's memory grows with the episodes it runs
-    demos = [d for task in tasks for d in run_episodes(
-        expert_actions, config, [(task, DEMO_SEED_STRIDE * seed + e)
-                                 for e in range(episodes_per_task)])]
+    seeds = grid_seeds(DEMO_SEED_STRIDE, seed, episodes_per_task)
+    demos = [d for task in tasks
+             for d in run_episodes(expert_actions, config, [(task, s) for s in seeds])]
     with open(out_path, "w", encoding="utf-8") as f:
         for d in demos:
             f.write(json.dumps({
@@ -394,12 +395,9 @@ class VecEnv:
         dones = np.zeros(self.n, dtype=bool)
         cut = {}
         for i, state in enumerate(self.states):
-            if state.done:
-                raise EnvError(f"internal: slot {i} left in done state")
-            res = step(state, actions[i])
-            rewards[i] = res.reward
-            dones[i] = res.done
-            if res.done and not state.success:
-                cut[i] = res.obs
-            obs_out[i] = self._fresh(i) if res.done else res.obs
+            obs, rewards[i] = step(state, actions[i])
+            dones[i] = state.done
+            if state.done and not state.success:
+                cut[i] = obs
+            obs_out[i] = self._fresh(i) if state.done else obs
         return obs_out, rewards, dones, cut

@@ -8,8 +8,8 @@ seed) grid through `env.run_episodes`, returns each episode's success,
 and is the single scorer of every stage.
 
 Both trainers evaluate, log and select their best weights in one step
-(`_Best`): it scores the policy at `SELECTION_SEED`, whose episodes are not
-those reported on (`eval.seed` must differ), logs the metric row with each
+(`_Best`): it scores the policy at `SELECTION_SEED`, whose episodes the
+config keeps out of the reported grid and the demos, logs the metric row with each
 grid's success rate (the mean) and the evaluation's seconds as ``eval_s``, and
 keeps copies of the trained objects when IND success beats every earlier
 score.  Training stops after ``patience`` evaluations in a row that do not,
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .env import VecEnv, run_episodes
+from .env import VecEnv, grid_seeds, run_episodes
 from .env import step as env_step  # never called here; perfbench's tracer test reads the name
 from .model import (PolicyModel, batch_logprob_value, build_contexts, chunk_rows, forward,
                     greedy_actions, init_value_head)
@@ -57,7 +57,7 @@ class TrainingError(RuntimeError):
 
 # the evaluation seed the trainers select their weights at
 SELECTION_SEED = 1234
-# the grid of seed s starts episode e of each task at episode seed EVAL_SEED_STRIDE * s + e
+# the stride of an evaluation's grid of episode seeds (`env.grid_seeds`)
 EVAL_SEED_STRIDE = 100_000
 
 
@@ -186,15 +186,16 @@ class ModelPolicy:
 
 def evaluate(policy, tasks, episodes_per_task, env_config, seed):
     """A bool array of each episode's success on the (task, episode seed)
-    grid of ``seed``, in grid order (task-major), run by `env.run_episodes`.
+    grid of ``seed``, `env.grid_seeds` at `EVAL_SEED_STRIDE` for each task,
+    in grid order (task-major), run by `env.run_episodes`.
     ``policy`` is a `PolicyModel`, decoded greedily by `ModelPolicy`, or a
     deterministic ``act(obs_batch, states)``; an empty grid raises TrainingError."""
     if not tasks or episodes_per_task < 1:
         raise TrainingError(f"evaluate needs at least one (task, episode): got "
                             f"{len(tasks)} tasks and episodes_per_task={episodes_per_task}")
     act = ModelPolicy(policy).act if isinstance(policy, PolicyModel) else policy
-    episodes = run_episodes(act, env_config, [(task, EVAL_SEED_STRIDE * seed + e)
-                                              for task in tasks for e in range(episodes_per_task)])
+    seeds = grid_seeds(EVAL_SEED_STRIDE, seed, episodes_per_task)
+    episodes = run_episodes(act, env_config, [(task, s) for task in tasks for s in seeds])
     return np.array([e.success for e in episodes])
 
 

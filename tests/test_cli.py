@@ -42,8 +42,10 @@ def micro_config(tmp_path, **over):
         "prune": {"ratio": 0.3, "calib_batch": 64},
         "sft": {"max_steps": 40, "eval_interval": 20, "eval_episodes": 1,
                 "batch_size": 16},
+        # large enough a step that the one PPO update changes greedy actions
         "ppo": {"n_envs": 2, "horizon": 8, "total_env_steps": 16, "epochs": 1,
-                "minibatches": 1, "eval_interval_steps": 10_000, "eval_episodes": 1},
+                "minibatches": 1, "eval_interval_steps": 10_000, "eval_episodes": 1,
+                "lr": 1e-3},
         "quant": {"bits": 4, "block_size": 16},
         "eval": {"episodes_per_task": 1},
     }
@@ -239,6 +241,9 @@ def test_pipeline_outputs_match_the_golden_record(micro_run):
     got = pipeline_outputs(micro_run[2])
     where = golden_difference(golden, got, numeric_build())
     assert where is None, f"pipeline output {where} differs from {GOLDEN.name}"
+    # the BLAS-stable fields see PPO: its update moves greedy actions away from sft's
+    greedy = {stage: got["checkpoints"][stage]["greedy_actions"] for stage in ("sft", "rl")}
+    assert greedy["rl"] != greedy["sft"]
     # another build compares the fields BLAS does not round, and still sees an action move
     assert golden_difference(golden, got, {"numpy": "another"}) is None
     got["checkpoints"]["quant"]["greedy_actions"][5] += 1
@@ -533,13 +538,47 @@ def test_demos_never_start_on_a_scored_episode(raw, grid):
     assert env.DEMO_SEED_STRIDE * 700 == training.EVAL_SEED_STRIDE * 7
     seed = raw.get("seed", raw.get("demos", {}).get("seed"))
     with pytest.raises(ConfigError, match=re.escape(
-            f"sections disagree: demos.seed {seed} demonstrates episodes that the grid of "
-            f"{grid} scores")):
+            f"sections disagree: the episode grids of demos.seed {seed} and {grid} "
+            "share episode seeds")):
         PipelineConfig.from_dict(raw)
     # a seed whose demos end before the grid starts, or start after it ends, is accepted
     for near in (699, 701, 123399, 123401):
         assert PipelineConfig.from_dict({"seed": near}).demos.seed == near
     assert PipelineConfig.from_dict({}).demos.seed == 0
+
+
+@pytest.mark.parametrize("raw, first, second", [
+    ({"eval": {"seed": 0}}, "demos.seed 0", "eval.seed 0"),
+    ({"demos": {"seed": 123401}, "sft": {"eval_episodes": 1001}},
+     "demos.seed 123401", "training.SELECTION_SEED 1234"),
+    ({"eval": {"seed": 1233, "episodes_per_task": 100001}},
+     "eval.seed 1233", "training.SELECTION_SEED 1234"),
+    ({"eval": {"seed": 1234}}, "eval.seed 1234", "training.SELECTION_SEED 1234"),
+    ({"eval": {"seed": 1235}, "ppo": {"eval_episodes": 100001}},
+     "eval.seed 1235", "training.SELECTION_SEED 1234"),
+])
+def test_no_two_episode_grids_share_an_episode(raw, first, second):
+    # the demos, the reported grid and the trainers' selection grid: no
+    # episode may train a policy and score it, or choose its weights and report them
+    with pytest.raises(ConfigError, match=re.escape(
+            f"sections disagree: the episode grids of {first} and {second} "
+            "share episode seeds")):
+        PipelineConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"demos": {"seed": 123401}, "sft": {"eval_episodes": 1000}},
+    {"eval": {"seed": 1233, "episodes_per_task": 100000}},
+    {"eval": {"seed": 1235}, "ppo": {"eval_episodes": 100000}},
+])
+def test_episode_grids_that_only_touch_are_accepted(raw):
+    PipelineConfig.from_dict(raw)
+
+
+def test_an_unset_stage_seed_is_the_master_seed():
+    assert PipelineConfig().to_dict() == PipelineConfig.from_dict({}).to_dict()
+    cfg = PipelineConfig.from_dict({"seed": 4, "demos": {"seed": None}, "prune": {}})
+    assert (cfg.demos.seed, cfg.prune.seed) == (4, 4)
 
 
 @pytest.mark.parametrize("raw, fields", [

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from rlrc.env import (
-    DOWN, GRASP, LEFT, N_ACTIONS, RELEASE, RIGHT, UP,
+    DEMO_SEED_STRIDE, DOWN, GRASP, LEFT, N_ACTIONS, RELEASE, RIGHT, UP,
     REWARD_GRASPED, REWARD_PLACED, EnvConfig, EnvError, EnvState, ObjectState,
     SplitError, TaskSpec, VecEnv,
-    expert_actions, expert_policy, generate_demos, make_task_suite, obs_tokens, reset,
+    expert_actions, expert_policy, generate_demos, grid_seeds, make_task_suite, obs_tokens, reset,
     run_episodes, save_task_suite, state_key, step,
 )
 
@@ -79,9 +79,9 @@ def test_reward_on_place_and_done():
     state, _ = reset(CFG, task, 7)
     # teleport-free scripted finish via the expert
     while not state.done:
-        res = step(state, expert_policy(state))
+        _, reward = step(state, expert_policy(state))
     assert state.success
-    assert res.reward == REWARD_PLACED == 1.0
+    assert reward == REWARD_PLACED == 1.0
 
 
 def test_first_grasp_reward_once():
@@ -90,23 +90,21 @@ def test_first_grasp_reward_once():
     rewards = []
     while not state.done:
         a = expert_policy(state)
-        rewards.append(step(state, a).reward)
+        rewards.append(step(state, a)[1])
     assert rewards.count(0.1) == 1
     assert rewards.count(1.0) == 1
     assert set(rewards) <= {0.0, 0.1, 1.0}
     # re-grasping the target later earns nothing
     state, _ = reset(CFG, task, 8)
     while state.holding is None:
-        r1 = step(state, expert_policy(state)).reward
+        step(state, expert_policy(state))
     step(state, RELEASE)
-    res = step(state, GRASP)
-    assert res.reward == 0.0
+    assert step(state, GRASP)[1] == 0.0
 
 
 def test_idle_move_zero_reward():
     state, _ = reset(CFG, TaskSpec(0, 0, "IND"), 3)
-    res = step(state, UP if state.gripper_y > 0 else DOWN)
-    assert res.reward == 0.0
+    assert step(state, UP if state.gripper_y > 0 else DOWN)[1] == 0.0
 
 
 def test_moves_clamp_at_edges():
@@ -129,12 +127,11 @@ def test_step_after_done_rejected():
 def test_truncation_at_max_steps():
     cfg = EnvConfig(max_steps=5)
     state, _ = reset(cfg, TaskSpec(0, 0, "IND"), 3)
-    last = None
     for _ in range(5):
-        assert last is None or not last.done
-        last = step(state, RIGHT if state.gripper_x == 0 else LEFT)
+        assert not state.done
+        step(state, RIGHT if state.gripper_x == 0 else LEFT)
     # done and not placed: the time limit cut it
-    assert last.done and state.done and state.t == cfg.max_steps
+    assert state.done and state.t == cfg.max_steps
     assert not state.success
 
 
@@ -181,6 +178,13 @@ def test_generate_demos_counts_and_roundtrip(tmp_path):
     assert [(r["seed"], r["success"]) for r in again] == [(d.seed, d.success) for d in demos]
 
 
+def test_demos_start_on_their_grid(tmp_path):
+    tasks = make_task_suite(0)["IND"][:2]
+    demos = generate_demos(CFG, tasks, 3, seed=2, out_path=tmp_path / "demos.jsonl")
+    assert grid_seeds(DEMO_SEED_STRIDE, 2, 3) == range(2000, 2003)
+    assert [(d.task, d.seed) for d in demos] == [(t, s) for t in tasks for s in range(2000, 2003)]
+
+
 def test_generate_demos_rejects_ood(tmp_path):
     suite = make_task_suite(0)
     with pytest.raises(SplitError):
@@ -193,8 +197,7 @@ def test_demo_replay_reproduces_observations():
     state, obs = reset(CFG, demo.task, demo.seed)
     for rec_obs, action in demo.steps:
         np.testing.assert_array_equal(np.asarray(rec_obs), obs)
-        res = step(state, action)
-        obs = res.obs
+        obs, _ = step(state, action)
     assert state.success
 
 
@@ -250,10 +253,10 @@ def test_vec_env_matches_scalar_env():
     np.testing.assert_array_equal(obs[0], sobs)
     for a in [RIGHT, DOWN, GRASP, LEFT, UP, RELEASE] * 4:
         vobs, vr, vd, _ = vec.vec_step(np.array([a]))
-        res = step(state, a)
-        np.testing.assert_array_equal(vobs[0], res.obs)
-        assert vr[0] == res.reward
-        if res.done:
+        sobs, reward = step(state, a)
+        np.testing.assert_array_equal(vobs[0], sobs)
+        assert vr[0] == reward and vd[0] == state.done
+        if state.done:
             break
 
 
@@ -309,7 +312,7 @@ def test_vec_step_returns_only_time_limit_cuts_under_their_slot():
     placed = cuts = 0
     for _ in range(3 * CFG.max_steps):
         slot1 = copy.deepcopy(vec.states[1])
-        final1 = step(slot1, UP).obs
+        final1, _ = step(slot1, UP)
         _, _, dones, cut = vec.vec_step(np.array([expert_policy(vec.states[0]), UP]))
         assert set(cut) == ({1} if dones[1] else set())
         if dones[1]:
@@ -327,7 +330,7 @@ def test_episode_return_bounded():
         state, _ = reset(CFG, demo.task, demo.seed)
         total = 0.0
         for _, a in demo.steps:
-            total += step(state, a).reward
+            total += step(state, a)[1]
         assert total <= 1.1 + 1e-9
         # the recorded episode is its replay: it ends there, placed as recorded
         assert state.done and state.success == demo.success
@@ -368,13 +371,13 @@ def test_step_depends_on_the_state_key_not_t():
         assert state_key(twin) == state_key(state)
         for action in range(N_ACTIONS):
             a, b = copy.deepcopy(state), copy.deepcopy(twin)
-            ra, rb = step(a, action), step(b, action)
+            (obs_a, reward_a), (obs_b, reward_b) = step(a, action), step(b, action)
             assert state_key(a) == state_key(b)
-            np.testing.assert_array_equal(ra.obs, rb.obs)
-            assert (ra.reward, ra.done, a.success) == (rb.reward, rb.done, b.success)
+            np.testing.assert_array_equal(obs_a, obs_b)
+            assert (reward_a, a.done, a.success) == (reward_b, b.done, b.success)
             for name in FIXED_FIELDS:
                 assert getattr(a, name) == getattr(state, name), name
-            seen_rewards.add(ra.reward)
+            seen_rewards.add(reward_a)
             seen_success |= a.success
     assert seen_rewards == {0.0, REWARD_GRASPED, REWARD_PLACED} and seen_success
 

@@ -7,7 +7,9 @@ a public class's ``__init__`` counts as a public function.
 No command line flag is a setting: settings live in the config alone.
 Every subcommand states why it exists.
 Episodes have one loop: among program files, `env.step` is called by
-`env.run_episodes` and by `env.VecEnv`, PPO's stream of episodes, alone."""
+`env.run_episodes` and by `env.VecEnv`, PPO's stream of episodes, alone.
+A grid's episode seeds have one source: among program files, only
+`env.grid_seeds` multiplies a seed stride."""
 
 import argparse
 import ast
@@ -224,23 +226,21 @@ def step_callers(source, stem):
                     steps.add(a.asname or a.name)
                 elif a.name == "env":
                     modules.add(a.asname or a.name)
-    found = set()
+    return {".".join((stem, *scope)) for scope, node in walk_scoped(tree)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in steps or
+                isinstance(node.func, ast.Attribute) and node.func.attr == "step" and
+                isinstance(node.func.value, ast.Name) and node.func.value.id in modules)}
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Call):
-                f = child.func
-                if isinstance(f, ast.Name) and f.id in steps or \
-                        isinstance(f, ast.Attribute) and f.attr == "step" and \
-                        isinstance(f.value, ast.Name) and f.value.id in modules:
-                    found.add(".".join((stem, *scope)))
-            visit(child, inner)
 
-    visit(tree, ())
-    return found
+def walk_scoped(tree):
+    """Each node under ``tree`` with the names of the functions and classes
+    it is defined in, outermost first."""
+    for child in ast.iter_child_nodes(tree):
+        yield (), child
+        inner = (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else ()
+        for scope, node in walk_scoped(child):
+            yield inner + scope, node
 
 
 def test_episodes_step_through_one_loop():
@@ -251,3 +251,34 @@ def test_episodes_step_through_one_loop():
     for path in program_files():
         found |= step_callers(path.read_text(), path.stem)
     assert found == STEP_CALLERS
+
+
+# the one function that applies a seed stride, and the names a stride goes by:
+# env's and training's constants and the grid function's parameter
+STRIDE_USERS = {"env.grid_seeds"}
+STRIDES = {"DEMO_SEED_STRIDE", "EVAL_SEED_STRIDE", "stride"}
+
+
+def stride_products(source, stem):
+    """The functions of a module that multiply a seed stride, as "<stem>.<qualified
+    name>": a ``*`` or ``*=`` with an operand that is one of `STRIDES`, by
+    name or as an attribute."""
+    found = set()
+    for scope, node in walk_scoped(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) \
+                else (node.target, node.value)
+            if any(getattr(o, "id", getattr(o, "attr", None)) in STRIDES for o in operands):
+                found.add(".".join((stem, *scope)))
+    return found
+
+
+def test_grid_seeds_come_from_one_function():
+    forked = "from . import training\nfrom .env import DEMO_SEED_STRIDE\n" \
+             "def f(s):\n    return DEMO_SEED_STRIDE * s + 1\nclass C:\n" \
+             "    def g(self, n):\n        n *= training.EVAL_SEED_STRIDE\n        return 2 * n\n"
+    assert stride_products(forked, "m") == {"m.f", "m.C.g"}
+    found = set()
+    for path in program_files():
+        found |= stride_products(path.read_text(), path.stem)
+    assert found == STRIDE_USERS

@@ -548,10 +548,9 @@ def evaluate_every_row(act, tasks, episodes_per_task, env_config, seed=7):
             break
         actions = act(obs, states)
         for i in np.flatnonzero(active):
-            res = step(states[i], int(actions[i]))
-            obs[i] = res.obs
+            obs[i], _ = step(states[i], int(actions[i]))
             lengths[i] += 1
-            if res.done:
+            if states[i].done:
                 active[i] = False
                 successes[i] = states[i].success
     return successes, lengths
@@ -890,9 +889,8 @@ def test_trainers_never_select_on_the_reported_episodes(tmp_path, monkeypatch):
     assert PipelineConfig.from_dict({}).eval.seed not in seeds
     # a report at the selection seed would read the episodes that chose the weights
     with pytest.raises(ConfigError, match=re.escape(
-            f"bad values in section eval: seed must differ from the trainers' selection "
-            f"seed training.SELECTION_SEED = {training.SELECTION_SEED}, "
-            f"got {training.SELECTION_SEED}")):
+            f"sections disagree: the episode grids of eval.seed {training.SELECTION_SEED} "
+            f"and training.SELECTION_SEED {training.SELECTION_SEED} share episode seeds")):
         PipelineConfig.from_dict({"eval": {"seed": training.SELECTION_SEED}})
 
 
