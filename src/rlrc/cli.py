@@ -6,7 +6,9 @@ statement of the recipe's order; the stage commands, `rlrc pipeline`,
 bench's default inputs and the manifest all read it.  A stage reads its
 recipe parent's checkpoint, or with ``--input`` any earlier stage's, which
 makes the rows the recipe skips a step in: ``rl --input pruned.ckpt`` (PPO
-with no SFT) writes ``rl_pruned.ckpt``.
+with no SFT) writes ``rl_pruned.ckpt``, and a chain of them never writes
+over the recipe's files: ``quantize --input rl_pruned.ckpt`` writes
+``quant_rl_pruned.ckpt``.
 
 A run is its config: every command echoes the fully resolved config into
 the output directory as ``resolved_config.json``, whose SHA-256 each stage
@@ -171,10 +173,11 @@ class Stage(NamedTuple):
     directory, or ``--input``.  It calls ``body(cfg, loaded, log_path)`` for
     (model, extra meta, summary) and writes that model alone, whose payload
     is exactly ``quant.memory_bytes(model)["total_bytes"]``, to
-    ``<stage>.ckpt`` from the recipe's parent and to ``<stage>_<input
-    stage>.ckpt`` from another stage.  Every setting a body uses comes from
-    ``cfg``, the echoed config; a training body logs its metric rows to
-    ``log_path``, ``metrics_<stem>.jsonl`` after the output's stem."""
+    ``<stage>.ckpt`` from an input whose file stem (`_stem`) is the recipe
+    parent's stage, else to ``<stage>_<input stem>.ckpt``.  Every setting a
+    body uses comes from ``cfg``, the echoed config; a training body logs its
+    metric rows to ``log_path``, ``metrics_<stem>.jsonl`` after the output's
+    stem."""
     command: str
     stage: str
     parent: str
@@ -189,6 +192,12 @@ STAGES = (
     Stage("rl", "rl", "sft", _rl),
     Stage("quantize", "quant", "rl", _quantize),
 )
+
+
+def _stem(path):
+    """A checkpoint's file name without its extension: the name of the
+    outputs made from it and of its bench row."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _load_input(row, cfg, path):
@@ -221,8 +230,9 @@ def _run_stage(row, cfg, args):
     if row.parent:
         loaded, meta["parent"] = _load_input(row, cfg, args.input)
         meta["parent_stage"] = loaded.meta["stage"]
-        if meta["parent_stage"] != row.parent:
-            stem = f"{row.stage}_{meta['parent_stage']}"
+        input_stem = _stem(meta["parent"])
+        if input_stem != row.parent:
+            stem = f"{row.stage}_{input_stem}"
     model, extra, summary = row.body(cfg, loaded, _p(cfg, f"metrics_{stem}.jsonl"))
     path = _p(cfg, f"{stem}.ckpt")
     save_checkpoint(model, path, meta={**meta, **extra})
@@ -249,7 +259,7 @@ def cmd_bench(cfg, args):
         raise CliError("bench found no checkpoints; pass --inputs")
     rows = []
     for path in inputs:
-        name = os.path.splitext(os.path.basename(path))[0]
+        name = _stem(path)
         model, meta = load_checkpoint(path)
         ind, ood = (float(evaluate(model, suite[split], cfg.eval.episodes_per_task, cfg.env,
                                    seed=cfg.eval.seed).mean()) for split in ("IND", "OOD"))

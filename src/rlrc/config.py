@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .env import DEMO_SEED_STRIDE, N_ACTIONS, EnvConfig, grid_seeds
 from .model import ModelConfig
-from .pruning import default_exempt_layers
-from .quant import Q_MAX
+from .pruning import PruningError, prunable_groups
+from .quant import stored_sizes
 from .training import EVAL_SEED_STRIDE, SELECTION_SEED, PpoConfig, SftConfig
 
 
@@ -43,7 +43,7 @@ class DemoSection:
 @dataclass
 class PruneSection:
     ratio: float = 0.9
-    exempt_layers: list = None  # None -> first and last, resolved by PipelineConfig
+    exempt_layers: list = None  # None -> prunable_groups' default, resolved by PipelineConfig
     # rows scored by taylor_importance, which differentiates only the
     # layers outside exempt_layers and those above them; scored a chunk at
     # a time, the rows sized to the model's widths, so the batch size does
@@ -62,8 +62,7 @@ class QuantSection:
     block_size: int = 64
 
     def __post_init__(self):
-        _require(self.bits in Q_MAX, f"bits must be one of {sorted(Q_MAX)}", self.bits)
-        _require(self.block_size >= 1, "block_size must be >= 1", self.block_size)
+        stored_sizes(self.bits, self.block_size, 0)  # quant's own check (a ValueError)
 
 
 @dataclass
@@ -157,8 +156,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Refuses sections that disagree, and any two of the run's episode grids,
-        the demos', the reported one and the trainers' selection one, that share a seed."""
+        the demos', the reported one and the trainers' selection one, that share a seed.
+        Unset ``prune.exempt_layers`` resolve to `pruning.prunable_groups`' default."""
         env, model, exempt = self.env, self.model, self.prune.exempt_layers
+        try:
+            resolved, _ = prunable_groups(model, exempt)
+        except PruningError:
+            resolved = None
         d, e, sft, ppo = self.demos, self.eval, self.sft, self.ppo
         grids = {f"demos.seed {d.seed}": grid_seeds(DEMO_SEED_STRIDE, d.seed, d.episodes_per_task),
                  f"eval.seed {e.seed}": grid_seeds(EVAL_SEED_STRIDE, e.seed, e.episodes_per_task),
@@ -173,7 +177,7 @@ class PipelineConfig:
              f"exceeds model.max_seq_len {model.max_seq_len}"),
             (model.action_vocab != N_ACTIONS,
              f"model.action_vocab {model.action_vocab} != env.N_ACTIONS {N_ACTIONS}"),
-            (any(not 0 <= li < model.n_layers for li in exempt or ()),
+            (resolved is None,
              f"prune.exempt_layers {exempt} outside [0, model.n_layers = {model.n_layers})"),
             *((max(a.start, b.start) < min(a.stop, b.stop),
                f"the episode grids of {x} and {y} share episode seeds")
@@ -182,7 +186,7 @@ class PipelineConfig:
             if bad:
                 raise ConfigError(f"sections disagree: {msg}")
         if exempt is None:
-            self.prune.exempt_layers = sorted(default_exempt_layers(model))
+            self.prune.exempt_layers = sorted(resolved)
 
     def to_dict(self):
         return dataclasses.asdict(self)

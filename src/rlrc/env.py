@@ -59,6 +59,11 @@ class TaskSpec:
 
 @dataclass
 class EnvConfig:
+    """The grid, its distractor count and its time limit.  An observation's
+    tokens are coordinates, then object types (`type_base`), plate ids
+    (`plate_base`) and the two-valued holding flag (`hold_base`): `obs_vocab`
+    tokens in all, each base computed once, as every observation reads it
+    and no config is changed."""
     width: int = 8
     height: int = 8
     n_distractors: int = 2
@@ -77,9 +82,6 @@ class EnvConfig:
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
-    # token alphabet: coordinates, object types, plate ids, holding flag, and
-    # a null token no observation writes, kept so obs_vocab stays the same;
-    # computed once, as every observation reads it and no config is changed
     @cached_property
     def type_base(self):  # after the coordinates 0 .. max(width, height) - 1
         return max(self.width, self.height)
@@ -93,12 +95,8 @@ class EnvConfig:
         return self.plate_base + N_PLATES
 
     @cached_property
-    def null_token(self):
-        return self.hold_base + 2
-
-    @cached_property
     def obs_vocab(self):
-        return self.null_token + 1
+        return self.hold_base + 2
 
     @cached_property
     def obs_len(self):

@@ -10,10 +10,11 @@ parameters (and builds the smaller `PolicyModel` from what is left), and
 `param_counts` sums group sizes.  A new group kind is taught to
 `build_dependency_groups` alone.
 
-Scoring, selection and counting share one exemption rule (`_exempt_set`,
-the first and last layers by default): an exempt layer's groups are
-neither scored, nor selected, nor counted as prunable, and a table scored
-with other exemptions than a selection's is refused by the group it lacks.
+Scoring, selection, counting and the run config share one exemption rule
+(`prunable_groups`, the first and last layers by default): an exempt
+layer's groups are neither scored, nor selected, nor counted as prunable,
+and a table scored with other exemptions than a selection's is refused by
+the group it lacks.
 """
 
 import json
@@ -84,24 +85,10 @@ class PrunePlan:
         }, indent=2)
 
 
-def default_exempt_layers(config):
-    """First and last decoder layers are kept intact."""
-    return {0, config.n_layers - 1}
-
-
-def _exempt_set(config, exempt_layers):
-    """The exempt layer set, the first and last layers by default; a layer
-    outside [0, n_layers) raises PruningError."""
-    exempt = set(default_exempt_layers(config) if exempt_layers is None else exempt_layers)
-    for li in sorted(exempt):
-        if not 0 <= li < config.n_layers:
-            raise PruningError(f"exempt layer {li} outside [0, n_layers={config.n_layers})")
-    return exempt
-
-
 def build_dependency_groups(model):
-    """One group per attention head and per MLP channel, every layer."""
-    cfg = model.config
+    """One group per attention head and per MLP channel, every layer of
+    ``model``, a `PolicyModel` or its `ModelConfig`."""
+    cfg = model if isinstance(model, ModelConfig) else model.config
     d = cfg.d_model
     hd = cfg.head_dim
     groups = []
@@ -125,16 +112,21 @@ def build_dependency_groups(model):
     return groups
 
 
-def _member_view(arr, member):
-    """The slice of ``arr`` a (name, axis, start, stop) member covers."""
-    _, axis, start, stop = member
-    return arr[(slice(None),) * axis + (slice(start, stop),)]
+def prunable_groups(config, exempt_layers=None):
+    """(the exempt layer set, the dependency groups outside it) of a model of
+    ``config``.  ``exempt_layers`` None exempts the first and last layers; a
+    layer outside [0, n_layers) raises PruningError."""
+    exempt = {0, config.n_layers - 1} if exempt_layers is None else set(exempt_layers)
+    for li in sorted(exempt):
+        if not 0 <= li < config.n_layers:
+            raise PruningError(f"exempt layer {li} outside [0, n_layers={config.n_layers})")
+    return exempt, [g for g in build_dependency_groups(config) if g.layer not in exempt]
 
 
 def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
                       exempt_layers=None):
     """First-order Taylor scores: I(g) = sum over g of |w * dL/dw|, for the
-    groups outside the exempt layers (`_exempt_set`, the rule of
+    groups outside the exempt layers (`prunable_groups`, the rule of
     `select_prune_groups`: the first and last layers by default).
 
     L is the SFT loss, the mean over all calibration rows.  It is
@@ -148,11 +140,12 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
     (`training.sft_backward`), the rows sized to the model's widths, so
     peak memory is one chunk's graph, independent of the batch size, and
     about the same for a dense model as for a pruned one.  The saliency
-    |w * dL/dw| is formed in float64 once per scored matrix; a one-index
-    member (an MLP channel's column or row) reads one reduction of it per
-    matrix, a wider member (a head's slice) its own sum, and each is added
-    to its group's score in member order.  The table holds the scored
-    groups alone; ``model`` and its parameters' gradients are left untouched.
+    |w * dL/dw| is formed in float64 once per scored matrix and summed per
+    index along each axis a member slices, once, as Python floats; a member
+    adds the sum of its index range to its group's score, in member order,
+    so a one-index member (an MLP channel's column or row) adds exactly its
+    own index's float.  The table holds the scored groups alone; ``model``
+    and its parameters' gradients are left untouched.
     """
     from .training import sft_backward  # local import; training pulls in env
 
@@ -160,8 +153,7 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
     if obs.size == 0:
         raise PruningError("empty calibration batch")
     actions = np.asarray(calibration_actions)
-    exempt = _exempt_set(model.config, exempt_layers)
-    groups = [g for g in build_dependency_groups(model) if g.layer not in exempt]
+    exempt, groups = prunable_groups(model.config, exempt_layers)
     if not groups:
         raise PruningError(f"no groups to score outside the exempt layers {sorted(exempt)}")
     members = {}  # param name -> (group key, member) in member order
@@ -179,16 +171,12 @@ def taylor_importance(model, calibration_obs, calibration_actions, seed=None,
         saliency = p.data.astype(np.float64)
         saliency *= p.grad
         np.abs(saliency, out=saliency)
-        sums = {}  # axis -> the saliency summed per index along it
-        for key, member in members[name]:
-            _, axis, start, stop = member
-            if stop - start > 1:
-                scores[key] += float(np.sum(_member_view(saliency, member)))
-                continue
+        sums = {}  # axis -> the saliency summed per index along it, as floats
+        for key, (_, axis, start, stop) in members[name]:
             if axis not in sums:
                 sums[axis] = np.ascontiguousarray(np.moveaxis(saliency, axis, 0)) \
-                    .reshape(saliency.shape[axis], -1).sum(axis=1)
-            scores[key] += float(sums[axis][start])
+                    .reshape(saliency.shape[axis], -1).sum(axis=1).tolist()
+            scores[key] += sum(sums[axis][start:stop])
     return ImportanceTable(scores=scores, seed=seed)
 
 
@@ -200,12 +188,9 @@ def select_prune_groups(model, table, target_ratio, exempt_layers=None):
     last head or channel are skipped so every plan stays applicable.  An
     exempt layer outside [0, n_layers) raises PruningError.
     """
-    cfg = model.config
     if not 0.0 <= target_ratio < 1.0:
         raise PruningError(f"target ratio must be in [0, 1), got {target_ratio}")
-    exempt = _exempt_set(cfg, exempt_layers)
-    groups = build_dependency_groups(model)
-    candidates = [g for g in groups if g.layer not in exempt]
+    exempt, candidates = prunable_groups(model.config, exempt_layers)
     prunable = sum(g.size for g in candidates)
     if prunable == 0:
         raise PruningError("no prunable parameters outside the exempt layers")
@@ -282,6 +267,5 @@ def param_counts(model, exempt_layers=None):
     summed size of the dependency groups outside the exempt layers
     (embeddings, norm gains and heads are in no group).  An exempt layer
     outside [0, n_layers) raises PruningError."""
-    exempt = _exempt_set(model.config, exempt_layers)
-    prunable = sum(g.size for g in build_dependency_groups(model) if g.layer not in exempt)
-    return {"total": model.num_params(), "prunable": prunable}
+    _, groups = prunable_groups(model.config, exempt_layers)
+    return {"total": model.num_params(), "prunable": sum(g.size for g in groups)}

@@ -21,8 +21,8 @@ node that is not recorded with grad enabled outputs a constant, so a
 graph starts at its first input that requires grad: Taylor scoring makes
 every parameter outside the scored layers a constant, and the layers
 below them run unrecorded.  Under `no_grad` nothing is recorded and every
-output is a leaf.  Losses are checked where they are built
-(`check_finite`).
+output is a leaf.  The trainers check their losses for NaN and Inf
+(``training``).
 """
 
 import numpy as np
@@ -34,10 +34,6 @@ class ShapeError(ValueError):
 
 class GradError(RuntimeError):
     """Raised on autodiff misuse (non-scalar loss, double backward, ...)."""
-
-
-class NonFiniteError(FloatingPointError):
-    """Raised when a guarded value contains NaN or Inf."""
 
 
 class Tensor:
@@ -103,13 +99,6 @@ class no_grad:
 def grad_enabled():
     """False inside a `no_grad` block."""
     return _GRAD_ENABLED
-
-
-def check_finite(value, name="value"):
-    arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains NaN or Inf")
-    return value
 
 
 def fused(fn, fn_backward, inputs, *args):

@@ -48,7 +48,7 @@ from .env import VecEnv, grid_seeds, run_episodes
 from .env import step as env_step  # never called here; perfbench's tracer test reads the name
 from .model import (PolicyModel, batch_logprob_value, build_contexts, chunk_rows, forward,
                     greedy_actions, init_value_head)
-from .tensor import OptimizerState, adam_step, backward_in_chunks, check_finite, fused, no_grad
+from .tensor import OptimizerState, adam_step, backward_in_chunks, fused, no_grad
 
 
 class TrainingError(RuntimeError):
@@ -159,13 +159,20 @@ def sft_loss(model, obs_batch, action_batch):
     return fused(kernels.nll, kernels.nll_backward, (logits,), actions)
 
 
+def _finite(loss, what):
+    """``loss``; a NaN or Inf one raises TrainingError naming ``what``."""
+    if not np.isfinite(loss.data):
+        raise TrainingError(f"{what} contains NaN or Inf")
+    return loss
+
+
 def sft_backward(model, obs, actions, what):
     """Accumulate the gradients of the mean `sft_loss` of an (n, obs_len)
     batch, `model.chunk_rows` rows at a time; returns (the mean loss, the rows
-    per chunk).  A non-finite chunk loss raises NonFiniteError naming ``what``."""
+    per chunk).  A non-finite chunk loss raises TrainingError naming ``what``."""
     rows = chunk_rows(model.config, obs.shape[1] + 1)
     loss, = backward_in_chunks(
-        lambda r0, r1: (check_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]), what),),
+        lambda r0, r1: (_finite(sft_loss(model, obs[r0:r1], actions[r0:r1]), what),),
         len(obs), rows)
     return loss, rows
 
@@ -379,9 +386,7 @@ def ppo_backward(model, value_head, contexts, actions, old_logprobs, advantages,
         total = fused(kernels.ppo_objective, kernels.ppo_objective_backward, (logits, values),
                       actions[r0:r1], old_logprobs[r0:r1], advantages[r0:r1], returns[r0:r1],
                       config.clip_eps, config.value_coef, config.entropy_coef, terms)
-        if not np.isfinite(total.data):
-            raise TrainingError(
-                f"ppo diverged at env_steps={env_steps}: "
+        _finite(total, f"ppo loss at env_steps={env_steps}: "
                 + ", ".join(f"{k}={v}" for k, v in terms.items()))
         return (total, *(terms[k] for k in names))
 

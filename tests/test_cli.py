@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -359,6 +360,28 @@ def test_quantize_takes_any_earlier_stage(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "quant_quant.ckpt"))
 
 
+def test_off_recipe_chains_never_write_over_the_recipe(micro_run, tmp_path):
+    # a copy of the pipeline's outputs, so the shared run stays as it was
+    cfg_path, out = micro_config(tmp_path)
+    shutil.copytree(micro_run[2], out)
+    recipe = {p.name: p.read_bytes() for p in Path(out).iterdir()
+              if p.suffix == ".ckpt" or p.name.startswith("metrics_")}
+    assert sorted(recipe) == sorted([f"{s}.ckpt" for s in CHAIN] + [
+        f"metrics_{s}.jsonl" for s in ("dense", "sft", "rl")])
+    # each output is named after its input's file stem, which bench's rows use too
+    for command, source, made in (("sft", "dense", "sft_dense"),
+                                  ("rl", "sft_dense", "rl_sft_dense"),
+                                  ("rl", "pruned", "rl_pruned"),
+                                  ("quantize", "rl_pruned", "quant_rl_pruned")):
+        parent = os.path.join(out, f"{source}.ckpt")
+        assert run(["--config", cfg_path, command, "--input", parent]) == 0, command
+        meta = load_checkpoint(os.path.join(out, f"{made}.ckpt")).meta
+        assert meta["parent"] == parent, made
+    assert all(os.path.getsize(os.path.join(out, f"metrics_{stem}.jsonl")) > 0
+               for stem in ("sft_dense", "rl_sft_dense", "rl_pruned"))
+    assert {name: (Path(out) / name).read_bytes() for name in recipe} == recipe
+
+
 def test_checkpoint_records_the_config_it_was_made_with(tmp_path):
     hashes = []
     for lr in (3e-4, 1e-3):
@@ -449,6 +472,16 @@ def test_exempt_layers_checked_against_the_model():
         PipelineConfig.from_dict({"prune": {"exempt_layers": [7, -1]}})
     assert PipelineConfig.from_dict({"prune": {"exempt_layers": [0, 5]}}).prune.exempt_layers \
         == [0, 5]
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("bits", 5, "bits must be one of [4, 8], got 5"),
+    ("block_size", 0, "block_size must be >= 1, got 0"),
+])
+def test_quant_format_checked_at_load(field, value, rule):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"bad values in section quant: {rule}")
+                       + "$"):
+        PipelineConfig.from_dict({"quant": {field: value}})
 
 
 def test_seed_override_propagates(tmp_path):

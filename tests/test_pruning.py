@@ -10,8 +10,8 @@ from rlrc.model import ModelConfig, chunk_rows, forward, init_model
 from rlrc.pruning import (
     KIND_ATTN, KIND_MLP,
     ImportanceTable, PruningError,
-    apply_prune, build_dependency_groups, default_exempt_layers,
-    param_counts, select_prune_groups, taylor_importance,
+    apply_prune, build_dependency_groups,
+    param_counts, prunable_groups, select_prune_groups, taylor_importance,
 )
 from rlrc.tensor import backward
 from rlrc.training import demo_arrays, sft_loss, train_sft
@@ -217,7 +217,7 @@ def test_importance_differentiates_only_the_scored_layers(make_model, monkeypatc
     m = make_model()
     obs, acts = calib_batch(2 * model_chunk_rows(m) + 3)
     groups = build_dependency_groups(m)
-    exempt = default_exempt_layers(m.config)
+    exempt, _ = prunable_groups(m.config)
     scored = {g.key for g in groups if g.layer not in exempt}
     members = {member[0] for g in groups if g.key in scored for member in g.members}
     calls, fed = _count_gradients(monkeypatch, m)
@@ -418,7 +418,7 @@ def test_exempt_layers_never_pruned():
     obs, acts = calib_batch(32)
     table = taylor_importance(m, obs, acts)
     plan = select_prune_groups(m, table, 0.8)
-    assert default_exempt_layers(m.config) == {0, 2}
+    assert prunable_groups(m.config)[0] == {0, 2}
     assert all(g.layer not in (0, 2) for g in plan.groups)
 
 

@@ -9,7 +9,9 @@ Every subcommand states why it exists.
 Episodes have one loop: among program files, `env.step` is called by
 `env.run_episodes` and by `env.VecEnv`, PPO's stream of episodes, alone.
 A grid's episode seeds have one source: among program files, only
-`env.grid_seeds` multiplies a seed stride."""
+`env.grid_seeds` multiplies a seed stride.
+The prunable groups have one rule: among program files, only
+`pruning.prunable_groups` calls `pruning.build_dependency_groups`."""
 
 import argparse
 import ast
@@ -31,7 +33,7 @@ UNPASSED_ALLOWED = {
     "cli.main(argv)": "test hook: tests drive the CLI in-process",
 }
 
-_INPUT = "a path, recorded as the meta's parent; its stage names the output's stem"
+_INPUT = "a path, recorded as the meta's parent; its file stem names the output's stem"
 # every flag of `rlrc`, each with the reason it is not a config setting
 FLAGS_ALLOWED = {
     "--config": "names the config itself",
@@ -282,3 +284,27 @@ def test_grid_seeds_come_from_one_function():
     for path in program_files():
         found |= stride_products(path.read_text(), path.stem)
     assert found == STRIDE_USERS
+
+
+# the one function that builds the dependency groups, and so the one statement
+# of the exempt layers scoring, selection, counting and the config share
+GROUP_BUILDERS = {"pruning.prunable_groups"}
+
+
+def group_builders(source, stem):
+    """The functions of a module that call `build_dependency_groups`, as
+    "<stem>.<qualified name>": by that name, or as an attribute."""
+    return {".".join((stem, *scope)) for scope, node in walk_scoped(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "build_dependency_groups"}
+
+
+def test_prunable_groups_come_from_one_function():
+    forked = "from . import pruning\nfrom .pruning import build_dependency_groups\n" \
+             "def f(m):\n    return build_dependency_groups(m)\nclass C:\n" \
+             "    def g(self, m):\n        return pruning.build_dependency_groups(m)[1:]\n"
+    assert group_builders(forked, "m") == {"m.f", "m.C.g"}
+    found = set()
+    for path in program_files():
+        found |= group_builders(path.read_text(), path.stem)
+    assert found == GROUP_BUILDERS

@@ -13,7 +13,7 @@ from rlrc.model import (
     init_value_head,
 )
 from rlrc.config import ConfigError, PipelineConfig
-from rlrc.tensor import NonFiniteError, adam_step, backward, backward_in_chunks, fused, no_grad
+from rlrc.tensor import adam_step, backward, backward_in_chunks, fused, no_grad
 from rlrc import kernels, training
 from rlrc.training import (
     EVAL_SEED_STRIDE,
@@ -154,7 +154,7 @@ def test_train_sft_non_finite_loss_names_its_step(tmp_path, monkeypatch):
     monkeypatch.setattr(training, "adam_step", poisoning)
     cfg = SftConfig(max_steps=10, eval_interval=10, eval_episodes=1, batch_size=8)
     suite = make_task_suite(0)
-    with pytest.raises(NonFiniteError, match="sft loss at step 3 contains NaN"):
+    with pytest.raises(TrainingError, match="sft loss at step 3 contains NaN"):
         train_sft(m, make_demos(tmp_path), cfg, ENV, suite["IND"][:1])
     assert steps == [1, 2]
 
